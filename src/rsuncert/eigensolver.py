@@ -30,8 +30,6 @@ from dataclasses import dataclass
 import json
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ResolutionError
 from .specfun import laguerre_general
@@ -103,6 +101,11 @@ def _potential(kappa):
 
 def solve_radial(problem: RadialProblem, n_states: int = 3) -> RadialSpectrum:
     """Lowest n_states eigenpairs of the dimensionless radial operator."""
+    # scipy.integrate and scipy.linalg are imported here, not at module
+    # level, so that importing the package does not pay for them
+    from scipy.integrate import simpson
+    from scipy.linalg import eigh_tridiagonal
+
     if n_states < 1:
         raise ValueError("solve_radial: n_states must be >= 1")
     n = problem.n_points
@@ -177,6 +180,8 @@ def rayleigh_quotient(g, kappa) -> float:
 
     which bounds the true minimum 5/2 from above for any admissible g.
     """
+    from scipy.integrate import simpson
+
     g = np.asarray(g, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     if g.shape != kappa.shape or g.ndim != 1 or g.size < 9:

@@ -566,10 +566,12 @@ def norm_grid(field: FieldGrid) -> float:
 
 
 def norm_amplitudes(amps: HelicityAmplitudePair, rule=None) -> float:
-    """N = Int d3k (|f+|^2 + |f-|^2) by cylindrical Gauss quadrature."""
-    from .moments import _norm_quadrature  # local import to avoid a cycle
+    """N = Int d3k (|f+|^2 + |f-|^2) from the amplitude-path engine of
+    moments: spherical Gauss quadrature for closures (the refined rule of
+    its nested pair), Riemann sums for sampled amplitudes."""
+    from .moments import _amp_moments  # local import to avoid a cycle
 
-    return _norm_quadrature(amps, rule)
+    return _amp_moments(amps, rule)[0]
 
 
 def norm(obj, rule=None) -> float:

@@ -11,22 +11,28 @@ This differs from the statistics convention; translating a field changes
 Dr^2.
 
 Amplitude path.  In terms of helicity amplitudes the same moments read
-(summed over both helicities)
+(summed over both helicities, s = +1 for f+ and s = -1 for f-)
 
     Dk^2 N = Int d3k k^2 |f|^2
-    Dr^2 N = Int d3k f* [ f/kp^2 + (2 i kz)/(k kp^2) (kx d_ky - ky d_kx) f
+    Dr^2 N = Int d3k f* [ f/kp^2 + s (2 i kz)/(k kp^2) (kx d_ky - ky d_kx) f
                           - Lap_k f ]
            = Int d3k [ |grad f|^2 + |f|^2/kp^2
-                       - (2 kz)/(k kp^2) Im(f* d_phi f) ]      (by parts)
+                       - s (2 kz)/(k kp^2) Im(f* d_phi f) ]    (by parts)
 
-with kp^2 = kx^2 + ky^2.  The weak (second) form needs only first
-derivatives and is the one evaluated; a strong-form evaluator is kept for
-amplitudes that provide an exact Laplacian (cross-check).
+with kp^2 = kx^2 + ky^2.  The helicity sign s comes from the frame: f-
+enters the field as e*(k) conj(f-)(-k), not as e(k) f+(k), which reverses
+the azimuthal term.  The weak (second) form needs only first derivatives
+and is the one evaluated; a strong-form evaluator is kept for amplitudes
+that provide an exact Laplacian (cross-check).
 
-Quadrature: fixed cylindrical Gauss-Legendre x trapezoid rule (exponentially
-accurate for the Gaussian-enveloped amplitude classes used here).  Grid-path
-reductions are plain Riemann sums; numpy's pairwise summation keeps them
-reproducible at the stated tolerances.
+Quadrature: one engine (_amp_moments) evaluates N, Dk^2 N and Dr^2 N on a
+nested pair of spherical rules per amplitude -- Gauss-Legendre in k on
+(0, 9 k_scale] and in cos(theta), half-offset trapezoid in phi, at 32x20x16
+and 48x30x24 nodes.  It reports the finer sums, and the largest relative
+difference of the three between the two rules as quad_rel_err (~1e-13 for
+the Gaussian-enveloped amplitude classes used here).  Grid-path reductions
+and sampled amplitudes use plain Riemann sums; numpy's pairwise summation
+keeps them reproducible at the stated tolerances.
 """
 
 from __future__ import annotations
@@ -67,12 +73,59 @@ TRUNCATION_RATIO = 1e-8  # boundary-density / peak-density warning threshold
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _SphericalRule:
+    """Tensor quadrature in spherical k-coordinates: Gauss-Legendre in k on
+    (0, k_max] and in cos(theta), half-offset trapezoid in phi.
+
+    Every integrand of the amplitude classes here is a polynomial in
+    (k, cos theta, sin theta e^{+-i phi}) times a Gaussian in k, so the rule
+    converges exponentially; the default and its refinement agree to ~1e-13
+    relative for k_max = 9 k_scale."""
+
+    k_max: float
+    n_k: int = 32
+    n_theta: int = 20
+    n_phi: int = 16
+
+    def nodes(self):
+        KX, KY, KZ, W = _unit_sphere_nodes(self.n_k, self.n_theta, self.n_phi)
+        s = self.k_max
+        return s * KX, s * KY, s * KZ, s ** 3 * W
+
+    def refined(self) -> "_SphericalRule":
+        return _SphericalRule(self.k_max, *_refined_counts(
+            self.n_k, self.n_theta, self.n_phi))
+
+
+@lru_cache(maxsize=8)
+def _unit_sphere_nodes(n_k, n_theta, n_phi):
+    """Nodes and weights (measure k^2 dk dcos(theta) dphi) for k_max = 1."""
+    xk, wk = np.polynomial.legendre.leggauss(n_k)
+    k = 0.5 * (xk + 1.0)
+    u, wu = np.polynomial.legendre.leggauss(n_theta)
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
+    K, U, PH = np.meshgrid(k, u, phi, indexing="ij")
+    S = K * np.sqrt(1.0 - U * U)
+    W = (0.5 * wk * k * k)[:, None, None] * wu[None, :, None] * (2.0 * np.pi / n_phi)
+    out = (S * np.cos(PH), S * np.sin(PH), K * U, np.broadcast_to(W, K.shape).copy())
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _refined_counts(*counts):
+    return tuple(3 * n // 2 for n in counts)
+
+
+@dataclass(frozen=True)
 class CylindricalRule:
     """Tensor quadrature in cylindrical k-coordinates: Gauss-Legendre in
     k_perp on (0, k_max] and in kz on [-k_max, k_max], trapezoid in phi.
 
-    The defaults are sized for Gaussian-enveloped polynomial amplitudes,
-    where the rule converges superalgebraically (~1e-12 relative)."""
+    Reference use only (pass it as `rule=` explicitly): k = sqrt(k_perp^2 +
+    kz^2) is not smooth on the axis in these coordinates, so the rule
+    converges only algebraically, to ~1e-8 relative at the defaults.  The
+    default amplitude-path rule is spherical (see the module docstring)."""
 
     k_max: float
     n_radial: int = 72
@@ -82,9 +135,9 @@ class CylindricalRule:
     def nodes(self):
         return _rule_nodes(self.k_max, self.n_radial, self.n_phi, self.n_axial)
 
-    @classmethod
-    def for_amplitudes(cls, amps: HelicityAmplitudePair, pad=1.0) -> "CylindricalRule":
-        return cls(k_max=9.0 * amps.k_scale * pad)
+    def refined(self) -> "CylindricalRule":
+        return CylindricalRule(self.k_max, *_refined_counts(
+            self.n_radial, self.n_phi, self.n_axial))
 
 
 @lru_cache(maxsize=16)
@@ -111,70 +164,74 @@ def _rule_for_amp(amp, rule):
     """Rule for one amplitude: explicit rule wins, else sized to its decay."""
     if rule is not None:
         return rule
-    return CylindricalRule(k_max=9.0 * amp.k_scale)
+    return _SphericalRule(k_max=9.0 * amp.k_scale)
 
 
-def _alt_rule(rule):
-    """Independently sized rule for the norm cross-check."""
-    return CylindricalRule(
-        k_max=rule.k_max * 1.15,
-        n_radial=rule.n_radial + 17,
-        n_phi=rule.n_phi + 4,
-        n_axial=rule.n_axial + 19,
-    )
-
-
-def _weak_form(f, grads, KX, KY, KZ):
-    K2 = KX * KX + KY * KY + KZ * KZ
-    K = np.sqrt(K2)
+def _integrands(f, grads, KX, KY, KZ, sign, lap=None):
+    """|f|^2, k^2 and the Dr^2 integrand of an amplitude of helicity
+    sign = +-1: the weak form, or the strong form when lap is given."""
     KP2 = KX * KX + KY * KY
+    K2 = KP2 + KZ * KZ
     gx, gy, gz = grads
     dphi = KX * gy - KY * gx
-    af2 = np.abs(f) ** 2
-    integ = (
-        np.abs(gx) ** 2 + np.abs(gy) ** 2 + np.abs(gz) ** 2
-        + af2 / KP2
-        - (2.0 * KZ / (K * KP2)) * (np.conj(f) * dphi).imag
-    )
+    az = (sign * 2.0) * KZ / (np.sqrt(K2) * KP2)
+    af2 = f.real ** 2 + f.imag ** 2
+    if lap is None:
+        integ = (
+            np.abs(gx) ** 2 + np.abs(gy) ** 2 + np.abs(gz) ** 2
+            + af2 / KP2
+            - az * (np.conj(f) * dphi).imag
+        )
+    else:
+        integ = (np.conj(f) * (f / KP2 + 1j * az * dphi - lap)).real
     return af2, K2, integ
 
 
-def _amp_integrals(amp, rule: CylindricalRule, weak=True):
-    """Per-amplitude integrals (norm, k2-moment, r2-moment numerator).
-
-    Closures integrate on the cylindrical rule with their exact gradients;
-    sampled amplitudes integrate on their own grid with spectral gradients.
-    """
+def _amp_integrals(amp, sign, rule, weak=True):
+    """(N, Mk, Mr) of one amplitude: on `rule` with the exact gradients for
+    closures, as Riemann sums with spectral gradients for sampled ones."""
     if isinstance(amp, SampledAmplitude):
         KX, KY, KZ = amp.grid.meshes(sparse=False)
-        af2, K2, integ = _weak_form(amp.values, amp.spectral_grad(), KX, KY, KZ)
-        w = amp.grid.cell_volume
-        return (
-            float(af2.sum() * w),
-            float((K2 * af2).sum() * w),
-            float(integ.sum() * w),
-        )
-    KX, KY, KZ, W = rule.nodes()
-    f = amp.value(KX, KY, KZ)
-    if weak:
-        af2, K2, integ = _weak_form(f, amp.grad(KX, KY, KZ), KX, KY, KZ)
-        mr = float((W * integ).sum())
+        W = amp.grid.cell_volume
+        af2, K2, integ = _integrands(amp.values, amp.spectral_grad(), KX, KY, KZ, sign)
     else:
-        K2 = KX * KX + KY * KY + KZ * KZ
-        K = np.sqrt(K2)
-        KP2 = KX * KX + KY * KY
-        af2 = np.abs(f) ** 2
-        gx, gy, gz = amp.grad(KX, KY, KZ)
-        dphi = KX * gy - KY * gx
-        lap = amp.laplacian(KX, KY, KZ)
-        integ = (
-            np.conj(f)
-            * (f / KP2 + (2j * KZ / (K * KP2)) * dphi - lap)
-        ).real
-        mr = float((W * integ).sum())
-    n = float((W * af2).sum())
-    mk = float((W * K2 * af2).sum())
-    return n, mk, mr
+        KX, KY, KZ, W = rule.nodes()
+        lap = None if weak else amp.laplacian(KX, KY, KZ)
+        af2, K2, integ = _integrands(amp.value(KX, KY, KZ), amp.grad(KX, KY, KZ),
+                                     KX, KY, KZ, sign, lap)
+    return np.array([(W * af2).sum(), (W * K2 * af2).sum(), (W * integ).sum()])
+
+
+def _amp_moments(amps: HelicityAmplitudePair, rule=None, weak=True):
+    """The amplitude-path integral engine: (N, Mk, Mr, N_coarse,
+    quad_rel_err) summed over both helicities, Mk and Mr being the Dk^2 and
+    Dr^2 numerators.
+
+    Closures are integrated on their rule and on rule.refined(); the refined
+    sums are returned, N_coarse is the coarser rule's norm, and quad_rel_err
+    is the largest relative difference of the three sums between the two
+    rules (None when every amplitude is sampled, i.e. no rule was used)."""
+    _check_axis_regular(amps, rule)
+    fine = np.zeros(3)
+    coarse = np.zeros(3)
+    ruled = False
+    for amp, sign in ((amps.f_plus, 1.0), (amps.f_minus, -1.0)):
+        if amp is None:
+            continue
+        if isinstance(amp, SampledAmplitude):
+            sums = _amp_integrals(amp, sign, None)
+            fine += sums
+            coarse += sums
+            continue
+        r = _rule_for_amp(amp, rule)
+        coarse += _amp_integrals(amp, sign, r, weak)
+        fine += _amp_integrals(amp, sign, r.refined(), weak)
+        ruled = True
+    n, mk, mr = (float(v) for v in fine)
+    if not np.isfinite(n) or n <= 0.0:
+        raise DegenerateFieldError("degenerate amplitude pair: zero norm")
+    err = float(np.max(np.abs(fine - coarse) / np.abs(fine))) if ruled else None
+    return n, mk, mr, float(coarse[0]), err
 
 
 def _check_axis_regular(amps, rule=None):
@@ -213,26 +270,6 @@ def _check_axis_regular(amps, rule=None):
                     "amplitudes carry weight on the kz-axis; 1/k_perp^2 "
                     "variance integrand is singular"
                 )
-
-
-def _norm_quadrature(amps: HelicityAmplitudePair, rule=None, alt=False) -> float:
-    total = 0.0
-    for amp in (amps.f_plus, amps.f_minus):
-        if amp is None:
-            continue
-        if isinstance(amp, SampledAmplitude):
-            total += float(
-                (np.abs(amp.values) ** 2).sum() * amp.grid.cell_volume
-            )
-            continue
-        r = _rule_for_amp(amp, rule)
-        if alt:
-            r = _alt_rule(r)
-        KX, KY, KZ, W = r.nodes()
-        total += float((W * np.abs(amp.value(KX, KY, KZ)) ** 2).sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise DegenerateFieldError("norm: degenerate amplitude pair")
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -279,33 +316,14 @@ def variance_position_from_amplitudes(
     """Dr^2 evaluated directly from the helicity amplitudes (see module
     docstring).  weak=False uses the strong (Laplacian) form, which requires
     the amplitudes to provide .laplacian."""
-    _check_axis_regular(amps, rule)
-    num = 0.0
-    den = 0.0
-    for amp in (amps.f_plus, amps.f_minus):
-        if amp is None:
-            continue
-        n, _, mr = _amp_integrals(amp, _rule_for_amp(amp, rule), weak=weak)
-        num += mr
-        den += n
-    if den <= 0.0:
-        raise DegenerateFieldError("variance: degenerate amplitude pair")
-    return num / den
+    n, _, mr, _, _ = _amp_moments(amps, rule, weak)
+    return mr / n
 
 
 def variance_kspace_from_amplitudes(amps: HelicityAmplitudePair, rule=None) -> float:
     """Dk^2 = Int k^2 (|f+|^2 + |f-|^2) / N."""
-    num = 0.0
-    den = 0.0
-    for amp in (amps.f_plus, amps.f_minus):
-        if amp is None:
-            continue
-        n, mk, _ = _amp_integrals(amp, _rule_for_amp(amp, rule), weak=True)
-        num += mk
-        den += n
-    if den <= 0.0:
-        raise DegenerateFieldError("variance: degenerate amplitude pair")
-    return num / den
+    n, mk, _, _, _ = _amp_moments(amps, rule)
+    return mk / n
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +342,9 @@ class VarianceReport:
     norm_r: float
     norm_k: float
     warnings: list = dc_field(default_factory=list)
+    # amplitude path only: largest relative change of (N, Mk, Mr) between
+    # the rule and its refinement; not part of to_dict()
+    quad_rel_err: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -341,7 +362,7 @@ class VarianceReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _report(dr2, dk2, nr, nk, bound, warnings):
+def _report(dr2, dk2, nr, nk, bound, warnings, quad_rel_err=None):
     product = float(np.sqrt(dr2 * dk2))
     return VarianceReport(
         delta_r2=float(dr2),
@@ -352,6 +373,7 @@ def _report(dr2, dk2, nr, nk, bound, warnings):
         norm_r=float(nr),
         norm_k=float(nk),
         warnings=warnings,
+        quad_rel_err=quad_rel_err,
     )
 
 
@@ -364,21 +386,10 @@ def uncertainty_product(source, rule=None, bound=BOUND_EM) -> VarianceReport:
     """
     warnings = []
     if isinstance(source, HelicityAmplitudePair):
-        _check_axis_regular(source, rule)
-        num_r = num_k = nk = 0.0
-        for amp in (source.f_plus, source.f_minus):
-            if amp is None:
-                continue
-            n, mk, mr = _amp_integrals(amp, _rule_for_amp(amp, rule))
-            nk += n
-            num_k += mk
-            num_r += mr
-        if nk <= 0.0:
-            raise DegenerateFieldError("uncertainty_product: degenerate amplitudes")
-        # norm recomputed on an independently sized rule: agreement measures
-        # quadrature convergence, and Plancherel ties both to the position norm
-        nr = _norm_quadrature(source, rule, alt=True)
-        return _report(num_r / nk, num_k / nk, nr, nk, bound, warnings)
+        # norm_r is the coarser rule's norm: its agreement with norm_k is
+        # the Plancherel line of the report
+        n, mk, mr, n_coarse, err = _amp_moments(source, rule)
+        return _report(mr / n, mk / n, n_coarse, n, bound, warnings, err)
 
     if isinstance(source, FieldGrid):
         if source.space == "position":

@@ -29,9 +29,8 @@ from .kspace import (
 from .moments import (
     CylindricalRule,
     TRUNCATION_RATIO,
+    _amp_moments,
     _grid_moment,
-    _norm_quadrature,
-    variance_position_from_amplitudes,
 )
 
 __all__ = ["Trajectory", "evolve", "spreading_trajectory"]
@@ -132,9 +131,8 @@ def spreading_trajectory(
     elif method == "analytic":
         # rule=None sizes the quadrature per amplitude (see moments)
         for i, t in enumerate(times):
-            ev = amps.evolved(t, c)
-            moments[i] = variance_position_from_amplitudes(ev, rule)
-            norms[i] = _norm_quadrature(ev, rule)
+            n, _, mr, _, _ = _amp_moments(amps.evolved(t, c), rule)
+            moments[i], norms[i] = mr / n, n
     else:
         raise ValueError("spreading_trajectory: method must be 'grid' or 'analytic'")
 

@@ -94,10 +94,14 @@ def test_criterion_3_bound_property():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1234)
     worst = np.inf
+    worst_quad = 0.0
     for _ in range(200):
         rep = uncertainty_product(random_pair(rng))
         worst = min(worst, rep.product)
+        worst_quad = max(worst_quad, rep.quad_rel_err)
         assert rep.product >= 2.5 - 1e-6
+    # the quadrature error must sit far inside the 1e-6 margin of the bound
+    assert 100.0 * worst_quad < 1e-6
     dt = time.perf_counter() - t0
     report(
         "criterion 3 (bound property, 200 pairs)",

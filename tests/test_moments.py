@@ -11,6 +11,7 @@ from rsuncert import (
     FieldGrid,
     Grid3D,
     HelicityAmplitudePair,
+    PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
     SingularAmplitudeError,
     massless_bound,
@@ -24,6 +25,7 @@ from rsuncert import (
     variance_position,
     variance_position_from_amplitudes,
 )
+from rsuncert.moments import _amp_integrals, _SphericalRule
 from rsuncert.specfun import laguerre_general
 from conftest import random_pair, second_moment_oracle
 
@@ -334,6 +336,64 @@ class TestUncertaintyProduct:
         field = FieldGrid(np.zeros((16, 16, 16, 3), complex), grid, "position")
         with pytest.raises(DegenerateFieldError):
             uncertainty_product(field)
+
+
+class TestHelicitySign:
+    """The azimuthal term of the weak form changes sign with the helicity."""
+
+    # f = k_perp (kx + i ky)(1 + kz) e^{-k^2/2}: Im(f* d_phi f) odd in kz
+    AMP = PolynomialGaussianAmplitude(
+        {(1, 0, 0): 1, (0, 1, 0): 1j, (1, 0, 1): 1, (0, 1, 1): 1j}, 0.5)
+
+    @staticmethod
+    def conj(amp):
+        return PolynomialGaussianAmplitude(
+            {m: np.conj(c) for m, c in amp.terms.items()}, amp.alpha)
+
+    def test_f_minus_matches_grid_path(self):
+        amps = HelicityAmplitudePair(None, self.AMP)
+        rep = uncertainty_product(amps)
+        kgrid = Grid3D.centered(64, 32.0).fourier_dual()
+        grid = uncertainty_product(synthesize_kspace(amps, kgrid))
+        assert abs(rep.delta_r2 - grid.delta_r2) / grid.delta_r2 < 1e-3
+        assert abs(rep.product - grid.product) / grid.product < 1e-3
+
+    def test_parity_symmetry(self, rng):
+        # parity maps (f+, f-) to (conj f-, conj f+), pointwise conjugates
+        for _ in range(3):
+            amps = random_pair(rng, allow_single=False)
+            rep = uncertainty_product(amps)
+            rep_p = uncertainty_product(HelicityAmplitudePair(
+                self.conj(amps.f_minus), self.conj(amps.f_plus)))
+            assert abs(rep.delta_r2 - rep_p.delta_r2) / rep.delta_r2 < 1e-12
+            assert abs(rep.delta_k2 - rep_p.delta_k2) / rep.delta_k2 < 1e-12
+
+
+class TestQuadratureConvergence:
+    def test_default_rule_matches_fine_spherical_rule(self):
+        rng = np.random.default_rng(97531)
+        for _ in range(20):
+            amps = random_pair(rng, allow_single=False)
+            rep = uncertainty_product(amps)
+            n, mk, mr = sum(
+                _amp_integrals(amp, sign, _SphericalRule(10.5 * amp.k_scale, 96, 48, 32))
+                for amp, sign in ((amps.f_plus, 1.0), (amps.f_minus, -1.0))
+            )
+            assert abs(rep.norm_k - n) / n < 1e-10
+            assert abs(rep.delta_k2 - mk / n) / (mk / n) < 1e-10
+            assert abs(rep.delta_r2 - mr / n) / (mr / n) < 1e-10
+            assert rep.quad_rel_err <= 1e-10
+
+    def test_cylindrical_reference_rule_refines(self):
+        rule = CylindricalRule(9.0, n_radial=48, n_phi=16, n_axial=64)
+        fine = rule.refined()
+        assert (fine.k_max, fine.n_radial, fine.n_phi, fine.n_axial) == (9.0, 72, 24, 96)
+        rep = uncertainty_product(saturating_amplitudes(1.0, 0.5, 1.0), rule=rule)
+        assert abs(rep.product - 2.5) < 1e-6
+        assert 0.0 < rep.quad_rel_err < 1e-6
+
+    def test_grid_report_has_no_quadrature_error(self):
+        assert uncertainty_product(simplest_field_grid()).quad_rel_err is None
 
 
 class TestMasslessBound:
