@@ -221,6 +221,9 @@ def cmd_spread(args) -> int:
         traj = spreading_trajectory(
             spec.amplitudes(), times, grid=grid, method="grid", strict=True
         )
+    except ValueError as exc:  # too few, repeated or non-finite times
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except TruncationError as exc:
         print(f"error: truncation: {exc}", file=sys.stderr)
         print("hint: enlarge --extent or reduce the time span", file=sys.stderr)

@@ -20,8 +20,10 @@ Numerics: substituting u = kappa g removes the first-derivative term,
 
 which is discretized by symmetric second-order central differences with
 Dirichlet ends and solved as a symmetric tridiagonal eigenproblem.
-Eigenvalues converge quadratically in the grid spacing, so a two-grid
-Richardson extrapolation gains two further orders.
+Eigenvalues converge quadratically in the grid spacing.  solve_radial
+returns the single-grid values and does no extrapolation; a caller that
+combines two grids, (4 gamma(h/2) - gamma(h)) / 3, gains two further
+orders, as the acceptance test does.
 """
 
 from __future__ import annotations

@@ -18,6 +18,17 @@ Conventions (used everywhere in this package):
 * A field with helicity amplitudes (f+, f-) has the k-space form
 
       Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt}.
+
+Synthesis is split in two.  KspaceParts holds the time-independent part,
+e(k) f+(k), e*(k) conj(f-)(-k) and |k|, computed once per (amplitudes,
+grid); its components(t) step applies only the unimodular phases
+e^{-+ikt}.  synthesize_kspace is the one-time case of the same code.
+
+The Fourier bridge transforms one component at a time: per-axis phases are
+applied by broadcasting, in place, around an overwriting scipy FFT.  A
+density is computed once per field as re^2 + im^2 (FieldGrid.density), and
+position_density gives the position-space density of an evolving field
+without building it, the output-side DFT phases being unimodular.
 """
 
 from __future__ import annotations
@@ -45,7 +56,9 @@ __all__ = [
     "dilated",
     "saturating_amplitudes",
     "simplest_field_amplitudes",
+    "KspaceParts",
     "synthesize_kspace",
+    "position_density",
     "fourier_to_position",
     "fourier_to_kspace",
     "norm",
@@ -74,6 +87,8 @@ class Grid3D:
     def __post_init__(self):
         if any(n < 2 for n in self.counts):
             raise ValueError("Grid3D: need at least 2 points per axis")
+        if not np.all(np.isfinite(self.spacings + self.origins)):
+            raise ValueError("Grid3D: spacings and origins must be finite")
         if any(d <= 0 for d in self.spacings):
             raise ValueError("Grid3D: spacings must be positive")
 
@@ -140,16 +155,22 @@ class FieldGrid:
 
     def density(self) -> np.ndarray:
         """Energy-like density F*.F at every node (real array)."""
-        return np.einsum("...c,...c->...", self.values.conj(), self.values).real
+        # re^2 + im^2 summed over components, in one pass over a float view
+        f = self.values.view(np.float64)
+        return np.einsum("...i,...i->...", f, f)
 
     def boundary_density_ratio(self) -> float:
         """max boundary-face density / max density (truncation diagnostic)."""
-        d = self.density()
-        peak = d.max()
-        if peak == 0.0:
-            return 0.0
-        faces = [d[0], d[-1], d[:, 0], d[:, -1], d[:, :, 0], d[:, :, -1]]
-        return max(f.max() for f in faces) / peak
+        return _boundary_ratio(self.density())
+
+
+def _boundary_ratio(d) -> float:
+    """max boundary-face value / max value of a density array."""
+    peak = d.max()
+    if peak == 0.0:
+        return 0.0
+    faces = [d[0], d[-1], d[:, 0], d[:, -1], d[:, :, 0], d[:, :, -1]]
+    return max(f.max() for f in faces) / peak
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +377,13 @@ class SampledAmplitude:
     def spectral_grad(self):
         """(df/dkx, df/dky, df/dkz) on the grid nodes."""
         rgrid = self.grid.fourier_dual()
-        U = _scalar_synthesis(self.values, self.grid, rgrid)
+        U = _dft(self.values, self.grid, rgrid, +1)
         out = []
         for a, coord in enumerate(rgrid.axes()):
             shape = [1, 1, 1]
             shape[a] = coord.size
             mult = (-1j * coord).reshape(shape)
-            out.append(_scalar_analysis(mult * U, rgrid, self.grid))
+            out.append(_dft(mult * U, rgrid, self.grid, -1))
         return tuple(out)
 
     def negated_conj(self):
@@ -450,8 +471,6 @@ def simplest_field_amplitudes(C, a) -> HelicityAmplitudePair:
 # ---------------------------------------------------------------------------
 
 def _amp_on_grid(amp, grid, KX, KY, KZ):
-    if amp is None:
-        return 0.0
     if isinstance(amp, SampledAmplitude):
         if amp.grid != grid:
             raise GridMismatchError("synthesize_kspace: amplitude grid differs")
@@ -460,8 +479,6 @@ def _amp_on_grid(amp, grid, KX, KY, KZ):
 
 
 def _amp_on_grid_negk_conj(amp, grid, KX, KY, KZ):
-    if amp is None:
-        return 0.0
     if isinstance(amp, SampledAmplitude):
         if amp.grid != grid:
             raise GridMismatchError("synthesize_kspace: amplitude grid differs")
@@ -469,29 +486,75 @@ def _amp_on_grid_negk_conj(amp, grid, KX, KY, KZ):
     return np.conj(amp.value(-KX, -KY, -KZ))
 
 
+@dataclass(frozen=True, eq=False)
+class KspaceParts:
+    """The time-independent part of Ftilde(k,t) on a wavevector grid.
+
+    plus = e(k) f+(k) and minus = e*(k) conj(f-)(-k), each of shape
+    (3, nx, ny, nz) with contiguous components (None for a zero amplitude),
+    and k = |k| at the nodes.  Only the unimodular phases e^{-+ickt} depend
+    on t: a trajectory builds the parts once and takes components(t) per
+    time.
+    """
+
+    grid: Grid3D
+    plus: np.ndarray | None
+    minus: np.ndarray | None
+    k: np.ndarray
+
+    @classmethod
+    def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D) -> "KspaceParts":
+        KX, KY, KZ = grid.meshes(sparse=True)
+        frame = polarization(KX, KY, KZ)  # raises if a node sits on the axis
+        shape = (3,) + grid.counts
+        plus = minus = None
+        if amps.f_plus is not None:
+            fp = _amp_on_grid(amps.f_plus, grid, KX, KY, KZ)
+            plus = np.empty(shape, dtype=np.complex128)
+            for comp, e in enumerate(frame):
+                np.multiply(e, fp, out=plus[comp])
+            del fp
+        if amps.f_minus is not None:
+            fmc = _amp_on_grid_negk_conj(amps.f_minus, grid, KX, KY, KZ)
+            minus = np.empty(shape, dtype=np.complex128)
+            for comp, e in enumerate(frame):
+                np.multiply(np.conj(e), fmc, out=minus[comp])
+        return cls(grid, plus, minus, np.sqrt(KX * KX + KY * KY + KZ * KZ))
+
+    def components(self, t, c=1.0, out=None):
+        """The per-time phase step: yield Ftilde_comp(k, t) for comp = 0, 1,
+        2, written into out[comp] (default: one buffer reused for all three,
+        so consume each component before taking the next)."""
+        if not np.isfinite(t):
+            raise ValueError("KspaceParts.components: t must be finite")
+        if out is None:
+            buf = np.empty(self.grid.counts, dtype=np.complex128)
+            out = (buf, buf, buf)
+        # at t = 0 both phases are exactly 1 and multiply through exactly
+        pm = 1.0 if t == 0.0 else np.exp((-1j * c * t) * self.k)
+        terms = [(part, ph) for part, ph in ((self.plus, pm), (self.minus, np.conj(pm)))
+                 if part is not None]
+        tmp = np.empty(self.grid.counts, dtype=np.complex128) if len(terms) > 1 else None
+        for comp in range(3):
+            o = out[comp]
+            part, ph = terms[0]
+            np.multiply(part[comp], ph, out=o)
+            for part, ph in terms[1:]:
+                o += np.multiply(part[comp], ph, out=tmp)
+            yield o
+
+
 def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D, t=0.0, c=1.0) -> FieldGrid:
     """Sample Ftilde(k,t) = e(k) f+(k) e^{-ickt} + e*(k) conj(f-)(-k) e^{+ickt}
-    on a wavevector grid."""
-    if not np.isfinite(t):
-        raise ValueError("synthesize_kspace: t must be finite")
-    KX, KY, KZ = grid.meshes(sparse=True)
-    ex, ey, ez = polarization(KX, KY, KZ)  # raises if a node sits on the axis
-    k = np.sqrt(KX * KX + KY * KY + KZ * KZ)
-    fp = _amp_on_grid(amps.f_plus, grid, KX, KY, KZ)
-    fmc = _amp_on_grid_negk_conj(amps.f_minus, grid, KX, KY, KZ)
-    pm = np.exp(-1j * c * k * t)
-    pp = np.conj(pm)
-    up = fp * pm
-    um = fmc * pp
-    nx, ny, nz = grid.counts
-    vals = np.empty((nx, ny, nz, 3), dtype=np.complex128)
-    vals[..., 0] = ex * up + np.conj(ex) * um
-    vals[..., 1] = ey * up + np.conj(ey) * um
-    vals[..., 2] = ez * up + np.conj(ez) * um
+    on a wavevector grid: the one-time case of KspaceParts."""
+    parts = KspaceParts.from_amplitudes(amps, grid)
+    vals = np.empty(grid.counts + (3,), dtype=np.complex128)
+    for _ in parts.components(t, c, out=[vals[..., comp] for comp in range(3)]):
+        pass  # each component is written into its slice of vals
     return FieldGrid(vals, grid, "wavevector")
 
 
-def _phase_factors(src: Grid3D, dst: Grid3D, sign):
+def _dft_phases(src: Grid3D, dst: Grid3D, sign):
     """Per-axis DFT phase corrections for grids with arbitrary origins.
 
     For F(r_m) = C sum_n G(k_n) e^{+i k_n . r_m} (sign=+1):
@@ -506,22 +569,50 @@ def _phase_factors(src: Grid3D, dst: Grid3D, sign):
     return pins, pouts
 
 
-def _outer3(p):
-    return p[0][:, None, None] * p[1][None, :, None] * p[2][None, None, :]
+def _dft_scale(src: Grid3D, sign):
+    """(2pi)^(-3/2) times the cell volume of src (and times the node count
+    for the inverse FFT, which divides by it)."""
+    scale = (2 * np.pi) ** -1.5 * src.cell_volume
+    return scale * np.prod(src.counts) if sign > 0 else scale
 
 
-def _scalar_synthesis(vals, kgrid: Grid3D, rgrid: Grid3D):
-    """(2pi)^(-3/2) Int d3k vals(k) e^{+i k.r} on the dual grid nodes."""
-    pins, pouts = _phase_factors(kgrid, rgrid, +1)
-    scale = (2 * np.pi) ** -1.5 * kgrid.cell_volume * np.prod(kgrid.counts)
-    return scale * _outer3(pouts) * ifftn(vals * _outer3(pins), workers=-1)
+def _phased(a, p, out=None):
+    """a[i, j, l] p[0][i] p[1][j] p[2][l] by broadcasting, written into out
+    (which may be a itself) or a new array."""
+    b = np.multiply(a, (p[0][:, None] * p[1][None, :])[:, :, None], out=out)
+    return np.multiply(b, p[2], out=b)
 
 
-def _scalar_analysis(vals, rgrid: Grid3D, kgrid: Grid3D):
-    """(2pi)^(-3/2) Int d3r vals(r) e^{-i k.r} on the dual grid nodes."""
-    pins, pouts = _phase_factors(rgrid, kgrid, -1)
-    scale = (2 * np.pi) ** -1.5 * rgrid.cell_volume
-    return scale * _outer3(pouts) * fftn(vals * _outer3(pins), workers=-1)
+def _fft(vals, pins, sign, out=None):
+    """Inverse FFT (sign > 0) or FFT (sign < 0) of vals times the input-side
+    phases pins: the transform up to its output-side phases (unimodular)
+    and scale.  out=vals does the work in place; otherwise vals is left
+    untouched."""
+    fft = ifftn if sign > 0 else fftn
+    return fft(_phased(vals, pins, out=out), workers=-1, overwrite_x=True)
+
+
+def _dft(vals, src: Grid3D, dst: Grid3D, sign, out=None):
+    """(2pi)^(-3/2) Int d3x vals(x) e^{sign i x.y} on the dst nodes, for one
+    scalar component sampled on src, written into out (default: a new
+    array); vals is left untouched."""
+    pins, pouts = _dft_phases(src, dst, sign)
+    pouts[2] = pouts[2] * _dft_scale(src, sign)
+    x = _fft(vals, pins, sign)
+    return _phased(x, pouts, out=x if out is None else out)
+
+
+def _bridge(field: FieldGrid, sign):
+    """Values and grid of the unitary transform of field to its dual grid,
+    one component at a time."""
+    src = field.grid
+    dst = src.fourier_dual()
+    if not src.is_fourier_pair(dst):
+        raise GridMismatchError("Fourier bridge: inconsistent grids")
+    vals = np.empty_like(field.values)
+    for comp in range(3):
+        _dft(field.values[..., comp], src, dst, sign, out=vals[..., comp])
+    return vals, dst
 
 
 def fourier_to_position(fieldK: FieldGrid) -> FieldGrid:
@@ -529,13 +620,7 @@ def fourier_to_position(fieldK: FieldGrid) -> FieldGrid:
     discretized exactly on the dual grid (round trip is the identity)."""
     if fieldK.space != "wavevector":
         raise GridMismatchError("fourier_to_position: field is not in k-space")
-    kgrid = fieldK.grid
-    rgrid = kgrid.fourier_dual()
-    if not kgrid.is_fourier_pair(rgrid):
-        raise GridMismatchError("fourier_to_position: inconsistent grids")
-    vals = np.empty_like(fieldK.values)
-    for comp in range(3):
-        vals[..., comp] = _scalar_synthesis(fieldK.values[..., comp], kgrid, rgrid)
+    vals, rgrid = _bridge(fieldK, +1)
     return FieldGrid(vals, rgrid, "position")
 
 
@@ -543,14 +628,25 @@ def fourier_to_kspace(fieldR: FieldGrid) -> FieldGrid:
     """Unitary analysis Ftilde(k) = (2pi)^(-3/2) Int d3r F(r) e^{-i k.r}."""
     if fieldR.space != "position":
         raise GridMismatchError("fourier_to_kspace: field is not in position space")
-    rgrid = fieldR.grid
-    kgrid = rgrid.fourier_dual()
-    if not rgrid.is_fourier_pair(kgrid):
-        raise GridMismatchError("fourier_to_kspace: inconsistent grids")
-    vals = np.empty_like(fieldR.values)
-    for comp in range(3):
-        vals[..., comp] = _scalar_analysis(fieldR.values[..., comp], rgrid, kgrid)
+    vals, kgrid = _bridge(fieldR, -1)
     return FieldGrid(vals, kgrid, "wavevector")
+
+
+def position_density(parts: KspaceParts, t, c=1.0) -> np.ndarray:
+    """F*.F of the position field at time t, on the dual of parts.grid,
+    without building that field: each component of Ftilde(k, t) is
+    transformed in place and its re^2 + im^2 added to one real density.
+    The output-side DFT phases are unimodular and drop out of |F|^2."""
+    kgrid = parts.grid
+    rgrid = kgrid.fourier_dual()
+    pins, _ = _dft_phases(kgrid, rgrid, +1)
+    d = np.zeros(rgrid.counts)
+    for comp in parts.components(t, c):
+        x = _fft(comp, pins, +1, out=comp)
+        d += x.real ** 2
+        d += x.imag ** 2
+    d *= _dft_scale(kgrid, +1) ** 2
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .kspace import (
     FieldGrid,
     HelicityAmplitudePair,
     SampledAmplitude,
+    _boundary_ratio,
     fourier_to_kspace,
     fourier_to_position,
 )
@@ -276,19 +277,16 @@ def _check_axis_regular(amps, rule=None):
 # grid path
 # ---------------------------------------------------------------------------
 
-def _grid_moment(field: FieldGrid):
-    grid = field.grid
+def _grid_moment(d, grid):
+    """(second moment about the origin, norm) of the density array d on
+    grid, by Riemann sums over its marginals."""
     x, y, z = grid.axes()
-    r2 = (
-        (x ** 2)[:, None, None]
-        + (y ** 2)[None, :, None]
-        + (z ** 2)[None, None, :]
-    )
-    d = field.density()
-    n = d.sum() * grid.cell_volume
+    dxy = d.sum(axis=2)
+    n = dxy.sum() * grid.cell_volume
     if not np.isfinite(n) or n <= 0.0:
         raise DegenerateFieldError("variance: zero field norm")
-    m = (r2 * d).sum() * grid.cell_volume
+    m = (x ** 2 @ dxy.sum(axis=1) + y ** 2 @ dxy.sum(axis=0)
+         + z ** 2 @ d.sum(axis=(0, 1))) * grid.cell_volume
     return m / n, float(n)
 
 
@@ -296,14 +294,14 @@ def variance_position(fieldR: FieldGrid) -> float:
     """Dr^2: second moment of F*.F about the origin (no mean subtraction)."""
     if fieldR.space != "position":
         raise ValueError("variance_position: field must be in position space")
-    return float(_grid_moment(fieldR)[0])
+    return float(_grid_moment(fieldR.density(), fieldR.grid)[0])
 
 
 def variance_kspace(fieldK: FieldGrid) -> float:
     """Dk^2: second moment of Ft*.Ft about k = 0."""
     if fieldK.space != "wavevector":
         raise ValueError("variance_kspace: field must be in wavevector space")
-    return float(_grid_moment(fieldK)[0])
+    return float(_grid_moment(fieldK.density(), fieldK.grid)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +401,15 @@ def uncertainty_product(source, rule=None, bound=BOUND_EM) -> VarianceReport:
     else:
         raise TypeError("uncertainty_product: unsupported source type")
 
-    for fld, tag in ((fieldR, "position"), (fieldK, "wavevector")):
-        if fld.boundary_density_ratio() > TRUNCATION_RATIO:
-            warnings.append(f"truncation: {tag}-space density at boundary "
+    # one density array per field gives both its boundary ratio and moment
+    sums = []
+    for fld in (fieldR, fieldK):
+        d = fld.density()
+        if _boundary_ratio(d) > TRUNCATION_RATIO:
+            warnings.append(f"truncation: {fld.space}-space density at boundary "
                             f"exceeds {TRUNCATION_RATIO:g} of peak")
-    dr2, nr = _grid_moment(fieldR)
-    dk2, nk = _grid_moment(fieldK)
+        sums.append(_grid_moment(d, fld.grid))
+    (dr2, nr), (dk2, nk) = sums
     return _report(dr2, dk2, nr, nk, bound, warnings)
 
 

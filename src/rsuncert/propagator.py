@@ -9,6 +9,14 @@ obeys
 i.e. <r^2>(t) is a perfect parabola with curvature c^2.  For amplitude
 pairs with zero linear coefficient (e.g. real profiles) the minimum is at
 t = 0 and the packet spreads symmetrically.
+
+The grid trajectory builds the time-independent synthesis part
+(kspace.KspaceParts) once and, per time, takes one real position density
+(kspace.position_density): each inverse-transformed component adds its
+re^2 + im^2, and no position FieldGrid is built.  That one density gives
+the time's boundary ratio (the truncation check), norm (the zero-norm
+check) and second moment.  evolve is the one-time case and returns the
+position field itself.
 """
 
 from __future__ import annotations
@@ -23,7 +31,10 @@ from .kspace import (
     FieldGrid,
     Grid3D,
     HelicityAmplitudePair,
+    KspaceParts,
+    _boundary_ratio,
     fourier_to_position,
+    position_density,
     synthesize_kspace,
 )
 from .moments import (
@@ -101,9 +112,12 @@ def spreading_trajectory(
 ) -> Trajectory:
     """Sample <r^2>(t) over the given times.
 
-    method="grid": evolve on the supplied position/wavevector grid pair and
-    take Riemann-sum moments; flags truncation when boundary density exceeds
-    1e-8 of the peak (raises TruncationError if strict).
+    times needs at least 5 finite samples with at least 3 distinct values
+    (ValueError otherwise).
+    method="grid": evolve on the supplied wavevector grid and its position
+    dual and take Riemann-sum moments of the position density; flags
+    truncation when boundary density exceeds 1e-8 of the peak (raises
+    TruncationError if strict).
     method="analytic": evaluate the amplitude-path variance with
     phase-evolved amplitudes (no grid; quadrature-accurate, so the parabola
     is exact to quadrature noise).
@@ -111,6 +125,11 @@ def spreading_trajectory(
     times = np.asarray(times, dtype=float)
     if times.size < 5:
         raise ValueError("spreading_trajectory: need at least 5 time samples")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("spreading_trajectory: times must be finite")
+    if np.unique(times).size < 3:
+        raise ValueError("spreading_trajectory: need at least 3 distinct times "
+                         "for the quadratic fit")
     moments = np.empty(times.size)
     norms = np.empty(times.size)
     truncated = False
@@ -118,16 +137,18 @@ def spreading_trajectory(
     if method == "grid":
         if grid is None:
             raise ValueError("spreading_trajectory: grid method needs a grid")
+        parts = KspaceParts.from_amplitudes(amps, grid)
+        rgrid = grid.fourier_dual()
         for i, t in enumerate(times):
-            fieldR = evolve(amps, grid, t, c)
-            if fieldR.boundary_density_ratio() > TRUNCATION_RATIO:
+            d = position_density(parts, t, c)
+            if _boundary_ratio(d) > TRUNCATION_RATIO:
                 truncated = True
                 if strict:
                     raise TruncationError(
                         f"packet reached the box boundary at t = {t}; "
                         "enlarge the grid extent"
                     )
-            moments[i], norms[i] = _grid_moment(fieldR)
+            moments[i], norms[i] = _grid_moment(d, rgrid)
     elif method == "analytic":
         # rule=None sizes the quadrature per amplitude (see moments)
         for i, t in enumerate(times):

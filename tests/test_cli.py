@@ -181,6 +181,15 @@ class TestSpread:
                     "--times=-4,-2,0,2,4"])
         assert code == 5
 
+    @pytest.mark.parametrize("times", ["--times=0,0,0,0,0", "--times=0,1"])
+    def test_bad_times_exit2(self, capsys, times):
+        # exit 1 means "bound violated": an unusable time list is an input
+        # error, reported in one line, not a traceback
+        code = run(["spread", "--grid", 16, times])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
 
 class TestConfigPrecedence:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):

@@ -265,3 +265,10 @@ class TestGrid3D:
             Grid3D((1, 4, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             Grid3D((4, 4, 4), (0.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_spacing_or_origin_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Grid3D((4, 4, 4), (1.0, bad, 1.0), (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            Grid3D((4, 4, 4), (1.0, 1.0, 1.0), (0.0, 0.0, bad))

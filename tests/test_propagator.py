@@ -11,6 +11,7 @@ from rsuncert import (
     fourier_to_kspace,
     fourier_to_position,
     norm,
+    saturating_amplitudes,
     saturating_rs_field,
     spreading_trajectory,
     synthesize_kspace,
@@ -120,3 +121,38 @@ class TestSpreadingTrajectory:
         lines = csv.strip().splitlines()
         assert lines[0] == "t,second_moment,norm"
         assert len(lines) == 1 + len(self.times)
+
+
+class TestGridPathEquivalence:
+    """The grid trajectory (time-independent synthesis part, one density
+    pass per time, no position FieldGrid) against a per-time reference."""
+
+    pair = saturating_amplitudes(1.0, 0.3j, 1.0)  # both helicities
+    grid = Grid3D.centered(32, 16.0).fourier_dual()
+    times = np.array([-1.5, -0.4, 0.3, 0.9, 2.0])
+
+    @staticmethod
+    def einsum_density(field):
+        return np.einsum("...c,...c->...", field.values.conj(), field.values).real
+
+    def test_matches_per_time_reference(self):
+        traj = spreading_trajectory(self.pair, self.times, grid=self.grid)
+        moments, norms, truncated = [], [], False
+        for t in self.times:
+            fieldR = evolve(self.pair, self.grid, t)
+            d = self.einsum_density(fieldR)
+            x, y, z = np.meshgrid(*fieldR.grid.axes(), indexing="ij", sparse=True)
+            dv = fieldR.grid.cell_volume
+            n = d.sum() * dv
+            moments.append(((x * x + y * y + z * z) * d).sum() * dv / n)
+            norms.append(n)
+            faces = [d[0], d[-1], d[:, 0], d[:, -1], d[:, :, 0], d[:, :, -1]]
+            truncated |= max(f.max() for f in faces) / d.max() > 1e-8
+        np.testing.assert_allclose(traj.second_moments, moments, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traj.norms, norms, rtol=1e-12, atol=0)
+        assert traj.truncated == truncated
+
+    def test_density_is_einsum_density(self):
+        fieldR = evolve(self.pair, self.grid, 0.7)
+        np.testing.assert_allclose(fieldR.density(), self.einsum_density(fieldR),
+                                   rtol=1e-15, atol=0)

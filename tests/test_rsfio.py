@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rsuncert import FieldGrid, Grid3D, RsfFormatError, read_rsf, write_rsf
+from rsuncert.cli import main
 
 
 def sample_field(rng, n=8):
@@ -89,3 +90,22 @@ def test_unknown_layout_rejected(tmp_path, rng):
     path.write_bytes(json.dumps(d).encode() + b"\n" + blob)
     with pytest.raises(RsfFormatError):
         read_rsf(path)
+
+
+@pytest.mark.parametrize("key, index", [("spacings", 1), ("origins", 2)])
+def test_nonfinite_header_field_is_input_error(tmp_path, rng, capsys, key, index):
+    # a non-finite header field is an input error (exit 2), not a
+    # degenerate field (exit 3)
+    field = sample_field(rng, n=4)
+    path = tmp_path / "f.rsf"
+    write_rsf(path, field)
+    head, blob = path.read_bytes().split(b"\n", 1)
+    d = json.loads(head)
+    d[key][index] = float("nan")
+    path.write_bytes(json.dumps(d).encode() + b"\n" + blob)
+    with pytest.raises(RsfFormatError):
+        read_rsf(path)
+    assert main(["verify-bound", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert len(err.strip().splitlines()) == 1
