@@ -31,6 +31,7 @@ spectral synthesis + FFT for all t, not just up to normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -104,7 +105,8 @@ def _deriv_ladder(w, nmax):
     ladders (the inhomogeneous term only enters at n = 1).
     """
     w = np.asarray(w, dtype=float)
-    Ds = [dawson(w), 1.0 - 2.0 * w * dawson(w)]
+    D = dawson(w)
+    Ds = [D, 1.0 - 2.0 * w * D]
     gs = [np.exp(-w * w)]
     gs.append(-2.0 * w * gs[0])
     for n in range(1, nmax):
@@ -148,18 +150,11 @@ def scalar_generator(r, t, spec: SaturatingFieldSpec, helicity=+1, c=1.0):
         acc = np.zeros(rr.shape, dtype=np.complex128)
         for m in range(_SERIES_TERMS):
             n = 2 * m + 1
-            cm = (Ds[n] + sgn * 1j * _SQPI / 2.0 * gs[n]) * (2.0 / _factorial(n))
+            cm = (Ds[n] + sgn * 1j * _SQPI / 2.0 * gs[n]) * (2.0 / math.factorial(n))
             acc = acc + cm * rho ** (2 * m)
         out[small] = acc * b / (2.0 * a)
     if out.ndim == 0 or r_b.ndim == 0:
         return complex(out)
-    return out
-
-
-def _factorial(n):
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 
@@ -231,7 +226,7 @@ def _scalar_blocks(r, t, a, A, B, c=1.0):
         pw_prev = np.ones_like(rr)  # rho^(2m-4) for the w2 sum (m >= 2)
         for m in range(1, _SERIES_TERMS + 1):
             n = 2 * m + 1
-            fac = 2.0 / _factorial(n)
+            fac = 2.0 / math.factorial(n)
             cm = fac * (A * Ds[n] + B * gs[n])
             cmt = fac * (A * Ds[n + 1] + B * gs[n + 1]) * (c * b)
             s_gr = s_gr + 2 * m * cm * pw

@@ -134,10 +134,7 @@ def cmd_verify_bound(args) -> int:
         else:
             field = read_rsf(args.input)
             report = uncertainty_product(field)
-    except RsfFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (RsfFormatError, OSError, ValueError) as exc:  # ValueError: spec, grid
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateFieldError as exc:
@@ -173,7 +170,12 @@ def cmd_spectrum(args) -> int:
 def cmd_field(args) -> int:
     """Evaluate the closed-form field (or a photon wave function) on a grid,
     write an .rsf file and optionally an axis-profile CSV."""
-    spec = _field_spec(args)
+    try:
+        spec = _field_spec(args)
+        grid = Grid3D.centered(args.grid, args.extent * spec.a)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     t = float(args.time) * spec.a  # times in units of a/c, c = 1
 
     def evaluate(points):
@@ -182,7 +184,6 @@ def cmd_field(args) -> int:
             return fp if args.photon == "plus" else fm
         return saturating_rs_field(points, t, spec)
 
-    grid = Grid3D.centered(args.grid, args.extent * spec.a)
     points = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
     field = FieldGrid(evaluate(points), grid, "position")
     try:
@@ -213,15 +214,15 @@ def cmd_field(args) -> int:
 
 def cmd_spread(args) -> int:
     """<r^2>(t) trajectory and the quadratic spreading-law fit."""
-    spec = _field_spec(args)
     tol = float(args.tolerance if args.tolerance is not None else 0.01)
-    times = np.asarray(args.times, dtype=float) * spec.a  # units of a/c
-    grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
     try:
+        spec = _field_spec(args)
+        times = np.asarray(args.times, dtype=float) * spec.a  # units of a/c
+        grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
         traj = spreading_trajectory(
             spec.amplitudes(), times, grid=grid, method="grid", strict=True
         )
-    except ValueError as exc:  # too few, repeated or non-finite times
+    except ValueError as exc:  # spec, grid, or too few/repeated/non-finite times
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TruncationError as exc:

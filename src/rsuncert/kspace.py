@@ -52,7 +52,6 @@ __all__ = [
     "RadialProfileAmplitude",
     "PolynomialGaussianAmplitude",
     "SampledAmplitude",
-    "phase_evolved",
     "dilated",
     "saturating_amplitudes",
     "simplest_field_amplitudes",
@@ -62,8 +61,6 @@ __all__ = [
     "fourier_to_position",
     "fourier_to_kspace",
     "norm",
-    "norm_grid",
-    "norm_amplitudes",
 ]
 
 AXIS_RTOL = 1e-12  # k_perp <= AXIS_RTOL * k counts as "on the kz-axis"
@@ -392,7 +389,7 @@ class SampledAmplitude:
         return np.conj(self.values[::-1, ::-1, ::-1])
 
 
-def phase_evolved(amp, t, c=1.0):
+def _phase_evolved(amp, t, c=1.0):
     if amp is None:
         return None
     if isinstance(amp, SampledAmplitude):
@@ -430,7 +427,7 @@ class HelicityAmplitudePair:
 
     def evolved(self, t, c=1.0) -> "HelicityAmplitudePair":
         return HelicityAmplitudePair(
-            phase_evolved(self.f_plus, t, c), phase_evolved(self.f_minus, t, c)
+            _phase_evolved(self.f_plus, t, c), _phase_evolved(self.f_minus, t, c)
         )
 
     def dilated(self, lam) -> "HelicityAmplitudePair":
@@ -653,28 +650,24 @@ def position_density(parts: KspaceParts, t, c=1.0) -> np.ndarray:
 # norms
 # ---------------------------------------------------------------------------
 
-def norm_grid(field: FieldGrid) -> float:
-    """N = Int F*.F dV by a Riemann sum with cell-volume weights."""
-    n = float(field.density().sum() * field.grid.cell_volume)
-    if not np.isfinite(n) or n <= 0.0:
-        raise DegenerateFieldError("norm: zero or non-finite field norm")
-    return n
-
-
-def norm_amplitudes(amps: HelicityAmplitudePair, rule=None) -> float:
-    """N = Int d3k (|f+|^2 + |f-|^2) from the amplitude-path engine of
-    moments: spherical Gauss quadrature for closures (the refined rule of
-    its nested pair), Riemann sums for sampled amplitudes."""
-    from .moments import _amp_moments  # local import to avoid a cycle
-
-    return _amp_moments(amps, rule)[0]
-
-
 def norm(obj, rule=None) -> float:
     """Energy norm of a FieldGrid (grid path) or HelicityAmplitudePair
-    (amplitude path).  Both paths agree by the Plancherel theorem."""
+    (amplitude path); both agree by the Plancherel theorem.
+
+    Grid path: N = Int F*.F dV, a Riemann sum with cell-volume weights over
+    one density pass; a zero or non-finite N raises DegenerateFieldError.
+    Amplitude path: N = Int d3k (|f+|^2 + |f-|^2) from the amplitude-path
+    engine of moments, i.e. the finer rule of the nested spherical Gauss
+    pair (or of `rule` and rule.refined() when given) for closures and
+    Riemann sums for sampled amplitudes.
+    """
     if isinstance(obj, FieldGrid):
-        return norm_grid(obj)
+        n = float(obj.density().sum() * obj.grid.cell_volume)
+        if not np.isfinite(n) or n <= 0.0:
+            raise DegenerateFieldError("norm: zero or non-finite field norm")
+        return n
     if isinstance(obj, HelicityAmplitudePair):
-        return norm_amplitudes(obj, rule)
+        from .moments import _amp_moments  # local import to avoid a cycle
+
+        return _amp_moments(obj, rule)[0]
     raise TypeError("norm: expected FieldGrid or HelicityAmplitudePair")

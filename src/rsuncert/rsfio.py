@@ -49,7 +49,7 @@ def read_rsf(path) -> FieldGrid:
         raise RsfFormatError(f"bad .rsf header: {exc}") from exc
     try:
         space = header["space"]
-        counts = tuple(int(n) for n in header["counts"])
+        counts = tuple(header["counts"])
         spacings = tuple(float(d) for d in header["spacings"])
         origins = tuple(float(o) for o in header["origins"])
         layout = header["layout"]
@@ -57,8 +57,13 @@ def read_rsf(path) -> FieldGrid:
         raise RsfFormatError(f"incomplete .rsf header: {exc}") from exc
     if layout != LAYOUT:
         raise RsfFormatError(f"unsupported layout {layout!r}")
-    if len(counts) != 3 or space not in ("position", "wavevector"):
-        raise RsfFormatError("malformed counts or space tag")
+    if space not in ("position", "wavevector"):
+        raise RsfFormatError(f"unknown space tag {space!r}")
+    # checked before the payload size, which the counts determine
+    if len(counts) != 3 or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in counts
+    ):
+        raise RsfFormatError(f"counts must be three positive integers, got {counts}")
     nx, ny, nz = counts
     expected = nx * ny * nz * 3 * 16
     if len(blob) != expected:

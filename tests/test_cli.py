@@ -205,3 +205,21 @@ class TestConfigPrecedence:
         rep = json.loads(capsys.readouterr().out)
         assert code == 0
         assert abs(rep["delta_r2"] - 2.5) < 1e-2
+
+
+@pytest.mark.parametrize("args", [
+    ["spread", "--grid", 16, "--extent", -4],
+    ["verify-bound", "--method", "grid", "--grid", 16, "--extent", 0],
+    ["field", "--grid", 16, "--extent", -4],
+    ["verify-bound", "--a", -1],
+])
+def test_bad_spec_or_grid_exit2(tmp_path, capsys, args):
+    # a bad packet scale or box is an input error in one line, not a
+    # traceback at exit 1 ("bound violated")
+    if args[0] == "field":
+        args = args + ["--out-field", tmp_path / "f.rsf"]
+    code = run(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "f.rsf").exists()

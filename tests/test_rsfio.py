@@ -109,3 +109,20 @@ def test_nonfinite_header_field_is_input_error(tmp_path, rng, capsys, key, index
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_nonpositive_counts_are_input_error(tmp_path, rng, capsys):
+    # counts [-4, -4, 4] give the same payload size as [4, 4, 4]; they must
+    # be rejected before the payload is reshaped
+    field = sample_field(rng, n=4)
+    path = tmp_path / "f.rsf"
+    write_rsf(path, field)
+    head, blob = path.read_bytes().split(b"\n", 1)
+    d = json.loads(head)
+    d["counts"] = [-4, -4, 4]
+    path.write_bytes(json.dumps(d).encode() + b"\n" + blob)
+    with pytest.raises(RsfFormatError, match="positive integers"):
+        read_rsf(path)
+    assert main(["verify-bound", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -1,6 +1,7 @@
 """Special-function kernels against independent oracles."""
 
 from fractions import Fraction
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestErfi:
         with pytest.raises(ValueError):
             erfi(np.nan)
 
+    def test_array_and_scalar_shape(self):
+        assert erfi(np.ones((3, 4))).shape == (3, 4)
+        assert isinstance(erfi(np.array(0.5)), float)
+
+    def test_beyond_double_range_is_silent_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert erfi(40.0) == np.inf
+            assert erfi(-40.0) == -np.inf
+
 
 class TestLaguerre:
     def test_order_zero(self):
@@ -136,3 +147,11 @@ class TestLaguerre:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             laguerre_general(2, 1.5, np.nan)
+
+    def test_alpha_at_or_below_minus_one_rejected(self):
+        with pytest.raises(ValueError):
+            laguerre_general(2, -1.0, 0.5)
+
+    def test_array_and_scalar_shape(self):
+        assert laguerre_general(3, 1.5, np.ones((3, 4))).shape == (3, 4)
+        assert isinstance(laguerre_general(3, 1.5, np.array(0.5)), float)
