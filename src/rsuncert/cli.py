@@ -86,7 +86,11 @@ def _times(value):
 
 
 def _apply_config(args, parser, argv):
-    """Merge --config JSON under explicitly given flags (flags win)."""
+    """Merge --config JSON under explicitly given flags (flags win).
+
+    Each value goes through its flag's own type and choices, as if it had
+    been given on the command line; a bad value raises ValueError.
+    """
     if not getattr(args, "config", None):
         return args
     try:
@@ -96,11 +100,33 @@ def _apply_config(args, parser, argv):
         parser.error(f"cannot read config file: {exc}")
     given = {tok.split("=")[0].lstrip("-").replace("-", "_")
              for tok in argv if tok.startswith("--")}
+    # argparse has no public list of a parser's actions
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {act.dest: act for act in sub.choices[args.command]._actions}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in given:
-            setattr(args, attr, val)
+        if attr in actions and attr not in given:
+            setattr(args, attr, _config_value(actions[attr], key, val))
     return args
+
+
+def _config_value(action, key, val):
+    """A config value converted and checked like the flag it stands for."""
+    if action.nargs == 0:  # on/off flags take a JSON boolean
+        if not isinstance(val, bool):
+            raise ValueError(f"config {key!r}: expected true or false, got {val!r}")
+        return val
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise ValueError(f"config {key!r}: expected a string or a number, got {val!r}")
+    if action.type is not None:
+        try:
+            val = action.type(str(val))
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise ValueError(f"config {key!r}: {exc}") from exc
+    if action.choices is not None and val not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"config {key!r}: invalid choice {val!r} (choose from {choices})")
+    return val
 
 
 def _field_spec(args) -> SaturatingFieldSpec:
@@ -142,10 +168,17 @@ def cmd_verify_bound(args) -> int:
         return EXIT_DEGENERATE
 
     _emit(_report_text(report, args.format), args.out)
-    ok = report.product >= report.bound - tol
-    if saturating:
-        ok = ok and abs(report.saturation_ratio - 1.0) <= tol
-    return EXIT_OK if ok else 1
+    if not report.product >= report.bound - tol:
+        # a packet cut off by the box has too small a variance: that is not
+        # a violated bound
+        cut = [w for w in report.warnings if w.startswith("truncation:")]
+        if cut:
+            print(f"error: {cut[0]}", file=sys.stderr)
+            return EXIT_TRUNCATION
+        return 1
+    if saturating and not abs(report.saturation_ratio - 1.0) <= tol:
+        return 1
+    return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
@@ -157,6 +190,9 @@ def cmd_spectrum(args) -> int:
     except ResolutionError as exc:
         print(f"error: resolution: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
+    except ValueError as exc:  # n_states < 1
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     _emit(spectrum.to_json() + "\n", args.out)
     if args.dump_eigenfunctions:
@@ -170,22 +206,22 @@ def cmd_spectrum(args) -> int:
 def cmd_field(args) -> int:
     """Evaluate the closed-form field (or a photon wave function) on a grid,
     write an .rsf file and optionally an axis-profile CSV."""
+    def evaluate(where):  # a centred Grid3D or an array of points
+        if args.photon:
+            fp, fm = photon_wavefunctions(where, t, spec)
+            return fp if args.photon == "plus" else fm
+        return saturating_rs_field(where, t, spec)
+
     try:
         spec = _field_spec(args)
+        t = float(args.time) * spec.a  # times in units of a/c, c = 1
+        if not np.isfinite(t):
+            raise ValueError(f"--time must be finite, got {args.time}")
         grid = Grid3D.centered(args.grid, args.extent * spec.a)
-    except ValueError as exc:
+        field = FieldGrid(evaluate(grid), grid, "position")
+    except ValueError as exc:  # spec, grid, or a non-finite time
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    t = float(args.time) * spec.a  # times in units of a/c, c = 1
-
-    def evaluate(points):
-        if args.photon:
-            fp, fm = photon_wavefunctions(points, t, spec)
-            return fp if args.photon == "plus" else fm
-        return saturating_rs_field(points, t, spec)
-
-    points = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
-    field = FieldGrid(evaluate(points), grid, "position")
     try:
         write_rsf(args.out_field, field)
     except OSError as exc:
@@ -321,7 +357,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser, argv)
+    try:
+        args = _apply_config(args, parser, argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return args.func(args)
 
 

@@ -243,6 +243,51 @@ class TestSaturatingRsField:
             assert np.max(np.abs(f_series - f_closed)) / scale < 1e-9
 
 
+class TestGridEvaluation:
+    """A centred Grid3D in place of points: one radius table, gathered."""
+
+    MIXES = {
+        "simplest": SaturatingFieldSpec.simplest(C=1.0, a=1.0),
+        "mixed": SaturatingFieldSpec(a=1.0, c_plus=0.9, c_minus=-0.4 + 0.2j),
+    }
+
+    @pytest.mark.parametrize("n, extent", [(16, 8.0), (32, 12.0), (64, 16.0), (64, 3.0)])
+    @pytest.mark.parametrize("t", [0.0, 0.4, -0.8])
+    def test_matches_points(self, n, extent, t):
+        # the 64^3 box of edge 3a puts its innermost nodes (r = 0.041a)
+        # inside the series branch
+        import rsuncert.analytic_fields as af
+
+        grid = Grid3D.centered(n, extent)
+        if extent == 3.0:
+            assert np.sqrt(3.0) * grid.spacings[0] / 2 < af.R_SWITCH
+        pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        for spec in self.MIXES.values():
+            close(saturating_rs_field(grid, t, spec), saturating_rs_field(pts, t, spec))
+        spec = SaturatingFieldSpec(a=1.0, c_plus=0.7 - 0.3j)
+        for got, want in zip(photon_wavefunctions(grid, t, spec),
+                             photon_wavefunctions(pts, t, spec)):
+            close(got, want)
+
+    @pytest.mark.parametrize("grid", [
+        Grid3D((16, 16, 16), (0.5, 0.5, 0.5), (0.0, 0.0, 0.0)),       # not centred
+        Grid3D((16, 16, 32), (0.5, 0.5, 0.25), (-3.75, -3.75, -3.875)),  # not a cube
+        Grid3D((16, 16, 16), (0.5, 0.5, 0.6), (-3.75, -3.75, -4.5)),   # unequal spacings
+        Grid3D.centered(15, 7.5),                                     # node at r = 0
+    ])
+    def test_other_grids_rejected(self, grid):
+        spec = SaturatingFieldSpec(a=1.0, c_plus=1.0)
+        with pytest.raises(ValueError, match="centred cube"):
+            saturating_rs_field(grid, 0.0, spec)
+        with pytest.raises(ValueError, match="centred cube"):
+            photon_wavefunctions(grid, 0.0, spec)
+
+
 class TestPhotonWavefunctions:
     def test_equal_at_t0(self, rng):
         spec = SaturatingFieldSpec(a=1.0, c_plus=1.0)

@@ -87,6 +87,14 @@ class TestVerifyBound:
             run(["verify-bound", "--saturating", "--grid", 37])
         assert exc.value.code == 2
 
+    def test_truncated_box_exit5(self, capsys):
+        # a box that cuts the packet off gives a product below 5/2 (2.4253
+        # here): a truncation, not a violated bound
+        code = run(["verify-bound", "--method", "grid", "--grid", 16, "--extent", 2])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("error: truncation:") and len(err.strip().splitlines()) == 1
+
 
 class TestSpectrum:
     def test_default_three_states(self, capsys):
@@ -97,6 +105,11 @@ class TestSpectrum:
 
     def test_under_resolved_exit4(self):
         assert run(["spectrum", "--n-points", 8]) == 4
+
+    def test_no_states_exit2(self, capsys):
+        assert run(["spectrum", "--n-states", 0]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_eigenfunction_dump_matches_analytic(self, tmp_path, capsys):
         csv_path = tmp_path / "eig.csv"
@@ -149,6 +162,15 @@ class TestField:
                     "--c-plus", "1", "--out-field", rsf])
         assert code == 0
         assert read_rsf(rsf).space == "position"
+
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_nonfinite_time_exit2(self, tmp_path, capsys, time):
+        rsf = tmp_path / "field.rsf"
+        code = run(["field", "--grid", 16, "--time", time, "--out-field", rsf])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not rsf.exists()
 
     def test_unwritable_output_exit2(self, tmp_path):
         code = run(["field", "--grid", 16,
@@ -205,6 +227,26 @@ class TestConfigPrecedence:
         rep = json.loads(capsys.readouterr().out)
         assert code == 0
         assert abs(rep["delta_r2"] - 2.5) < 1e-2
+
+    def test_config_values_typed_like_flags(self, tmp_path, capsys):
+        # {"grid": "64"} goes through --grid's own type: the same report as
+        # --grid 64
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": "64"}))
+        base = ["verify-bound", "--method", "grid", "--extent", 14]
+        assert run(base + ["--config", cfg]) == 0
+        from_config = capsys.readouterr().out
+        assert run(base + ["--grid", 64]) == 0
+        assert from_config == capsys.readouterr().out
+
+    @pytest.mark.parametrize("cfg", [{"grid": 100}, {"a": "x"}, {"method": "fft"}])
+    def test_bad_config_value_exit2(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run(["verify-bound", "--config", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: config") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("args", [

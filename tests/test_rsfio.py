@@ -1,6 +1,7 @@
 """Field-grid file format: round trips and malformed-input handling."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,3 +127,45 @@ def test_nonpositive_counts_are_input_error(tmp_path, rng, capsys):
     assert main(["verify-bound", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_slab_payload_is_the_transposed_field(tmp_path, rng):
+    # non-cubic counts, so a swapped axis cannot go unnoticed
+    grid = Grid3D((3, 4, 5), (0.5, 0.25, 0.2), (-1.0, 0.0, 2.0))
+    vals = rng.normal(size=(3, 4, 5, 3)) + 1j * rng.normal(size=(3, 4, 5, 3))
+    field = FieldGrid(vals, grid, "wavevector")
+    path = tmp_path / "f.rsf"
+    write_rsf(path, field)
+    blob = path.read_bytes().split(b"\n", 1)[1]
+    assert blob == np.ascontiguousarray(vals.transpose(2, 1, 0, 3), "<c16").tobytes()
+    back = read_rsf(path)
+    assert np.array_equal(back.values, field.values) and back.grid == grid
+
+
+@pytest.mark.parametrize("delta", [-16, 16])
+def test_payload_one_value_off_rejected(tmp_path, rng, delta):
+    field = sample_field(rng, n=4)
+    path = tmp_path / "f.rsf"
+    write_rsf(path, field)
+    data = path.read_bytes()
+    path.write_bytes(data[:delta] if delta < 0 else data + b"\0" * delta)
+    with pytest.raises(RsfFormatError, match="payload size"):
+        read_rsf(path)
+
+
+def test_huge_counts_rejected_before_allocating(tmp_path):
+    # 4096^3 nodes would need 3.3 TB; the size check comes from the file
+    # size, before any array is made
+    head = {"space": "position", "counts": [4096, 4096, 4096],
+            "spacings": [0.1, 0.1, 0.1], "origins": [0.0, 0.0, 0.0],
+            "layout": "interleaved-re-im-xyz-xfastest"}
+    path = tmp_path / "huge.rsf"
+    path.write_bytes(json.dumps(head).encode() + b"\n" + b"\0" * 48)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RsfFormatError, match="payload size"):
+            read_rsf(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
