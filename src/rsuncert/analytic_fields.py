@@ -35,7 +35,12 @@ of d/2, so r^2 = (d/2)^2 m with m = 3 (mod 8), and an n^3 grid has at most
 saturating_rs_field and photon_wavefunctions accept such a Grid3D in place
 of points: the blocks are evaluated once per radius and gathered per node
 by the integer key (m - 3)/8, one x-slab at a time, so the only full-size
-array is the result.
+array is the result.  The radius keys and the slab assembler live in kspace
+(_radius_keys, _assemble_grid): the radial route of k-space synthesis
+builds Ftilde(k, t) on the dual grid from the same assembler, with the
+radial tables -S and k (P - M) in place of the blocks (see kspace).
+photon_wavefunctions evaluates each helicity on its own
+(_photon_wavefunction), so a caller that needs one pays for one.
 """
 
 from __future__ import annotations
@@ -46,7 +51,13 @@ import math
 import numpy as np
 
 from .specfun import dawson
-from .kspace import Grid3D, HelicityAmplitudePair, saturating_amplitudes
+from .kspace import (
+    Grid3D,
+    HelicityAmplitudePair,
+    _assemble_grid,
+    _radius_keys,
+    saturating_amplitudes,
+)
 
 __all__ = [
     "SaturatingFieldSpec",
@@ -262,54 +273,21 @@ def _assemble(points, w2, grt, gr, flip_time_rows=False, c=1.0):
     return out
 
 
-def _radius_keys(grid):
-    """Per-axis keys q and radius table r of a centred even cube: the node
-    (i, j, k) lies at radius r[q[i] + q[j] + q[k]].
-
-    Offsets are u d/2 with u = 2i - (n - 1) odd, so u^2 = 1 (mod 8) and
-    r^2 = (d/2)^2 m, m = ux^2 + uy^2 + uz^2 = 8 (qx + qy + qz) + 3 with
-    q = (u^2 - 1)/8.  The table holds every such radius up to the corner.
-    """
-    n, d = grid.counts[0], grid.spacings[0]
-    o = -(n - 1) * d / 2.0
-    if (n % 2 or grid.counts != (n, n, n)
-            or not all(math.isclose(s, d, rel_tol=1e-12) for s in grid.spacings)
-            or not all(math.isclose(v, o, rel_tol=1e-12) for v in grid.origins)):
+def _grid_field(grid, t, a, A, B, flip_time_rows=False, c=1.0):
+    """_assemble on a centred cube, from one radius table: the blocks are
+    evaluated once per distinct radius (kspace._radius_keys) and gathered
+    per node by the slab assembler, which k-space synthesis shares."""
+    keys = _radius_keys(grid)
+    if keys is None:
         raise ValueError("closed-form grid evaluation needs a centred cube with an "
                          "even node count (Grid3D.centered)")
-    u = 2 * np.arange(n) - (n - 1)
-    q = (u * u - 1) // 8
-    m = 8 * np.arange(3 * q[0] + 1) + 3
-    return q, 0.5 * d * np.sqrt(m)
-
-
-def _assemble_grid(grid, q, w2, grt, gr, flip_time_rows=False, c=1.0):
-    """_assemble on the centred cube of _radius_keys, from per-radius block
-    tables, one x-slab at a time."""
-    sgn = -1.0 if flip_time_rows else 1.0
-    it = sgn * 1j / c * grt  # the time rows' factor, applied per radius
-    g2 = 2.0 * gr
-    x, y, z = grid.axes()
-    y = y[:, None]  # an x-slab is (ny, nz)
-    yz = y * z
-    key = q[:, None] + q  # radius key of the slab nodes, before the x offset
+    q, r = keys
+    w2, grt, gr = _scalar_blocks(r, float(t), a, A, B, c)
     out = np.empty(grid.counts + (3,), dtype=np.complex128)
-    for i, xi in enumerate(x):
-        # shifting the tables by q[i] adds the x part of every key
-        w, t, g = w2[q[i]:][key], it[q[i]:][key], g2[q[i]:][key]
-        out[i, ..., 0] = xi * z * w + y * t
-        out[i, ..., 1] = yz * w - xi * t
-        out[i, ..., 2] = -(xi * xi + y * y) * w - g
+    for _ in _assemble_grid(grid, q, w2, grt, gr, flip_time_rows, c,
+                            out=[out[..., comp] for comp in range(3)]):
+        pass  # each component is written into its slice of out
     return out
-
-
-def _grid_field(grid, t, a, blocks, c=1.0):
-    """Fields on a centred cube, one per (A, B, flip_time_rows) in blocks,
-    from one radius table."""
-    q, r = _radius_keys(grid)
-    t = float(t)
-    return [_assemble_grid(grid, q, *_scalar_blocks(r, t, a, A, B, c), flip, c)
-            for A, B, flip in blocks]
 
 
 def saturating_rs_field(points, t, spec: SaturatingFieldSpec, c=1.0):
@@ -329,7 +307,7 @@ def saturating_rs_field(points, t, spec: SaturatingFieldSpec, c=1.0):
     A = spec.c_plus + np.conj(spec.c_minus)
     B = 1j * _SQPI / 2.0 * (spec.c_plus - np.conj(spec.c_minus))
     if isinstance(points, Grid3D):
-        return _grid_field(points, t, spec.a, [(A, B, False)], c)[0]
+        return _grid_field(points, t, spec.a, A, B, False, c)
     points = np.asarray(points, dtype=float)
     r = np.sqrt((points ** 2).sum(axis=-1))
     w2, grt, gr = _scalar_blocks(r, t, spec.a, A, B, c)
@@ -346,21 +324,25 @@ def photon_wavefunctions(points, t, spec: SaturatingFieldSpec, c=1.0):
     are complex conjugates at all times.
 
     `points` may also be a Grid3D.centered cube with an even node count, as
-    in saturating_rs_field; both functions then share one radius table.
+    in saturating_rs_field.
     """
+    return (_photon_wavefunction(points, t, spec, +1, c),
+            _photon_wavefunction(points, t, spec, -1, c))
+
+
+def _photon_wavefunction(points, t, spec: SaturatingFieldSpec, helicity, c=1.0):
+    """F+ (helicity +1) or F- (helicity -1) of photon_wavefunctions, with
+    only the requested helicity's blocks evaluated."""
     C = spec.c_plus
     a = spec.a
     if isinstance(points, Grid3D):
         B = 1j * _SQPI / 2.0 * C
-        f_plus, f_minus = _grid_field(points, t, a, [(C, B, False), (C, -B, True)], c)
-        return f_plus, f_minus
+        return _grid_field(points, t, a, C, B if helicity > 0 else -B, helicity < 0, c)
     points = np.asarray(points, dtype=float)
     r = np.sqrt((points ** 2).sum(axis=-1))
-    w2p, grtp, grp = _scalar_blocks(r, t, a, C, 1j * _SQPI / 2.0 * C, c)
-    f_plus = _assemble(points, w2p, grtp, grp, flip_time_rows=False, c=c)
-    w2m, grtm, grm = _scalar_blocks(r, t, a, C, -1j * _SQPI / 2.0 * C, c)
-    f_minus = _assemble(points, w2m, grtm, grm, flip_time_rows=True, c=c)
-    return f_plus, f_minus
+    B = (1j if helicity > 0 else -1j) * _SQPI / 2.0 * C
+    w2, grt, gr = _scalar_blocks(r, t, a, C, B, c)
+    return _assemble(points, w2, grt, gr, flip_time_rows=helicity < 0, c=c)
 
 
 # ---------------------------------------------------------------------------

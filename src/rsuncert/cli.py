@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .analytic_fields import SaturatingFieldSpec, photon_wavefunctions, saturating_rs_field
+from .analytic_fields import SaturatingFieldSpec, _photon_wavefunction, saturating_rs_field
 from .errors import (
     DegenerateFieldError,
     ResolutionError,
@@ -27,8 +27,8 @@ from .errors import (
     TruncationError,
 )
 from .eigensolver import RadialProblem, solve_radial
-from .kspace import FieldGrid, Grid3D
-from .moments import uncertainty_product
+from .kspace import FieldGrid, Grid3D, _synthesis_parts
+from .moments import _grid_report, uncertainty_product
 from .propagator import spreading_trajectory
 from .rsfio import read_rsf, write_rsf
 
@@ -129,6 +129,14 @@ def _config_value(action, key, val):
     return val
 
 
+def _check_tolerance(args):
+    """--tolerance, from a flag or --config, must be finite and >= 0: every
+    comparison with NaN is false, so a bad value would read as exit 1."""
+    tol = getattr(args, "tolerance", None)
+    if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {tol}")
+
+
 def _field_spec(args) -> SaturatingFieldSpec:
     a = float(args.a)
     cp = args.c_plus
@@ -154,9 +162,9 @@ def cmd_verify_bound(args) -> int:
                 report = uncertainty_product(spec.amplitudes())
             else:
                 grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
-                from .kspace import synthesize_kspace
-
-                report = uncertainty_product(synthesize_kspace(spec.amplitudes(), grid))
+                # streamed from the synthesis parts: no FieldGrid is built
+                parts = _synthesis_parts(spec.amplitudes(), grid)
+                report = _grid_report(parts.components(0.0), grid, "wavevector")
         else:
             field = read_rsf(args.input)
             report = uncertainty_product(field)
@@ -208,8 +216,7 @@ def cmd_field(args) -> int:
     write an .rsf file and optionally an axis-profile CSV."""
     def evaluate(where):  # a centred Grid3D or an array of points
         if args.photon:
-            fp, fm = photon_wavefunctions(where, t, spec)
-            return fp if args.photon == "plus" else fm
+            return _photon_wavefunction(where, t, spec, +1 if args.photon == "plus" else -1)
         return saturating_rs_field(where, t, spec)
 
     try:
@@ -359,6 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(args, parser, argv)
+        _check_tolerance(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

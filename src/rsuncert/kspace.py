@@ -19,21 +19,44 @@ Conventions (used everywhere in this package):
 
       Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt}.
 
-Synthesis is split in two.  KspaceParts holds the time-independent part,
-e(k) f+(k), e*(k) conj(f-)(-k) and |k|, computed once per (amplitudes,
-grid); its components(t) step applies only the unimodular phases
-e^{-+ikt}.  synthesize_kspace is the one-time case of the same code.
+Synthesis is split in two: a time-independent part, built once per
+(amplitudes, grid), and a per-time components(t, c) step that yields one
+contiguous component of Ftilde(k, t) at a time.  There are two routes, and
+_synthesis_parts picks one from two properties of its input, nothing else:
+
+* Radial route (_RadialParts), taken when every non-None amplitude is a
+  RadialProfileAmplitude and the grid is a centred cube with an even node
+  count (the one _radius_keys accepts, e.g. Grid3D.centered(...)
+  .fourier_dual()).  With f+- = k_perp h+-(k^2) and
+
+      e(k) k_perp = [-kx kz + i ky k, -ky kz - i kx k, k_perp^2] / (sqrt2 k),
+
+  every component is a polynomial in (kx, ky, kz) times one of two radial
+  functions, S = P + M and k (P - M), where P = h+ e^{-ickt}/(sqrt2 k) and
+  M = conj(h-) e^{+ickt}/(sqrt2 k).  Those are tabulated once per distinct
+  radius (6,049 at 128^3) and gathered per node by the slab assembler
+  _assemble_grid, the same one the closed-form position field uses; no
+  polarization frame, no full-size |k| and no per-node exponential.
+* Frame route (KspaceParts) for everything else: polynomial, sampled and
+  wrapped (phase-evolved, dilated) amplitudes, and any other grid.  It
+  keeps e(k), f+(k), conj(f-)(-k) and |k| and forms each component per
+  time.
+
+synthesize_kspace is the one-time case of either route.
 
 The Fourier bridge transforms one component at a time: per-axis phases are
 applied by broadcasting, in place, around an overwriting scipy FFT.  A
-density is computed once per field as re^2 + im^2 (FieldGrid.density), and
-position_density gives the position-space density of an evolving field
-without building it, the output-side DFT phases being unimodular.
+density is computed once per field as re^2 + im^2 (FieldGrid.density).
+_stream_densities reduces a stream of components to the density on their
+grid and the density of their transform on the dual grid, holding one
+component and the two densities (the output-side DFT phases are unimodular
+and drop out); position_density and the grid reports of moments use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.fft import fftn, ifftn
@@ -485,16 +508,24 @@ def _amp_on_grid_negk_conj(amp, grid, KX, KY, KZ):
 
 @dataclass(frozen=True, eq=False)
 class KspaceParts:
-    """The time-independent part of Ftilde(k,t) on a wavevector grid.
+    """The time-independent part of Ftilde(k,t) on a wavevector grid: the
+    frame route of the synthesis.
 
-    plus = e(k) f+(k) and minus = e*(k) conj(f-)(-k), each of shape
-    (3, nx, ny, nz) with contiguous components (None for a zero amplitude),
-    and k = |k| at the nodes.  Only the unimodular phases e^{-+ickt} depend
-    on t: a trajectory builds the parts once and takes components(t) per
-    time.
+    frame = (ex, ey, ez), the polarization e(k) at the nodes; plus = f+(k)
+    and minus = conj(f-)(-k) at the nodes (None for a zero amplitude); and
+    k = |k|.  components(t) forms e(k) plus e^{-ickt} + e*(k) minus
+    e^{+ickt} one component at a time: only the unimodular phases depend
+    on t, so a trajectory builds the parts once and takes components(t)
+    per time.
+
+    This route serves any amplitude on any grid, at the cost of the frame,
+    the two amplitudes and |k| (80 bytes per node).  Radial amplitudes on a
+    centred even cube take the radial route instead (_RadialParts, picked
+    by _synthesis_parts; see the module docstring).
     """
 
     grid: Grid3D
+    frame: tuple
     plus: np.ndarray | None
     minus: np.ndarray | None
     k: np.ndarray
@@ -503,20 +534,12 @@ class KspaceParts:
     def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D) -> "KspaceParts":
         KX, KY, KZ = grid.meshes(sparse=True)
         frame = polarization(KX, KY, KZ)  # raises if a node sits on the axis
-        shape = (3,) + grid.counts
         plus = minus = None
         if amps.f_plus is not None:
-            fp = _amp_on_grid(amps.f_plus, grid, KX, KY, KZ)
-            plus = np.empty(shape, dtype=np.complex128)
-            for comp, e in enumerate(frame):
-                np.multiply(e, fp, out=plus[comp])
-            del fp
+            plus = _amp_on_grid(amps.f_plus, grid, KX, KY, KZ)
         if amps.f_minus is not None:
-            fmc = _amp_on_grid_negk_conj(amps.f_minus, grid, KX, KY, KZ)
-            minus = np.empty(shape, dtype=np.complex128)
-            for comp, e in enumerate(frame):
-                np.multiply(np.conj(e), fmc, out=minus[comp])
-        return cls(grid, plus, minus, np.sqrt(KX * KX + KY * KY + KZ * KZ))
+            minus = _amp_on_grid_negk_conj(amps.f_minus, grid, KX, KY, KZ)
+        return cls(grid, frame, plus, minus, np.sqrt(KX * KX + KY * KY + KZ * KZ))
 
     def components(self, t, c=1.0, out=None):
         """The per-time phase step: yield Ftilde_comp(k, t) for comp = 0, 1,
@@ -529,22 +552,155 @@ class KspaceParts:
             out = (buf, buf, buf)
         # at t = 0 both phases are exactly 1 and multiply through exactly
         pm = 1.0 if t == 0.0 else np.exp((-1j * c * t) * self.k)
-        terms = [(part, ph) for part, ph in ((self.plus, pm), (self.minus, np.conj(pm)))
-                 if part is not None]
-        tmp = np.empty(self.grid.counts, dtype=np.complex128) if len(terms) > 1 else None
-        for comp in range(3):
-            o = out[comp]
-            part, ph = terms[0]
-            np.multiply(part[comp], ph, out=o)
-            for part, ph in terms[1:]:
-                o += np.multiply(part[comp], ph, out=tmp)
+        pmc = np.conj(pm)
+        both = self.plus is not None and self.minus is not None
+        tmp = np.empty(self.grid.counts, dtype=np.complex128) if both else None
+        for e, o in zip(self.frame, out):
+            if self.plus is not None:
+                np.multiply(e, self.plus, out=o)
+                o *= pm
+            if self.minus is not None:
+                m = tmp if both else o
+                np.conj(e, out=m)
+                m *= self.minus
+                m *= pmc
+                if both:
+                    o += m
             yield o
+
+
+def _radius_keys(grid):
+    """Per-axis keys q and radius table r of a centred even cube: the node
+    (i, j, k) lies at radius r[q[i] + q[j] + q[k]].  None for any other
+    grid (not cubic, unequal spacings, not centred, odd node count).
+
+    Offsets are u d/2 with u = 2i - (n - 1) odd, so u^2 = 1 (mod 8) and
+    r^2 = (d/2)^2 m, m = ux^2 + uy^2 + uz^2 = 8 (qx + qy + qz) + 3 with
+    q = (u^2 - 1)/8.  The table holds every such radius up to the corner,
+    at most 3(n-1)^2/8 + 5/8 of them.
+    """
+    n, d = grid.counts[0], grid.spacings[0]
+    o = -(n - 1) * d / 2.0
+    if (n % 2 or grid.counts != (n, n, n)
+            or not all(math.isclose(s, d, rel_tol=1e-12) for s in grid.spacings)
+            or not all(math.isclose(v, o, rel_tol=1e-12) for v in grid.origins)):
+        return None
+    u = 2 * np.arange(n) - (n - 1)
+    q = (u * u - 1) // 8
+    m = 8 * np.arange(3 * q[0] + 1) + 3
+    return q, 0.5 * d * np.sqrt(m)
+
+
+def _assemble_grid(grid, q, w2, grt, gr=None, flip_time_rows=False, c=1.0, out=None):
+    """Yield the components
+
+        F0 = x z W + s (i/c) y T,  F1 = y z W - s (i/c) x T,
+        F2 = -(x^2 + y^2) W - 2 G    (s = -1 if flip_time_rows else 1)
+
+    on the centred cube of _radius_keys, one at a time, from per-radius
+    tables W = w2, T = grt and G = gr (None: no G term).  Component comp is
+    written into out[comp] (default: one buffer reused for all three, so
+    consume each component before taking the next), one x-slab at a time
+    through two reused (n, n) slab buffers.
+    """
+    sgn = -1.0 if flip_time_rows else 1.0
+    w2 = np.asarray(w2, dtype=np.complex128)
+    it = sgn * 1j / c * grt  # the time rows' factor, applied per radius
+    g2 = None if gr is None else 2.0 * gr
+    x, y, z = grid.axes()
+    y = y[:, None]  # an x-slab is (ny, nz)
+    yz = y * z
+    key = q[:, None] + q  # radius key of the slab nodes, before the x offset
+    if out is None:
+        buf = np.empty(grid.counts, dtype=np.complex128)
+        out = (buf, buf, buf)
+    # slab-sized temporaries are reused: allocating them per slab costs
+    # more than the arithmetic
+    w = np.empty(key.shape, dtype=np.complex128)
+    v = np.empty_like(w)
+    for comp in range(3):
+        o = out[comp]
+        for i, xi in enumerate(x):
+            oi = o[i]
+            # shifting a table by q[i] adds the x part of every key
+            np.take(w2[q[i]:], key, out=w, mode="clip")
+            if comp == 2:
+                np.multiply(-(xi * xi + y * y), w, out=oi)
+                if g2 is not None:
+                    oi -= np.take(g2[q[i]:], key, out=v, mode="clip")
+                continue
+            np.take(it[q[i]:], key, out=v, mode="clip")
+            if comp == 0:
+                np.multiply(xi * z, w, out=oi)
+                oi += np.multiply(y, v, out=v)
+            else:
+                np.multiply(yz, w, out=oi)
+                oi -= np.multiply(xi, v, out=v)
+        yield o
+
+
+@dataclass(frozen=True, eq=False)
+class _RadialParts:
+    """The time-independent part of Ftilde(k,t) for radial amplitudes
+    f+- = k_perp h+-(k^2) on a centred even cube: the radial route.
+
+    q are the per-axis radius keys and k the table of distinct radii
+    (_radius_keys); plus = h+(k^2)/(sqrt2 k) and minus = conj(h-(k^2))/
+    (sqrt2 k) on that table (None for a zero amplitude).  Per time,
+    components(t) forms the two radial tables S = P + M and k (P - M), with
+    P = plus e^{-ickt} and M = minus e^{+ickt}, and assembles
+
+        Ftilde = [-kx kz S + ky i k (P - M), -ky kz S - kx i k (P - M),
+                  k_perp^2 S]
+
+    as _assemble_grid(grid, q, -S, k (P - M)) with c = 1 (c enters only
+    through the phases).  Same interface as KspaceParts.
+    """
+
+    grid: Grid3D
+    q: np.ndarray
+    k: np.ndarray
+    plus: np.ndarray | None
+    minus: np.ndarray | None
+
+    @classmethod
+    def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D, keys) -> "_RadialParts":
+        q, k = keys
+        den = np.sqrt(2.0) * k
+        plus = None if amps.f_plus is None else amps.f_plus.h(k * k) / den
+        minus = None if amps.f_minus is None else np.conj(amps.f_minus.h(k * k)) / den
+        return cls(grid, q, k, plus, minus)
+
+    def components(self, t, c=1.0, out=None):
+        """The per-time step: yield Ftilde_comp(k, t) for comp = 0, 1, 2,
+        written into out[comp] (default: one buffer reused for all three)."""
+        if not np.isfinite(t):
+            raise ValueError("_RadialParts.components: t must be finite")
+        # at t = 0 both phases are exactly 1 and multiply through exactly
+        pm = 1.0 if t == 0.0 else np.exp((-1j * c * t) * self.k)
+        p = 0.0 if self.plus is None else self.plus * pm
+        m = 0.0 if self.minus is None else self.minus * np.conj(pm)
+        yield from _assemble_grid(self.grid, self.q, -(p + m), self.k * (p - m), out=out)
+
+
+def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
+    """The time-independent synthesis part of amps on grid: the radial route
+    when every non-None amplitude is a RadialProfileAmplitude and the grid
+    is a centred even cube, KspaceParts (the frame route) otherwise.  Both
+    yield the same components(t, c) to rounding."""
+    present = [a for a in (amps.f_plus, amps.f_minus) if a is not None]
+    if all(isinstance(a, RadialProfileAmplitude) for a in present):
+        keys = _radius_keys(grid)
+        if keys is not None:
+            return _RadialParts.from_amplitudes(amps, grid, keys)
+    return KspaceParts.from_amplitudes(amps, grid)
 
 
 def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D, t=0.0, c=1.0) -> FieldGrid:
     """Sample Ftilde(k,t) = e(k) f+(k) e^{-ickt} + e*(k) conj(f-)(-k) e^{+ickt}
-    on a wavevector grid: the one-time case of KspaceParts."""
-    parts = KspaceParts.from_amplitudes(amps, grid)
+    on a wavevector grid: the one-time case of the synthesis parts (radial
+    or frame route, see the module docstring)."""
+    parts = _synthesis_parts(amps, grid)
     vals = np.empty(grid.counts + (3,), dtype=np.complex128)
     for _ in parts.components(t, c, out=[vals[..., comp] for comp in range(3)]):
         pass  # each component is written into its slice of vals
@@ -629,21 +785,45 @@ def fourier_to_kspace(fieldR: FieldGrid) -> FieldGrid:
     return FieldGrid(vals, kgrid, "wavevector")
 
 
-def position_density(parts: KspaceParts, t, c=1.0) -> np.ndarray:
+def _add_density(d, x):
+    """d += re^2 + im^2 of the complex array x, one slab at a time (no
+    full-size temporary)."""
+    for di, xi in zip(d, x):
+        di += xi.real ** 2
+        di += xi.imag ** 2
+
+
+def _stream_densities(components, grid: Grid3D, sign, source=True):
+    """Reduce a stream of field components sampled on grid to densities:
+    (density on grid or None if not source, density of the unitary
+    transform on the dual grid, the dual grid).  sign = +1 transforms
+    k-space to position space, -1 the reverse.
+
+    Each component must be a contiguous array that may be overwritten (the
+    components(t) buffers of the synthesis parts qualify): its density is
+    added, it is transformed in place and the density of the result is
+    added.  The output-side DFT phases are unimodular and never applied,
+    so only the component and the two densities are held.
+    """
+    dual = grid.fourier_dual()
+    pins, _ = _dft_phases(grid, dual, sign)
+    d_src = np.zeros(grid.counts) if source else None
+    d_dual = np.zeros(dual.counts)
+    for comp in components:
+        if source:
+            _add_density(d_src, comp)
+        _add_density(d_dual, _fft(comp, pins, sign, out=comp))
+    d_dual *= _dft_scale(grid, sign) ** 2
+    return d_src, d_dual, dual
+
+
+def position_density(parts, t, c=1.0) -> np.ndarray:
     """F*.F of the position field at time t, on the dual of parts.grid,
-    without building that field: each component of Ftilde(k, t) is
-    transformed in place and its re^2 + im^2 added to one real density.
-    The output-side DFT phases are unimodular and drop out of |F|^2."""
-    kgrid = parts.grid
-    rgrid = kgrid.fourier_dual()
-    pins, _ = _dft_phases(kgrid, rgrid, +1)
-    d = np.zeros(rgrid.counts)
-    for comp in parts.components(t, c):
-        x = _fft(comp, pins, +1, out=comp)
-        d += x.real ** 2
-        d += x.imag ** 2
-    d *= _dft_scale(kgrid, +1) ** 2
-    return d
+    without building that field: parts are the synthesis parts of either
+    route (KspaceParts or _RadialParts), and each component of
+    Ftilde(k, t) is transformed in place and its re^2 + im^2 added to one
+    real density (_stream_densities)."""
+    return _stream_densities(parts.components(t, c), parts.grid, +1, source=False)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,14 @@ difference of the three between the two rules as quad_rel_err (~1e-13 for
 the Gaussian-enveloped amplitude classes used here).  Grid-path reductions
 and sampled amplitudes use plain Riemann sums; numpy's pairwise summation
 keeps them reproducible at the stated tolerances.
+
+Grid path.  A grid report reduces a stream of field components
+(_grid_report): each adds its density in its own space, is transformed in
+place and adds its partner's density, so one component and two density
+arrays are held and no partner FieldGrid is built.  The stream is a
+FieldGrid's components (uncertainty_product) or the synthesis parts of an
+amplitude pair (kspace._synthesis_parts, as `verify-bound --method grid`
+uses them).
 """
 
 from __future__ import annotations
@@ -49,8 +57,10 @@ from .kspace import (
     HelicityAmplitudePair,
     SampledAmplitude,
     _boundary_ratio,
-    fourier_to_kspace,
-    fourier_to_position,
+    _stream_densities,
+    # not called here since grid reports stream; kept as a binding site that
+    # bench/selftest.py checks the tracer wraps and restores
+    fourier_to_position,  # noqa: F401
 )
 
 __all__ = [
@@ -379,36 +389,63 @@ def uncertainty_product(source, rule=None, bound=BOUND_EM) -> VarianceReport:
     """Build a VarianceReport from any of:
 
     * HelicityAmplitudePair     analytic amplitude path
-    * FieldGrid                 grid path (partner obtained by FFT)
+    * FieldGrid                 grid path (partner obtained by FFT, streamed
+                                one component at a time: _grid_report)
     * (fieldR, fieldK) tuple    grid path with independently sampled sides
     """
-    warnings = []
     if isinstance(source, HelicityAmplitudePair):
         # norm_r is the coarser rule's norm: its agreement with norm_k is
         # the Plancherel line of the report
         n, mk, mr, n_coarse, err = _amp_moments(source, rule)
-        return _report(mr / n, mk / n, n_coarse, n, bound, warnings, err)
+        return _report(mr / n, mk / n, n_coarse, n, bound, [], err)
 
     if isinstance(source, FieldGrid):
-        if source.space == "position":
-            fieldR, fieldK = source, fourier_to_kspace(source)
-        else:
-            fieldR, fieldK = fourier_to_position(source), source
-    elif isinstance(source, tuple) and len(source) == 2:
-        fieldR, fieldK = source
-        if fieldR.space != "position" or fieldK.space != "wavevector":
-            raise ValueError("uncertainty_product: expected (position, wavevector)")
-    else:
+        return _grid_report(_field_components(source), source.grid, source.space, bound)
+    if not (isinstance(source, tuple) and len(source) == 2):
         raise TypeError("uncertainty_product: unsupported source type")
+    fieldR, fieldK = source
+    if fieldR.space != "position" or fieldK.space != "wavevector":
+        raise ValueError("uncertainty_product: expected (position, wavevector)")
+    return _density_report(fieldR.density(), fieldR.grid, fieldK.density(), fieldK.grid,
+                           bound)
 
-    # one density array per field gives both its boundary ratio and moment
+
+def _field_components(field: FieldGrid):
+    """The components of field, each copied into one reused contiguous
+    buffer (which the consumer may overwrite)."""
+    buf = np.empty(field.grid.counts, dtype=np.complex128)
+    for comp in range(3):
+        np.copyto(buf, field.values[..., comp])
+        yield buf
+
+
+def _grid_report(components, grid, space, bound=BOUND_EM) -> VarianceReport:
+    """The grid-path report of a field given as a stream of its components
+    on grid, in `space` ("position" or "wavevector"), each a contiguous
+    array that may be overwritten.
+
+    Per component, the source-space density is added, the component is
+    transformed in place and the partner density added
+    (kspace._stream_densities), so only one component and two density
+    arrays are held, never a FieldGrid.  The boundary ratio, moment and
+    norm of each space then come from its density array."""
+    sign = +1 if space == "wavevector" else -1
+    d_src, d_dual, dual = _stream_densities(components, grid, sign)
+    if space == "position":
+        return _density_report(d_src, grid, d_dual, dual, bound)
+    return _density_report(d_dual, dual, d_src, grid, bound)
+
+
+def _density_report(dr, rgrid, dk, kgrid, bound) -> VarianceReport:
+    """Report from the position and wavevector densities: one density array
+    per space gives both its boundary ratio and its moment."""
+    warnings = []
     sums = []
-    for fld in (fieldR, fieldK):
-        d = fld.density()
+    for d, grid, space in ((dr, rgrid, "position"), (dk, kgrid, "wavevector")):
         if _boundary_ratio(d) > TRUNCATION_RATIO:
-            warnings.append(f"truncation: {fld.space}-space density at boundary "
+            warnings.append(f"truncation: {space}-space density at boundary "
                             f"exceeds {TRUNCATION_RATIO:g} of peak")
-        sums.append(_grid_moment(d, fld.grid))
+        sums.append(_grid_moment(d, grid))
     (dr2, nr), (dk2, nk) = sums
     return _report(dr2, dk2, nr, nk, bound, warnings)
 

@@ -10,13 +10,22 @@ i.e. <r^2>(t) is a perfect parabola with curvature c^2.  For amplitude
 pairs with zero linear coefficient (e.g. real profiles) the minimum is at
 t = 0 and the packet spreads symmetrically.
 
-The grid trajectory builds the time-independent synthesis part
-(kspace.KspaceParts) once and, per time, takes one real position density
+The grid trajectory builds the time-independent synthesis part once
+(kspace._synthesis_parts) and, per time, takes one real position density
 (kspace.position_density): each inverse-transformed component adds its
 re^2 + im^2, and no position FieldGrid is built.  That one density gives
 the time's boundary ratio (the truncation check), norm (the zero-norm
 check) and second moment.  evolve is the one-time case and returns the
 position field itself.
+
+The synthesis part takes one of two routes (see kspace), chosen only from
+the amplitude types and the grid.  Radial amplitudes (every
+saturating_amplitudes pair) on a centred even cube take the radial route:
+a time step is one table of the distinct radii (6,049 at 128^3), the
+assembly of each component from it, its FFT and one density, so a
+trajectory holds one complex component and one real density.  Any other
+input takes the frame route (kspace.KspaceParts), which also holds e(k),
+f+(k), conj(f-)(-k) and |k|.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from .kspace import (
     FieldGrid,
     Grid3D,
     HelicityAmplitudePair,
-    KspaceParts,
     _boundary_ratio,
+    _synthesis_parts,
     fourier_to_position,
     position_density,
     synthesize_kspace,
@@ -137,7 +146,7 @@ def spreading_trajectory(
     if method == "grid":
         if grid is None:
             raise ValueError("spreading_trajectory: grid method needs a grid")
-        parts = KspaceParts.from_amplitudes(amps, grid)
+        parts = _synthesis_parts(amps, grid)
         rgrid = grid.fourier_dual()
         for i, t in enumerate(times):
             d = position_density(parts, t, c)
@@ -149,6 +158,7 @@ def spreading_trajectory(
                         "enlarge the grid extent"
                     )
             moments[i], norms[i] = _grid_moment(d, rgrid)
+            del d  # else it stays alive while the next time's density is built
     elif method == "analytic":
         # rule=None sizes the quadrature per amplitude (see moments)
         for i, t in enumerate(times):

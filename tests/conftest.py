@@ -169,3 +169,16 @@ def random_pair(rng, allow_single=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def frame_route_pair(c_plus, c_minus, a):
+    """saturating_amplitudes(c_plus, c_minus, a) written as polynomial
+    amplitudes, C k_perp e^{-a^2 k^2/2}: the same field (to rounding), but
+    synthesized through the polarization frame (KspaceParts), not the radial
+    route, so it is an independent reference for the latter."""
+    from rsuncert import HelicityAmplitudePair, PolynomialGaussianAmplitude
+
+    def amp(C):
+        return PolynomialGaussianAmplitude({(0, 0, 0): C}, a * a / 2.0) if C else None
+
+    return HelicityAmplitudePair(amp(c_plus), amp(c_minus))

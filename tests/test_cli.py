@@ -8,7 +8,9 @@ import pytest
 from rsuncert import (
     FieldGrid,
     Grid3D,
+    SaturatingFieldSpec,
     analytic_eigenfunction,
+    photon_wavefunctions,
     read_rsf,
     synthesize_kspace,
     uncertainty_product,
@@ -163,6 +165,31 @@ class TestField:
         assert code == 0
         assert read_rsf(rsf).space == "position"
 
+    @pytest.mark.parametrize("photon", ["plus", "minus"])
+    @pytest.mark.parametrize("time", [0.0, 0.6])
+    def test_photon_output_is_photon_wavefunctions(self, tmp_path, photon, time):
+        # only the requested helicity is evaluated; the .rsf bytes and the
+        # profile values are those of photon_wavefunctions
+        a, cp = 1.3, 0.8 + 0.3j
+        rsf, prof = tmp_path / "photon.rsf", tmp_path / "profile.csv"
+        code = run(["field", "--grid", 32, "--a", a, "--c-plus", "0.8+0.3j",
+                    "--time", time, "--photon", photon, "--out-field", rsf,
+                    "--profile-out", prof])
+        assert code == 0
+        spec = SaturatingFieldSpec(a=a, c_plus=cp, c_minus=0.0)
+        pick = 0 if photon == "plus" else 1
+        grid = Grid3D.centered(32, 16.0 * a)
+        want = tmp_path / "want.rsf"
+        write_rsf(want, FieldGrid(photon_wavefunctions(grid, time * a, spec)[pick],
+                                  grid, "position"))
+        assert rsf.read_bytes() == want.read_bytes()
+        rows = np.loadtxt(prof, delimiter=",", skiprows=1)
+        pts = np.zeros((rows.shape[0], 3))
+        pts[:, 2] = rows[:, 0]
+        vals = photon_wavefunctions(pts, time * a, spec)[pick]
+        assert np.array_equal(rows[:, 1::2], vals.real)
+        assert np.array_equal(rows[:, 2::2], vals.imag)
+
     @pytest.mark.parametrize("time", ["nan", "inf"])
     def test_nonfinite_time_exit2(self, tmp_path, capsys, time):
         rsf = tmp_path / "field.rsf"
@@ -247,6 +274,31 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: config") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-bound", "--tolerance", "nan"],
+    ["verify-bound", "--tolerance", -1],
+    ["spectrum", "--tolerance", "nan"],
+    ["spread", "--grid", 16, "--tolerance", "inf"],
+])
+def test_bad_tolerance_exit2(capsys, args):
+    # every comparison with NaN is false: an unchecked tolerance would read
+    # as exit 1 ("bound violated")
+    code = run(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --tolerance") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cfg", [{"tolerance": "nan"}, {"tolerance": -0.5}])
+def test_bad_config_tolerance_exit2(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run(["spectrum", "--config", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --tolerance") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("args", [

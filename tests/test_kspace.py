@@ -17,8 +17,10 @@ from rsuncert import (
     simplest_field,
     simplest_field_amplitudes,
     synthesize_kspace,
+    uncertainty_product,
 )
-from conftest import second_moment_oracle
+from rsuncert.kspace import KspaceParts, _RadialParts, _synthesis_parts
+from conftest import frame_route_pair, second_moment_oracle
 
 
 def random_offaxis_k(rng, n):
@@ -130,6 +132,47 @@ class TestSynthesis:
         rhs = kn[..., None] * field.values
         scale = np.abs(rhs).max()
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
+
+
+class TestRadialRoute:
+    """Radial amplitudes on a centred even cube take the radial route; the
+    same field as polynomial amplitudes takes the frame route and is the
+    reference."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
+    @pytest.mark.parametrize("t", [0.0, 0.3, -0.7])
+    def test_matches_frame_route(self, n, c_minus, t):
+        a = 1.3
+        grid = Grid3D.centered(n, 16.0 * a).fourier_dual()
+        radial = saturating_amplitudes(1.0, c_minus, a)
+        frame = frame_route_pair(1.0, c_minus, a)
+        assert isinstance(_synthesis_parts(radial, grid), _RadialParts)
+        assert isinstance(_synthesis_parts(frame, grid), KspaceParts)
+        got = synthesize_kspace(radial, grid, t)
+        want = synthesize_kspace(frame, grid, t)
+        peak = np.abs(want.values).max()
+        assert np.abs(got.values - want.values).max() <= 1e-13 * peak
+        r_got, r_want = uncertainty_product(got), uncertainty_product(want)
+        for key in ("delta_r2", "delta_k2", "norm_r", "norm_k"):
+            g, w = getattr(r_got, key), getattr(r_want, key)
+            assert abs(g - w) <= 1e-12 * abs(w), key
+        assert r_got.warnings == r_want.warnings
+
+    def test_other_grids_take_the_frame_route(self):
+        # not centred: the radius keys do not apply
+        amps = saturating_amplitudes(0.7 + 0.2j, -0.3 + 0.9j, 0.9)
+        grid = Grid3D((16, 16, 16), (0.5, 0.5, 0.5), (-3.7, -3.9, -4.1))
+        assert isinstance(_synthesis_parts(amps, grid), KspaceParts)
+        t = 0.37
+        field = synthesize_kspace(amps, grid, t)
+        KX, KY, KZ = grid.meshes()
+        e = np.stack(np.broadcast_arrays(*polarization(KX, KY, KZ)), axis=-1)
+        k = np.sqrt(KX * KX + KY * KY + KZ * KZ)[..., None]
+        fp = amps.f_plus.value(KX, KY, KZ)[..., None]
+        fmc = np.conj(amps.f_minus.value(-KX, -KY, -KZ))[..., None]
+        want = e * fp * np.exp(-1j * k * t) + np.conj(e) * fmc * np.exp(1j * k * t)
+        assert np.abs(field.values - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestFourierBridge:

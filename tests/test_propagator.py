@@ -1,5 +1,7 @@
 """Spectral time evolution, unitarity and the quadratic spreading law."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,11 @@ from rsuncert import (
     saturating_rs_field,
     spreading_trajectory,
     synthesize_kspace,
+    uncertainty_product,
 )
+from rsuncert.cli import main
+from rsuncert.kspace import KspaceParts, _RadialParts, _synthesis_parts
+from conftest import frame_route_pair
 
 
 SPEC = SaturatingFieldSpec.simplest(C=1.0, a=1.0)
@@ -125,11 +131,20 @@ class TestSpreadingTrajectory:
 
 class TestGridPathEquivalence:
     """The grid trajectory (time-independent synthesis part, one density
-    pass per time, no position FieldGrid) against a per-time reference."""
+    pass per time, no position FieldGrid) against a per-time reference.
+
+    The trajectory takes the radial route; the reference evolves the same
+    field through the polarization frame (polynomial amplitudes), so the
+    two share no synthesis code."""
 
     pair = saturating_amplitudes(1.0, 0.3j, 1.0)  # both helicities
+    frame_pair = frame_route_pair(1.0, 0.3j, 1.0)
     grid = Grid3D.centered(32, 16.0).fourier_dual()
     times = np.array([-1.5, -0.4, 0.3, 0.9, 2.0])
+
+    def test_routes(self):
+        assert isinstance(_synthesis_parts(self.pair, self.grid), _RadialParts)
+        assert isinstance(_synthesis_parts(self.frame_pair, self.grid), KspaceParts)
 
     @staticmethod
     def einsum_density(field):
@@ -139,7 +154,7 @@ class TestGridPathEquivalence:
         traj = spreading_trajectory(self.pair, self.times, grid=self.grid)
         moments, norms, truncated = [], [], False
         for t in self.times:
-            fieldR = evolve(self.pair, self.grid, t)
+            fieldR = evolve(self.frame_pair, self.grid, t)
             d = self.einsum_density(fieldR)
             x, y, z = np.meshgrid(*fieldR.grid.axes(), indexing="ij", sparse=True)
             dv = fieldR.grid.cell_volume
@@ -156,3 +171,40 @@ class TestGridPathEquivalence:
         fieldR = evolve(self.pair, self.grid, 0.7)
         np.testing.assert_allclose(fieldR.density(), self.einsum_density(fieldR),
                                    rtol=1e-15, atol=0)
+
+
+class TestBoundedMemory:
+    """Streamed grid paths hold one complex component buffer and at most
+    two real densities: the traced peak stays below 2 components +
+    2 densities + 20 % at 64^3 (the frame route alone holds
+    e(k), f+, conj f-(-k) and |k|, five components' worth)."""
+
+    grid = Grid3D.centered(64, 20.0).fourier_dual()
+    pair = saturating_amplitudes(1.0, 0.5j, 1.0)
+    limit = 1.2 * (2 * 16 + 2 * 8) * 64 ** 3  # bytes
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_radial_trajectory(self):
+        times = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        peak = self.traced_peak(lambda: spreading_trajectory(self.pair, times, grid=self.grid))
+        assert peak < self.limit
+
+    def test_streamed_grid_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["verify-bound", "--method", "grid", "--grid", "64", "--out", str(out)]
+        assert self.traced_peak(lambda: main(argv)) < self.limit
+        assert out.exists()
+
+    def test_field_grid_report(self):
+        # the field itself is the caller's; the report adds one buffer and
+        # two densities, not the partner field
+        field = synthesize_kspace(self.pair, self.grid)
+        assert self.traced_peak(lambda: uncertainty_product(field)) < self.limit
