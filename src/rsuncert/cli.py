@@ -28,7 +28,7 @@ from .errors import (
 )
 from .eigensolver import RadialProblem, solve_radial
 from .kspace import FieldGrid, Grid3D, _synthesis_parts
-from .moments import _grid_report, uncertainty_product
+from .moments import BOUND_EM, _density_report, uncertainty_product
 from .propagator import spreading_trajectory
 from .rsfio import read_rsf, write_rsf
 
@@ -162,9 +162,11 @@ def cmd_verify_bound(args) -> int:
                 report = uncertainty_product(spec.amplitudes())
             else:
                 grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
-                # streamed from the synthesis parts: no FieldGrid is built
+                # the two densities straight from the synthesis parts: no
+                # FieldGrid is built
                 parts = _synthesis_parts(spec.amplitudes(), grid)
-                report = _grid_report(parts.components(0.0), grid, "wavevector")
+                d_k, d_r, rgrid = parts.densities(0.0)
+                report = _density_report(d_r, rgrid, d_k, grid, BOUND_EM)
         else:
             field = read_rsf(args.input)
             report = uncertainty_product(field)
@@ -198,7 +200,7 @@ def cmd_spectrum(args) -> int:
     except ResolutionError as exc:
         print(f"error: resolution: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
-    except ValueError as exc:  # n_states < 1
+    except ValueError as exc:  # n_states < 1, n_points above the cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -325,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("spectrum", help="radial eigenvalues 5/2 + 2n")
     ps.add_argument("--kappa-max", type=float, default=10.0)
-    ps.add_argument("--n-points", type=int, default=2000)
+    ps.add_argument("--n-points", type=int, default=2000,
+                    help="radial grid points (200..1000000)")
     ps.add_argument("--n-states", type=int, default=3)
     ps.add_argument("--tolerance", type=float, default=None)
     ps.add_argument("--dump-eigenfunctions", default=None,

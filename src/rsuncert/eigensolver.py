@@ -46,12 +46,18 @@ __all__ = [
 ]
 
 
+N_POINTS_MAX = 1_000_000  # largest radial grid: about 2.5 s and 200 MB
+
+
 @dataclass(frozen=True)
 class RadialProblem:
     """Domain cutoff and grid size for the radial solve.
 
     kappa_max >= 8 keeps the Gaussian tails below ~1e-13 at the Dirichlet
-    wall; n_points >= 200 is the coarsest grid worth solving on.
+    wall; n_points >= 200 is the coarsest grid worth solving on (coarser
+    raises ResolutionError).  n_points <= N_POINTS_MAX bounds the memory
+    of the solve, which grows by about 150 bytes per point; a larger
+    value raises ValueError before anything is allocated.
     """
 
     kappa_max: float = 10.0
@@ -62,6 +68,9 @@ class RadialProblem:
             raise ResolutionError("RadialProblem: kappa_max must be >= 8")
         if self.n_points < 200:
             raise ResolutionError("RadialProblem: n_points must be >= 200")
+        if self.n_points > N_POINTS_MAX:
+            raise ValueError(f"RadialProblem: n_points must be <= {N_POINTS_MAX}, "
+                             f"got {self.n_points}")
 
 
 @dataclass

@@ -37,6 +37,10 @@ _synthesis_parts picks one from two properties of its input, nothing else:
   radius (6,049 at 128^3) and gathered per node by the slab assembler
   _assemble_grid, the same one the closed-form position field uses; no
   polarization frame, no full-size |k| and no per-node exponential.
+  Its densities(t) assemble no component at all: every term of a
+  component has a definite parity in each axis, so both densities come
+  from the positive octant, through one DCT-IV or DST-IV per axis and
+  term (_RadialParts.densities).
 * Frame route (KspaceParts) for everything else: polynomial, sampled and
   wrapped (phase-evolved, dilated) amplitudes, and any other grid.  It
   keeps e(k), f+(k), conj(f-)(-k) and |k| and forms each component per
@@ -45,12 +49,14 @@ _synthesis_parts picks one from two properties of its input, nothing else:
 synthesize_kspace is the one-time case of either route.
 
 The Fourier bridge transforms one component at a time: per-axis phases are
-applied by broadcasting, in place, around an overwriting scipy FFT.  A
+applied one x-slab at a time, in place, around an overwriting scipy FFT.  A
 density is computed once per field as re^2 + im^2 (FieldGrid.density).
 _stream_densities reduces a stream of components to the density on their
 grid and the density of their transform on the dual grid, holding one
 component and the two densities (the output-side DFT phases are unimodular
-and drop out); position_density and the grid reports of moments use it.
+and drop out); KspaceParts.densities and the FieldGrid reports of moments
+use it.  Both routes' parts have densities(t, c, source), and
+position_density and `verify-bound --method grid` take them from there.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.fft import fftn, ifftn
+from scipy.fft import dct, dst, fftn, ifftn
 
 from .errors import (
     AxisSingularityError,
@@ -568,6 +574,12 @@ class KspaceParts:
                     o += m
             yield o
 
+    def densities(self, t, c=1.0, source=True):
+        """(k-space density or None if not source, position density, the
+        position grid) of Ftilde(k, t): its components streamed through
+        the FFT (_stream_densities)."""
+        return _stream_densities(self.components(t, c), self.grid, +1, source)
+
 
 def _radius_keys(grid):
     """Per-axis keys q and radius table r of a centred even cube: the node
@@ -639,6 +651,83 @@ def _assemble_grid(grid, q, w2, grt, gr=None, flip_time_rows=False, c=1.0, out=N
         yield o
 
 
+def _gather_octant(tab, q, poly, out):
+    """out = (re, im) planes of tab[q[i] + q[j] + q[l]] poly[i, j, l] on
+    the positive octant (q = the upper half of the radius keys), one x-slab
+    at a time; poly broadcasts to an octant."""
+    key = q[:, None] + q
+    poly = np.broadcast_to(poly, out.shape[1:])
+    for plane, part in zip(out, (tab.real, tab.imag)):
+        part = np.ascontiguousarray(part, dtype=np.float64)
+        for i, oi in enumerate(plane):
+            np.take(part[q[i]:], key, out=oi, mode="clip")
+            oi *= poly[i]
+
+
+def _add_octant_densities(dp, dm, terms, rotate):
+    """For a pair of terms (a, b) held as (re, im) planes, dp += |a + b|^2
+    and dm += |a - b|^2, with b first multiplied by -i if rotate; a single
+    term adds |a|^2 to both.  One x-slab at a time."""
+    for i, (dpi, dmi) in enumerate(zip(dp, dm)):
+        ar, ai = terms[0][:, i]
+        if len(terms) == 1:
+            sq = ar * ar + ai * ai
+            dpi += sq
+            dmi += sq
+            continue
+        br, bi = terms[1][:, i]
+        if rotate:
+            br, bi = bi, -br
+        dpi += (ar + br) ** 2 + (ai + bi) ** 2
+        dmi += (ar - br) ** 2 + (ai - bi) ** 2
+
+
+def _octant_densities(terms, q, source):
+    """The octant densities (D+, D-) of k space (None if not source) and,
+    unscaled, of position space, from the terms (table, polynomial, odd
+    axes) of F0 = A0 + B0, F1 = A1 + B1 and F2, taken a pair at a time:
+    each term is gathered, its k-space densities added, transformed in
+    place (a DCT-IV per even axis, a DST-IV per odd one) and its
+    position-space densities added."""
+    shape = (q.size,) * 3
+    src = (np.zeros(shape), np.zeros(shape)) if source else None
+    dual = (np.zeros(shape), np.zeros(shape))
+    # a term is held as contiguous (re, im) planes: a type-4 transform
+    # along a plane's axis is twice as fast as along a complex array's
+    bufs = [np.empty((2,) + shape) for _ in range(2)]
+    for pair in (terms[0:2], terms[2:4], terms[4:]):
+        held = bufs[:len(pair)]
+        for (tab, poly, _), buf in zip(pair, held):
+            _gather_octant(tab, q, poly, buf)
+        if source:
+            _add_octant_densities(*src, held, rotate=False)
+        for j, (_, _, odd) in enumerate(pair):
+            for axis in range(3):
+                dcst = dst if axis in odd else dct
+                held[j] = dcst(held[j], type=4, axis=axis + 1, overwrite_x=True, workers=-1)
+        # A gains i^2 and B i^1 from their odd axes: the transformed pair
+        # is -(A - i B)
+        _add_octant_densities(*dual, held, rotate=True)
+    return src, dual
+
+
+def _unfold(dp, dm):
+    """The full cube of a density from its positive-octant values: dp at
+    every reflection (sx, sy, sz) of an octant node with sx sy sz = 1, dm
+    at the others."""
+    h = dp.shape[0]
+    up, dn = slice(h, None), slice(h - 1, None, -1)
+    d = np.empty((2 * h,) * 3)
+    d[up, up, up] = dp
+    d[up, up, dn] = dm
+    d[up, dn, up] = dm
+    d[up, dn, dn] = dp
+    # reflecting both x and y keeps sx sy
+    d[dn, dn] = d[up, up]
+    d[dn, up] = d[up, dn]
+    return d
+
+
 @dataclass(frozen=True, eq=False)
 class _RadialParts:
     """The time-independent part of Ftilde(k,t) for radial amplitudes
@@ -654,7 +743,9 @@ class _RadialParts:
                   k_perp^2 S]
 
     as _assemble_grid(grid, q, -S, k (P - M)) with c = 1 (c enters only
-    through the phases).  Same interface as KspaceParts.
+    through the phases).  densities(t) reduces the same field to its two
+    densities from the positive octant, with no component built.  Same
+    interface as KspaceParts.
     """
 
     grid: Grid3D
@@ -671,16 +762,59 @@ class _RadialParts:
         minus = None if amps.f_minus is None else np.conj(amps.f_minus.h(k * k)) / den
         return cls(grid, q, k, plus, minus)
 
-    def components(self, t, c=1.0, out=None):
-        """The per-time step: yield Ftilde_comp(k, t) for comp = 0, 1, 2,
-        written into out[comp] (default: one buffer reused for all three)."""
+    def _tables(self, t, c):
+        """The radial tables W = -(P + M) and T = k (P - M) at time t."""
         if not np.isfinite(t):
-            raise ValueError("_RadialParts.components: t must be finite")
+            raise ValueError("_RadialParts: t must be finite")
         # at t = 0 both phases are exactly 1 and multiply through exactly
         pm = 1.0 if t == 0.0 else np.exp((-1j * c * t) * self.k)
         p = 0.0 if self.plus is None else self.plus * pm
         m = 0.0 if self.minus is None else self.minus * np.conj(pm)
-        yield from _assemble_grid(self.grid, self.q, -(p + m), self.k * (p - m), out=out)
+        return -(p + m), self.k * (p - m)
+
+    def components(self, t, c=1.0, out=None):
+        """The per-time step: yield Ftilde_comp(k, t) for comp = 0, 1, 2,
+        written into out[comp] (default: one buffer reused for all three)."""
+        w, tr = self._tables(t, c)
+        yield from _assemble_grid(self.grid, self.q, w, tr, out=out)
+
+    def densities(self, t, c=1.0, source=True):
+        """(k-space density or None if not source, position density, the
+        position grid) of Ftilde(k, t), from the positive octant alone.
+
+        Each component is a sum of terms of definite parity per axis,
+
+            F0 = x z W + i y T,  F1 = y z W - i x T,  F2 = -(x^2 + y^2) W,
+
+        so on the octant k = (p + 1/2) dk, p < n/2, and its image
+        r = (m + 1/2) dr the unitary transform of a term is a DCT-IV per
+        even axis and i DST-IV per odd axis (scipy's type-4 transforms
+        carry the two-sided sum).  Reflecting an octant node by
+        (sx, sy, sz) multiplies the two terms of F0 (and of F1) by
+        signs whose ratio is sx sy sz, so each density takes one of two
+        octant values, D+ or D-, there: the pairs' terms added or
+        subtracted, squared, plus |F2|^2.  _unfold writes the full cube
+        from them.  The terms are gathered one at a time from the radius
+        table, so two complex octants and the real octant densities are
+        held, never a component.
+        """
+        w, tr = self._tables(t, c)
+        it = 1j * tr
+        h = self.grid.counts[0] // 2
+        q = self.q[h:]
+        x, y, z = (ax[h:] for ax in self.grid.axes())
+        x, y = x[:, None, None], y[:, None]
+        # (table, polynomial, odd axes) of A0, B0, A1, B1 and F2
+        terms = [(w, x * z, (0, 2)), (it, y, (1,)),
+                 (w, y * z, (1, 2)), (it, -x, (0,)),
+                 (w, -(x * x + y * y), ())]
+        src, dual = _octant_densities(terms, q, source)
+        scale2 = _dft_scale(self.grid, -1) ** 2
+        for a in dual:
+            a *= scale2
+        d_src = None if src is None else _unfold(*src)
+        del src
+        return d_src, _unfold(*dual), self.grid.fourier_dual()
 
 
 def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
@@ -730,10 +864,16 @@ def _dft_scale(src: Grid3D, sign):
 
 
 def _phased(a, p, out=None):
-    """a[i, j, l] p[0][i] p[1][j] p[2][l] by broadcasting, written into out
-    (which may be a itself) or a new array."""
-    b = np.multiply(a, (p[0][:, None] * p[1][None, :])[:, :, None], out=out)
-    return np.multiply(b, p[2], out=b)
+    """a[i, j, l] p[0][i] p[1][j] p[2][l], written into out (which may be
+    a itself) or a new array in one pass: each x-slab is multiplied by
+    p[0][i] times the (y, z) phase plane."""
+    yz = p[1][:, None] * p[2]
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a, yz))
+    plane = np.empty_like(yz)
+    for ai, oi, px in zip(a, out, p[0]):
+        np.multiply(ai, np.multiply(yz, px, out=plane), out=oi)
+    return out
 
 
 def _fft(vals, pins, sign, out=None):
@@ -820,10 +960,10 @@ def _stream_densities(components, grid: Grid3D, sign, source=True):
 def position_density(parts, t, c=1.0) -> np.ndarray:
     """F*.F of the position field at time t, on the dual of parts.grid,
     without building that field: parts are the synthesis parts of either
-    route (KspaceParts or _RadialParts), and each component of
-    Ftilde(k, t) is transformed in place and its re^2 + im^2 added to one
-    real density (_stream_densities)."""
-    return _stream_densities(parts.components(t, c), parts.grid, +1, source=False)[1]
+    route, and parts.densities gives the one real density (from the
+    positive octant on the radial route, by streaming the components
+    through the FFT on the frame route)."""
+    return parts.densities(t, c, source=False)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,15 @@ the Gaussian-enveloped amplitude classes used here).  Grid-path reductions
 and sampled amplitudes use plain Riemann sums; numpy's pairwise summation
 keeps them reproducible at the stated tolerances.
 
-Grid path.  A grid report reduces a stream of field components
-(_grid_report): each adds its density in its own space, is transformed in
-place and adds its partner's density, so one component and two density
-arrays are held and no partner FieldGrid is built.  The stream is a
-FieldGrid's components (uncertainty_product) or the synthesis parts of an
-amplitude pair (kspace._synthesis_parts, as `verify-bound --method grid`
-uses them).
+Grid path.  A grid report is made from one density array per space
+(_density_report): each gives its space's boundary ratio, moment and norm.
+For a FieldGrid (uncertainty_product) the densities come from a stream of
+its components (_grid_report): each adds its density in its own space, is
+transformed in place and adds its partner's density, so one component and
+two density arrays are held and no partner FieldGrid is built.  For an
+amplitude pair (`verify-bound --method grid`) they come from the synthesis
+parts' densities (kspace._synthesis_parts): for radial amplitudes on a
+centred even cube, from the positive octant with no component built.
 """
 
 from __future__ import annotations

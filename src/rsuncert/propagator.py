@@ -12,8 +12,8 @@ t = 0 and the packet spreads symmetrically.
 
 The grid trajectory builds the time-independent synthesis part once
 (kspace._synthesis_parts) and, per time, takes one real position density
-(kspace.position_density): each inverse-transformed component adds its
-re^2 + im^2, and no position FieldGrid is built.  That one density gives
+(kspace.position_density, i.e. the parts' densities(t, c, source=False)),
+and no position FieldGrid is built.  That one density gives
 the time's boundary ratio (the truncation check), norm (the zero-norm
 check) and second moment.  evolve is the one-time case and returns the
 position field itself.
@@ -21,11 +21,12 @@ position field itself.
 The synthesis part takes one of two routes (see kspace), chosen only from
 the amplitude types and the grid.  Radial amplitudes (every
 saturating_amplitudes pair) on a centred even cube take the radial route:
-a time step is one table of the distinct radii (6,049 at 128^3), the
-assembly of each component from it, its FFT and one density, so a
-trajectory holds one complex component and one real density.  Any other
-input takes the frame route (kspace.KspaceParts), which also holds e(k),
-f+(k), conj(f-)(-k) and |k|.
+a time step is one table of the distinct radii (6,049 at 128^3), five
+terms gathered from it on the positive octant, a DCT-IV or DST-IV per axis
+of each, and the two octant densities unfolded into one real density, so a
+trajectory never holds a complex component.  Any other input takes the
+frame route (kspace.KspaceParts): one complex component at a time through
+the FFT, holding also e(k), f+(k), conj(f-)(-k) and |k|.
 """
 
 from __future__ import annotations

@@ -20,7 +20,9 @@ from rsuncert import (
     fourier_to_position,
     write_rsf,
 )
+from rsuncert import cli
 from rsuncert.cli import main
+from rsuncert.eigensolver import N_POINTS_MAX
 from conftest import random_pair
 
 
@@ -107,6 +109,17 @@ class TestSpectrum:
 
     def test_under_resolved_exit4(self):
         assert run(["spectrum", "--n-points", 8]) == 4
+
+    def test_n_points_cap_exit2(self, capsys, monkeypatch):
+        # checked when the problem is built: the solve is never reached, so
+        # nothing of the grid's size is allocated
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_radial reached past the n_points cap")
+
+        monkeypatch.setattr(cli, "solve_radial", no_solve)
+        assert run(["spectrum", "--n-points", N_POINTS_MAX + 1]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_no_states_exit2(self, capsys):
         assert run(["spectrum", "--n-states", 0]) == 2

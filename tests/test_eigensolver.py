@@ -12,7 +12,7 @@ from rsuncert import (
     rayleigh_quotient,
     solve_radial,
 )
-from rsuncert.eigensolver import radial_operator_apply
+from rsuncert.eigensolver import N_POINTS_MAX, radial_operator_apply
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,10 @@ class TestSpectrum:
             RadialProblem(kappa_max=10.0, n_points=8)
         with pytest.raises(ResolutionError):
             RadialProblem(kappa_max=5.0, n_points=2000)
+        # the cap is an input limit, not a resolution one
+        assert RadialProblem(10.0, N_POINTS_MAX).n_points == N_POINTS_MAX
+        with pytest.raises(ValueError, match="n_points must be <="):
+            RadialProblem(10.0, N_POINTS_MAX + 1)
         with pytest.raises(ResolutionError):
             solve_radial(RadialProblem(10.0, 400), n_states=50)
         with pytest.raises(ResolutionError):

@@ -9,6 +9,7 @@ from rsuncert import (
     FieldGrid,
     Grid3D,
     HelicityAmplitudePair,
+    SaturatingFieldSpec,
     fourier_to_kspace,
     fourier_to_position,
     norm,
@@ -19,7 +20,17 @@ from rsuncert import (
     synthesize_kspace,
     uncertainty_product,
 )
-from rsuncert.kspace import KspaceParts, _RadialParts, _synthesis_parts
+from rsuncert.cli import main
+from rsuncert.kspace import (
+    KspaceParts,
+    _RadialParts,
+    _boundary_ratio,
+    _dft_phases,
+    _phased,
+    _stream_densities,
+    _synthesis_parts,
+)
+from rsuncert.moments import TRUNCATION_RATIO
 from conftest import frame_route_pair, second_moment_oracle
 
 
@@ -113,6 +124,8 @@ class TestSynthesis:
         grid = Grid3D.centered(16, 9.0).fourier_dual()
         with pytest.raises(ValueError):
             synthesize_kspace(saturating_amplitudes(1.0, 0.0, 1.0), grid, t=np.nan)
+        with pytest.raises(ValueError):
+            _synthesis_parts(saturating_amplitudes(1.0, 0.0, 1.0), grid).densities(np.inf)
 
     def test_on_axis_grid_propagates_singularity(self):
         # a custom grid with nodes at kx = ky = 0 hits the frame singularity
@@ -175,7 +188,72 @@ class TestRadialRoute:
         assert np.abs(field.values - want).max() <= 1e-13 * np.abs(want).max()
 
 
+class TestOctantDensities:
+    """_RadialParts.densities builds both densities from the positive
+    octant (DCT-IV/DST-IV per parity term); the reference streams the full
+    components of the same parts through the FFT."""
+
+    @staticmethod
+    def assert_close(got, want, tol=1e-13):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * want.max()
+
+    # 16^3 has the smallest octant the CLI makes (h = 8)
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
+    @pytest.mark.parametrize("t", [0.0, 0.3, -0.7])
+    @pytest.mark.parametrize("c", [1.0, 1.7])
+    def test_matches_stream(self, n, c_minus, t, c):
+        grid = Grid3D.centered(n, 16.0 * 1.3).fourier_dual()
+        parts = _synthesis_parts(saturating_amplitudes(1.0, c_minus, 1.3), grid)
+        assert isinstance(parts, _RadialParts)
+        d_k, d_r, rgrid = parts.densities(t, c)
+        w_k, w_r, w_grid = _stream_densities(parts.components(t, c), grid, +1)
+        assert rgrid == w_grid
+        self.assert_close(d_k, w_k)
+        self.assert_close(d_r, w_r)
+        none_k, only_r, _ = parts.densities(t, c, source=False)
+        assert none_k is None
+        np.testing.assert_array_equal(only_r, d_r)
+
+    def test_matches_frame_route(self):
+        # the frame route shares no synthesis or transform code with it
+        grid = Grid3D.centered(32, 16.0).fourier_dual()
+        radial = _synthesis_parts(saturating_amplitudes(1.0, 0.5j, 1.0), grid)
+        frame = _synthesis_parts(frame_route_pair(1.0, 0.5j, 1.0), grid)
+        assert isinstance(frame, KspaceParts)
+        for got, want in zip(radial.densities(0.3, 1.2)[:2], frame.densities(0.3, 1.2)[:2]):
+            self.assert_close(got, want)
+
+    def test_truncated_box(self, capsys):
+        # verify-bound --method grid --grid 16 --a 0.7371: the box cuts the
+        # packet off, with the same boundary ratios on either route
+        a = 0.7371
+        grid = Grid3D.centered(16, 16.0 * a).fourier_dual()
+        parts = _synthesis_parts(SaturatingFieldSpec.simplest(C=1.0, a=a).amplitudes(), grid)
+        got = parts.densities(0.0)[:2]
+        want = _stream_densities(parts.components(0.0), grid, +1)[:2]
+        for g, w in zip(got, want):
+            assert abs(_boundary_ratio(g) - _boundary_ratio(w)) <= 1e-12 * _boundary_ratio(w)
+        assert _boundary_ratio(got[1]) > TRUNCATION_RATIO
+        assert main(["verify-bound", "--method", "grid", "--grid", "16", "--a", str(a)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation:") and len(err.strip().splitlines()) == 1
+
+
 class TestFourierBridge:
+    def test_phases_in_one_pass(self, rng):
+        # _phased against the two-pass form (x-y phase plane, then z)
+        grid = Grid3D.centered(32, 11.0)
+        a = rng.normal(size=grid.counts) + 1j * rng.normal(size=grid.counts)
+        p, _ = _dft_phases(grid, grid.fourier_dual(), +1)
+        want = a * (p[0][:, None] * p[1][None, :])[:, :, None] * p[2]
+        got = _phased(a, p)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        b = a.copy()
+        assert _phased(b, p, out=b) is b
+        np.testing.assert_array_equal(b, got)
+
     def test_round_trip_identity(self, rng):
         grid = Grid3D.centered(32, 11.0)
         vals = rng.normal(size=(32, 32, 32, 3)) + 1j * rng.normal(size=(32, 32, 32, 3))
