@@ -36,9 +36,10 @@ saturating_rs_field and photon_wavefunctions accept such a Grid3D in place
 of points: the blocks are evaluated once per radius and gathered per node
 by the integer key (m - 3)/8, one x-slab at a time, so the only full-size
 array is the result.  The radius keys and the slab assembler live in kspace
-(_radius_keys, _assemble_grid): the radial route of k-space synthesis
-builds Ftilde(k, t) on the dual grid from the same assembler, with the
-radial tables -S and k (P - M) in place of the blocks (see kspace).
+(_radius_keys, _gathered, _assemble_grid): k-space synthesis builds
+Ftilde(k, t) on the dual grid from the same assembler, with the tables W
+and V in place of the blocks, per radius on the radial route and per node
+on the node route (see kspace).
 photon_wavefunctions evaluates each helicity on its own
 (_photon_wavefunction), so a caller that needs one pays for one.
 """
@@ -55,6 +56,7 @@ from .kspace import (
     Grid3D,
     HelicityAmplitudePair,
     _assemble_grid,
+    _gathered,
     _radius_keys,
     saturating_amplitudes,
 )
@@ -284,8 +286,9 @@ def _grid_field(grid, t, a, A, B, flip_time_rows=False, c=1.0):
     q, r = keys
     w2, grt, gr = _scalar_blocks(r, float(t), a, A, B, c)
     out = np.empty(grid.counts + (3,), dtype=np.complex128)
-    for _ in _assemble_grid(grid, q, w2, grt, gr, flip_time_rows, c,
-                            out=[out[..., comp] for comp in range(3)]):
+    sgn = -1.0 if flip_time_rows else 1.0
+    slabs = _gathered(q, w2, sgn * 1j / c * grt, 2.0 * gr)
+    for _ in _assemble_grid(grid, slabs, out=[out[..., comp] for comp in range(3)]):
         pass  # each component is written into its slice of out
     return out
 

@@ -41,12 +41,17 @@ _synthesis_parts picks one from two properties of its input, nothing else:
   component has a definite parity in each axis, so both densities come
   from the positive octant, through one DCT-IV or DST-IV per axis and
   term (_RadialParts.densities).
-* Frame route (KspaceParts) for everything else: polynomial, sampled and
-  wrapped (phase-evolved, dilated) amplitudes, and any other grid.  It
-  keeps e(k), f+(k), conj(f-)(-k) and |k| and forms each component per
-  time.
+* Node route (KspaceParts) for everything else: polynomial, sampled and
+  wrapped (phase-evolved, dilated) amplitudes, and any other grid.  Every
+  admissible amplitude is f = k_perp g, so the same polynomial holds with
+  per-node tables: it keeps f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k
+  k_perp) and |k| (40 bytes a node), builds no polarization frame, and
+  forms the two functions and the phases one x-slab at a time through
+  the same assembler.
 
-synthesize_kspace is the one-time case of either route.
+synthesize_kspace is the one-time case of either route: with three
+distinct output arrays the assembler forms each x-slab's tables once and
+writes all three components.
 
 The Fourier bridge transforms one component at a time: per-axis phases are
 applied one x-slab at a time, in place, around an overwriting scipy FFT.  A
@@ -111,6 +116,8 @@ class Grid3D:
     origins: tuple[float, float, float]
 
     def __post_init__(self):
+        if not len(self.counts) == len(self.spacings) == len(self.origins) == 3:
+            raise ValueError("Grid3D: need exactly 3 counts, spacings and origins")
         if any(n < 2 for n in self.counts):
             raise ValueError("Grid3D: need at least 2 points per axis")
         if not np.all(np.isfinite(self.spacings + self.origins)):
@@ -203,6 +210,16 @@ def _boundary_ratio(d) -> float:
 # polarization frame
 # ---------------------------------------------------------------------------
 
+def _check_off_axis(kp2, k2):
+    """Raise AxisSingularityError if any wavevector, given by k_perp^2 and
+    k^2, lies on the kz-axis (k_perp <= 1e-12 k), where both the frame and
+    f / k_perp are a 0/0."""
+    if np.any(kp2 <= (AXIS_RTOL ** 2) * k2):
+        raise AxisSingularityError(
+            "polarization: wavevector on the kz-axis (k_perp ~ 0)"
+        )
+
+
 def polarization(kx, ky, kz):
     """Normalized positive-helicity polarization vector e(k).
 
@@ -215,10 +232,7 @@ def polarization(kx, ky, kz):
     kz = np.asarray(kz, dtype=float)
     kp2 = kx * kx + ky * ky
     k2 = kp2 + kz * kz
-    if np.any(kp2 <= (AXIS_RTOL ** 2) * k2):
-        raise AxisSingularityError(
-            "polarization: wavevector on the kz-axis (k_perp ~ 0)"
-        )
+    _check_off_axis(kp2, k2)
     k = np.sqrt(k2)
     den = np.sqrt(2.0 * k2 * kp2)
     ex = (-kx * kz + 1j * ky * k) / den
@@ -496,42 +510,45 @@ def simplest_field_amplitudes(C, a) -> HelicityAmplitudePair:
 # synthesis and Fourier bridge
 # ---------------------------------------------------------------------------
 
-def _amp_on_grid(amp, grid, KX, KY, KZ):
-    if isinstance(amp, SampledAmplitude):
-        if amp.grid != grid:
-            raise GridMismatchError("synthesize_kspace: amplitude grid differs")
-        return amp.values
-    return amp.value(KX, KY, KZ)
-
-
-def _amp_on_grid_negk_conj(amp, grid, KX, KY, KZ):
-    if isinstance(amp, SampledAmplitude):
-        if amp.grid != grid:
-            raise GridMismatchError("synthesize_kspace: amplitude grid differs")
-        return amp.negated_conj()
-    return np.conj(amp.value(-KX, -KY, -KZ))
+def _time_tables(plus, minus, k, t, c, out, with_v=True):
+    """W = -(P + M) and V = i k (P - M) (None unless with_v), with
+    P = plus e^{-ickt} and M = minus e^{+ickt} (a None table is zero), per
+    radius on the radial route and per x-slab on the node route, written
+    into out[0] and out[1] of a complex (4,) + k.shape array (out[2:] is
+    scratch)."""
+    w, v, ph, mb = out
+    p = 0.0 if plus is None else plus
+    m = 0.0 if minus is None else minus
+    # at t = 0 both phases are exactly 1 and multiply through exactly
+    if t != 0.0:
+        np.exp(np.multiply(k, -1j * c * t, out=ph), out=ph)
+        if minus is not None:
+            m = np.multiply(minus, np.conj(ph, out=mb), out=mb)
+        if plus is not None:
+            p = np.multiply(plus, ph, out=ph)
+    np.negative(np.add(p, m, out=w), out=w)
+    if not with_v:
+        return w, None
+    np.multiply(np.subtract(p, m, out=v), k, out=v)
+    return w, np.multiply(v, 1j, out=v)
 
 
 @dataclass(frozen=True, eq=False)
 class KspaceParts:
     """The time-independent part of Ftilde(k,t) on a wavevector grid: the
-    frame route of the synthesis.
+    node route of the synthesis, for any amplitude on any grid.
 
-    frame = (ex, ey, ez), the polarization e(k) at the nodes; plus = f+(k)
-    and minus = conj(f-)(-k) at the nodes (None for a zero amplitude); and
-    k = |k|.  components(t) forms e(k) plus e^{-ickt} + e*(k) minus
-    e^{+ickt} one component at a time: only the unimodular phases depend
-    on t, so a trajectory builds the parts once and takes components(t)
-    per time.
-
-    This route serves any amplitude on any grid, at the cost of the frame,
-    the two amplitudes and |k| (80 bytes per node).  Radial amplitudes on a
-    centred even cube take the radial route instead (_RadialParts, picked
-    by _synthesis_parts; see the module docstring).
+    With f = k_perp g the frame's 1/k_perp cancels (see the module
+    docstring), so Ftilde is the radial route's polynomial with per-node
+    tables: plus = f+(k) / (sqrt2 k k_perp) and minus = conj(f-)(-k) /
+    (sqrt2 k k_perp) at the nodes (None for a zero amplitude), and k = |k|,
+    40 bytes per node and no polarization frame.  components(t) forms W and
+    V (_time_tables) one x-slab at a time and writes the polynomial of
+    _assemble_grid: only the unimodular phases depend on t, so a
+    trajectory builds the parts once and takes components(t) per time.
     """
 
     grid: Grid3D
-    frame: tuple
     plus: np.ndarray | None
     minus: np.ndarray | None
     k: np.ndarray
@@ -539,13 +556,24 @@ class KspaceParts:
     @classmethod
     def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D) -> "KspaceParts":
         KX, KY, KZ = grid.meshes(sparse=True)
-        frame = polarization(KX, KY, KZ)  # raises if a node sits on the axis
-        plus = minus = None
-        if amps.f_plus is not None:
-            plus = _amp_on_grid(amps.f_plus, grid, KX, KY, KZ)
-        if amps.f_minus is not None:
-            minus = _amp_on_grid_negk_conj(amps.f_minus, grid, KX, KY, KZ)
-        return cls(grid, frame, plus, minus, np.sqrt(KX * KX + KY * KY + KZ * KZ))
+        kp2 = KX * KX + KY * KY
+        k = kp2 + KZ * KZ
+        _check_off_axis(kp2, k)  # before any division by k_perp
+        np.sqrt(k, out=k)
+        den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
+
+        def table(amp, negk):
+            if isinstance(amp, SampledAmplitude):
+                if amp.grid != grid:
+                    raise GridMismatchError("synthesize_kspace: amplitude grid differs")
+                f = amp.negated_conj() if negk else amp.values
+            else:
+                f = np.conj(amp.value(-KX, -KY, -KZ)) if negk else amp.value(KX, KY, KZ)
+            return f / den / k  # k_perp(-k) = k_perp(k)
+
+        plus = None if amps.f_plus is None else table(amps.f_plus, False)
+        minus = None if amps.f_minus is None else table(amps.f_minus, True)
+        return cls(grid, plus, minus, k)
 
     def components(self, t, c=1.0, out=None):
         """The per-time phase step: yield Ftilde_comp(k, t) for comp = 0, 1,
@@ -553,26 +581,15 @@ class KspaceParts:
         so consume each component before taking the next)."""
         if not np.isfinite(t):
             raise ValueError("KspaceParts.components: t must be finite")
-        if out is None:
-            buf = np.empty(self.grid.counts, dtype=np.complex128)
-            out = (buf, buf, buf)
-        # at t = 0 both phases are exactly 1 and multiply through exactly
-        pm = 1.0 if t == 0.0 else np.exp((-1j * c * t) * self.k)
-        pmc = np.conj(pm)
-        both = self.plus is not None and self.minus is not None
-        tmp = np.empty(self.grid.counts, dtype=np.complex128) if both else None
-        for e, o in zip(self.frame, out):
-            if self.plus is not None:
-                np.multiply(e, self.plus, out=o)
-                o *= pm
-            if self.minus is not None:
-                m = tmp if both else o
-                np.conj(e, out=m)
-                m *= self.minus
-                m *= pmc
-                if both:
-                    o += m
-            yield o
+        buf = np.empty((4,) + self.grid.counts[1:], dtype=np.complex128)
+
+        def slabs(i, comps):
+            # the slab's W and V, formed per sweep: nothing full-size
+            return _time_tables(None if self.plus is None else self.plus[i],
+                                None if self.minus is None else self.minus[i],
+                                self.k[i], t, c, buf, with_v=comps != (2,)) + (None,)
+
+        yield from _assemble_grid(self.grid, slabs, out)
 
     def densities(self, t, c=1.0, source=True):
         """(k-space density or None if not source, position density, the
@@ -603,52 +620,63 @@ def _radius_keys(grid):
     return q, 0.5 * d * np.sqrt(m)
 
 
-def _assemble_grid(grid, q, w2, grt, gr=None, flip_time_rows=False, c=1.0, out=None):
+def _assemble_grid(grid, slabs, out=None):
     """Yield the components
 
-        F0 = x z W + s (i/c) y T,  F1 = y z W - s (i/c) x T,
-        F2 = -(x^2 + y^2) W - 2 G    (s = -1 if flip_time_rows else 1)
+        F0 = x z W + y V,  F1 = y z W - x V,  F2 = -(x^2 + y^2) W - G
 
-    on the centred cube of _radius_keys, one at a time, from per-radius
-    tables W = w2, T = grt and G = gr (None: no G term).  Component comp is
-    written into out[comp] (default: one buffer reused for all three, so
-    consume each component before taking the next), one x-slab at a time
-    through two reused (n, n) slab buffers.
+    on grid, one at a time, written into out[comp] (default: one buffer
+    reused for all three, so consume each component before taking the
+    next), one x-slab at a time.  slabs(i, comps) gives x-slab i of W, of V
+    (None unless comps holds 0 or 1) and of G (None unless comps holds 2,
+    or for no G term) as (ny, nz) arrays: gathered from per-radius tables
+    (_gathered) or formed per node (KspaceParts).
     """
-    sgn = -1.0 if flip_time_rows else 1.0
-    w2 = np.asarray(w2, dtype=np.complex128)
-    it = sgn * 1j / c * grt  # the time rows' factor, applied per radius
-    g2 = None if gr is None else 2.0 * gr
     x, y, z = grid.axes()
     y = y[:, None]  # an x-slab is (ny, nz)
     yz = y * z
-    key = q[:, None] + q  # radius key of the slab nodes, before the x offset
     if out is None:
         buf = np.empty(grid.counts, dtype=np.complex128)
         out = (buf, buf, buf)
-    # slab-sized temporaries are reused: allocating them per slab costs
-    # more than the arithmetic
-    w = np.empty(key.shape, dtype=np.complex128)
-    v = np.empty_like(w)
-    for comp in range(3):
-        o = out[comp]
+    # three distinct outputs are written in one sweep, so each slab's
+    # tables are formed once; a shared buffer takes one component a sweep
+    sweeps = [(0, 1, 2)] if len({id(o) for o in out}) == 3 else [(0,), (1,), (2,)]
+    tmp = np.empty(yz.shape, dtype=np.complex128)
+    for comps in sweeps:
         for i, xi in enumerate(x):
-            oi = o[i]
-            # shifting a table by q[i] adds the x part of every key
-            np.take(w2[q[i]:], key, out=w, mode="clip")
-            if comp == 2:
-                np.multiply(-(xi * xi + y * y), w, out=oi)
-                if g2 is not None:
-                    oi -= np.take(g2[q[i]:], key, out=v, mode="clip")
-                continue
-            np.take(it[q[i]:], key, out=v, mode="clip")
-            if comp == 0:
-                np.multiply(xi * z, w, out=oi)
-                oi += np.multiply(y, v, out=v)
-            else:
-                np.multiply(yz, w, out=oi)
-                oi -= np.multiply(xi, v, out=v)
-        yield o
+            w, v, g = slabs(i, comps)
+            for comp in comps:
+                oi = out[comp][i]
+                if comp == 0:
+                    np.multiply(xi * z, w, out=oi)
+                    oi += np.multiply(y, v, out=tmp)
+                elif comp == 1:
+                    np.multiply(yz, w, out=oi)
+                    oi -= np.multiply(xi, v, out=tmp)
+                else:
+                    np.multiply(-(xi * xi + y * y), w, out=oi)
+                    if g is not None:
+                        oi -= g
+        yield from (out[comp] for comp in comps)
+
+
+def _gathered(q, w, v, g=None):
+    """slabs(i, comps) for _assemble_grid from per-radius tables W, V and G
+    (None: no G term) on the centred cube of _radius_keys: the node
+    (i, j, l) takes table[q[i] + q[j] + q[l]]."""
+    w = np.asarray(w, dtype=np.complex128)
+    key = q[:, None] + q  # radius key of the slab nodes, before the x offset
+    # slab-sized buffers are reused: allocating them per slab costs more
+    # than the gather
+    bufs = np.empty((3,) + key.shape, dtype=np.complex128)
+
+    def slabs(i, comps):
+        # shifting a table by q[i] adds the x part of every key
+        want = (w, v if comps != (2,) else None, g if 2 in comps else None)
+        return tuple(None if tab is None else np.take(tab[q[i]:], key, out=b, mode="clip")
+                     for tab, b in zip(want, bufs))
+
+    return slabs
 
 
 def _gather_octant(tab, q, poly, out):
@@ -696,6 +724,11 @@ def _octant_densities(terms, q, source):
     # along a plane's axis is twice as fast as along a complex array's
     bufs = [np.empty((2,) + shape) for _ in range(2)]
     for pair in (terms[0:2], terms[2:4], terms[4:]):
+        # a term with a zero table adds nothing (|a +- 0|^2 = |a|^2): at
+        # t = 0 W is zero for the simplest packet
+        pair = [term for term in pair if np.any(term[0])]
+        if not pair:
+            continue
         held = bufs[:len(pair)]
         for (tab, poly, _), buf in zip(pair, held):
             _gather_octant(tab, q, poly, buf)
@@ -736,16 +769,15 @@ class _RadialParts:
     q are the per-axis radius keys and k the table of distinct radii
     (_radius_keys); plus = h+(k^2)/(sqrt2 k) and minus = conj(h-(k^2))/
     (sqrt2 k) on that table (None for a zero amplitude).  Per time,
-    components(t) forms the two radial tables S = P + M and k (P - M), with
-    P = plus e^{-ickt} and M = minus e^{+ickt}, and assembles
+    components(t) forms the two radial tables W = -(P + M) and
+    V = i k (P - M), with P = plus e^{-ickt} and M = minus e^{+ickt}
+    (_time_tables), and assembles
 
-        Ftilde = [-kx kz S + ky i k (P - M), -ky kz S - kx i k (P - M),
-                  k_perp^2 S]
+        Ftilde = [kx kz W + ky V, ky kz W - kx V, -k_perp^2 W]
 
-    as _assemble_grid(grid, q, -S, k (P - M)) with c = 1 (c enters only
-    through the phases).  densities(t) reduces the same field to its two
-    densities from the positive octant, with no component built.  Same
-    interface as KspaceParts.
+    by gathering them per node (_assemble_grid with _gathered).  densities(t)
+    reduces the same field to its two densities from the positive octant,
+    with no component built.  Same interface as KspaceParts.
     """
 
     grid: Grid3D
@@ -763,20 +795,17 @@ class _RadialParts:
         return cls(grid, q, k, plus, minus)
 
     def _tables(self, t, c):
-        """The radial tables W = -(P + M) and T = k (P - M) at time t."""
+        """The radial tables W and V = i T at time t (_time_tables)."""
         if not np.isfinite(t):
             raise ValueError("_RadialParts: t must be finite")
-        # at t = 0 both phases are exactly 1 and multiply through exactly
-        pm = 1.0 if t == 0.0 else np.exp((-1j * c * t) * self.k)
-        p = 0.0 if self.plus is None else self.plus * pm
-        m = 0.0 if self.minus is None else self.minus * np.conj(pm)
-        return -(p + m), self.k * (p - m)
+        buf = np.empty((4,) + self.k.shape, dtype=np.complex128)
+        return _time_tables(self.plus, self.minus, self.k, t, c, buf)
 
     def components(self, t, c=1.0, out=None):
         """The per-time step: yield Ftilde_comp(k, t) for comp = 0, 1, 2,
         written into out[comp] (default: one buffer reused for all three)."""
-        w, tr = self._tables(t, c)
-        yield from _assemble_grid(self.grid, self.q, w, tr, out=out)
+        w, v = self._tables(t, c)
+        yield from _assemble_grid(self.grid, _gathered(self.q, w, v), out)
 
     def densities(self, t, c=1.0, source=True):
         """(k-space density or None if not source, position density, the
@@ -798,8 +827,7 @@ class _RadialParts:
         table, so two complex octants and the real octant densities are
         held, never a component.
         """
-        w, tr = self._tables(t, c)
-        it = 1j * tr
+        w, it = self._tables(t, c)
         h = self.grid.counts[0] // 2
         q = self.q[h:]
         x, y, z = (ax[h:] for ax in self.grid.axes())
@@ -820,7 +848,7 @@ class _RadialParts:
 def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
     """The time-independent synthesis part of amps on grid: the radial route
     when every non-None amplitude is a RadialProfileAmplitude and the grid
-    is a centred even cube, KspaceParts (the frame route) otherwise.  Both
+    is a centred even cube, KspaceParts (the node route) otherwise.  Both
     yield the same components(t, c) to rounding."""
     present = [a for a in (amps.f_plus, amps.f_minus) if a is not None]
     if all(isinstance(a, RadialProfileAmplitude) for a in present):
@@ -833,7 +861,7 @@ def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
 def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D, t=0.0, c=1.0) -> FieldGrid:
     """Sample Ftilde(k,t) = e(k) f+(k) e^{-ickt} + e*(k) conj(f-)(-k) e^{+ickt}
     on a wavevector grid: the one-time case of the synthesis parts (radial
-    or frame route, see the module docstring)."""
+    or node route, see the module docstring)."""
     parts = _synthesis_parts(amps, grid)
     vals = np.empty(grid.counts + (3,), dtype=np.complex128)
     for _ in parts.components(t, c, out=[vals[..., comp] for comp in range(3)]):
@@ -962,7 +990,7 @@ def position_density(parts, t, c=1.0) -> np.ndarray:
     without building that field: parts are the synthesis parts of either
     route, and parts.densities gives the one real density (from the
     positive octant on the radial route, by streaming the components
-    through the FFT on the frame route)."""
+    through the FFT on the node route)."""
     return parts.densities(t, c, source=False)[1]
 
 

@@ -25,8 +25,9 @@ a time step is one table of the distinct radii (6,049 at 128^3), five
 terms gathered from it on the positive octant, a DCT-IV or DST-IV per axis
 of each, and the two octant densities unfolded into one real density, so a
 trajectory never holds a complex component.  Any other input takes the
-frame route (kspace.KspaceParts): one complex component at a time through
-the FFT, holding also e(k), f+(k), conj(f-)(-k) and |k|.
+node route (kspace.KspaceParts): one complex component at a time through
+the FFT, holding also f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp)
+and |k| (40 bytes a node) and no polarization frame.
 """
 
 from __future__ import annotations

@@ -171,11 +171,12 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def frame_route_pair(c_plus, c_minus, a):
+def node_route_pair(c_plus, c_minus, a):
     """saturating_amplitudes(c_plus, c_minus, a) written as polynomial
     amplitudes, C k_perp e^{-a^2 k^2/2}: the same field (to rounding), but
-    synthesized through the polarization frame (KspaceParts), not the radial
-    route, so it is an independent reference for the latter."""
+    synthesized through the node route (KspaceParts: per-node tables, FFT
+    densities), not the radial route's radius table, gather and octant
+    transforms, so it is a reference for the latter."""
     from rsuncert import HelicityAmplitudePair, PolynomialGaussianAmplitude
 
     def amp(C):

@@ -1,4 +1,5 @@
-"""Polarization frame, synthesis, Fourier bridge and norms."""
+"""Polarization frame, synthesis (radial and node routes), Fourier bridge and
+norms."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from rsuncert import (
     DegenerateFieldError,
     FieldGrid,
     Grid3D,
+    GridMismatchError,
     HelicityAmplitudePair,
+    PolynomialGaussianAmplitude,
+    SampledAmplitude,
     SaturatingFieldSpec,
     fourier_to_kspace,
     fourier_to_position,
@@ -20,6 +24,7 @@ from rsuncert import (
     synthesize_kspace,
     uncertainty_product,
 )
+from rsuncert import kspace
 from rsuncert.cli import main
 from rsuncert.kspace import (
     KspaceParts,
@@ -31,7 +36,7 @@ from rsuncert.kspace import (
     _synthesis_parts,
 )
 from rsuncert.moments import TRUNCATION_RATIO
-from conftest import frame_route_pair, second_moment_oracle
+from conftest import node_route_pair, second_moment_oracle
 
 
 def random_offaxis_k(rng, n):
@@ -128,7 +133,8 @@ class TestSynthesis:
             _synthesis_parts(saturating_amplitudes(1.0, 0.0, 1.0), grid).densities(np.inf)
 
     def test_on_axis_grid_propagates_singularity(self):
-        # a custom grid with nodes at kx = ky = 0 hits the frame singularity
+        # a custom grid with nodes at kx = ky = 0 hits the k_perp = 0
+        # singularity before any division
         bad = Grid3D((4, 4, 4), (0.5, 0.5, 0.5), (0.0, 0.0, 0.1))
         with pytest.raises(AxisSingularityError):
             synthesize_kspace(saturating_amplitudes(1.0, 0.0, 1.0), bad)
@@ -147,9 +153,108 @@ class TestSynthesis:
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
 
+def polarization_reference(amps, grid, t, c=1.0):
+    """e(k) f+(k) e^{-ickt} + e*(k) conj(f-)(-k) e^{+ickt} on the grid nodes,
+    through the explicit polarization frame."""
+    KX, KY, KZ = grid.meshes()
+    e = np.stack(np.broadcast_arrays(*polarization(KX, KY, KZ)), axis=-1)
+    k = np.sqrt(KX * KX + KY * KY + KZ * KZ)[..., None]
+    want = np.zeros(grid.counts + (3,), dtype=complex)
+    if amps.f_plus is not None:
+        fp = amps.f_plus.value(KX, KY, KZ)[..., None]
+        want += e * fp * np.exp(-1j * c * k * t)
+    if amps.f_minus is not None:
+        fmc = np.conj(amps.f_minus.value(-KX, -KY, -KZ))[..., None]
+        want += np.conj(e) * fmc * np.exp(1j * c * k * t)
+    return want
+
+
+class TestNodeRoute:
+    """KspaceParts builds Ftilde from f+-/k_perp through the radial route's
+    polynomial, with no polarization frame; the reference is the explicit
+    frame formula (polarization_reference)."""
+
+    grids = {
+        "centred": Grid3D.centered(24, 24.0).fourier_dual(),
+        "offset": Grid3D((20, 18, 22), (0.45, 0.5, 0.4), (-4.3, -4.1, -4.6)),
+        # not a cube, but symmetric about k = 0 as SampledAmplitude needs
+        "anisotropic": Grid3D((20, 18, 22), (0.45, 0.5, 0.4), (-4.275, -4.25, -4.2)),
+    }
+
+    @staticmethod
+    def random_pair(seed):
+        rng = np.random.default_rng(seed)
+        monomials = [(i, j, l) for i in range(3) for j in range(3) for l in range(3)
+                     if i + j + l <= 3]
+
+        def amp():
+            picks = rng.choice(len(monomials), 3, replace=False)
+            terms = {monomials[p]: complex(*rng.normal(size=2)) for p in picks}
+            return PolynomialGaussianAmplitude(terms, rng.uniform(0.35, 1.8))
+
+        return HelicityAmplitudePair(amp(), amp())
+
+    @staticmethod
+    def assert_matches(got, want_values):
+        peak = np.abs(want_values).max()
+        assert np.abs(got.values - want_values).max() <= 1e-13 * peak
+        r_got = uncertainty_product(got)
+        r_want = uncertainty_product(FieldGrid(want_values, got.grid, "wavevector"))
+        for key in ("delta_r2", "delta_k2", "norm_r", "norm_k"):
+            g, w = getattr(r_got, key), getattr(r_want, key)
+            assert abs(g - w) <= 1e-12 * abs(w), key
+        assert r_got.warnings == r_want.warnings
+
+    @pytest.mark.parametrize("name", ["centred", "offset"])
+    @pytest.mark.parametrize("t", [0.0, 0.3, -0.7])
+    @pytest.mark.parametrize("c", [1.0, 1.7])
+    def test_random_pairs(self, name, t, c):
+        grid = self.grids[name]
+        pair = self.random_pair([len(name), round(10 * t) + 10, round(10 * c)])
+        assert isinstance(_synthesis_parts(pair, grid), KspaceParts)
+        self.assert_matches(synthesize_kspace(pair, grid, t, c),
+                            polarization_reference(pair, grid, t, c))
+
+    @pytest.mark.parametrize("name", ["centred", "anisotropic"])
+    def test_sampled_pair(self, name):
+        grid = self.grids[name]
+        pair = self.random_pair(7)
+        sampled = HelicityAmplitudePair(SampledAmplitude.from_closure(pair.f_plus, grid),
+                                        SampledAmplitude.from_closure(pair.f_minus, grid))
+        self.assert_matches(synthesize_kspace(sampled, grid, 0.3, 1.7),
+                            polarization_reference(pair, grid, 0.3, 1.7))
+
+    def test_evolved_and_dilated_pairs(self):
+        grid = self.grids["offset"]
+        pair = self.random_pair(11)
+        # the evolved amplitudes carry the phases of t = 0.4 themselves
+        self.assert_matches(synthesize_kspace(pair.evolved(0.4, 1.7), grid, 0.3, 1.7),
+                            polarization_reference(pair, grid, 0.7, 1.7))
+        dil = pair.dilated(0.8)
+        self.assert_matches(synthesize_kspace(dil, grid, -0.7),
+                            polarization_reference(dil, grid, -0.7))
+
+    def test_single_helicity(self):
+        grid = self.grids["centred"]
+        pair = self.random_pair(3)
+        for single in (HelicityAmplitudePair(pair.f_plus, None),
+                       HelicityAmplitudePair(None, pair.f_minus)):
+            self.assert_matches(synthesize_kspace(single, grid, 0.3),
+                                polarization_reference(single, grid, 0.3))
+
+    def test_sampled_amplitude_on_another_grid(self):
+        grid = self.grids["centred"]
+        other = Grid3D.centered(24, 20.0).fourier_dual()
+        pair = self.random_pair(5)
+        for sampled in (HelicityAmplitudePair(SampledAmplitude.from_closure(pair.f_plus, other)),
+                        HelicityAmplitudePair(None, SampledAmplitude.from_closure(pair.f_minus, other))):
+            with pytest.raises(GridMismatchError):
+                synthesize_kspace(sampled, grid)
+
+
 class TestRadialRoute:
     """Radial amplitudes on a centred even cube take the radial route; the
-    same field as polynomial amplitudes takes the frame route and is the
+    same field as polynomial amplitudes takes the node route and is the
     reference."""
 
     @pytest.mark.parametrize("n", [32, 64])
@@ -159,11 +264,11 @@ class TestRadialRoute:
         a = 1.3
         grid = Grid3D.centered(n, 16.0 * a).fourier_dual()
         radial = saturating_amplitudes(1.0, c_minus, a)
-        frame = frame_route_pair(1.0, c_minus, a)
+        node = node_route_pair(1.0, c_minus, a)
         assert isinstance(_synthesis_parts(radial, grid), _RadialParts)
-        assert isinstance(_synthesis_parts(frame, grid), KspaceParts)
+        assert isinstance(_synthesis_parts(node, grid), KspaceParts)
         got = synthesize_kspace(radial, grid, t)
-        want = synthesize_kspace(frame, grid, t)
+        want = synthesize_kspace(node, grid, t)
         peak = np.abs(want.values).max()
         assert np.abs(got.values - want.values).max() <= 1e-13 * peak
         r_got, r_want = uncertainty_product(got), uncertainty_product(want)
@@ -173,18 +278,13 @@ class TestRadialRoute:
         assert r_got.warnings == r_want.warnings
 
     def test_other_grids_take_the_frame_route(self):
-        # not centred: the radius keys do not apply
+        # not centred: the radius keys do not apply, so the node route runs
         amps = saturating_amplitudes(0.7 + 0.2j, -0.3 + 0.9j, 0.9)
         grid = Grid3D((16, 16, 16), (0.5, 0.5, 0.5), (-3.7, -3.9, -4.1))
         assert isinstance(_synthesis_parts(amps, grid), KspaceParts)
         t = 0.37
         field = synthesize_kspace(amps, grid, t)
-        KX, KY, KZ = grid.meshes()
-        e = np.stack(np.broadcast_arrays(*polarization(KX, KY, KZ)), axis=-1)
-        k = np.sqrt(KX * KX + KY * KY + KZ * KZ)[..., None]
-        fp = amps.f_plus.value(KX, KY, KZ)[..., None]
-        fmc = np.conj(amps.f_minus.value(-KX, -KY, -KZ))[..., None]
-        want = e * fp * np.exp(-1j * k * t) + np.conj(e) * fmc * np.exp(1j * k * t)
+        want = polarization_reference(amps, grid, t)
         assert np.abs(field.values - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -217,13 +317,31 @@ class TestOctantDensities:
         np.testing.assert_array_equal(only_r, d_r)
 
     def test_matches_frame_route(self):
-        # the frame route shares no synthesis or transform code with it
+        # the node route shares the time tables with it, but no gather,
+        # octant term or transform
         grid = Grid3D.centered(32, 16.0).fourier_dual()
         radial = _synthesis_parts(saturating_amplitudes(1.0, 0.5j, 1.0), grid)
-        frame = _synthesis_parts(frame_route_pair(1.0, 0.5j, 1.0), grid)
-        assert isinstance(frame, KspaceParts)
-        for got, want in zip(radial.densities(0.3, 1.2)[:2], frame.densities(0.3, 1.2)[:2]):
+        node = _synthesis_parts(node_route_pair(1.0, 0.5j, 1.0), grid)
+        assert isinstance(node, KspaceParts)
+        for got, want in zip(radial.densities(0.3, 1.2)[:2], node.densities(0.3, 1.2)[:2]):
             self.assert_close(got, want)
+
+    def test_zero_terms_skipped(self, monkeypatch):
+        # at t = 0 W is zero for the simplest packet: only the two T terms
+        # are transformed, one DCT-IV/DST-IV per axis each
+        inputs = []
+        for name in ("dct", "dst"):
+            def counted(x, *args, _f=getattr(kspace, name), **kwargs):
+                inputs.append(bool(np.any(x)))
+                return _f(x, *args, **kwargs)
+            monkeypatch.setattr(kspace, name, counted)
+        grid = Grid3D.centered(16, 16.0).fourier_dual()
+        parts = _synthesis_parts(simplest_field_amplitudes(1.0, 1.0), grid)
+        got = parts.densities(0.0)[:2]
+        assert inputs == [True] * 6
+        want = _stream_densities(parts.components(0.0), grid, +1)[:2]
+        for g, w in zip(got, want):
+            self.assert_close(g, w)
 
     def test_truncated_box(self, capsys):
         # verify-bound --method grid --grid 16 --a 0.7371: the box cuts the

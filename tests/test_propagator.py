@@ -21,7 +21,7 @@ from rsuncert import (
 )
 from rsuncert.cli import main
 from rsuncert.kspace import KspaceParts, _RadialParts, _synthesis_parts
-from conftest import frame_route_pair
+from conftest import node_route_pair
 
 
 SPEC = SaturatingFieldSpec.simplest(C=1.0, a=1.0)
@@ -133,18 +133,19 @@ class TestGridPathEquivalence:
     """The grid trajectory (time-independent synthesis part, one density
     pass per time, no position FieldGrid) against a per-time reference.
 
-    The trajectory takes the radial route; the reference evolves the same
-    field through the polarization frame (polynomial amplitudes), so the
-    two share no synthesis code."""
+    The trajectory takes the radial route and its octant densities; the
+    reference evolves the same field through the node route (polynomial
+    amplitudes) and the FFT, so the two share only the time tables
+    W and V."""
 
     pair = saturating_amplitudes(1.0, 0.3j, 1.0)  # both helicities
-    frame_pair = frame_route_pair(1.0, 0.3j, 1.0)
+    node_pair = node_route_pair(1.0, 0.3j, 1.0)
     grid = Grid3D.centered(32, 16.0).fourier_dual()
     times = np.array([-1.5, -0.4, 0.3, 0.9, 2.0])
 
     def test_routes(self):
         assert isinstance(_synthesis_parts(self.pair, self.grid), _RadialParts)
-        assert isinstance(_synthesis_parts(self.frame_pair, self.grid), KspaceParts)
+        assert isinstance(_synthesis_parts(self.node_pair, self.grid), KspaceParts)
 
     @staticmethod
     def einsum_density(field):
@@ -154,7 +155,7 @@ class TestGridPathEquivalence:
         traj = spreading_trajectory(self.pair, self.times, grid=self.grid)
         moments, norms, truncated = [], [], False
         for t in self.times:
-            fieldR = evolve(self.frame_pair, self.grid, t)
+            fieldR = evolve(self.node_pair, self.grid, t)
             d = self.einsum_density(fieldR)
             x, y, z = np.meshgrid(*fieldR.grid.axes(), indexing="ij", sparse=True)
             dv = fieldR.grid.cell_volume
@@ -176,8 +177,8 @@ class TestGridPathEquivalence:
 class TestBoundedMemory:
     """Streamed grid paths hold one complex component buffer and at most
     two real densities: the traced peak stays below 2 components +
-    2 densities + 20 % at 64^3 (the frame route alone holds
-    e(k), f+, conj f-(-k) and |k|, five components' worth).
+    2 densities + 20 % at 64^3 (the node route's parts add
+    f+/k_perp, conj f-(-k)/k_perp and |k|, 40 bytes a node, on top).
 
     The radial route holds no component at all: its octant working set is
     two complex octant terms plus the two real octant densities (D+, D-)
@@ -221,6 +222,16 @@ class TestBoundedMemory:
         argv = ["verify-bound", "--method", "grid", "--grid", "64", "--out", str(out)]
         assert self.traced_peak(lambda: main(argv)) < self.limit
         assert out.exists()
+
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_node_route_synthesis(self, t):
+        # the FieldGrid (48 bytes a node) plus the parts (f+/k_perp,
+        # conj f-(-k)/k_perp and |k|: 40 bytes a node) and slab buffers;
+        # no polarization frame, full-size phase or full-size W, T
+        pair = node_route_pair(1.0, 0.5j, 1.0)
+        assert isinstance(_synthesis_parts(pair, self.grid), KspaceParts)
+        peak = self.traced_peak(lambda: synthesize_kspace(pair, self.grid, t))
+        assert peak <= 96 * 64 ** 3
 
     def test_field_grid_report(self):
         # the field itself is the caller's; the report adds one buffer and

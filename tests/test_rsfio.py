@@ -129,6 +129,25 @@ def test_nonpositive_counts_are_input_error(tmp_path, rng, capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, values", [("spacings", [0.5, 0.5]),
+                                         ("origins", [0.0, 0.0, 0.0, 0.0])])
+def test_header_arity_is_input_error(tmp_path, rng, capsys, key, values):
+    # a header with other than three spacings or origins is an input error
+    # (exit 2), never exit 1 ("bound violated") from a later IndexError
+    field = sample_field(rng, n=4)
+    path = tmp_path / "f.rsf"
+    write_rsf(path, field)
+    head, blob = path.read_bytes().split(b"\n", 1)
+    d = json.loads(head)
+    d[key] = values
+    path.write_bytes(json.dumps(d).encode() + b"\n" + blob)
+    with pytest.raises(RsfFormatError, match="exactly 3"):
+        read_rsf(path)
+    assert main(["verify-bound", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_slab_payload_is_the_transposed_field(tmp_path, rng):
     # non-cubic counts, so a swapped axis cannot go unnoticed
     grid = Grid3D((3, 4, 5), (0.5, 0.25, 0.2), (-1.0, 0.0, 2.0))
