@@ -47,6 +47,7 @@ photon_wavefunctions evaluates each helicity on its own
 from __future__ import annotations
 
 from dataclasses import dataclass
+import cmath
 import math
 
 import numpy as np
@@ -94,8 +95,11 @@ class SaturatingFieldSpec:
     t: float = 0.0
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise ValueError("SaturatingFieldSpec: a must be positive")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"SaturatingFieldSpec: a must be finite and positive, got {self.a}")
+        if not (cmath.isfinite(self.c_plus) and cmath.isfinite(self.c_minus)):
+            raise ValueError("SaturatingFieldSpec: coefficients must be finite, got "
+                             f"c_plus = {self.c_plus}, c_minus = {self.c_minus}")
         if self.c_plus == 0 and self.c_minus == 0:
             raise ValueError("SaturatingFieldSpec: both coefficients zero")
 
@@ -264,31 +268,30 @@ def _scalar_blocks(r, t, a, A, B, c=1.0):
     return w2, grt, gr
 
 
-def _assemble(points, w2, grt, gr, flip_time_rows=False, c=1.0):
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    s = x * x + y * y
-    sgn = -1.0 if flip_time_rows else 1.0
-    out = np.empty(points.shape, dtype=np.complex128)
-    out[..., 0] = x * z * w2 + sgn * 1j / c * y * grt
-    out[..., 1] = y * z * w2 - sgn * 1j / c * x * grt
-    out[..., 2] = -s * w2 - 2.0 * gr
-    return out
-
-
-def _grid_field(grid, t, a, A, B, flip_time_rows=False, c=1.0):
-    """_assemble on a centred cube, from one radius table: the blocks are
-    evaluated once per distinct radius (kspace._radius_keys) and gathered
-    per node by the slab assembler, which k-space synthesis shares."""
-    keys = _radius_keys(grid)
+def _field(points, t, a, A, B, c=1.0):
+    """The derivative-matrix field of the scalar with coefficients (A, B)
+    (_scalar_blocks) at `points` (shape (..., 3)), or on a centred even
+    cube (Grid3D.centered) from one radius table: the blocks are evaluated
+    once per distinct radius (kspace._radius_keys) and gathered per node by
+    the slab assembler, which k-space synthesis shares."""
+    if not isinstance(points, Grid3D):
+        points = np.asarray(points, dtype=float)
+        x, y, z = points[..., 0], points[..., 1], points[..., 2]
+        w2, grt, gr = _scalar_blocks(np.sqrt((points ** 2).sum(axis=-1)), t, a, A, B, c)
+        out = np.empty(points.shape, dtype=np.complex128)
+        out[..., 0] = x * z * w2 + 1j / c * y * grt
+        out[..., 1] = y * z * w2 - 1j / c * x * grt
+        out[..., 2] = -(x * x + y * y) * w2 - 2.0 * gr
+        return out
+    keys = _radius_keys(points)
     if keys is None:
         raise ValueError("closed-form grid evaluation needs a centred cube with an "
                          "even node count (Grid3D.centered)")
     q, r = keys
     w2, grt, gr = _scalar_blocks(r, float(t), a, A, B, c)
-    out = np.empty(grid.counts + (3,), dtype=np.complex128)
-    sgn = -1.0 if flip_time_rows else 1.0
-    slabs = _gathered(q, w2, sgn * 1j / c * grt, 2.0 * gr)
-    for _ in _assemble_grid(grid, slabs, out=[out[..., comp] for comp in range(3)]):
+    out = np.empty(points.counts + (3,), dtype=np.complex128)
+    slabs = _gathered(q, w2, 1j / c * grt, 2.0 * gr)
+    for _ in _assemble_grid(points, slabs, out=[out[..., comp] for comp in range(3)]):
         pass  # each component is written into its slice of out
     return out
 
@@ -309,22 +312,18 @@ def saturating_rs_field(points, t, spec: SaturatingFieldSpec, c=1.0):
     """
     A = spec.c_plus + np.conj(spec.c_minus)
     B = 1j * _SQPI / 2.0 * (spec.c_plus - np.conj(spec.c_minus))
-    if isinstance(points, Grid3D):
-        return _grid_field(points, t, spec.a, A, B, False, c)
-    points = np.asarray(points, dtype=float)
-    r = np.sqrt((points ** 2).sum(axis=-1))
-    w2, grt, gr = _scalar_blocks(r, t, spec.a, A, B, c)
-    return _assemble(points, w2, grt, gr, flip_time_rows=False, c=c)
+    return _field(points, t, spec.a, A, B, c)
 
 
 def photon_wavefunctions(points, t, spec: SaturatingFieldSpec, c=1.0):
     """Positive/negative-helicity photon wave functions (F+, F-) of the
     minimal-uncertainty packet, normalized by spec.c_plus.
 
-    F+ is built with the (+i dy dt, -i dx dt) rows, F- with the flipped rows
-    acting on the time-mirrored scalar, so F+(r, 0) == F-(r, 0) exactly and
-    F+ equals saturating_rs_field with C- = 0.  For real spec.c_plus the two
-    are complex conjugates at all times.
+    F+ is saturating_rs_field with C- = 0.  F- is its mirror image under
+    conjugation: F-(C) = conj(F+(conj C)), i.e. the flipped (-i dy dt,
+    +i dx dt) rows acting on the time-mirrored scalar.  So F+(r, 0) ==
+    F-(r, 0) exactly, and for real spec.c_plus the two are complex
+    conjugates at all times.
 
     `points` may also be a Grid3D.centered cube with an even node count, as
     in saturating_rs_field.
@@ -335,17 +334,14 @@ def photon_wavefunctions(points, t, spec: SaturatingFieldSpec, c=1.0):
 
 def _photon_wavefunction(points, t, spec: SaturatingFieldSpec, helicity, c=1.0):
     """F+ (helicity +1) or F- (helicity -1) of photon_wavefunctions, with
-    only the requested helicity's blocks evaluated."""
-    C = spec.c_plus
-    a = spec.a
-    if isinstance(points, Grid3D):
-        B = 1j * _SQPI / 2.0 * C
-        return _grid_field(points, t, a, C, B if helicity > 0 else -B, helicity < 0, c)
-    points = np.asarray(points, dtype=float)
-    r = np.sqrt((points ** 2).sum(axis=-1))
-    B = (1j if helicity > 0 else -1j) * _SQPI / 2.0 * C
-    w2, grt, gr = _scalar_blocks(r, t, a, C, B, c)
-    return _assemble(points, w2, grt, gr, flip_time_rows=helicity < 0, c=c)
+    only the requested helicity's blocks evaluated.  The blocks are real-
+    linear in (A, B), so F- is F+ of conj C, conjugated in place."""
+    C = spec.c_plus if helicity > 0 else np.conj(spec.c_plus)
+    out = _field(points, t, spec.a, C, 1j * _SQPI / 2.0 * C, c)
+    if helicity < 0:
+        np.conj(out, out=out)
+        out += 0.0  # -0 -> +0: for real C, F-(r, 0) and F+(r, 0) agree byte for byte
+    return out
 
 
 # ---------------------------------------------------------------------------

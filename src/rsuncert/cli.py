@@ -6,8 +6,17 @@ Subcommands:
     field          evaluate the closed-form field on a grid, write .rsf
     spread         <r^2>(t) trajectory and the quadratic spreading-law fit
 
-Exit codes: 0 success, 2 input error, 3 degenerate field, 4 resolution
-error, 5 truncation.  Units: c = 1; times are given in units of a/c.
+Exit codes: 0 success, 1 bound violated (for spectrum and spread: a result
+off its target), 2 input error, 3 degenerate field, 4 resolution error,
+5 truncation.  Exit 1 is only ever a verdict.  Every other non-zero code
+comes from main, the one place that catches an exception: it maps the
+exception to its code through _ERROR_EXITS and prints one `error:` line.
+Inputs are checked where they are built (SaturatingFieldSpec, Grid3D,
+RadialProblem, read_rsf, spreading_trajectory), and each command runs
+under np.errstate(over, divide, invalid = "raise"), so out-of-range
+arithmetic is an input error too.  Flag-syntax errors keep argparse's
+usage output (exit 2).
+Units: c = 1; times are given in units of a/c.
 Option precedence: command-line flags > --config JSON file > defaults.
 """
 
@@ -20,12 +29,7 @@ import sys
 import numpy as np
 
 from .analytic_fields import SaturatingFieldSpec, _photon_wavefunction, saturating_rs_field
-from .errors import (
-    DegenerateFieldError,
-    ResolutionError,
-    RsfFormatError,
-    TruncationError,
-)
+from .errors import DegenerateFieldError, ResolutionError, RsUncertError, TruncationError
 from .eigensolver import RadialProblem, solve_radial
 from .kspace import FieldGrid, Grid3D, _synthesis_parts
 from .moments import BOUND_EM, _density_report, uncertainty_product
@@ -37,6 +41,20 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_RESOLUTION = 4
 EXIT_TRUNCATION = 5
+
+# exception type -> (exit code, message prefix), for main alone; the first
+# matching row wins, so the RsUncertError subclasses come first.
+# ArithmeticError (FloatingPointError under main's errstate, OverflowError
+# from float powers) is out-of-range input, named as such in its line.
+_ERROR_EXITS = (
+    (TruncationError, EXIT_TRUNCATION, "truncation: "),
+    (ResolutionError, EXIT_RESOLUTION, "resolution: "),
+    (DegenerateFieldError, EXIT_DEGENERATE, "degenerate field: "),
+    (RsUncertError, EXIT_INPUT, ""),
+    (ValueError, EXIT_INPUT, ""),
+    (OSError, EXIT_INPUT, ""),
+    (ArithmeticError, EXIT_INPUT, "arithmetic: "),
+)
 
 
 def _fmt(value) -> str:
@@ -88,16 +106,19 @@ def _times(value):
 def _apply_config(args, parser, argv):
     """Merge --config JSON under explicitly given flags (flags win).
 
-    Each value goes through its flag's own type and choices, as if it had
-    been given on the command line; a bad value raises ValueError.
+    The file must hold a JSON object.  Each value goes through its flag's
+    own type and choices, as if it had been given on the command line; a
+    bad file or value raises ValueError.
     """
     if not getattr(args, "config", None):
-        return args
+        return
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise ValueError(f"cannot read config file: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file must hold a JSON object, got {type(cfg).__name__}")
     given = {tok.split("=")[0].lstrip("-").replace("-", "_")
              for tok in argv if tok.startswith("--")}
     # argparse has no public list of a parser's actions
@@ -107,7 +128,6 @@ def _apply_config(args, parser, argv):
         attr = key.replace("-", "_")
         if attr in actions and attr not in given:
             setattr(args, attr, _config_value(actions[attr], key, val))
-    return args
 
 
 def _config_value(action, key, val):
@@ -132,8 +152,8 @@ def _config_value(action, key, val):
 def _check_tolerance(args):
     """--tolerance, from a flag or --config, must be finite and >= 0: every
     comparison with NaN is false, so a bad value would read as exit 1."""
-    tol = getattr(args, "tolerance", None)
-    if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
+    tol = getattr(args, "tolerance", 0.0)
+    if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"--tolerance must be finite and >= 0, got {tol}")
 
 
@@ -152,90 +172,60 @@ def _field_spec(args) -> SaturatingFieldSpec:
 
 def cmd_verify_bound(args) -> int:
     """Uncertainty product of a saturating or stored field vs the 5/2 bound."""
-    tol = float(args.tolerance if args.tolerance is not None else 1e-3)
     saturating = args.input is None
-    try:
-        if saturating:
-            spec = _field_spec(args)
-            method = args.method or "analytic"
-            if method == "analytic":
-                report = uncertainty_product(spec.amplitudes())
-            else:
-                grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
-                # the two densities straight from the synthesis parts: no
-                # FieldGrid is built
-                parts = _synthesis_parts(spec.amplitudes(), grid)
-                d_k, d_r, rgrid = parts.densities(0.0)
-                report = _density_report(d_r, rgrid, d_k, grid, BOUND_EM)
-        else:
-            field = read_rsf(args.input)
-            report = uncertainty_product(field)
-    except (RsfFormatError, OSError, ValueError) as exc:  # ValueError: spec, grid
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DegenerateFieldError as exc:
-        print(f"error: degenerate field: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    if not saturating:
+        report = uncertainty_product(read_rsf(args.input))
+    elif (args.method or "analytic") == "analytic":
+        report = uncertainty_product(_field_spec(args).amplitudes())
+    else:
+        spec = _field_spec(args)
+        grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
+        # the two densities straight from the synthesis parts: no FieldGrid
+        # is built
+        d_k, d_r, rgrid = _synthesis_parts(spec.amplitudes(), grid).densities(0.0)
+        report = _density_report(d_r, rgrid, d_k, grid, BOUND_EM)
 
     _emit(_report_text(report, args.format), args.out)
-    if not report.product >= report.bound - tol:
+    if not report.product >= report.bound - args.tolerance:
         # a packet cut off by the box has too small a variance: that is not
         # a violated bound
-        cut = [w for w in report.warnings if w.startswith("truncation:")]
+        cut = [w for w in report.warnings if w.startswith("truncation: ")]
         if cut:
-            print(f"error: {cut[0]}", file=sys.stderr)
-            return EXIT_TRUNCATION
+            raise TruncationError(cut[0].removeprefix("truncation: "))
         return 1
-    if saturating and not abs(report.saturation_ratio - 1.0) <= tol:
+    if saturating and not abs(report.saturation_ratio - 1.0) <= args.tolerance:
         return 1
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     """Radial eigenvalues against 5/2 + 2n."""
-    tol = float(args.tolerance if args.tolerance is not None else 1e-3)
-    try:
-        problem = RadialProblem(kappa_max=args.kappa_max, n_points=args.n_points)
-        spectrum = solve_radial(problem, n_states=args.n_states)
-    except ResolutionError as exc:
-        print(f"error: resolution: {exc}", file=sys.stderr)
-        return EXIT_RESOLUTION
-    except ValueError as exc:  # n_states < 1, n_points above the cap
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    problem = RadialProblem(kappa_max=args.kappa_max, n_points=args.n_points)
+    spectrum = solve_radial(problem, n_states=args.n_states)
 
     _emit(spectrum.to_json() + "\n", args.out)
     if args.dump_eigenfunctions:
-        with open(args.dump_eigenfunctions, "w", encoding="utf-8") as fh:
-            fh.write(spectrum.eigenfunctions_csv())
+        _emit(spectrum.eigenfunctions_csv(), args.dump_eigenfunctions)
     targets = 2.5 + 2.0 * np.arange(args.n_states)
-    ok = np.all(np.abs(spectrum.eigenvalues - targets) <= tol)
+    ok = np.all(np.abs(spectrum.eigenvalues - targets) <= args.tolerance)
     return EXIT_OK if ok else 1
 
 
 def cmd_field(args) -> int:
     """Evaluate the closed-form field (or a photon wave function) on a grid,
     write an .rsf file and optionally an axis-profile CSV."""
+    spec = _field_spec(args)
+    t = float(args.time) * spec.a  # times in units of a/c, c = 1
+    if not np.isfinite(t):
+        raise ValueError(f"--time must be finite, got {args.time}")
+
     def evaluate(where):  # a centred Grid3D or an array of points
         if args.photon:
             return _photon_wavefunction(where, t, spec, +1 if args.photon == "plus" else -1)
         return saturating_rs_field(where, t, spec)
 
-    try:
-        spec = _field_spec(args)
-        t = float(args.time) * spec.a  # times in units of a/c, c = 1
-        if not np.isfinite(t):
-            raise ValueError(f"--time must be finite, got {args.time}")
-        grid = Grid3D.centered(args.grid, args.extent * spec.a)
-        field = FieldGrid(evaluate(grid), grid, "position")
-    except ValueError as exc:  # spec, grid, or a non-finite time
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        write_rsf(args.out_field, field)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    grid = Grid3D.centered(args.grid, args.extent * spec.a)
+    write_rsf(args.out_field, FieldGrid(evaluate(grid), grid, "position"))
     if args.profile_out:
         axis = {"x": 0, "y": 1, "z": 2}[args.profile_axis]
         coords = np.linspace(-args.extent * spec.a / 2, args.extent * spec.a / 2, 257)
@@ -248,40 +238,22 @@ def cmd_field(args) -> int:
             for comp in range(3):
                 row += [_fmt(vals[i, comp].real), _fmt(vals[i, comp].imag)]
             lines.append(",".join(row))
-        try:
-            with open(args.profile_out, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        _emit("\n".join(lines) + "\n", args.profile_out)
     return EXIT_OK
 
 
 def cmd_spread(args) -> int:
     """<r^2>(t) trajectory and the quadratic spreading-law fit."""
-    tol = float(args.tolerance if args.tolerance is not None else 0.01)
-    try:
-        spec = _field_spec(args)
-        times = np.asarray(args.times, dtype=float) * spec.a  # units of a/c
-        grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
-        traj = spreading_trajectory(
-            spec.amplitudes(), times, grid=grid, method="grid", strict=True
-        )
-    except ValueError as exc:  # spec, grid, or too few/repeated/non-finite times
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TruncationError as exc:
-        print(f"error: truncation: {exc}", file=sys.stderr)
-        print("hint: enlarge --extent or reduce the time span", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except DegenerateFieldError as exc:
-        print(f"error: degenerate field: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    spec = _field_spec(args)
+    times = np.asarray(args.times, dtype=float) * spec.a  # units of a/c
+    grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
+    traj = spreading_trajectory(spec.amplitudes(), times, grid=grid, method="grid",
+                                strict=True)
 
     text = traj.to_csv() if args.format == "csv" else traj.to_json() + "\n"
     _emit(text, args.out)
     _, _, gamma, _ = traj.quadratic_fit()
-    ok = abs(2.0 * gamma - 2.0) <= tol * 2.0
+    ok = abs(2.0 * gamma - 2.0) <= args.tolerance * 2.0
     if 0.0 in traj.times:
         i0 = int(np.argmin(np.abs(traj.times)))
         ok = ok and np.all(traj.second_moments >= traj.second_moments[i0] - 1e-9)
@@ -319,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--input", default=None, help=".rsf field file to analyze")
     pv.add_argument("--method", choices=["analytic", "grid"], default=None,
                     help="evaluation path for the built-in field (default analytic)")
-    pv.add_argument("--tolerance", type=float, default=None)
+    pv.add_argument("--tolerance", type=float, default=1e-3)
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", choices=["json", "csv"], default="json")
     pv.add_argument("--config", default=None, help="JSON config file")
@@ -330,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n-points", type=int, default=2000,
                     help="radial grid points (200..1000000)")
     ps.add_argument("--n-states", type=int, default=3)
-    ps.add_argument("--tolerance", type=float, default=None)
+    ps.add_argument("--tolerance", type=float, default=1e-3)
     ps.add_argument("--dump-eigenfunctions", default=None,
                     help="CSV path for sampled eigenfunctions")
     ps.add_argument("--out", default=None)
@@ -352,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_opts(pp)
     pp.add_argument("--times", type=_times, default=[-1.0, -0.5, 0.0, 0.5, 1.0],
                     help="comma-separated times in units of a/c")
-    pp.add_argument("--tolerance", type=float, default=None,
+    pp.add_argument("--tolerance", type=float, default=0.01,
                     help="relative tolerance on the fitted acceleration")
     pp.add_argument("--out", default=None)
     pp.add_argument("--format", choices=["json", "csv"], default="json")
@@ -368,12 +340,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, parser, argv)
-        _check_tolerance(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return args.func(args)
+        # out-of-range arithmetic raises FloatingPointError here instead of
+        # printing RuntimeWarnings; underflow to zero stays silent
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _apply_config(args, parser, argv)
+            _check_tolerance(args)
+            return args.func(args)
+    except tuple(kind for kind, _, _ in _ERROR_EXITS) as exc:
+        code, prefix = next(row[1:] for row in _ERROR_EXITS if isinstance(exc, row[0]))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

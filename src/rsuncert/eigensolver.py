@@ -57,13 +57,16 @@ class RadialProblem:
     wall; n_points >= 200 is the coarsest grid worth solving on (coarser
     raises ResolutionError).  n_points <= N_POINTS_MAX bounds the memory
     of the solve, which grows by about 150 bytes per point; a larger
-    value raises ValueError before anything is allocated.
+    value raises ValueError before anything is allocated, as does a
+    non-finite kappa_max.
     """
 
     kappa_max: float = 10.0
     n_points: int = 2000
 
     def __post_init__(self):
+        if not np.isfinite(self.kappa_max):  # NaN would pass kappa_max < 8
+            raise ValueError(f"RadialProblem: kappa_max must be finite, got {self.kappa_max}")
         if self.kappa_max < 8.0:
             raise ResolutionError("RadialProblem: kappa_max must be >= 8")
         if self.n_points < 200:

@@ -393,6 +393,12 @@ class SampledAmplitude:
     common k_perp * h(k^2) profiles have a conical kink on the axis, which
     limits the route to algebraic convergence in the box size; prefer
     analytic closures for those when tight tolerances matter.
+
+    As f-, a sampled amplitude needs a grid symmetric about k = 0 on every
+    axis (origin = -(n - 1) spacing / 2, as on Grid3D.centered and
+    fourier_dual grids): synthesis takes conj f-(-k) by index reversal
+    (negated_conj), which on any other grid reads another node's value, so
+    there it raises GridMismatchError.  f+ may use any grid.
     """
 
     def __init__(self, values, grid: Grid3D):
@@ -427,8 +433,14 @@ class SampledAmplitude:
         return tuple(out)
 
     def negated_conj(self):
-        """conj(f)(-k) on the grid nodes (half-offset grids close under
-        k -> -k by index reversal)."""
+        """conj(f)(-k) on the grid nodes, by index reversal: a grid
+        symmetric about k = 0 closes under k -> -k that way; any other grid
+        raises GridMismatchError."""
+        g = self.grid
+        if any(abs(2.0 * o + (n - 1) * d) > 1e-12 * n * d
+               for n, d, o in zip(g.counts, g.spacings, g.origins)):
+            raise GridMismatchError("SampledAmplitude: conj f(-k) needs a grid "
+                                    "symmetric about k = 0")
         return np.conj(self.values[::-1, ::-1, ::-1])
 
 

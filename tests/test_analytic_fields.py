@@ -119,6 +119,14 @@ class TestScalarGenerator:
 
 
 class TestSaturatingRsField:
+    @pytest.mark.parametrize("kwargs", [
+        dict(a=np.inf), dict(a=np.nan), dict(a=0.0),
+        dict(a=1.0, c_plus=complex(np.nan, 0.0)), dict(a=1.0, c_minus=complex(0.0, np.inf)),
+    ])
+    def test_spec_rejects_nonfinite_or_nonpositive(self, kwargs):
+        with pytest.raises(ValueError, match="SaturatingFieldSpec"):
+            SaturatingFieldSpec(**kwargs)
+
     def test_reduces_to_simplest_packet(self, rng):
         for C, a in ((1.0, 1.0), (0.4 - 1.1j, 1.7)):
             spec = SaturatingFieldSpec.simplest(C, a)
@@ -289,6 +297,27 @@ class TestGridEvaluation:
 
 
 class TestPhotonWavefunctions:
+    @pytest.mark.parametrize("C", [1.0, 0.7 - 0.4j])
+    @pytest.mark.parametrize("t", [0.0, 0.3, -1.2])
+    def test_minus_is_flipped_rows_on_mirrored_scalar(self, rng, C, t):
+        # F- from its definition: the (-i dy dt, +i dx dt) rows acting on
+        # the scalar with B = -i sqrt(pi)/2 C, against the conjugation
+        # route F-(C) = conj(F+(conj C)), at points and on a centred grid
+        from rsuncert.analytic_fields import _scalar_blocks
+
+        a = 1.3
+        spec = SaturatingFieldSpec(a=a, c_plus=C)
+        grid = Grid3D.centered(16, 9.0)
+        for pts, where in ((random_points(rng, 400, lo=0.001, hi=5.0), None),
+                           (np.stack(grid.meshes(sparse=False), axis=-1), grid)):
+            x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+            w2, grt, gr = _scalar_blocks(np.sqrt((pts ** 2).sum(axis=-1)), t, a,
+                                         C, -1j * np.sqrt(np.pi) / 2.0 * C)
+            want = np.stack([x * z * w2 - 1j * y * grt, y * z * w2 + 1j * x * grt,
+                             -(x * x + y * y) * w2 - 2.0 * gr], axis=-1)
+            _, got = photon_wavefunctions(pts if where is None else where, t, spec)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
     def test_equal_at_t0(self, rng):
         spec = SaturatingFieldSpec(a=1.0, c_plus=1.0)
         pts = random_points(rng, 50, lo=0.001, hi=4.0)

@@ -1,6 +1,9 @@
 """CLI contract: commands, exit codes, report formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -279,7 +282,7 @@ class TestConfigPrecedence:
         assert run(base + ["--grid", 64]) == 0
         assert from_config == capsys.readouterr().out
 
-    @pytest.mark.parametrize("cfg", [{"grid": 100}, {"a": "x"}, {"method": "fft"}])
+    @pytest.mark.parametrize("cfg", [{"grid": 100}, {"a": "x"}, {"method": "fft"}, [1, 2]])
     def test_bad_config_value_exit2(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -319,6 +322,15 @@ def test_bad_config_tolerance_exit2(tmp_path, capsys, cfg):
     ["verify-bound", "--method", "grid", "--grid", 16, "--extent", 0],
     ["field", "--grid", 16, "--extent", -4],
     ["verify-bound", "--a", -1],
+    # non-finite spec values are rejected where the spec is built
+    ["verify-bound", "--a", "inf"],
+    ["field", "--grid", 16, "--c-plus", "nan"],
+    ["spectrum", "--kappa-max", "nan"],
+    # out-of-range arithmetic: OverflowError, or FloatingPointError under
+    # main's errstate, not a traceback or RuntimeWarning lines
+    ["verify-bound", "--a", 1e150],
+    ["verify-bound", "--c-plus", 1e300, "--c-minus", 1e300],
+    ["spectrum", "--kappa-max", 1e300],
 ])
 def test_bad_spec_or_grid_exit2(tmp_path, capsys, args):
     # a bad packet scale or box is an input error in one line, not a
@@ -330,3 +342,54 @@ def test_bad_spec_or_grid_exit2(tmp_path, capsys, args):
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "f.rsf").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-bound", "--out"],
+    ["spectrum", "--out"],
+    ["spread", "--grid", 16, "--extent", 12, "--out"],
+    ["spectrum", "--dump-eigenfunctions"],
+    ["field", "--grid", 16, "--out-field"],
+    ["field", "--grid", 16, "--out-field", "f.rsf", "--profile-out"],
+])
+def test_missing_output_dir_exit2(tmp_path, capsys, args):
+    # an unwritable output path is an input error in one line, not a
+    # FileNotFoundError traceback at exit 1
+    args = [str(tmp_path / a) if a == "f.rsf" else a for a in args]
+    code = run(args + [tmp_path / "no" / "such" / "dir" / "out.txt"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["nope.json", "."])
+def test_unreadable_config_exit2(tmp_path, capsys, name):
+    # a missing file and a directory: one line, no argparse usage
+    code = run(["verify-bound", "--config", tmp_path / name])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot read config file:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_spread_truncation_one_line(capsys):
+    # the TruncationError's message already says to enlarge the extent
+    code = run(["spread", "--grid", 16, "--extent", 5, "--times=-4,-2,0,2,4"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error: truncation:") and len(err.strip().splitlines()) == 1
+
+
+def test_overflow_one_line_outside_pytest(tmp_path):
+    # pytest turns RuntimeWarnings into errors; a plain interpreter would
+    # print them, so run the console entry point in a fresh process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsuncert.cli", "verify-bound",
+         "--c-plus", "1e300", "--c-minus", "1e300"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: arithmetic:")
+    assert len(proc.stderr.strip().splitlines()) == 1

@@ -97,6 +97,12 @@ class TestSpectrum:
             # turning point of gamma_14 ~ sqrt(2*30.5) ~ 7.8 > kappa_max - 3
             solve_radial(RadialProblem(8.0, 2000), n_states=15)
 
+    @pytest.mark.parametrize("kappa_max", [np.nan, np.inf])
+    def test_nonfinite_kappa_max_rejected(self, kappa_max):
+        # NaN passes kappa_max < 8: an input error, not a resolution one
+        with pytest.raises(ValueError, match="kappa_max must be finite"):
+            RadialProblem(kappa_max, 2000)
+
     def test_serialization(self, spectrum):
         d = json.loads(spectrum.to_json())
         assert d["grid"] == {"kappa_max": 10.0, "n_points": 2000}

@@ -242,6 +242,19 @@ class TestNodeRoute:
             self.assert_matches(synthesize_kspace(single, grid, 0.3),
                                 polarization_reference(single, grid, 0.3))
 
+    def test_sampled_minus_needs_symmetric_grid(self):
+        # conj f-(-k) comes from index reversal, which on the offset grid
+        # (not symmetric about k = 0) reads another node: refused.  A
+        # sampled f+ on the same grid needs no -k and is still synthesized.
+        grid = self.grids["offset"]
+        pair = self.random_pair(13)
+        with pytest.raises(GridMismatchError, match="symmetric about k = 0"):
+            synthesize_kspace(HelicityAmplitudePair(
+                None, SampledAmplitude.from_closure(pair.f_minus, grid)), grid)
+        plus = HelicityAmplitudePair(SampledAmplitude.from_closure(pair.f_plus, grid))
+        self.assert_matches(synthesize_kspace(plus, grid, 0.3),
+                            polarization_reference(HelicityAmplitudePair(pair.f_plus), grid, 0.3))
+
     def test_sampled_amplitude_on_another_grid(self):
         grid = self.grids["centred"]
         other = Grid3D.centered(24, 20.0).fourier_dual()
