@@ -1,17 +1,18 @@
 """Closed-form minimal-uncertainty fields.
 
 The saturating amplitudes f+- = C+- k_perp exp(-a^2 k^2/2) admit closed-form
-position-space fields.  Writing l+- = (r +- ct)/(sqrt(2) a) for the light-cone
-variables, the per-helicity scalar generators are
+position-space fields.  With c = 1 (for another c, pass c*t as the time),
+the light-cone variables are l+- = (r +- t)/(sqrt(2) a), and the
+per-helicity scalar generators are
 
     Fgen_{+-}(r,t) = 1/(2 a r) [ D(l+) + D(l-) -+ i sqrt(pi)/2 (e^{-l+^2} - e^{-l-^2}) ]
 
 with D the Dawson function (scalar_generator below).  The full RS vector is
 obtained by applying the derivative matrix
 
-    [ dx dz + i dy dt / c ]
-    [ dy dz - i dx dt / c ]   acting on the combined scalar,
-    [ -dx^2 - dy^2        ]
+    [ dx dz + i dy dt ]
+    [ dy dz - i dx dt ]   acting on the combined scalar,
+    [ -dx^2 - dy^2    ]
 
 which this module evaluates analytically, reducing every component to Dawson
 and Gaussian factors of l+- (plus a Taylor-in-r branch near r = 0 where the
@@ -86,13 +87,12 @@ _SERIES_TERMS = 10  # powers r^1 .. r^19 of the odd scalar series
 
 @dataclass(frozen=True)
 class SaturatingFieldSpec:
-    """Scale a, helicity coefficients C+ / C-, and evaluation time t of a
-    closed-form minimal-uncertainty field."""
+    """Scale a and helicity coefficients C+ / C- of a closed-form
+    minimal-uncertainty field."""
 
     a: float
     c_plus: complex = 1.0
     c_minus: complex = 0.0
-    t: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and self.a > 0):
@@ -104,21 +104,27 @@ class SaturatingFieldSpec:
             raise ValueError("SaturatingFieldSpec: both coefficients zero")
 
     @classmethod
-    def simplest(cls, C=1.0, a=1.0, t=0.0) -> "SaturatingFieldSpec":
+    def simplest(cls, C=1.0, a=1.0) -> "SaturatingFieldSpec":
         """Coefficients for the pure Gaussian packet:
-        saturating_rs_field(r, 0, spec) == C exp(-r^2/2a^2) (y, -x, 0)."""
-        s = a ** 5 / np.sqrt(2.0)
-        return cls(a=a, c_plus=-C * s, c_minus=np.conj(C) * s, t=t)
+        saturating_rs_field(r, 0, spec) == C exp(-r^2/2a^2) (y, -x, 0).
+        ValueError if a^5/sqrt(2) overflows or underflows to zero."""
+        try:
+            s = a ** 5 / np.sqrt(2.0)
+        except OverflowError:
+            s = math.inf
+        if 0 < a < math.inf and not 0 < s < math.inf:  # __post_init__ names a bad a
+            raise ValueError(f"SaturatingFieldSpec.simplest: a^5/sqrt(2) out of range, a = {a}")
+        return cls(a=a, c_plus=-C * s, c_minus=np.conj(C) * s)
 
     def amplitudes(self) -> HelicityAmplitudePair:
         """The exact k-space helicity pair of this field."""
         return saturating_amplitudes(self.c_plus, self.c_minus, self.a)
 
 
-def light_cone_vars(r, t, a, c=1.0):
-    """Light-cone variables l+- = (r +- ct)/(sqrt(2) a)."""
+def light_cone_vars(r, t, a):
+    """Light-cone variables l+- = (r +- t)/(sqrt(2) a)."""
     b = 1.0 / (np.sqrt(2.0) * a)
-    return (r + c * t) * b, (r - c * t) * b
+    return (r + t) * b, (r - t) * b
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +148,7 @@ def _deriv_ladder(w, nmax):
     return Ds, gs
 
 
-def scalar_generator(r, t, spec: SaturatingFieldSpec, helicity=+1, c=1.0):
+def scalar_generator(r, t, spec: SaturatingFieldSpec, helicity=+1):
     """Per-helicity closed-form scalar
 
         Fgen_{+-}(r,t) = 1/(2ar) [D(l+) + D(l-) -+ i sqrt(pi)/2 (e^{-l+^2}-e^{-l-^2})]
@@ -163,15 +169,15 @@ def scalar_generator(r, t, spec: SaturatingFieldSpec, helicity=+1, c=1.0):
     small = r_b < R_SWITCH * a
     if np.any(~small):
         rr, tt = r_b[~small], t_b[~small]
-        lp = (rr + c * tt) * b
-        lm = (rr - c * tt) * b
+        lp = (rr + tt) * b
+        lm = (rr - tt) * b
         G = dawson(lp) + dawson(lm)
         H = np.exp(-lp * lp) - np.exp(-lm * lm)
         out[~small] = (G + sgn * 1j * _SQPI / 2.0 * H) / (2.0 * a * rr)
     if np.any(small):
         # odd Taylor series of the bracket in rho = b r about r = 0
         rr, tt = r_b[small], t_b[small]
-        w = c * tt * b
+        w = tt * b
         rho = rr * b
         Ds, gs = _deriv_ladder(w, 2 * _SERIES_TERMS + 1)
         acc = np.zeros(rr.shape, dtype=np.complex128)
@@ -189,7 +195,7 @@ def scalar_generator(r, t, spec: SaturatingFieldSpec, helicity=+1, c=1.0):
 # full RS field via the analytic derivative matrix
 # ---------------------------------------------------------------------------
 
-def _scalar_blocks(r, t, a, A, B, c=1.0):
+def _scalar_blocks(r, t, a, A, B):
     """Radial building blocks of the derivative-matrix field.
 
     For G(r,t) = nu M(r,t)/r with nu = 1/(a sqrt(2 pi)) and
@@ -199,8 +205,8 @@ def _scalar_blocks(r, t, a, A, B, c=1.0):
 
     all regular at r = 0 (series branch below R_SWITCH * a).  The field is
 
-        Fx = x z (W/r^2) + (i/c) y (G_rt/r)
-        Fy = y z (W/r^2) - (i/c) x (G_rt/r)
+        Fx = x z (W/r^2) + i y (G_rt/r)
+        Fy = y z (W/r^2) - i x (G_rt/r)
         Fz = -(x^2+y^2) (W/r^2) - 2 (G_r/r)
     """
     b = 1.0 / (np.sqrt(2.0) * a)
@@ -216,8 +222,8 @@ def _scalar_blocks(r, t, a, A, B, c=1.0):
     far = r_b >= R_SWITCH * a
     if np.any(far):
         rr, tt = r_b[far], t_b[far]
-        lp = (rr + c * tt) * b
-        lm = (rr - c * tt) * b
+        lp = (rr + tt) * b
+        lm = (rr - tt) * b
         Dp, Dm = dawson(lp), dawson(lm)
         Ep, Em = np.exp(-lp * lp), np.exp(-lm * lm)
         D1p, D1m = 1.0 - 2.0 * lp * Dp, 1.0 - 2.0 * lm * Dm
@@ -229,8 +235,8 @@ def _scalar_blocks(r, t, a, A, B, c=1.0):
         M = A * (Dp + Dm) + B * (Ep - Em)
         Mr = b * (A * (D1p + D1m) + B * (E1p - E1m))
         Mrr = b * b * (A * (D2p + D2m) + B * (E2p - E2m))
-        Mt = c * b * (A * (D1p - D1m) + B * (E1p + E1m))
-        Mrt = c * b * b * (A * (D2p - D2m) + B * (E2p + E2m))
+        Mt = b * (A * (D1p - D1m) + B * (E1p + E1m))
+        Mrt = b * b * (A * (D2p - D2m) + B * (E2p + E2m))
         g_r = nu * (Mr - M / rr) / rr
         g_rr = nu * (Mrr - 2.0 * Mr / rr + 2.0 * M / rr ** 2) / rr
         g_rt = nu * (Mrt - Mt / rr) / rr
@@ -240,9 +246,9 @@ def _scalar_blocks(r, t, a, A, B, c=1.0):
     near = ~far
     if np.any(near):
         # M is odd in rho = b r: M = sum_m c_m rho^(2m+1), with
-        # c_m = 2/(2m+1)! [A D^(2m+1)(w) + B g^(2m+1)(w)], w = c t b.
+        # c_m = 2/(2m+1)! [A D^(2m+1)(w) + B g^(2m+1)(w)], w = t b.
         rr, tt = r_b[near], t_b[near]
-        w = c * tt * b
+        w = tt * b
         rho2 = (rr * b) ** 2
         nmax = 2 * _SERIES_TERMS + 2
         Ds, gs = _deriv_ladder(w, nmax)
@@ -255,7 +261,7 @@ def _scalar_blocks(r, t, a, A, B, c=1.0):
             n = 2 * m + 1
             fac = 2.0 / math.factorial(n)
             cm = fac * (A * Ds[n] + B * gs[n])
-            cmt = fac * (A * Ds[n + 1] + B * gs[n + 1]) * (c * b)
+            cmt = fac * (A * Ds[n + 1] + B * gs[n + 1]) * b
             s_gr = s_gr + 2 * m * cm * pw
             s_grt = s_grt + 2 * m * cmt * pw
             if m >= 2:
@@ -263,12 +269,12 @@ def _scalar_blocks(r, t, a, A, B, c=1.0):
             pw_prev = pw
             pw = pw * rho2
         w2[near] = nu * b ** 5 * s_w2
-        grt[near] = nu * b ** 3 * s_grt  # cmt already carries the c*b of dw/dt
+        grt[near] = nu * b ** 3 * s_grt  # cmt already carries the b of dw/dt
         gr[near] = nu * b ** 3 * s_gr
     return w2, grt, gr
 
 
-def _field(points, t, a, A, B, c=1.0):
+def _field(points, t, a, A, B):
     """The derivative-matrix field of the scalar with coefficients (A, B)
     (_scalar_blocks) at `points` (shape (..., 3)), or on a centred even
     cube (Grid3D.centered) from one radius table: the blocks are evaluated
@@ -277,10 +283,10 @@ def _field(points, t, a, A, B, c=1.0):
     if not isinstance(points, Grid3D):
         points = np.asarray(points, dtype=float)
         x, y, z = points[..., 0], points[..., 1], points[..., 2]
-        w2, grt, gr = _scalar_blocks(np.sqrt((points ** 2).sum(axis=-1)), t, a, A, B, c)
+        w2, grt, gr = _scalar_blocks(np.sqrt((points ** 2).sum(axis=-1)), t, a, A, B)
         out = np.empty(points.shape, dtype=np.complex128)
-        out[..., 0] = x * z * w2 + 1j / c * y * grt
-        out[..., 1] = y * z * w2 - 1j / c * x * grt
+        out[..., 0] = x * z * w2 + 1j * y * grt
+        out[..., 1] = y * z * w2 - 1j * x * grt
         out[..., 2] = -(x * x + y * y) * w2 - 2.0 * gr
         return out
     keys = _radius_keys(points)
@@ -288,15 +294,15 @@ def _field(points, t, a, A, B, c=1.0):
         raise ValueError("closed-form grid evaluation needs a centred cube with an "
                          "even node count (Grid3D.centered)")
     q, r = keys
-    w2, grt, gr = _scalar_blocks(r, float(t), a, A, B, c)
+    w2, grt, gr = _scalar_blocks(r, float(t), a, A, B)
     out = np.empty(points.counts + (3,), dtype=np.complex128)
-    slabs = _gathered(q, w2, 1j / c * grt, 2.0 * gr)
+    slabs = _gathered(q, w2, 1j * grt, 2.0 * gr)
     for _ in _assemble_grid(points, slabs, out=[out[..., comp] for comp in range(3)]):
         pass  # each component is written into its slice of out
     return out
 
 
-def saturating_rs_field(points, t, spec: SaturatingFieldSpec, c=1.0):
+def saturating_rs_field(points, t, spec: SaturatingFieldSpec):
     """RS vector of the closed-form minimal-uncertainty field at positions
     `points` (shape (..., 3)) and time t.
 
@@ -312,10 +318,10 @@ def saturating_rs_field(points, t, spec: SaturatingFieldSpec, c=1.0):
     """
     A = spec.c_plus + np.conj(spec.c_minus)
     B = 1j * _SQPI / 2.0 * (spec.c_plus - np.conj(spec.c_minus))
-    return _field(points, t, spec.a, A, B, c)
+    return _field(points, t, spec.a, A, B)
 
 
-def photon_wavefunctions(points, t, spec: SaturatingFieldSpec, c=1.0):
+def photon_wavefunctions(points, t, spec: SaturatingFieldSpec):
     """Positive/negative-helicity photon wave functions (F+, F-) of the
     minimal-uncertainty packet, normalized by spec.c_plus.
 
@@ -328,16 +334,16 @@ def photon_wavefunctions(points, t, spec: SaturatingFieldSpec, c=1.0):
     `points` may also be a Grid3D.centered cube with an even node count, as
     in saturating_rs_field.
     """
-    return (_photon_wavefunction(points, t, spec, +1, c),
-            _photon_wavefunction(points, t, spec, -1, c))
+    return (_photon_wavefunction(points, t, spec, +1),
+            _photon_wavefunction(points, t, spec, -1))
 
 
-def _photon_wavefunction(points, t, spec: SaturatingFieldSpec, helicity, c=1.0):
+def _photon_wavefunction(points, t, spec: SaturatingFieldSpec, helicity):
     """F+ (helicity +1) or F- (helicity -1) of photon_wavefunctions, with
     only the requested helicity's blocks evaluated.  The blocks are real-
     linear in (A, B), so F- is F+ of conj C, conjugated in place."""
     C = spec.c_plus if helicity > 0 else np.conj(spec.c_plus)
-    out = _field(points, t, spec.a, C, 1j * _SQPI / 2.0 * C, c)
+    out = _field(points, t, spec.a, C, 1j * _SQPI / 2.0 * C)
     if helicity < 0:
         np.conj(out, out=out)
         out += 0.0  # -0 -> +0: for real C, F-(r, 0) and F+(r, 0) agree byte for byte
@@ -430,17 +436,10 @@ def boost(F, helicity, n, psi):
     """Lorentz boost of a helicity eigen-wavefunction along the unit vector n
     with rapidity psi:
     F' = F cosh(psi) -+ i n x F sinh(psi) + n (n.F) (1 - cosh(psi)),
-    upper sign for helicity +1.  Does not preserve F*.F (energy density is
-    not a Lorentz scalar)."""
+    upper sign for helicity +1.  That is the rotation about n by the
+    imaginary angle -i h psi, since cos(-i h psi) = cosh(psi) and
+    sin(-i h psi) = -i h sinh(psi).  Does not preserve F*.F (energy density
+    is not a Lorentz scalar)."""
     if helicity not in (+1, -1):
         raise ValueError("boost: helicity must be +1 or -1")
-    n = _check_unit_axis(n)
-    F = np.asarray(F, dtype=np.complex128)
-    nxF = np.cross(np.broadcast_to(n, F.shape), F)
-    ndF = F @ n
-    sgn = -1.0 if helicity == +1 else 1.0
-    return (
-        F * np.cosh(psi)
-        + sgn * 1j * nxF * np.sinh(psi)
-        + np.multiply.outer(ndF, n) * (1.0 - np.cosh(psi))
-    )
+    return rotate(F, n, -1j * helicity * psi)

@@ -12,9 +12,9 @@ off its target), 2 input error, 3 degenerate field, 4 resolution error,
 comes from main, the one place that catches an exception: it maps the
 exception to its code through _ERROR_EXITS and prints one `error:` line.
 Inputs are checked where they are built (SaturatingFieldSpec, Grid3D,
-RadialProblem, read_rsf, spreading_trajectory), and each command runs
-under np.errstate(over, divide, invalid = "raise"), so out-of-range
-arithmetic is an input error too.  Flag-syntax errors keep argparse's
+RadialProblem, read_rsf, spreading_trajectory), output directories before
+any command runs, and each command runs under np.errstate(over, divide,
+invalid = "raise"), so out-of-range arithmetic is an input error too.  Flag-syntax errors keep argparse's
 usage output (exit 2).
 Units: c = 1; times are given in units of a/c.
 Option precedence: command-line flags > --config JSON file > defaults.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -32,7 +33,7 @@ from .analytic_fields import SaturatingFieldSpec, _photon_wavefunction, saturati
 from .errors import DegenerateFieldError, ResolutionError, RsUncertError, TruncationError
 from .eigensolver import RadialProblem, solve_radial
 from .kspace import FieldGrid, Grid3D, _synthesis_parts
-from .moments import BOUND_EM, _density_report, uncertainty_product
+from .moments import _density_report, uncertainty_product
 from .propagator import spreading_trajectory
 from .rsfio import read_rsf, write_rsf
 
@@ -157,6 +158,15 @@ def _check_tolerance(args):
         raise ValueError(f"--tolerance must be finite and >= 0, got {tol}")
 
 
+def _check_output_dirs(args):
+    """Every output path's directory must exist, checked before any work,
+    so a bad path costs no computation and writes nothing."""
+    for dest in ("out", "out_field", "profile_out", "dump_eigenfunctions"):
+        folder = os.path.dirname(getattr(args, dest, None) or "")
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"--{dest.replace('_', '-')}: no such directory {folder!r}")
+
+
 def _field_spec(args) -> SaturatingFieldSpec:
     a = float(args.a)
     cp = args.c_plus
@@ -183,7 +193,7 @@ def cmd_verify_bound(args) -> int:
         # the two densities straight from the synthesis parts: no FieldGrid
         # is built
         d_k, d_r, rgrid = _synthesis_parts(spec.amplitudes(), grid).densities(0.0)
-        report = _density_report(d_r, rgrid, d_k, grid, BOUND_EM)
+        report = _density_report(d_r, rgrid, d_k, grid)
 
     _emit(_report_text(report, args.format), args.out)
     if not report.product >= report.bound - args.tolerance:
@@ -345,6 +355,7 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             _apply_config(args, parser, argv)
             _check_tolerance(args)
+            _check_output_dirs(args)
             return args.func(args)
     except tuple(kind for kind, _, _ in _ERROR_EXITS) as exc:
         code, prefix = next(row[1:] for row in _ERROR_EXITS if isinstance(exc, row[0]))

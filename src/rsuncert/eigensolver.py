@@ -97,8 +97,8 @@ class RadialSpectrum:
             },
         }
 
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def eigenfunctions_csv(self) -> str:
         cols = ["kappa"] + [f"g{n}" for n in range(len(self.eigenvalues))]

@@ -4,7 +4,8 @@ and energy norms.
 
 Conventions (used everywhere in this package):
 
-* c = 1 internally; lengths in units of the user-supplied scale.
+* c = 1 is fixed and no function takes one: for another c, pass c*t as
+  the time.  Lengths in units of the user-supplied scale.
 * Symmetric Fourier normalization (2 pi)^(-3/2) in both directions, with
   position synthesis F(r) = (2pi)^(-3/2) Int d3k Ftilde(k) e^{+i k.r}.
 * Grids are built with half-sample offsets, so no node falls on the
@@ -20,7 +21,7 @@ Conventions (used everywhere in this package):
       Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt}.
 
 Synthesis is split in two: a time-independent part, built once per
-(amplitudes, grid), and a per-time components(t, c) step that yields one
+(amplitudes, grid), and a per-time components(t) step that yields one
 contiguous component of Ftilde(k, t) at a time.  There are two routes, and
 _synthesis_parts picks one from two properties of its input, nothing else:
 
@@ -32,8 +33,8 @@ _synthesis_parts picks one from two properties of its input, nothing else:
       e(k) k_perp = [-kx kz + i ky k, -ky kz - i kx k, k_perp^2] / (sqrt2 k),
 
   every component is a polynomial in (kx, ky, kz) times one of two radial
-  functions, S = P + M and k (P - M), where P = h+ e^{-ickt}/(sqrt2 k) and
-  M = conj(h-) e^{+ickt}/(sqrt2 k).  Those are tabulated once per distinct
+  functions, S = P + M and k (P - M), where P = h+ e^{-ikt}/(sqrt2 k) and
+  M = conj(h-) e^{+ikt}/(sqrt2 k).  Those are tabulated once per distinct
   radius (6,049 at 128^3) and gathered per node by the slab assembler
   _assemble_grid, the same one the closed-form position field uses; no
   polarization frame, no full-size |k| and no per-node exponential.
@@ -60,7 +61,7 @@ _stream_densities reduces a stream of components to the density on their
 grid and the density of their transform on the dual grid, holding one
 component and the two densities (the output-side DFT phases are unimodular
 and drop out); KspaceParts.densities and the FieldGrid reports of moments
-use it.  Both routes' parts have densities(t, c, source), and
+use it.  Both routes' parts have densities(t, source), and
 position_density and `verify-bound --method grid` take them from there.
 """
 
@@ -155,14 +156,6 @@ class Grid3D:
     def cell_volume(self) -> float:
         dx, dy, dz = self.spacings
         return dx * dy * dz
-
-    def is_fourier_pair(self, other: "Grid3D", rtol=1e-12) -> bool:
-        if self.counts != other.counts:
-            return False
-        for n, d1, d2 in zip(self.counts, self.spacings, other.spacings):
-            if abs(n * d1 * d2 - 2 * np.pi) > rtol * 2 * np.pi:
-                return False
-        return True
 
 
 @dataclass
@@ -337,28 +330,27 @@ class PolynomialGaussianAmplitude:
 
 
 class _PhaseEvolved:
-    """Amplitude multiplied by a free-photon phase e^{-i c k t}."""
+    """Amplitude multiplied by a free-photon phase e^{-ikt}."""
 
-    def __init__(self, base, t, c=1.0):
+    def __init__(self, base, t):
         self.base = base
         self.t = float(t)
-        self.c = float(c)
         self.k_scale = base.k_scale
 
     def value(self, kx, ky, kz):
         k = np.sqrt(kx * kx + ky * ky + kz * kz)
-        return self.base.value(kx, ky, kz) * np.exp(-1j * self.c * k * self.t)
+        return self.base.value(kx, ky, kz) * np.exp(-1j * k * self.t)
 
     def grad(self, kx, ky, kz):
         k = np.sqrt(kx * kx + ky * ky + kz * kz)
-        ph = np.exp(-1j * self.c * k * self.t)
+        ph = np.exp(-1j * k * self.t)
         f = self.base.value(kx, ky, kz)
         gx, gy, gz = self.base.grad(kx, ky, kz)
-        ict = 1j * self.c * self.t
+        it = 1j * self.t
         return (
-            ph * (gx - ict * kx / k * f),
-            ph * (gy - ict * ky / k * f),
-            ph * (gz - ict * kz / k * f),
+            ph * (gx - it * kx / k * f),
+            ph * (gy - it * ky / k * f),
+            ph * (gz - it * kz / k * f),
         )
 
 
@@ -444,14 +436,14 @@ class SampledAmplitude:
         return np.conj(self.values[::-1, ::-1, ::-1])
 
 
-def _phase_evolved(amp, t, c=1.0):
+def _phase_evolved(amp, t):
     if amp is None:
         return None
     if isinstance(amp, SampledAmplitude):
         KX, KY, KZ = amp.grid.meshes(sparse=True)
         k = np.sqrt(KX * KX + KY * KY + KZ * KZ)
-        return SampledAmplitude(amp.values * np.exp(-1j * c * k * t), amp.grid)
-    return _PhaseEvolved(amp, t, c)
+        return SampledAmplitude(amp.values * np.exp(-1j * k * t), amp.grid)
+    return _PhaseEvolved(amp, t)
 
 
 def dilated(amp, lam):
@@ -480,10 +472,9 @@ class HelicityAmplitudePair:
     def swapped(self) -> "HelicityAmplitudePair":
         return HelicityAmplitudePair(self.f_minus, self.f_plus)
 
-    def evolved(self, t, c=1.0) -> "HelicityAmplitudePair":
-        return HelicityAmplitudePair(
-            _phase_evolved(self.f_plus, t, c), _phase_evolved(self.f_minus, t, c)
-        )
+    def evolved(self, t) -> "HelicityAmplitudePair":
+        return HelicityAmplitudePair(_phase_evolved(self.f_plus, t),
+                                     _phase_evolved(self.f_minus, t))
 
     def dilated(self, lam) -> "HelicityAmplitudePair":
         return HelicityAmplitudePair(dilated(self.f_plus, lam), dilated(self.f_minus, lam))
@@ -522,9 +513,9 @@ def simplest_field_amplitudes(C, a) -> HelicityAmplitudePair:
 # synthesis and Fourier bridge
 # ---------------------------------------------------------------------------
 
-def _time_tables(plus, minus, k, t, c, out, with_v=True):
+def _time_tables(plus, minus, k, t, out, with_v=True):
     """W = -(P + M) and V = i k (P - M) (None unless with_v), with
-    P = plus e^{-ickt} and M = minus e^{+ickt} (a None table is zero), per
+    P = plus e^{-ikt} and M = minus e^{+ikt} (a None table is zero), per
     radius on the radial route and per x-slab on the node route, written
     into out[0] and out[1] of a complex (4,) + k.shape array (out[2:] is
     scratch)."""
@@ -533,7 +524,7 @@ def _time_tables(plus, minus, k, t, c, out, with_v=True):
     m = 0.0 if minus is None else minus
     # at t = 0 both phases are exactly 1 and multiply through exactly
     if t != 0.0:
-        np.exp(np.multiply(k, -1j * c * t, out=ph), out=ph)
+        np.exp(np.multiply(k, -1j * t, out=ph), out=ph)
         if minus is not None:
             m = np.multiply(minus, np.conj(ph, out=mb), out=mb)
         if plus is not None:
@@ -587,7 +578,7 @@ class KspaceParts:
         minus = None if amps.f_minus is None else table(amps.f_minus, True)
         return cls(grid, plus, minus, k)
 
-    def components(self, t, c=1.0, out=None):
+    def components(self, t, out=None):
         """The per-time phase step: yield Ftilde_comp(k, t) for comp = 0, 1,
         2, written into out[comp] (default: one buffer reused for all three,
         so consume each component before taking the next)."""
@@ -599,15 +590,15 @@ class KspaceParts:
             # the slab's W and V, formed per sweep: nothing full-size
             return _time_tables(None if self.plus is None else self.plus[i],
                                 None if self.minus is None else self.minus[i],
-                                self.k[i], t, c, buf, with_v=comps != (2,)) + (None,)
+                                self.k[i], t, buf, with_v=comps != (2,)) + (None,)
 
         yield from _assemble_grid(self.grid, slabs, out)
 
-    def densities(self, t, c=1.0, source=True):
+    def densities(self, t, source=True):
         """(k-space density or None if not source, position density, the
         position grid) of Ftilde(k, t): its components streamed through
         the FFT (_stream_densities)."""
-        return _stream_densities(self.components(t, c), self.grid, +1, source)
+        return _stream_densities(self.components(t), self.grid, +1, source)
 
 
 def _radius_keys(grid):
@@ -782,7 +773,7 @@ class _RadialParts:
     (_radius_keys); plus = h+(k^2)/(sqrt2 k) and minus = conj(h-(k^2))/
     (sqrt2 k) on that table (None for a zero amplitude).  Per time,
     components(t) forms the two radial tables W = -(P + M) and
-    V = i k (P - M), with P = plus e^{-ickt} and M = minus e^{+ickt}
+    V = i k (P - M), with P = plus e^{-ikt} and M = minus e^{+ikt}
     (_time_tables), and assembles
 
         Ftilde = [kx kz W + ky V, ky kz W - kx V, -k_perp^2 W]
@@ -806,20 +797,20 @@ class _RadialParts:
         minus = None if amps.f_minus is None else np.conj(amps.f_minus.h(k * k)) / den
         return cls(grid, q, k, plus, minus)
 
-    def _tables(self, t, c):
+    def _tables(self, t):
         """The radial tables W and V = i T at time t (_time_tables)."""
         if not np.isfinite(t):
             raise ValueError("_RadialParts: t must be finite")
         buf = np.empty((4,) + self.k.shape, dtype=np.complex128)
-        return _time_tables(self.plus, self.minus, self.k, t, c, buf)
+        return _time_tables(self.plus, self.minus, self.k, t, buf)
 
-    def components(self, t, c=1.0, out=None):
+    def components(self, t, out=None):
         """The per-time step: yield Ftilde_comp(k, t) for comp = 0, 1, 2,
         written into out[comp] (default: one buffer reused for all three)."""
-        w, v = self._tables(t, c)
+        w, v = self._tables(t)
         yield from _assemble_grid(self.grid, _gathered(self.q, w, v), out)
 
-    def densities(self, t, c=1.0, source=True):
+    def densities(self, t, source=True):
         """(k-space density or None if not source, position density, the
         position grid) of Ftilde(k, t), from the positive octant alone.
 
@@ -839,7 +830,7 @@ class _RadialParts:
         table, so two complex octants and the real octant densities are
         held, never a component.
         """
-        w, it = self._tables(t, c)
+        w, it = self._tables(t)
         h = self.grid.counts[0] // 2
         q = self.q[h:]
         x, y, z = (ax[h:] for ax in self.grid.axes())
@@ -861,7 +852,7 @@ def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
     """The time-independent synthesis part of amps on grid: the radial route
     when every non-None amplitude is a RadialProfileAmplitude and the grid
     is a centred even cube, KspaceParts (the node route) otherwise.  Both
-    yield the same components(t, c) to rounding."""
+    yield the same components(t) to rounding."""
     present = [a for a in (amps.f_plus, amps.f_minus) if a is not None]
     if all(isinstance(a, RadialProfileAmplitude) for a in present):
         keys = _radius_keys(grid)
@@ -870,13 +861,13 @@ def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
     return KspaceParts.from_amplitudes(amps, grid)
 
 
-def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D, t=0.0, c=1.0) -> FieldGrid:
-    """Sample Ftilde(k,t) = e(k) f+(k) e^{-ickt} + e*(k) conj(f-)(-k) e^{+ickt}
+def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D, t=0.0) -> FieldGrid:
+    """Sample Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt}
     on a wavevector grid: the one-time case of the synthesis parts (radial
     or node route, see the module docstring)."""
     parts = _synthesis_parts(amps, grid)
     vals = np.empty(grid.counts + (3,), dtype=np.complex128)
-    for _ in parts.components(t, c, out=[vals[..., comp] for comp in range(3)]):
+    for _ in parts.components(t, out=[vals[..., comp] for comp in range(3)]):
         pass  # each component is written into its slice of vals
     return FieldGrid(vals, grid, "wavevector")
 
@@ -940,8 +931,6 @@ def _bridge(field: FieldGrid, sign):
     one component at a time."""
     src = field.grid
     dst = src.fourier_dual()
-    if not src.is_fourier_pair(dst):
-        raise GridMismatchError("Fourier bridge: inconsistent grids")
     vals = np.empty_like(field.values)
     for comp in range(3):
         _dft(field.values[..., comp], src, dst, sign, out=vals[..., comp])
@@ -997,20 +986,20 @@ def _stream_densities(components, grid: Grid3D, sign, source=True):
     return d_src, d_dual, dual
 
 
-def position_density(parts, t, c=1.0) -> np.ndarray:
+def position_density(parts, t) -> np.ndarray:
     """F*.F of the position field at time t, on the dual of parts.grid,
     without building that field: parts are the synthesis parts of either
     route, and parts.densities gives the one real density (from the
     positive octant on the radial route, by streaming the components
     through the FFT on the node route)."""
-    return parts.densities(t, c, source=False)[1]
+    return parts.densities(t, source=False)[1]
 
 
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
-def norm(obj, rule=None) -> float:
+def norm(obj) -> float:
     """Energy norm of a FieldGrid (grid path) or HelicityAmplitudePair
     (amplitude path); both agree by the Plancherel theorem.
 
@@ -1018,8 +1007,7 @@ def norm(obj, rule=None) -> float:
     one density pass; a zero or non-finite N raises DegenerateFieldError.
     Amplitude path: N = Int d3k (|f+|^2 + |f-|^2) from the amplitude-path
     engine of moments, i.e. the finer rule of the nested spherical Gauss
-    pair (or of `rule` and rule.refined() when given) for closures and
-    Riemann sums for sampled amplitudes.
+    pair for closures and Riemann sums for sampled amplitudes.
     """
     if isinstance(obj, FieldGrid):
         n = float(obj.density().sum() * obj.grid.cell_volume)
@@ -1029,5 +1017,5 @@ def norm(obj, rule=None) -> float:
     if isinstance(obj, HelicityAmplitudePair):
         from .moments import _amp_moments  # local import to avoid a cycle
 
-        return _amp_moments(obj, rule)[0]
+        return _amp_moments(obj)[0]
     raise TypeError("norm: expected FieldGrid or HelicityAmplitudePair")

@@ -320,19 +320,17 @@ def variance_kspace(fieldK: FieldGrid) -> float:
 # amplitude path
 # ---------------------------------------------------------------------------
 
-def variance_position_from_amplitudes(
-    amps: HelicityAmplitudePair, rule=None, weak=True
-) -> float:
+def variance_position_from_amplitudes(amps: HelicityAmplitudePair, weak=True) -> float:
     """Dr^2 evaluated directly from the helicity amplitudes (see module
     docstring).  weak=False uses the strong (Laplacian) form, which requires
     the amplitudes to provide .laplacian."""
-    n, _, mr, _, _ = _amp_moments(amps, rule, weak)
+    n, _, mr, _, _ = _amp_moments(amps, weak=weak)
     return mr / n
 
 
-def variance_kspace_from_amplitudes(amps: HelicityAmplitudePair, rule=None) -> float:
+def variance_kspace_from_amplitudes(amps: HelicityAmplitudePair) -> float:
     """Dk^2 = Int k^2 (|f+|^2 + |f-|^2) / N."""
-    n, mk, _, _, _ = _amp_moments(amps, rule)
+    n, mk, _, _, _ = _amp_moments(amps)
     return mk / n
 
 
@@ -368,18 +366,18 @@ class VarianceReport:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
-def _report(dr2, dk2, nr, nk, bound, warnings, quad_rel_err=None):
+def _report(dr2, dk2, nr, nk, warnings, quad_rel_err=None):
     product = float(np.sqrt(dr2 * dk2))
     return VarianceReport(
         delta_r2=float(dr2),
         delta_k2=float(dk2),
         product=product,
-        bound=float(bound),
-        saturation_ratio=product / bound,
+        bound=BOUND_EM,
+        saturation_ratio=product / BOUND_EM,
         norm_r=float(nr),
         norm_k=float(nk),
         warnings=warnings,
@@ -387,8 +385,8 @@ def _report(dr2, dk2, nr, nk, bound, warnings, quad_rel_err=None):
     )
 
 
-def uncertainty_product(source, rule=None, bound=BOUND_EM) -> VarianceReport:
-    """Build a VarianceReport from any of:
+def uncertainty_product(source, rule=None) -> VarianceReport:
+    """Build a VarianceReport (bound BOUND_EM = 5/2) from any of:
 
     * HelicityAmplitudePair     analytic amplitude path
     * FieldGrid                 grid path (partner obtained by FFT, streamed
@@ -399,17 +397,16 @@ def uncertainty_product(source, rule=None, bound=BOUND_EM) -> VarianceReport:
         # norm_r is the coarser rule's norm: its agreement with norm_k is
         # the Plancherel line of the report
         n, mk, mr, n_coarse, err = _amp_moments(source, rule)
-        return _report(mr / n, mk / n, n_coarse, n, bound, [], err)
+        return _report(mr / n, mk / n, n_coarse, n, [], err)
 
     if isinstance(source, FieldGrid):
-        return _grid_report(_field_components(source), source.grid, source.space, bound)
+        return _grid_report(_field_components(source), source.grid, source.space)
     if not (isinstance(source, tuple) and len(source) == 2):
         raise TypeError("uncertainty_product: unsupported source type")
     fieldR, fieldK = source
     if fieldR.space != "position" or fieldK.space != "wavevector":
         raise ValueError("uncertainty_product: expected (position, wavevector)")
-    return _density_report(fieldR.density(), fieldR.grid, fieldK.density(), fieldK.grid,
-                           bound)
+    return _density_report(fieldR.density(), fieldR.grid, fieldK.density(), fieldK.grid)
 
 
 def _field_components(field: FieldGrid):
@@ -421,7 +418,7 @@ def _field_components(field: FieldGrid):
         yield buf
 
 
-def _grid_report(components, grid, space, bound=BOUND_EM) -> VarianceReport:
+def _grid_report(components, grid, space) -> VarianceReport:
     """The grid-path report of a field given as a stream of its components
     on grid, in `space` ("position" or "wavevector"), each a contiguous
     array that may be overwritten.
@@ -434,11 +431,11 @@ def _grid_report(components, grid, space, bound=BOUND_EM) -> VarianceReport:
     sign = +1 if space == "wavevector" else -1
     d_src, d_dual, dual = _stream_densities(components, grid, sign)
     if space == "position":
-        return _density_report(d_src, grid, d_dual, dual, bound)
-    return _density_report(d_dual, dual, d_src, grid, bound)
+        return _density_report(d_src, grid, d_dual, dual)
+    return _density_report(d_dual, dual, d_src, grid)
 
 
-def _density_report(dr, rgrid, dk, kgrid, bound) -> VarianceReport:
+def _density_report(dr, rgrid, dk, kgrid) -> VarianceReport:
     """Report from the position and wavevector densities: one density array
     per space gives both its boundary ratio and its moment."""
     warnings = []
@@ -449,12 +446,12 @@ def _density_report(dr, rgrid, dk, kgrid, bound) -> VarianceReport:
                             f"exceeds {TRUNCATION_RATIO:g} of peak")
         sums.append(_grid_moment(d, grid))
     (dr2, nr), (dk2, nk) = sums
-    return _report(dr2, dk2, nr, nk, bound, warnings)
+    return _report(dr2, dk2, nr, nk, warnings)
 
 
 def massless_bound(h) -> float:
     """Lower bound of Dr * Dk for a massless particle of helicity modulus h:
-    1 + sqrt(1/4 + 2h).  Photons (h = 1) give 5/2."""
+    1 + sqrt(1/4 + 2h).  Photons (h = 1) give 5/2, every report's BOUND_EM."""
     h = float(h)
     if h < 0 or not np.isfinite(h):
         raise ValueError("massless_bound: h must be a nonnegative real")

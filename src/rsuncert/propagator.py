@@ -1,18 +1,18 @@
 """Exact spectral time evolution and the quadratic spreading law.
 
 Free evolution multiplies the helicity amplitudes by unimodular phases
-e^{-+ickt}, so the norm is exactly conserved and the packet's second moment
-obeys
+e^{-+ikt} (c = 1 is fixed; another c means passing c*t as the time), so
+the norm is exactly conserved and the packet's second moment obeys
 
-    d^2/dt^2 < r^2 >(t) = 2 c^2       (exactly, for any amplitudes),
+    d^2/dt^2 < r^2 >(t) = 2       (exactly, for any amplitudes),
 
-i.e. <r^2>(t) is a perfect parabola with curvature c^2.  For amplitude
+i.e. <r^2>(t) is a perfect parabola with curvature 1.  For amplitude
 pairs with zero linear coefficient (e.g. real profiles) the minimum is at
 t = 0 and the packet spreads symmetrically.
 
 The grid trajectory builds the time-independent synthesis part once
 (kspace._synthesis_parts) and, per time, takes one real position density
-(kspace.position_density, i.e. the parts' densities(t, c, source=False)),
+(kspace.position_density, i.e. the parts' densities(t, source=False)),
 and no position FieldGrid is built.  That one density gives
 the time's boundary ratio (the truncation check), norm (the zero-norm
 check) and second moment.  evolve is the one-time case and returns the
@@ -49,7 +49,6 @@ from .kspace import (
     synthesize_kspace,
 )
 from .moments import (
-    CylindricalRule,
     TRUNCATION_RATIO,
     _amp_moments,
     _grid_moment,
@@ -75,7 +74,7 @@ class Trajectory:
         """Least-squares alpha + beta t + gamma t^2 fit.
 
         Returns (alpha, beta, gamma, residual) with residual the relative
-        rms misfit; the spreading law asserts 2*gamma = 2 c^2.
+        rms misfit; the spreading law asserts 2*gamma = 2.
         """
         gamma, beta, alpha = np.polyfit(self.times, self.second_moments, 2)
         fit = alpha + beta * self.times + gamma * self.times ** 2
@@ -96,8 +95,8 @@ class Trajectory:
             "truncated": self.truncated,
         }
 
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
         lines = ["t,second_moment,norm"]
@@ -106,18 +105,16 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def evolve(amps: HelicityAmplitudePair, grid: Grid3D, t, c=1.0) -> FieldGrid:
-    """Position-space field at time t: apply the e^{-+ickt} phases in the
+def evolve(amps: HelicityAmplitudePair, grid: Grid3D, t) -> FieldGrid:
+    """Position-space field at time t: apply the e^{-+ikt} phases in the
     Fourier representation and transform back.  Exactly unitary in N."""
-    return fourier_to_position(synthesize_kspace(amps, grid, t, c))
+    return fourier_to_position(synthesize_kspace(amps, grid, t))
 
 
 def spreading_trajectory(
     amps: HelicityAmplitudePair,
     times,
     grid: Grid3D = None,
-    rule: CylindricalRule = None,
-    c: float = 1.0,
     method: str = "grid",
     strict: bool = False,
 ) -> Trajectory:
@@ -130,8 +127,8 @@ def spreading_trajectory(
     truncation when boundary density exceeds 1e-8 of the peak (raises
     TruncationError if strict).
     method="analytic": evaluate the amplitude-path variance with
-    phase-evolved amplitudes (no grid; quadrature-accurate, so the parabola
-    is exact to quadrature noise).
+    phase-evolved amplitudes on the default spherical rules (no grid;
+    quadrature-accurate, so the parabola is exact to quadrature noise).
     """
     times = np.asarray(times, dtype=float)
     if times.size < 5:
@@ -151,7 +148,7 @@ def spreading_trajectory(
         parts = _synthesis_parts(amps, grid)
         rgrid = grid.fourier_dual()
         for i, t in enumerate(times):
-            d = position_density(parts, t, c)
+            d = position_density(parts, t)
             if _boundary_ratio(d) > TRUNCATION_RATIO:
                 truncated = True
                 if strict:
@@ -162,9 +159,8 @@ def spreading_trajectory(
             moments[i], norms[i] = _grid_moment(d, rgrid)
             del d  # else it stays alive while the next time's density is built
     elif method == "analytic":
-        # rule=None sizes the quadrature per amplitude (see moments)
         for i, t in enumerate(times):
-            n, _, mr, _, _ = _amp_moments(amps.evolved(t, c), rule)
+            n, _, mr, _, _ = _amp_moments(amps.evolved(t))
             moments[i], norms[i] = mr / n, n
     else:
         raise ValueError("spreading_trajectory: method must be 'grid' or 'analytic'")

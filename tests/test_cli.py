@@ -215,6 +215,20 @@ class TestField:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not rsf.exists()
 
+    @pytest.mark.parametrize("a", [1.0, 1.3])
+    @pytest.mark.parametrize("time", [0.5, -0.5])
+    def test_spreading_law_through_the_file(self, tmp_path, capsys, a, time):
+        # the field at time T (in units of a) read back from its .rsf file:
+        # Dr^2 = a^2 (5/2 + T^2) and Dk^2 = 5/(2 a^2), the spreading law
+        # d^2<r^2>/dt^2 = 2 with c = 1
+        rsf = tmp_path / "f.rsf"
+        assert run(["field", "--grid", 32, "--a", a, f"--time={time}",
+                    "--out-field", rsf]) == 0
+        assert run(["verify-bound", "--input", rsf]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert abs(rep["delta_r2"] / (a * a) / (2.5 + time * time) - 1.0) <= 1e-9
+        assert abs(rep["delta_k2"] * a * a / 2.5 - 1.0) <= 1e-9
+
     def test_unwritable_output_exit2(self, tmp_path):
         code = run(["field", "--grid", 16,
                     "--out-field", tmp_path / "no" / "such" / "dir" / "f.rsf"])
@@ -326,11 +340,13 @@ def test_bad_config_tolerance_exit2(tmp_path, capsys, cfg):
     ["verify-bound", "--a", "inf"],
     ["field", "--grid", 16, "--c-plus", "nan"],
     ["spectrum", "--kappa-max", "nan"],
-    # out-of-range arithmetic: OverflowError, or FloatingPointError under
-    # main's errstate, not a traceback or RuntimeWarning lines
+    # out-of-range arithmetic, not a traceback or RuntimeWarning lines: a^5
+    # of the simplest packet past the float range (1e150, and 1e-100 last),
+    # or a FloatingPointError under main's errstate
     ["verify-bound", "--a", 1e150],
     ["verify-bound", "--c-plus", 1e300, "--c-minus", 1e300],
     ["spectrum", "--kappa-max", 1e300],
+    ["verify-bound", "--a", 1e-100],
 ])
 def test_bad_spec_or_grid_exit2(tmp_path, capsys, args):
     # a bad packet scale or box is an input error in one line, not a
@@ -342,6 +358,8 @@ def test_bad_spec_or_grid_exit2(tmp_path, capsys, args):
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "f.rsf").exists()
+    if args[1] == "--a" and isinstance(args[2], float):
+        assert f"a = {args[2]!r}" in err
 
 
 @pytest.mark.parametrize("args", [
@@ -357,9 +375,12 @@ def test_missing_output_dir_exit2(tmp_path, capsys, args):
     # FileNotFoundError traceback at exit 1
     args = [str(tmp_path / a) if a == "f.rsf" else a for a in args]
     code = run(args + [tmp_path / "no" / "such" / "dir" / "out.txt"])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    # the paths are checked before the work: nothing is printed or written
+    assert out == ""
+    assert not (tmp_path / "f.rsf").exists()
 
 
 @pytest.mark.parametrize("name", ["nope.json", "."])
