@@ -71,14 +71,12 @@ def _emit(text, out_path):
 
 
 def _report_text(report, fmt):
+    if fmt != "csv":
+        return report.to_json() + "\n"
     d = report.to_dict()
-    if fmt == "csv":
-        keys = ["delta_r2", "delta_k2", "product", "bound",
-                "saturation_ratio", "norm_r", "norm_k"]
-        head = ",".join(keys)
-        row = ",".join(_fmt(d[k]) for k in keys)
-        return head + "\n" + row + "\n"
-    return json.dumps(d, indent=2) + "\n"
+    keys = ["delta_r2", "delta_k2", "product", "bound",
+            "saturation_ratio", "norm_r", "norm_k"]
+    return ",".join(keys) + "\n" + ",".join(_fmt(d[k]) for k in keys) + "\n"
 
 
 def _grid_size(value):
@@ -159,12 +157,17 @@ def _check_tolerance(args):
 
 
 def _check_output_dirs(args):
-    """Every output path's directory must exist, checked before any work,
-    so a bad path costs no computation and writes nothing."""
+    """Every output path's directory must exist, and the path must not be
+    a directory itself, checked before any work, so a bad path costs no
+    computation and writes nothing."""
     for dest in ("out", "out_field", "profile_out", "dump_eigenfunctions"):
-        folder = os.path.dirname(getattr(args, dest, None) or "")
+        path = getattr(args, dest, None) or ""
+        flag = f"--{dest.replace('_', '-')}"
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
-            raise ValueError(f"--{dest.replace('_', '-')}: no such directory {folder!r}")
+            raise ValueError(f"{flag}: no such directory {folder!r}")
+        if path and os.path.isdir(path):
+            raise ValueError(f"{flag}: {path!r} is a directory")
 
 
 def _field_spec(args) -> SaturatingFieldSpec:

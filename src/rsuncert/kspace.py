@@ -286,6 +286,17 @@ class PolynomialGaussianAmplitude:
 
     terms: dict {(i,j,l): complex coefficient} for monomials kx^i ky^j kz^l.
     Gradients are exact (product rule on the monomial expansion).
+
+    The kernel works in real arithmetic.  Each call forms every axis's
+    powers k_a^2, k_a^3, ... once, up to that axis's highest degree, and
+    k_perp exp(-alpha k^2) once.  From those it builds the real and then
+    the imaginary part of P (in grad, of dP/dk_a + k_a w_a P for each axis,
+    see grad) in one float array, skipping a part that no coefficient has,
+    and writes each, scaled by k_perp exp(-alpha k^2), into its half of the
+    one complex array formed per returned value.  Besides its outputs a
+    call holds only a few node-sized float arrays, reused in place: fresh
+    memory costs a page fault per page on every call, which at the
+    quadrature rules' sizes outweighs the arithmetic.
     """
 
     def __init__(self, terms, alpha):
@@ -293,40 +304,78 @@ class PolynomialGaussianAmplitude:
         self.alpha = float(alpha)
         self.k_scale = 1.0 / np.sqrt(2.0 * self.alpha)
 
-    def _poly(self, kx, ky, kz):
-        out = 0.0
-        for (i, j, l), c in self.terms.items():
-            out = out + c * kx ** i * ky ** j * kz ** l
-        return out
+    def _parts(self):
+        """[(0, real parts), (1, imaginary parts)] of the terms, as lists of
+        (exponents, float), keeping a part only if some coefficient has it."""
+        terms = [(e, complex(c)) for e, c in self.terms.items()]
+        parts = ([(e, c.real) for e, c in terms], [(e, c.imag) for e, c in terms])
+        return [(i, part) for i, part in enumerate(parts) if any(v for _, v in part)]
 
-    def _dpoly(self, kx, ky, kz):
-        dx = 0.0
-        dy = 0.0
-        dz = 0.0
-        for (i, j, l), c in self.terms.items():
-            if i:
-                dx = dx + c * i * kx ** (i - 1) * ky ** j * kz ** l
-            if j:
-                dy = dy + c * j * kx ** i * ky ** (j - 1) * kz ** l
-            if l:
-                dz = dz + c * l * kx ** i * ky ** j * kz ** (l - 1)
-        return dx, dy, dz
+    def _tables(self, kx, ky, kz, grad):
+        """(powers, k_perp e^{-alpha k^2}, u) at the nodes: powers[a][n] is
+        k_a^n for 1 <= n <= the highest degree of axis a, and u is
+        1/k_perp^2 - 2 alpha (None unless grad)."""
+        pows = []
+        for a, k in enumerate((kx, ky, kz)):
+            p = [None, k]
+            for _ in range(max((e[a] for e in self.terms), default=0) - 1):
+                p.append(p[-1] * k)
+            pows.append(p)
+
+        def square(a):
+            return pows[a][2] if len(pows[a]) > 2 else pows[a][1] * pows[a][1]
+
+        kp2 = square(0) + square(1)
+        E = np.exp(-self.alpha * (kp2 + square(2)))
+        u = 1.0 / kp2 - 2.0 * self.alpha if grad else None
+        return pows, np.sqrt(kp2) * E, u
 
     def value(self, kx, ky, kz):
-        q = kx * kx + ky * ky + kz * kz
-        return np.sqrt(kx * kx + ky * ky) * self._poly(kx, ky, kz) * np.exp(-self.alpha * q)
+        pows, kpE, _ = self._tables(kx, ky, kz, grad=False)
+        out = np.zeros(np.shape(kpE), dtype=np.complex128)
+        P, scratch = np.empty(out.shape), np.empty(out.shape)
+        for i, terms in self._parts():
+            P.fill(0.0)
+            _add_poly(P, terms, pows, scratch)
+            np.multiply(kpE, P, out=(out.real, out.imag)[i])
+        return out
 
     def grad(self, kx, ky, kz):
-        q = kx * kx + ky * ky + kz * kz
-        kp = np.sqrt(kx * kx + ky * ky)
-        E = np.exp(-self.alpha * q)
-        P = self._poly(kx, ky, kz)
-        Px, Py, Pz = self._dpoly(kx, ky, kz)
-        a2 = 2.0 * self.alpha
-        gx = E * (kx / kp * P + kp * Px - a2 * kx * kp * P)
-        gy = E * (ky / kp * P + kp * Py - a2 * ky * kp * P)
-        gz = E * (kp * Pz - a2 * kz * kp * P)
-        return gx, gy, gz
+        # d/dk_a (k_perp e^{-alpha k^2}) is k_a w_a k_perp e^{-alpha k^2},
+        # with w_a = u for a = x, y and -2 alpha for a = z
+        pows, kpE, u = self._tables(kx, ky, kz, grad=True)
+        out = [np.zeros(np.shape(kpE), dtype=np.complex128) for _ in range(3)]
+        P, D, scratch = (np.empty(out[0].shape) for _ in range(3))
+        weights = ((kx, u), (ky, u), (kz, -2.0 * self.alpha))
+        for i, terms in self._parts():
+            P.fill(0.0)
+            _add_poly(P, terms, pows, scratch)
+            for axis, (k, w) in enumerate(weights):
+                np.multiply(P, k, out=D)
+                D *= w
+                _add_poly(D, terms, pows, scratch, axis)
+                np.multiply(kpE, D, out=(out[axis].real, out[axis].imag)[i])
+        return tuple(out)
+
+
+def _add_poly(acc, terms, pows, scratch, axis=None):
+    """acc += sum of v kx^i ky^j kz^l over terms [((i, j, l), v)], or of
+    its derivative in k_axis, in place; pows[a][n] = k_a^n.  A term's
+    product is formed in scratch once it has the nodes' full shape; on
+    sparse meshes its leading factors stay small until then."""
+    for e, v in terms:
+        if axis is not None:
+            v *= e[axis]
+            e = tuple(n - (b == axis) for b, n in enumerate(e))
+        if not v:
+            continue
+        term = v
+        for a, n in enumerate(e):
+            if n:
+                f = pows[a][n]
+                full = np.broadcast_shapes(np.shape(term), np.shape(f)) == scratch.shape
+                term = np.multiply(term, f, out=scratch if full else None)
+        acc += term
 
 
 class _PhaseEvolved:

@@ -12,19 +12,27 @@ pass/fail line each (run with -s to see them).
  7. dawson vs arbitrary-precision series oracle: 1e-13 abs at 1e4 points
     on [-10, 10]; defining-ODE residual <= 1e-8
  8. Plancherel norm agreement: 1e-10 analytic path, 1e-6 grid path
+ 9. radial spectrum as an exact oracle: for f+- = +-k_perp e^{-k^2/2}
+    L_n^{3/2}(k^2), n = 0..3, Dr^2 = Dk^2 = 5/2 + 2n to 1e-12 relative on
+    the amplitude path and the 64^3 grid path (radial route, extent 16),
+    and the n-th solve_radial eigenvalue to 1e-3
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from rsuncert import (
     FieldGrid,
     Grid3D,
+    HelicityAmplitudePair,
+    RadialProfileAmplitude,
     RadialProblem,
     SaturatingFieldSpec,
     dawson,
     fourier_to_kspace,
+    laguerre_general,
     massless_bound,
     saturating_field_t0,
     saturating_rs_field,
@@ -35,6 +43,8 @@ from rsuncert import (
     synthesize_kspace,
     uncertainty_product,
 )
+from rsuncert.kspace import _RadialParts, _synthesis_parts
+from rsuncert.moments import _density_report
 from conftest import dawson_erfi_oracle, dawson_series_oracle, random_pair
 
 SQ2PI = np.sqrt(2.0 * np.pi)
@@ -233,3 +243,45 @@ def test_criterion_8_plancherel():
         ok_analytic and ok_grid,
         f"analytic worst={worst_analytic:.2e}, grid worst={worst_grid:.2e}",
     )
+
+
+def oscillator_amplitude(n, sign):
+    """sign k_perp e^{-k^2/2} L_n^{3/2}(k^2): the n-th radial eigenstate,
+    Dr^2 = Dk^2 = 5/2 + 2n; dh from d/dx L_n^{3/2} = -L_{n-1}^{5/2}."""
+
+    def h(q):
+        return sign * np.exp(-q / 2.0) * laguerre_general(n, 1.5, q)
+
+    def dh(q):
+        d = -laguerre_general(n - 1, 2.5, q) if n else 0.0
+        return sign * np.exp(-q / 2.0) * (d - 0.5 * laguerre_general(n, 1.5, q))
+
+    return RadialProfileAmplitude(h, dh, k_scale=1.0)
+
+
+@pytest.fixture(scope="module")
+def spectrum_4():
+    return solve_radial(RadialProblem(10.0, 2000), 4)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_criterion_9_radial_spectrum_oracle(n, spectrum_4):
+    want = 2.5 + 2.0 * n
+    # C- = -C+: with f- = 0 the position field has Dawson tails, and a 64^3
+    # box of extent 16 warns of truncation
+    pair = HelicityAmplitudePair(oscillator_amplitude(n, 1.0), oscillator_amplitude(n, -1.0))
+    rep_a = uncertainty_product(pair)
+    grid = Grid3D.centered(64, 16.0).fourier_dual()
+    parts = _synthesis_parts(pair, grid)
+    assert isinstance(parts, _RadialParts)
+    d_k, d_r, rgrid = parts.densities(0.0)
+    rep_g = _density_report(d_r, rgrid, d_k, grid)
+    errs = [abs(v / want - 1.0) for rep in (rep_a, rep_g)
+            for v in (rep.delta_r2, rep.delta_k2)]
+    gamma = spectrum_4.eigenvalues[n]
+    report(
+        f"criterion 9 (radial oracle, n={n})",
+        max(errs) <= 1e-12 and not rep_g.warnings and abs(gamma - want) < 1e-3,
+        f"worst rel err={max(errs):.1e}, gamma_{n}={gamma:.6f}",
+    )
+

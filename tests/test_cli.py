@@ -362,14 +362,18 @@ def test_bad_spec_or_grid_exit2(tmp_path, capsys, args):
         assert f"a = {args[2]!r}" in err
 
 
-@pytest.mark.parametrize("args", [
+# each command's output flags, the path to be appended
+OUTPUT_FLAGS = [
     ["verify-bound", "--out"],
     ["spectrum", "--out"],
     ["spread", "--grid", 16, "--extent", 12, "--out"],
     ["spectrum", "--dump-eigenfunctions"],
     ["field", "--grid", 16, "--out-field"],
     ["field", "--grid", 16, "--out-field", "f.rsf", "--profile-out"],
-])
+]
+
+
+@pytest.mark.parametrize("args", OUTPUT_FLAGS)
 def test_missing_output_dir_exit2(tmp_path, capsys, args):
     # an unwritable output path is an input error in one line, not a
     # FileNotFoundError traceback at exit 1
@@ -381,6 +385,20 @@ def test_missing_output_dir_exit2(tmp_path, capsys, args):
     # the paths are checked before the work: nothing is printed or written
     assert out == ""
     assert not (tmp_path / "f.rsf").exists()
+
+
+@pytest.mark.parametrize("args", OUTPUT_FLAGS)
+def test_directory_output_path_exit2(tmp_path, monkeypatch, capsys, args):
+    # an output path that is an existing directory is rejected before the
+    # work too, not with an IsADirectoryError after it
+    monkeypatch.chdir(tmp_path)
+    code = run(args + ["."])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "is a directory" in err
+    assert out == ""
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("name", ["nope.json", "."])

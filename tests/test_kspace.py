@@ -35,7 +35,7 @@ from rsuncert.kspace import (
     _stream_densities,
     _synthesis_parts,
 )
-from rsuncert.moments import TRUNCATION_RATIO
+from rsuncert.moments import TRUNCATION_RATIO, _SphericalRule
 from conftest import node_route_pair, second_moment_oracle
 
 
@@ -151,6 +151,68 @@ class TestSynthesis:
         rhs = kn[..., None] * field.values
         scale = np.abs(rhs).max()
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
+
+
+class TestPolynomialGaussianKernel:
+    """value and grad of PolynomialGaussianAmplitude (real arithmetic, powers
+    formed once) against the plain complex formula written out here:
+    f = k_perp sum c kx^i ky^j kz^l e^{-alpha k^2}, and its product-rule
+    gradient."""
+
+    cases = {
+        "mixed": {(0, 0, 2): 0.45 - 0.54j, (0, 0, 0): 0.58 + 0.36j,
+                  (1, 2, 0): 0.29 + 0.03j},
+        "constant": {(0, 0, 0): 1.3 - 0.4j},
+        "real": {(1, 0, 0): 2, (0, 1, 1): -1.5, (0, 0, 0): 0.25},
+        "imaginary": {(2, 0, 0): 0.7j, (0, 1, 0): -1.1j},
+        "cubic": {(3, 0, 0): 0.3 + 0.2j, (0, 3, 0): -0.5j, (0, 0, 3): 0.8,
+                  (1, 1, 1): 0.1 - 0.9j},
+    }
+    nodes = {
+        "rule": _SphericalRule(9.0).nodes()[:3],
+        "sparse": Grid3D.centered(16, 12.0).fourier_dual().meshes(sparse=True),
+    }
+
+    @staticmethod
+    def reference(terms, alpha, kx, ky, kz):
+        def poly(axis=None):
+            out = 0.0
+            for e, c in terms.items():
+                if axis is not None:
+                    if not e[axis]:
+                        continue
+                    c = c * e[axis]
+                    e = tuple(n - (b == axis) for b, n in enumerate(e))
+                out = out + c * kx ** e[0] * ky ** e[1] * kz ** e[2]
+            return out
+
+        kp = np.sqrt(kx * kx + ky * ky)
+        E = np.exp(-alpha * (kx * kx + ky * ky + kz * kz))
+        P = poly()
+        Px, Py, Pz = (poly(a) for a in range(3))
+        f = kp * P * E
+        grad = (E * (kx / kp * P + kp * Px - 2 * alpha * kx * kp * P),
+                E * (ky / kp * P + kp * Py - 2 * alpha * ky * kp * P),
+                E * (kp * Pz - 2 * alpha * kz * kp * P))
+        return f, grad
+
+    @pytest.mark.parametrize("case", sorted(cases))
+    @pytest.mark.parametrize("where", sorted(nodes))
+    @pytest.mark.parametrize("alpha", [0.5, 1.3])
+    def test_matches_complex_formula(self, case, where, alpha):
+        terms = self.cases[case]
+        KX, KY, KZ = self.nodes[where]
+        shape = np.broadcast_shapes(KX.shape, KY.shape, KZ.shape)
+        amp = PolynomialGaussianAmplitude(terms, alpha)
+        f_ref, g_ref = self.reference(terms, alpha, KX, KY, KZ)
+        f = amp.value(KX, KY, KZ)
+        assert f.shape == shape and f.dtype == np.complex128
+        assert np.abs(f - f_ref).max() <= 1e-14 * np.abs(f_ref).max()
+        grad = amp.grad(KX, KY, KZ)
+        scale = max(np.abs(g).max() for g in g_ref)
+        for g, want in zip(grad, g_ref):
+            assert g.shape == shape and g.dtype == np.complex128
+            assert np.abs(g - want).max() <= 1e-14 * scale
 
 
 def polarization_reference(amps, grid, t):
