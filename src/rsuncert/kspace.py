@@ -41,7 +41,9 @@ _synthesis_parts picks one from two properties of its input, nothing else:
   Its densities(t) assemble no component at all: every term of a
   component has a definite parity in each axis, so both densities come
   from the positive octant, through one DCT-IV or DST-IV per axis and
-  term (_RadialParts.densities).
+  term (_RadialParts.densities).  F1 is the x <-> y mirror of F0, so only
+  the three terms x z W, i y T (of F0) and F2 are transformed, and one
+  octant density per space, mirrored, gives the whole cube.
 * Node route (KspaceParts) for everything else: polynomial, sampled and
   wrapped (phase-evolved, dilated) amplitudes, and any other grid.  Every
   admissible amplitude is f = k_perp g, so the same polynomial holds with
@@ -744,38 +746,44 @@ def _gather_octant(tab, q, poly, out):
             oi *= poly[i]
 
 
-def _add_octant_densities(dp, dm, terms, rotate):
-    """For a pair of terms (a, b) held as (re, im) planes, dp += |a + b|^2
-    and dm += |a - b|^2, with b first multiplied by -i if rotate; a single
-    term adds |a|^2 to both.  One x-slab at a time."""
-    for i, (dpi, dmi) in enumerate(zip(dp, dm)):
+def _add_octant_densities(d, terms, rotate, mirror):
+    """For a pair of terms (a, b) held as (re, im) planes, d += |a + b|^2,
+    with b first multiplied by -i if rotate, and, if mirror, also
+    d += (|a - b|^2)^T (axes 0 and 1 swapped); a single term is a with
+    b = 0.  One x-slab at a time."""
+    for i in range(d.shape[0]):
         ar, ai = terms[0][:, i]
         if len(terms) == 1:
-            sq = ar * ar + ai * ai
-            dpi += sq
-            dmi += sq
-            continue
-        br, bi = terms[1][:, i]
-        if rotate:
-            br, bi = bi, -br
-        dpi += (ar + br) ** 2 + (ai + bi) ** 2
-        dmi += (ar - br) ** 2 + (ai - bi) ** 2
+            plus = minus = ar * ar + ai * ai
+        else:
+            br, bi = terms[1][:, i]
+            if rotate:
+                br, bi = bi, -br
+            plus = (ar + br) ** 2 + (ai + bi) ** 2
+            minus = (ar - br) ** 2 + (ai - bi) ** 2
+        d[i] += plus
+        if mirror:
+            d[:, i] += minus
 
 
 def _octant_densities(terms, q, source):
-    """The octant densities (D+, D-) of k space (None if not source) and,
-    unscaled, of position space, from the terms (table, polynomial, odd
-    axes) of F0 = A0 + B0, F1 = A1 + B1 and F2, taken a pair at a time:
-    each term is gathered, its k-space densities added, transformed in
-    place (a DCT-IV per even axis, a DST-IV per odd one) and its
-    position-space densities added."""
+    """The octant density D+ of k space (None if not source) and, unscaled,
+    of position space, from the terms (table, polynomial, odd axes) of
+    F0 = A0 + B0 and of F2, a pair at a time: each term is gathered, its
+    k-space density added, transformed in place (a DCT-IV per even axis, a
+    DST-IV per odd one) and its position-space density added.
+
+    F1 = A1 + B1 needs no terms of its own: A1 = A0^T and B1 = -B0^T
+    (x <-> y) in both spaces, so it adds (|A0 - B0|^2)^T to D+ (and
+    (|A0 + B0|^2)^T to D-).  F2 is x <-> y symmetric, so D- = D+^T is
+    never formed."""
     shape = (q.size,) * 3
-    src = (np.zeros(shape), np.zeros(shape)) if source else None
-    dual = (np.zeros(shape), np.zeros(shape))
+    src = np.zeros(shape) if source else None
+    dual = np.zeros(shape)
     # a term is held as contiguous (re, im) planes: a type-4 transform
     # along a plane's axis is twice as fast as along a complex array's
     bufs = [np.empty((2,) + shape) for _ in range(2)]
-    for pair in (terms[0:2], terms[2:4], terms[4:]):
+    for pair, mirror in ((terms[:2], True), (terms[2:], False)):
         # a term with a zero table adds nothing (|a +- 0|^2 = |a|^2): at
         # t = 0 W is zero for the simplest packet
         pair = [term for term in pair if np.any(term[0])]
@@ -785,23 +793,24 @@ def _octant_densities(terms, q, source):
         for (tab, poly, _), buf in zip(pair, held):
             _gather_octant(tab, q, poly, buf)
         if source:
-            _add_octant_densities(*src, held, rotate=False)
+            _add_octant_densities(src, held, rotate=False, mirror=mirror)
         for j, (_, _, odd) in enumerate(pair):
             for axis in range(3):
                 dcst = dst if axis in odd else dct
                 held[j] = dcst(held[j], type=4, axis=axis + 1, overwrite_x=True, workers=-1)
         # A gains i^2 and B i^1 from their odd axes: the transformed pair
         # is -(A - i B)
-        _add_octant_densities(*dual, held, rotate=True)
+        _add_octant_densities(dual, held, rotate=True, mirror=mirror)
     return src, dual
 
 
-def _unfold(dp, dm):
-    """The full cube of a density from its positive-octant values: dp at
-    every reflection (sx, sy, sz) of an octant node with sx sy sz = 1, dm
-    at the others."""
+def _unfold(dp):
+    """The full cube of a density from its positive-octant values D+ at
+    every reflection (sx, sy, sz) of an octant node with sx sy sz = 1 and
+    D- = D+^T (x <-> y) at the others."""
     h = dp.shape[0]
     up, dn = slice(h, None), slice(h - 1, None, -1)
+    dm = dp.transpose(1, 0, 2)
     d = np.empty((2 * h,) * 3)
     d[up, up, up] = dp
     d[up, up, dn] = dm
@@ -874,27 +883,27 @@ class _RadialParts:
         (sx, sy, sz) multiplies the two terms of F0 (and of F1) by
         signs whose ratio is sx sy sz, so each density takes one of two
         octant values, D+ or D-, there: the pairs' terms added or
-        subtracted, squared, plus |F2|^2.  _unfold writes the full cube
-        from them.  The terms are gathered one at a time from the radius
-        table, so two complex octants and the real octant densities are
-        held, never a component.
+        subtracted, squared, plus |F2|^2.  The radius key is symmetric in
+        the axes, so F1 is F0 mirrored in x <-> y with its T term negated
+        and D- = D+^T: only A0 = x z W, B0 = i y T and F2 are gathered and
+        transformed (_octant_densities), and _unfold writes the full cube
+        from D+.  The terms are gathered one at a time from the radius
+        table, so two complex octants and one real octant density per
+        space are held, never a component.
         """
         w, it = self._tables(t)
         h = self.grid.counts[0] // 2
         q = self.q[h:]
         x, y, z = (ax[h:] for ax in self.grid.axes())
         x, y = x[:, None, None], y[:, None]
-        # (table, polynomial, odd axes) of A0, B0, A1, B1 and F2
+        # (table, polynomial, odd axes) of A0, B0 and F2
         terms = [(w, x * z, (0, 2)), (it, y, (1,)),
-                 (w, y * z, (1, 2)), (it, -x, (0,)),
                  (w, -(x * x + y * y), ())]
         src, dual = _octant_densities(terms, q, source)
-        scale2 = _dft_scale(self.grid, -1) ** 2
-        for a in dual:
-            a *= scale2
-        d_src = None if src is None else _unfold(*src)
+        dual *= _dft_scale(self.grid, -1) ** 2
+        d_src = None if src is None else _unfold(src)
         del src
-        return d_src, _unfold(*dual), self.grid.fourier_dual()
+        return d_src, _unfold(dual), self.grid.fourier_dual()
 
 
 def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):

@@ -21,10 +21,11 @@ position field itself.
 The synthesis part takes one of two routes (see kspace), chosen only from
 the amplitude types and the grid.  Radial amplitudes (every
 saturating_amplitudes pair) on a centred even cube take the radial route:
-a time step is one table of the distinct radii (6,049 at 128^3), five
-terms gathered from it on the positive octant, a DCT-IV or DST-IV per axis
-of each, and the two octant densities unfolded into one real density, so a
-trajectory never holds a complex component.  Any other input takes the
+a time step is one table of the distinct radii (6,049 at 128^3), three
+terms gathered from it on the positive octant (the two of F1 mirror those
+of F0), a DCT-IV or DST-IV per axis of each, and one octant density
+unfolded into one real density, so a trajectory never holds a complex
+component.  Any other input takes the
 node route (kspace.KspaceParts): one complex component at a time through
 the FFT, holding also f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp)
 and |k| (40 bytes a node) and no polarization frame.

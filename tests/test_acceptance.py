@@ -15,7 +15,8 @@ pass/fail line each (run with -s to see them).
  9. radial spectrum as an exact oracle: for f+- = +-k_perp e^{-k^2/2}
     L_n^{3/2}(k^2), n = 0..3, Dr^2 = Dk^2 = 5/2 + 2n to 1e-12 relative on
     the amplitude path and the 64^3 grid path (radial route, extent 16),
-    and the n-th solve_radial eigenvalue to 1e-3
+    the n-th solve_radial eigenvalue to 1e-3, and the rayleigh_quotient of
+    g = kappa L_n^{3/2}(kappa^2) e^{-kappa^2/2} to 1e-8 relative
 """
 
 import time
@@ -34,6 +35,7 @@ from rsuncert import (
     fourier_to_kspace,
     laguerre_general,
     massless_bound,
+    rayleigh_quotient,
     saturating_field_t0,
     saturating_rs_field,
     simplest_field,
@@ -279,9 +281,14 @@ def test_criterion_9_radial_spectrum_oracle(n, spectrum_4):
     errs = [abs(v / want - 1.0) for rep in (rep_a, rep_g)
             for v in (rep.delta_r2, rep.delta_k2)]
     gamma = spectrum_4.eigenvalues[n]
+    kappa = np.linspace(1e-3, 12.0, 4001)
+    g = kappa * laguerre_general(n, 1.5, kappa ** 2) * np.exp(-kappa ** 2 / 2.0)
+    rq_err = abs(rayleigh_quotient(g, kappa) / want - 1.0)
     report(
         f"criterion 9 (radial oracle, n={n})",
-        max(errs) <= 1e-12 and not rep_g.warnings and abs(gamma - want) < 1e-3,
-        f"worst rel err={max(errs):.1e}, gamma_{n}={gamma:.6f}",
+        max(errs) <= 1e-12 and not rep_g.warnings and abs(gamma - want) < 1e-3
+        and rq_err <= 1e-8,
+        f"worst rel err={max(errs):.1e}, gamma_{n}={gamma:.6f}, "
+        f"rayleigh rel err={rq_err:.1e}",
     )
 

@@ -404,8 +404,9 @@ class TestOctantDensities:
             self.assert_close(got, want)
 
     def test_zero_terms_skipped(self, monkeypatch):
-        # at t = 0 W is zero for the simplest packet: only the two T terms
-        # are transformed, one DCT-IV/DST-IV per axis each
+        # A0 = x z W, B0 = i y T and F2 take one DCT-IV/DST-IV per axis
+        # each, and F1 (the x <-> y mirror of F0) none; at t = 0 W is zero
+        # for the simplest packet, so only B0 is transformed
         inputs = []
         for name in ("dct", "dst"):
             def counted(x, *args, _f=getattr(kspace, name), **kwargs):
@@ -414,11 +415,27 @@ class TestOctantDensities:
             monkeypatch.setattr(kspace, name, counted)
         grid = Grid3D.centered(16, 16.0).fourier_dual()
         parts = _synthesis_parts(simplest_field_amplitudes(1.0, 1.0), grid)
-        got = parts.densities(0.0)[:2]
-        assert inputs == [True] * 6
-        want = _stream_densities(parts.components(0.0), grid, +1)[:2]
-        for g, w in zip(got, want):
-            self.assert_close(g, w)
+        for t, count in ((0.0, 3), (0.3, 9)):
+            inputs.clear()
+            got = parts.densities(t)[:2]
+            assert inputs == [True] * count
+            want = _stream_densities(parts.components(t), grid, +1)[:2]
+            for g, w in zip(got, want):
+                self.assert_close(g, w)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
+    @pytest.mark.parametrize("t", [0.0, 0.3, -0.7])
+    def test_mirror_symmetric(self, n, c_minus, t):
+        # (x, y, z) -> (y, x, -z), the half turn about the x = y diagonal,
+        # maps the grid and the field onto themselves; it swaps D+ and D-,
+        # and the octant route builds D- as D+^T, so both densities are
+        # exactly symmetric (a plain x <-> y swap is not a symmetry: the
+        # position density misses it by up to 1e-3 of the peak at 16^3)
+        grid = Grid3D.centered(n, 16.0 * 1.3).fourier_dual()
+        parts = _synthesis_parts(saturating_amplitudes(1.0, c_minus, 1.3), grid)
+        for d in parts.densities(t)[:2]:
+            np.testing.assert_array_equal(d, d.transpose(1, 0, 2)[:, :, ::-1])
 
     def test_truncated_box(self, capsys):
         # verify-bound --method grid --grid 16 --a 0.7371: the box cuts the
