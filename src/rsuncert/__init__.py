@@ -41,7 +41,6 @@ from .kspace import (
     SampledAmplitude,
     fourier_to_kspace,
     fourier_to_position,
-    norm,
     polarization,
     saturating_amplitudes,
     simplest_field_amplitudes,
@@ -53,10 +52,6 @@ from .moments import (
     VarianceReport,
     massless_bound,
     uncertainty_product,
-    variance_kspace,
-    variance_kspace_from_amplitudes,
-    variance_position,
-    variance_position_from_amplitudes,
 )
 from .propagator import Trajectory, evolve, spreading_trajectory
 from .rsfio import read_rsf, write_rsf

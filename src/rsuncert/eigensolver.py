@@ -114,7 +114,11 @@ def _potential(kappa):
 
 
 def solve_radial(problem: RadialProblem, n_states: int = 3) -> RadialSpectrum:
-    """Lowest n_states eigenpairs of the dimensionless radial operator."""
+    """Lowest n_states eigenpairs of the dimensionless radial operator.
+
+    The eigenvectors and the sampled eigenfunctions take 16 n_states
+    n_points bytes, so n_states * n_points <= 10 N_POINTS_MAX (160 MB) is
+    required; a larger product raises ValueError before the solve."""
     # scipy.integrate and scipy.linalg are imported here, not at module
     # level, so that importing the package does not pay for them
     from scipy.integrate import simpson
@@ -130,6 +134,9 @@ def solve_radial(problem: RadialProblem, n_states: int = 3) -> RadialSpectrum:
     gamma_top = 2.5 + 2.0 * (n_states - 1)
     if problem.kappa_max < np.sqrt(2.0 * gamma_top) + 3.0:
         raise ResolutionError("solve_radial: kappa_max too small for n_states")
+    if n_states * n > 10 * N_POINTS_MAX:
+        raise ValueError(f"solve_radial: n_states * n_points (--n-states * --n-points) "
+                         f"must be <= {10 * N_POINTS_MAX}, got {n_states} * {n}")
 
     h = problem.kappa_max / n
     kappa = h * np.arange(1, n)  # interior nodes; u(0) = u(kappa_max) = 0

@@ -1,6 +1,6 @@
 """Wavevector-space core: uniform grids, the helicity polarization frame
-e(k), helicity amplitude pairs, field synthesis, the unitary Fourier bridge
-and energy norms.
+e(k), helicity amplitude pairs, field synthesis and the unitary Fourier
+bridge.
 
 Conventions (used everywhere in this package):
 
@@ -44,7 +44,7 @@ _synthesis_parts picks one from two properties of its input, nothing else:
   term (_RadialParts.densities).  F1 is the x <-> y mirror of F0, so only
   the three terms x z W, i y T (of F0) and F2 are transformed, and one
   octant density per space, mirrored, gives the whole cube.
-* Node route (KspaceParts) for everything else: polynomial, sampled and
+* Node route (_NodeParts) for everything else: polynomial, sampled and
   wrapped (phase-evolved, dilated) amplitudes, and any other grid.  Every
   admissible amplitude is f = k_perp g, so the same polynomial holds with
   per-node tables: it keeps f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k
@@ -62,9 +62,11 @@ density is computed once per field as re^2 + im^2 (FieldGrid.density).
 _stream_densities reduces a stream of components to the density on their
 grid and the density of their transform on the dual grid, holding one
 component and the two densities (the output-side DFT phases are unimodular
-and drop out); KspaceParts.densities and the FieldGrid reports of moments
-use it.  Both routes' parts have densities(t, source), and
-position_density and `verify-bound --method grid` take them from there.
+and drop out); _NodeParts.densities and the FieldGrid reports of moments
+use it.  Both routes' parts have densities(t, source), and the spreading
+trajectory and `verify-bound --method grid` take them from there.  This
+module takes no norm or moment of a density: the reports do
+(moments.uncertainty_product).
 """
 
 from __future__ import annotations
@@ -89,15 +91,11 @@ __all__ = [
     "RadialProfileAmplitude",
     "PolynomialGaussianAmplitude",
     "SampledAmplitude",
-    "dilated",
     "saturating_amplitudes",
     "simplest_field_amplitudes",
-    "KspaceParts",
     "synthesize_kspace",
-    "position_density",
     "fourier_to_position",
     "fourier_to_kspace",
-    "norm",
 ]
 
 AXIS_RTOL = 1e-12  # k_perp <= AXIS_RTOL * k counts as "on the kz-axis"
@@ -497,10 +495,6 @@ def _phase_evolved(amp, t):
     return _PhaseEvolved(amp, t)
 
 
-def dilated(amp, lam):
-    return _Dilated(amp, lam) if amp is not None else None
-
-
 @dataclass
 class HelicityAmplitudePair:
     """The pair f+(k), f-(k) of complex helicity amplitudes.
@@ -528,7 +522,8 @@ class HelicityAmplitudePair:
                                      _phase_evolved(self.f_minus, t))
 
     def dilated(self, lam) -> "HelicityAmplitudePair":
-        return HelicityAmplitudePair(dilated(self.f_plus, lam), dilated(self.f_minus, lam))
+        return HelicityAmplitudePair(*(None if a is None else _Dilated(a, lam)
+                                       for a in (self.f_plus, self.f_minus)))
 
 
 def saturating_amplitudes(c_plus, c_minus, a) -> HelicityAmplitudePair:
@@ -588,7 +583,7 @@ def _time_tables(plus, minus, k, t, out, with_v=True):
 
 
 @dataclass(frozen=True, eq=False)
-class KspaceParts:
+class _NodeParts:
     """The time-independent part of Ftilde(k,t) on a wavevector grid: the
     node route of the synthesis, for any amplitude on any grid.
 
@@ -608,7 +603,7 @@ class KspaceParts:
     k: np.ndarray
 
     @classmethod
-    def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D) -> "KspaceParts":
+    def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D) -> "_NodeParts":
         KX, KY, KZ = grid.meshes(sparse=True)
         kp2 = KX * KX + KY * KY
         k = kp2 + KZ * KZ
@@ -634,7 +629,7 @@ class KspaceParts:
         2, written into out[comp] (default: one buffer reused for all three,
         so consume each component before taking the next)."""
         if not np.isfinite(t):
-            raise ValueError("KspaceParts.components: t must be finite")
+            raise ValueError("_NodeParts.components: t must be finite")
         buf = np.empty((4,) + self.grid.counts[1:], dtype=np.complex128)
 
         def slabs(i, comps):
@@ -684,7 +679,7 @@ def _assemble_grid(grid, slabs, out=None):
     next), one x-slab at a time.  slabs(i, comps) gives x-slab i of W, of V
     (None unless comps holds 0 or 1) and of G (None unless comps holds 2,
     or for no G term) as (ny, nz) arrays: gathered from per-radius tables
-    (_gathered) or formed per node (KspaceParts).
+    (_gathered) or formed per node (_NodeParts).
     """
     x, y, z = grid.axes()
     y = y[:, None]  # an x-slab is (ny, nz)
@@ -838,7 +833,7 @@ class _RadialParts:
 
     by gathering them per node (_assemble_grid with _gathered).  densities(t)
     reduces the same field to its two densities from the positive octant,
-    with no component built.  Same interface as KspaceParts.
+    with no component built.  Same interface as _NodeParts.
     """
 
     grid: Grid3D
@@ -909,14 +904,14 @@ class _RadialParts:
 def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
     """The time-independent synthesis part of amps on grid: the radial route
     when every non-None amplitude is a RadialProfileAmplitude and the grid
-    is a centred even cube, KspaceParts (the node route) otherwise.  Both
+    is a centred even cube, _NodeParts (the node route) otherwise.  Both
     yield the same components(t) to rounding."""
     present = [a for a in (amps.f_plus, amps.f_minus) if a is not None]
     if all(isinstance(a, RadialProfileAmplitude) for a in present):
         keys = _radius_keys(grid)
         if keys is not None:
             return _RadialParts.from_amplitudes(amps, grid, keys)
-    return KspaceParts.from_amplitudes(amps, grid)
+    return _NodeParts.from_amplitudes(amps, grid)
 
 
 def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D, t=0.0) -> FieldGrid:
@@ -1042,38 +1037,3 @@ def _stream_densities(components, grid: Grid3D, sign, source=True):
         _add_density(d_dual, _fft(comp, pins, sign, out=comp))
     d_dual *= _dft_scale(grid, sign) ** 2
     return d_src, d_dual, dual
-
-
-def position_density(parts, t) -> np.ndarray:
-    """F*.F of the position field at time t, on the dual of parts.grid,
-    without building that field: parts are the synthesis parts of either
-    route, and parts.densities gives the one real density (from the
-    positive octant on the radial route, by streaming the components
-    through the FFT on the node route)."""
-    return parts.densities(t, source=False)[1]
-
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-def norm(obj) -> float:
-    """Energy norm of a FieldGrid (grid path) or HelicityAmplitudePair
-    (amplitude path); both agree by the Plancherel theorem.
-
-    Grid path: N = Int F*.F dV, a Riemann sum with cell-volume weights over
-    one density pass; a zero or non-finite N raises DegenerateFieldError.
-    Amplitude path: N = Int d3k (|f+|^2 + |f-|^2) from the amplitude-path
-    engine of moments, i.e. the finer rule of the nested spherical Gauss
-    pair for closures and Riemann sums for sampled amplitudes.
-    """
-    if isinstance(obj, FieldGrid):
-        n = float(obj.density().sum() * obj.grid.cell_volume)
-        if not np.isfinite(n) or n <= 0.0:
-            raise DegenerateFieldError("norm: zero or non-finite field norm")
-        return n
-    if isinstance(obj, HelicityAmplitudePair):
-        from .moments import _amp_moments  # local import to avoid a cycle
-
-        return _amp_moments(obj)[0]
-    raise TypeError("norm: expected FieldGrid or HelicityAmplitudePair")

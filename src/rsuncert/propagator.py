@@ -12,11 +12,10 @@ t = 0 and the packet spreads symmetrically.
 
 The grid trajectory builds the time-independent synthesis part once
 (kspace._synthesis_parts) and, per time, takes one real position density
-(kspace.position_density, i.e. the parts' densities(t, source=False)),
-and no position FieldGrid is built.  That one density gives
-the time's boundary ratio (the truncation check), norm (the zero-norm
-check) and second moment.  evolve is the one-time case and returns the
-position field itself.
+from it (the parts' densities(t, source=False)), and no position FieldGrid
+is built.  That one density gives the time's boundary ratio (the
+truncation check), norm (the zero-norm check) and second moment.  evolve
+is the one-time case and returns the position field itself.
 
 The synthesis part takes one of two routes (see kspace), chosen only from
 the amplitude types and the grid.  Radial amplitudes (every
@@ -26,7 +25,7 @@ terms gathered from it on the positive octant (the two of F1 mirror those
 of F0), a DCT-IV or DST-IV per axis of each, and one octant density
 unfolded into one real density, so a trajectory never holds a complex
 component.  Any other input takes the
-node route (kspace.KspaceParts): one complex component at a time through
+node route (kspace._NodeParts): one complex component at a time through
 the FFT, holding also f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp)
 and |k| (40 bytes a node) and no polarization frame.
 """
@@ -46,7 +45,6 @@ from .kspace import (
     _boundary_ratio,
     _synthesis_parts,
     fourier_to_position,
-    position_density,
     synthesize_kspace,
 )
 from .moments import (
@@ -149,7 +147,7 @@ def spreading_trajectory(
         parts = _synthesis_parts(amps, grid)
         rgrid = grid.fourier_dual()
         for i, t in enumerate(times):
-            d = position_density(parts, t)
+            d = parts.densities(t, source=False)[1]
             if _boundary_ratio(d) > TRUNCATION_RATIO:
                 truncated = True
                 if strict:

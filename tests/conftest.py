@@ -174,7 +174,7 @@ def rng():
 def node_route_pair(c_plus, c_minus, a):
     """saturating_amplitudes(c_plus, c_minus, a) written as polynomial
     amplitudes, C k_perp e^{-a^2 k^2/2}: the same field (to rounding), but
-    synthesized through the node route (KspaceParts: per-node tables, FFT
+    synthesized through the node route (_NodeParts: per-node tables, FFT
     densities), not the radial route's radius table, gather and octant
     transforms, so it is a reference for the latter."""
     from rsuncert import HelicityAmplitudePair, PolynomialGaussianAmplitude

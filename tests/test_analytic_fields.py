@@ -342,7 +342,7 @@ class TestPhotonWavefunctions:
         # the t = 0 wave function fed to the moment engine gives
         # Dr^2 = 5 a^2/2 (exact on the amplitude path; the grid path is
         # limited by the 1/r^4 tails of the single-helicity packet)
-        from rsuncert import uncertainty_product, variance_position
+        from rsuncert import uncertainty_product
 
         for a in (1.0, 1.5):
             spec = SaturatingFieldSpec(a=a, c_plus=1.0)
@@ -354,7 +354,7 @@ class TestPhotonWavefunctions:
         grid = Grid3D.centered(64, 24.0 * a)
         pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         fp, _ = photon_wavefunctions(pts, 0.0, spec)
-        dr2 = variance_position(FieldGrid(fp, grid, "position"))
+        dr2 = uncertainty_product(FieldGrid(fp, grid, "position")).delta_r2
         assert abs(dr2 - 2.5 * a * a) < 2e-3 * a * a
 
 

@@ -17,8 +17,6 @@ from rsuncert import (
     read_rsf,
     synthesize_kspace,
     uncertainty_product,
-    variance_kspace,
-    variance_position,
     fourier_to_kspace,
     fourier_to_position,
     write_rsf,
@@ -124,6 +122,28 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_states_times_points_cap_exit2(self, capsys, monkeypatch):
+        # the eigenvectors and eigenfunctions take 16 n_states n_points
+        # bytes; past 10 N_POINTS_MAX the solver must never be reached, so a
+        # stand-in that raises keeps any oversized case from allocating
+        class Reached(Exception):
+            pass
+
+        def no_solve(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", no_solve)
+        assert run(["spectrum", "--n-points", N_POINTS_MAX, "--n-states", 50000,
+                    "--kappa-max", 500]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "--n-states" in err and "--n-points" in err
+        assert run(["spectrum", "--n-points", 200000, "--n-states", 51,
+                    "--kappa-max", 500]) == 2
+        # at the cap itself the solve is reached
+        with pytest.raises(Reached):
+            run(["spectrum", "--n-points", 200000, "--n-states", 50, "--kappa-max", 500])
+
     def test_no_states_exit2(self, capsys):
         assert run(["spectrum", "--n-states", 0]) == 2
         err = capsys.readouterr().err
@@ -169,8 +189,8 @@ class TestField:
                     "--out-field", rsf])
         assert code == 0
         field = read_rsf(rsf)
-        dr2 = variance_position(field)
-        dk2 = variance_kspace(fourier_to_kspace(field))
+        dr2 = uncertainty_product(field).delta_r2
+        dk2 = uncertainty_product(fourier_to_kspace(field)).delta_k2
         assert abs(dr2 - 2.5 * a * a) < 1e-3
         assert abs(dk2 - 2.5 / (a * a)) < 1e-3
 

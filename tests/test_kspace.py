@@ -1,5 +1,5 @@
 """Polarization frame, synthesis (radial and node routes), Fourier bridge and
-norms."""
+the norms of its reports."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from rsuncert import (
     SaturatingFieldSpec,
     fourier_to_kspace,
     fourier_to_position,
-    norm,
     polarization,
     saturating_amplitudes,
     simplest_field,
@@ -27,7 +26,7 @@ from rsuncert import (
 from rsuncert import kspace
 from rsuncert.cli import main
 from rsuncert.kspace import (
-    KspaceParts,
+    _NodeParts,
     _RadialParts,
     _boundary_ratio,
     _dft_phases,
@@ -232,7 +231,7 @@ def polarization_reference(amps, grid, t):
 
 
 class TestNodeRoute:
-    """KspaceParts builds Ftilde from f+-/k_perp through the radial route's
+    """_NodeParts builds Ftilde from f+-/k_perp through the radial route's
     polynomial, with no polarization frame; the reference is the explicit
     frame formula (polarization_reference)."""
 
@@ -274,7 +273,7 @@ class TestNodeRoute:
         # c = 1 is fixed: a speed of light c enters as the time c t
         grid = self.grids[name]
         pair = self.random_pair([len(name), round(10 * t) + 10, round(10 * c)])
-        assert isinstance(_synthesis_parts(pair, grid), KspaceParts)
+        assert isinstance(_synthesis_parts(pair, grid), _NodeParts)
         self.assert_matches(synthesize_kspace(pair, grid, c * t),
                             polarization_reference(pair, grid, c * t))
 
@@ -342,7 +341,7 @@ class TestRadialRoute:
         radial = saturating_amplitudes(1.0, c_minus, a)
         node = node_route_pair(1.0, c_minus, a)
         assert isinstance(_synthesis_parts(radial, grid), _RadialParts)
-        assert isinstance(_synthesis_parts(node, grid), KspaceParts)
+        assert isinstance(_synthesis_parts(node, grid), _NodeParts)
         got = synthesize_kspace(radial, grid, t)
         want = synthesize_kspace(node, grid, t)
         peak = np.abs(want.values).max()
@@ -357,7 +356,7 @@ class TestRadialRoute:
         # not centred: the radius keys do not apply, so the node route runs
         amps = saturating_amplitudes(0.7 + 0.2j, -0.3 + 0.9j, 0.9)
         grid = Grid3D((16, 16, 16), (0.5, 0.5, 0.5), (-3.7, -3.9, -4.1))
-        assert isinstance(_synthesis_parts(amps, grid), KspaceParts)
+        assert isinstance(_synthesis_parts(amps, grid), _NodeParts)
         t = 0.37
         field = synthesize_kspace(amps, grid, t)
         want = polarization_reference(amps, grid, t)
@@ -399,7 +398,7 @@ class TestOctantDensities:
         grid = Grid3D.centered(32, 16.0).fourier_dual()
         radial = _synthesis_parts(saturating_amplitudes(1.0, 0.5j, 1.0), grid)
         node = _synthesis_parts(node_route_pair(1.0, 0.5j, 1.0), grid)
-        assert isinstance(node, KspaceParts)
+        assert isinstance(node, _NodeParts)
         for got, want in zip(radial.densities(1.2 * 0.3)[:2], node.densities(1.2 * 0.3)[:2]):
             self.assert_close(got, want)
 
@@ -510,8 +509,8 @@ class TestFourierBridge:
         pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         fieldR = FieldGrid(simplest_field(pts, 1.0, 1.0), grid, "position")
         fieldK = fourier_to_kspace(fieldR)
-        nr = norm(fieldR)
-        nk = norm(fieldK)
+        nr = uncertainty_product(fieldR).norm_r
+        nk = uncertainty_product(fieldK).norm_k
         assert abs(nr - nk) / nr < 1e-10
 
     def test_plancherel_independent_sampling(self):
@@ -522,8 +521,8 @@ class TestFourierBridge:
         fieldR = FieldGrid(simplest_field(pts, C, a), grid, "position")
         kgrid = grid.fourier_dual()
         fieldK = synthesize_kspace(simplest_field_amplitudes(-C, a), kgrid, 0.0)
-        nr = norm(fieldR)
-        nk = norm(fieldK)
+        nr = uncertainty_product(fieldR).norm_r
+        nk = uncertainty_product(fieldK).norm_k
         assert abs(nr - nk) / nr < 1e-6
         # analytic value |C|^2 pi^{3/2} a^5
         assert abs(nr - np.pi ** 1.5 * a ** 5) / nr < 1e-8
@@ -543,7 +542,7 @@ class TestNorm:
     def test_saturating_norm_analytic_and_oracle(self):
         # f+ = kperp e^{-k^2/2}, f- = 0, a = 1: N = pi^{3/2}
         amps = saturating_amplitudes(1.0, 0.0, 1.0)
-        n = norm(amps)
+        n = uncertainty_product(amps).norm_k
         assert abs(n - np.pi ** 1.5) < 1e-10
         # independent adaptive oracle on the k-space density
         dens = lambda kp, kz: kp ** 2 * np.exp(-(kp ** 2 + kz ** 2))
@@ -551,15 +550,15 @@ class TestNorm:
         assert abs(n - n_oracle) / n_oracle < 1e-8
 
     def test_doubling_amplitude_quadruples_norm(self):
-        n1 = norm(saturating_amplitudes(1.0, 0.0, 1.0))
-        n2 = norm(saturating_amplitudes(2.0, 0.0, 1.0))
+        n1 = uncertainty_product(saturating_amplitudes(1.0, 0.0, 1.0)).norm_k
+        n2 = uncertainty_product(saturating_amplitudes(2.0, 0.0, 1.0)).norm_k
         assert abs(n2 - 4.0 * n1) / n2 < 1e-13
 
     def test_zero_field_degenerate(self):
         grid = Grid3D.centered(16, 8.0)
         field = FieldGrid(np.zeros((16, 16, 16, 3), dtype=complex), grid, "position")
         with pytest.raises(DegenerateFieldError):
-            norm(field)
+            uncertainty_product(field)
 
     def test_zero_amplitude_pair_degenerate(self):
         class Zero:
@@ -573,7 +572,7 @@ class TestNorm:
                 return z, z, z
 
         with pytest.raises(DegenerateFieldError):
-            norm(HelicityAmplitudePair(Zero(), None))
+            uncertainty_product(HelicityAmplitudePair(Zero(), None))
 
     def test_both_none_rejected(self):
         with pytest.raises(DegenerateFieldError):

@@ -14,18 +14,16 @@ from rsuncert import (
     PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
     SingularAmplitudeError,
+    fourier_to_kspace,
+    fourier_to_position,
     massless_bound,
     saturating_amplitudes,
     simplest_field,
     simplest_field_amplitudes,
     synthesize_kspace,
     uncertainty_product,
-    variance_kspace,
-    variance_kspace_from_amplitudes,
-    variance_position,
-    variance_position_from_amplitudes,
 )
-from rsuncert.moments import _amp_integrals, _SphericalRule
+from rsuncert.moments import _amp_integrals, _amp_moments, _SphericalRule
 from rsuncert.specfun import laguerre_general
 from conftest import random_pair, second_moment_oracle
 
@@ -51,12 +49,12 @@ def radial_mode_amplitude(n, a=1.0, C=1.0):
 
 class TestVariancePosition:
     def test_simplest_field_a1(self):
-        assert variance_position(simplest_field_grid(a=1.0)) == pytest.approx(
+        assert uncertainty_product(simplest_field_grid(a=1.0)).delta_r2 == pytest.approx(
             2.5, abs=1e-6
         )
 
     def test_simplest_field_a2_scaling(self):
-        got = variance_position(simplest_field_grid(a=2.0))
+        got = uncertainty_product(simplest_field_grid(a=2.0)).delta_r2
         assert got == pytest.approx(10.0, rel=1e-6)
 
     def test_scalar_enveloped_vs_adaptive_oracle(self):
@@ -65,7 +63,7 @@ class TestVariancePosition:
         pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         vals = np.zeros(pts.shape, dtype=complex)
         vals[..., 1] = pts[..., 1] * np.exp(-(pts ** 2).sum(-1) / 2.0)
-        riemann = variance_position(FieldGrid(vals, grid, "position"))
+        riemann = uncertainty_product(FieldGrid(vals, grid, "position")).delta_r2
         # density |F|^2 = y^2 e^{-r^2}; average over phi: <y^2> = rho^2/2
         dens = lambda rho, z: 0.5 * rho ** 2 * np.exp(-(rho ** 2 + z ** 2))
         oracle, _ = second_moment_oracle(dens, 10.0)
@@ -76,25 +74,19 @@ class TestVariancePosition:
         grid = Grid3D.centered(16, 8.0)
         field = FieldGrid(np.zeros((16, 16, 16, 3), complex), grid, "position")
         with pytest.raises(DegenerateFieldError):
-            variance_position(field)
-
-    def test_wrong_space_rejected(self):
-        grid = Grid3D.centered(16, 8.0)
-        vals = np.ones((16, 16, 16, 3), complex)
-        with pytest.raises(ValueError):
-            variance_position(FieldGrid(vals, grid, "wavevector"))
+            uncertainty_product(field)
 
 
 class TestVarianceKspace:
     def test_simplest_transform_a1(self):
         kgrid = Grid3D.centered(64, 16.0).fourier_dual()
         field = synthesize_kspace(simplest_field_amplitudes(1.0, 1.0), kgrid)
-        assert variance_kspace(field) == pytest.approx(2.5, abs=1e-6)
+        assert uncertainty_product(field).delta_k2 == pytest.approx(2.5, abs=1e-6)
 
     def test_simplest_transform_a2(self):
         kgrid = Grid3D.centered(64, 32.0).fourier_dual()
         field = synthesize_kspace(simplest_field_amplitudes(1.0, 2.0), kgrid)
-        assert variance_kspace(field) == pytest.approx(5.0 / 8.0, rel=1e-6)
+        assert uncertainty_product(field).delta_k2 == pytest.approx(5.0 / 8.0, rel=1e-6)
 
     def test_narrow_shell(self):
         # Gaussian shell at |k| = k0: Dk^2 ~ k0^2 (+ O(sigma^2))
@@ -110,15 +102,16 @@ class TestVarianceKspace:
 
         kgrid = Grid3D.centered(64, 24.0).fourier_dual()
         field = synthesize_kspace(HelicityAmplitudePair(Shell(), None), kgrid)
-        got = variance_kspace(field)
+        got = uncertainty_product(field).delta_k2
         assert abs(got - k0 ** 2) < 4.0 * sigma ** 2 + 0.01
 
 
 class TestVarianceFromAmplitudes:
     def test_saturating_pair_exact(self):
         amps = saturating_amplitudes(1.0, 1.0, 1.0)
-        assert variance_position_from_amplitudes(amps) == pytest.approx(2.5, abs=1e-9)
-        assert variance_kspace_from_amplitudes(amps) == pytest.approx(2.5, abs=1e-9)
+        rep = uncertainty_product(amps)
+        assert rep.delta_r2 == pytest.approx(2.5, abs=1e-9)
+        assert rep.delta_k2 == pytest.approx(2.5, abs=1e-9)
 
     def test_azimuthal_term_vanishes_for_real_axisymmetric(self):
         # f real and phi-independent: Im(f* dphi f) = 0 identically
@@ -135,8 +128,9 @@ class TestVarianceFromAmplitudes:
 
     def test_weak_equals_strong_form(self):
         amps = saturating_amplitudes(0.8, -0.3 + 0.1j, 1.2)
-        weak = variance_position_from_amplitudes(amps, weak=True)
-        strong = variance_position_from_amplitudes(amps, weak=False)
+        weak = uncertainty_product(amps).delta_r2
+        n, _, mr, _, _ = _amp_moments(amps, weak=False)
+        strong = mr / n
         assert abs(weak - strong) / weak < 1e-10
 
     def test_grid_path_agreement(self, rng):
@@ -144,8 +138,8 @@ class TestVarianceFromAmplitudes:
         # improving with resolution
         amps = random_pair(rng, allow_single=False)
         extent = 28.0 / amps.k_scale
-        dr2 = variance_position_from_amplitudes(amps)
-        dk2 = variance_kspace_from_amplitudes(amps)
+        ref = uncertainty_product(amps)
+        dr2, dk2 = ref.delta_r2, ref.delta_k2
 
         def grid_err(n, box):
             kgrid = Grid3D.centered(n, box).fourier_dual()
@@ -187,15 +181,11 @@ class TestVarianceFromAmplitudes:
         sampled = HelicityAmplitudePair(
             SampledAmplitude.from_closure(Smooth(), kgrid), None
         )
-        for c_fun, s_fun in (
-            (variance_position_from_amplitudes, variance_position_from_amplitudes),
-            (variance_kspace_from_amplitudes, variance_kspace_from_amplitudes),
-        ):
-            ref = c_fun(closure)
-            got = s_fun(sampled)
-            assert abs(got - ref) / ref < 1e-12
-        rep = uncertainty_product(sampled)
-        assert rep.product >= 2.5 - 1e-6
+        ref = uncertainty_product(closure)
+        got = uncertainty_product(sampled)
+        for key in ("delta_r2", "delta_k2"):
+            assert abs(getattr(got, key) - getattr(ref, key)) / getattr(ref, key) < 1e-12
+        assert got.product >= 2.5 - 1e-6
 
     def test_sampled_cone_amplitude_converges(self):
         # the saturating profile has a conical kink on the kz-axis, so the
@@ -203,14 +193,14 @@ class TestVarianceFromAmplitudes:
         from rsuncert import SampledAmplitude
 
         cone = saturating_amplitudes(1.0, 0.0, 1.0)
-        ref = variance_position_from_amplitudes(cone)
+        ref = uncertainty_product(cone).delta_r2
         errs = []
         for n, L in ((64, 16.0), (128, 32.0)):
             kg = Grid3D.centered(n, L).fourier_dual()
             samp = HelicityAmplitudePair(
                 SampledAmplitude.from_closure(cone.f_plus, kg), None
             )
-            errs.append(abs(variance_position_from_amplitudes(samp) - ref) / ref)
+            errs.append(abs(uncertainty_product(samp).delta_r2 - ref) / ref)
         assert errs[0] < 0.05
         assert errs[1] < 0.35 * errs[0]
 
@@ -246,7 +236,7 @@ class TestVarianceFromAmplitudes:
         vals = np.exp(-(KX ** 2 + KY ** 2 + KZ ** 2))  # no k_perp zero
         pair = HelicityAmplitudePair(SampledAmplitude(vals, kgrid), None)
         with pytest.raises(SingularAmplitudeError):
-            variance_position_from_amplitudes(pair)
+            uncertainty_product(pair)
 
     def test_singular_amplitude_rejected(self):
         class OnAxis:
@@ -260,7 +250,7 @@ class TestVarianceFromAmplitudes:
                 return -2 * kx * f, -2 * ky * f, -2 * kz * f
 
         with pytest.raises(SingularAmplitudeError):
-            variance_position_from_amplitudes(HelicityAmplitudePair(OnAxis(), None))
+            uncertainty_product(HelicityAmplitudePair(OnAxis(), None))
 
 
 class TestUncertaintyProduct:
@@ -336,6 +326,41 @@ class TestUncertaintyProduct:
         field = FieldGrid(np.zeros((16, 16, 16, 3), complex), grid, "position")
         with pytest.raises(DegenerateFieldError):
             uncertainty_product(field)
+
+
+class TestGridReportSpaces:
+    """A FieldGrid report streams from the field's own space to its Fourier
+    partner's (_grid_report), so a field and its FFT partner must give the
+    same report from either side."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for key in ("delta_r2", "delta_k2", "norm_r", "norm_k"):
+            g, w = getattr(got, key), getattr(want, key)
+            assert abs(g - w) <= 1e-12 * abs(w), key
+        assert got.warnings == want.warnings
+
+    def assert_both_sides(self, field, partner):
+        self.assert_same(uncertainty_product(field), uncertainty_product(partner))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("C", [1.0, 0.3 + 0.7j])
+    def test_simplest_packet(self, n, C):
+        fR = simplest_field_grid(C=C, n=n)
+        self.assert_both_sides(fR, fourier_to_kspace(fR))
+        fK = synthesize_kspace(simplest_field_amplitudes(C, 1.0),
+                               Grid3D.centered(n, 16.0).fourier_dual())
+        self.assert_both_sides(fK, fourier_to_position(fK))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_random_pairs(self, n, rng):
+        for _ in range(3):
+            amps = random_pair(rng)
+            kgrid = Grid3D.centered(n, 28.0 / amps.k_scale).fourier_dual()
+            fK = synthesize_kspace(amps, kgrid)
+            fR = fourier_to_position(fK)
+            self.assert_both_sides(fK, fR)
+            self.assert_both_sides(fR, fourier_to_kspace(fR))
 
 
 class TestHelicitySign:

@@ -12,7 +12,6 @@ from rsuncert import (
     evolve,
     fourier_to_kspace,
     fourier_to_position,
-    norm,
     saturating_amplitudes,
     saturating_rs_field,
     spreading_trajectory,
@@ -20,7 +19,7 @@ from rsuncert import (
     uncertainty_product,
 )
 from rsuncert.cli import main
-from rsuncert.kspace import KspaceParts, _RadialParts, _synthesis_parts
+from rsuncert.kspace import _NodeParts, _RadialParts, _synthesis_parts
 from conftest import node_route_pair
 
 
@@ -49,9 +48,9 @@ class TestEvolve:
 
     def test_norm_conserved(self):
         amps = SPEC.amplitudes()
-        n0 = norm(synthesize_kspace(amps, KGRID, 0.0))
+        n0 = uncertainty_product(synthesize_kspace(amps, KGRID, 0.0)).norm_k
         for t in (1.0, 5.0, 10.0):
-            nt = norm(synthesize_kspace(amps, KGRID, t))
+            nt = uncertainty_product(synthesize_kspace(amps, KGRID, t)).norm_k
             assert abs(nt - n0) / n0 < 1e-10
 
     def test_spectral_maxwell_equation(self):
@@ -145,7 +144,7 @@ class TestGridPathEquivalence:
 
     def test_routes(self):
         assert isinstance(_synthesis_parts(self.pair, self.grid), _RadialParts)
-        assert isinstance(_synthesis_parts(self.node_pair, self.grid), KspaceParts)
+        assert isinstance(_synthesis_parts(self.node_pair, self.grid), _NodeParts)
 
     @staticmethod
     def einsum_density(field):
@@ -229,7 +228,7 @@ class TestBoundedMemory:
         # conj f-(-k)/k_perp and |k|: 40 bytes a node) and slab buffers;
         # no polarization frame, full-size phase or full-size W, T
         pair = node_route_pair(1.0, 0.5j, 1.0)
-        assert isinstance(_synthesis_parts(pair, self.grid), KspaceParts)
+        assert isinstance(_synthesis_parts(pair, self.grid), _NodeParts)
         peak = self.traced_peak(lambda: synthesize_kspace(pair, self.grid, t))
         assert peak <= 96 * 64 ** 3
 
