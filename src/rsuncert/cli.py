@@ -58,16 +58,28 @@ _ERROR_EXITS = (
 )
 
 
+def _message(exc) -> str:
+    """The text of exc for its `error:` line.  A float power's
+    OverflowError carries an errno pair (34, 'Numerical result out of
+    range'), whose str is the tuple: its text alone is given."""
+    if isinstance(exc, ArithmeticError) and len(exc.args) == 2:
+        return str(exc.args[1])
+    return str(exc)
+
+
 def _fmt(value) -> str:
     return "%.17g" % value
 
 
 def _emit(text, out_path):
+    """Write text, a str or an iterable of str blocks, to out_path (stdout
+    if none)."""
+    blocks = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _report_text(report, fmt):
@@ -193,10 +205,10 @@ def cmd_verify_bound(args) -> int:
     else:
         spec = _field_spec(args)
         grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
-        # the two densities straight from the synthesis parts: no FieldGrid
-        # is built
-        d_k, d_r, rgrid = _synthesis_parts(spec.amplitudes(), grid).densities(0.0)
-        report = _density_report(d_r, rgrid, d_k, grid)
+        # the two densities' stats straight from the synthesis parts: no
+        # FieldGrid is built
+        k, r = _synthesis_parts(spec.amplitudes(), grid).densities(0.0)
+        report = _density_report(r, k)
 
     _emit(_report_text(report, args.format), args.out)
     if not report.product >= report.bound - args.tolerance:
@@ -218,7 +230,7 @@ def cmd_spectrum(args) -> int:
 
     _emit(spectrum.to_json() + "\n", args.out)
     if args.dump_eigenfunctions:
-        _emit(spectrum.eigenfunctions_csv(), args.dump_eigenfunctions)
+        _emit(spectrum.eigenfunctions_csv_blocks(), args.dump_eigenfunctions)
     targets = 2.5 + 2.0 * np.arange(args.n_states)
     ok = np.all(np.abs(spectrum.eigenvalues - targets) <= args.tolerance)
     return EXIT_OK if ok else 1
@@ -362,7 +374,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except tuple(kind for kind, _, _ in _ERROR_EXITS) as exc:
         code, prefix = next(row[1:] for row in _ERROR_EXITS if isinstance(exc, row[0]))
-        print(f"error: {prefix}{exc}", file=sys.stderr)
+        print(f"error: {prefix}{_message(exc)}", file=sys.stderr)
         return code
 
 

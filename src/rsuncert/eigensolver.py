@@ -47,6 +47,7 @@ __all__ = [
 
 
 N_POINTS_MAX = 1_000_000  # largest radial grid: about 2.5 s and 200 MB
+CSV_BLOCK_VALUES = 2 ** 14  # values per block of the eigenfunction CSV: about 0.4 MB of text
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,20 @@ class RadialSpectrum:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    def eigenfunctions_csv(self) -> str:
+    def eigenfunctions_csv_blocks(self):
+        """The sampled eigenfunctions as CSV text in blocks of whole lines:
+        the header kappa,g0,g1,..., then one row per kappa node, each value
+        its repr.  A block holds about CSV_BLOCK_VALUES values, so writing
+        the blocks in turn holds one block's text at a time, whatever the
+        grid and state count."""
         cols = ["kappa"] + [f"g{n}" for n in range(len(self.eigenvalues))]
-        lines = [",".join(cols)]
-        for i, k in enumerate(self.kappa):
-            row = [repr(float(k))] + [repr(float(g[i])) for g in self.eigenfunctions]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        yield ",".join(cols) + "\n"
+        rows = max(1, CSV_BLOCK_VALUES // len(cols))
+        for start in range(0, self.kappa.size, rows):
+            stop = start + rows
+            block = zip(self.kappa[start:stop].tolist(),
+                        self.eigenfunctions[:, start:stop].T.tolist())
+            yield "".join(f"{k!r},{','.join(map(repr, g))}\n" for k, g in block)
 
 
 def _potential(kappa):

@@ -41,9 +41,11 @@ _synthesis_parts picks one from two properties of its input, nothing else:
   Its densities(t) assemble no component at all: every term of a
   component has a definite parity in each axis, so both densities come
   from the positive octant, through one DCT-IV or DST-IV per axis and
-  term (_RadialParts.densities).  F1 is the x <-> y mirror of F0, so only
+  term (_RadialParts.octants).  F1 is the x <-> y mirror of F0, so only
   the three terms x z W, i y T (of F0) and F2 are transformed, and one
-  octant density per space, mirrored, gives the whole cube.
+  octant density per space, D+, stands for the whole cube: every number
+  a report takes of a density comes from D+ (_octant_stats), and no
+  density of the whole cube is ever formed.
 * Node route (_NodeParts) for everything else: polynomial, sampled and
   wrapped (phase-evolved, dilated) amplitudes, and any other grid.  Every
   admissible amplitude is f = k_perp g, so the same polynomial holds with
@@ -63,16 +65,17 @@ _stream_densities reduces a stream of components to the density on their
 grid and the density of their transform on the dual grid, holding one
 component and the two densities (the output-side DFT phases are unimodular
 and drop out); _NodeParts.densities and the FieldGrid reports of moments
-use it.  Both routes' parts have densities(t, source), and the spreading
-trajectory and `verify-bound --method grid` take them from there.  This
-module takes no norm or moment of a density: the reports do
-(moments.uncertainty_product).
+use it.  Both routes' parts have densities(t, source), which give per
+space the three numbers a report takes of a density (_DensityStats: its
+boundary ratio, second moment and norm), and the spreading trajectory and
+`verify-bound --method grid` take them from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dct, dst, fftn, ifftn
@@ -197,6 +200,49 @@ def _boundary_ratio(d) -> float:
         return 0.0
     faces = [d[0], d[-1], d[:, 0], d[:, -1], d[:, :, 0], d[:, :, -1]]
     return max(f.max() for f in faces) / peak
+
+
+def _grid_moment(d, axes, cell_volume):
+    """(second moment about the origin, norm) of the density array d on the
+    nodes of axes (x, y, z), by Riemann sums over its marginals."""
+    x, y, z = axes
+    dxy = d.sum(axis=2)
+    n = dxy.sum() * cell_volume
+    if not np.isfinite(n) or n <= 0.0:
+        raise DegenerateFieldError("variance: zero field norm")
+    m = (x ** 2 @ dxy.sum(axis=1) + y ** 2 @ dxy.sum(axis=0)
+         + z ** 2 @ d.sum(axis=(0, 1))) * cell_volume
+    return m / n, float(n)
+
+
+class _DensityStats(NamedTuple):
+    """What a report needs of one space's density: its boundary ratio (the
+    truncation diagnostic), second moment about the origin and norm."""
+
+    ratio: float
+    moment: float
+    norm: float
+
+
+def _density_stats(d, grid) -> _DensityStats:
+    """The stats of the density array d on grid."""
+    return _DensityStats(_boundary_ratio(d), *_grid_moment(d, grid.axes(), grid.cell_volume))
+
+
+def _octant_stats(dp, grid) -> _DensityStats:
+    """The stats of a density on the centred even cube grid from its
+    positive-octant values D+ alone, D- = D+^T (x <-> y) holding at the
+    other reflections (_RadialParts.densities).
+
+    Every face of the cube reflects one of the outer faces of D+ or D+^T,
+    so the boundary ratio is exactly that of the whole cube.  Both D+ and
+    D+^T fill four octants, and r^2 is x <-> y symmetric, so the moment is
+    D+'s and the norm eight times D+'s."""
+    h = dp.shape[0]
+    peak = dp.max()
+    ratio = 0.0 if peak == 0.0 else max(dp[-1].max(), dp[:, -1].max(), dp[:, :, -1].max()) / peak
+    moment, norm = _grid_moment(dp, [ax[h:] for ax in grid.axes()], grid.cell_volume)
+    return _DensityStats(ratio, moment, 8.0 * norm)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +687,13 @@ class _NodeParts:
         yield from _assemble_grid(self.grid, slabs, out)
 
     def densities(self, t, source=True):
-        """(k-space density or None if not source, position density, the
-        position grid) of Ftilde(k, t): its components streamed through
-        the FFT (_stream_densities)."""
-        return _stream_densities(self.components(t), self.grid, +1, source)
+        """(k-space stats or None if not source, position stats) of
+        Ftilde(k, t) (_DensityStats): its components streamed through the
+        FFT (_stream_densities) and each density array reduced."""
+        d_src, d_dual, dual = _stream_densities(self.components(t), self.grid, +1, source)
+        # position space first: its checks raise first
+        r = _density_stats(d_dual, dual)
+        return None if d_src is None else _density_stats(d_src, self.grid), r
 
 
 def _radius_keys(grid):
@@ -799,24 +848,6 @@ def _octant_densities(terms, q, source):
     return src, dual
 
 
-def _unfold(dp):
-    """The full cube of a density from its positive-octant values D+ at
-    every reflection (sx, sy, sz) of an octant node with sx sy sz = 1 and
-    D- = D+^T (x <-> y) at the others."""
-    h = dp.shape[0]
-    up, dn = slice(h, None), slice(h - 1, None, -1)
-    dm = dp.transpose(1, 0, 2)
-    d = np.empty((2 * h,) * 3)
-    d[up, up, up] = dp
-    d[up, up, dn] = dm
-    d[up, dn, up] = dm
-    d[up, dn, dn] = dp
-    # reflecting both x and y keeps sx sy
-    d[dn, dn] = d[up, up]
-    d[dn, up] = d[up, dn]
-    return d
-
-
 @dataclass(frozen=True, eq=False)
 class _RadialParts:
     """The time-independent part of Ftilde(k,t) for radial amplitudes
@@ -831,9 +862,10 @@ class _RadialParts:
 
         Ftilde = [kx kz W + ky V, ky kz W - kx V, -k_perp^2 W]
 
-    by gathering them per node (_assemble_grid with _gathered).  densities(t)
-    reduces the same field to its two densities from the positive octant,
-    with no component built.  Same interface as _NodeParts.
+    by gathering them per node (_assemble_grid with _gathered).  octants(t)
+    reduces the same field to the positive-octant values of its two
+    densities, with no component built, and densities(t) takes the
+    reports' stats from those.  Same interface as _NodeParts.
     """
 
     grid: Grid3D
@@ -863,9 +895,11 @@ class _RadialParts:
         w, v = self._tables(t)
         yield from _assemble_grid(self.grid, _gathered(self.q, w, v), out)
 
-    def densities(self, t, source=True):
-        """(k-space density or None if not source, position density, the
-        position grid) of Ftilde(k, t), from the positive octant alone.
+    def octants(self, t, source=True):
+        """The positive-octant values D+ of the k-space density (None if
+        not source) and of the position density of Ftilde(k, t); the
+        density at the reflection (sx, sy, sz) of an octant node is D+
+        there if sx sy sz = 1 and D- = D+^T (x <-> y) otherwise.
 
         Each component is a sum of terms of definite parity per axis,
 
@@ -881,10 +915,9 @@ class _RadialParts:
         subtracted, squared, plus |F2|^2.  The radius key is symmetric in
         the axes, so F1 is F0 mirrored in x <-> y with its T term negated
         and D- = D+^T: only A0 = x z W, B0 = i y T and F2 are gathered and
-        transformed (_octant_densities), and _unfold writes the full cube
-        from D+.  The terms are gathered one at a time from the radius
-        table, so two complex octants and one real octant density per
-        space are held, never a component.
+        transformed (_octant_densities).  The terms are gathered one at a
+        time from the radius table, so two complex octants and one real
+        octant density per space are held, never a component.
         """
         w, it = self._tables(t)
         h = self.grid.counts[0] // 2
@@ -896,9 +929,16 @@ class _RadialParts:
                  (w, -(x * x + y * y), ())]
         src, dual = _octant_densities(terms, q, source)
         dual *= _dft_scale(self.grid, -1) ** 2
-        d_src = None if src is None else _unfold(src)
-        del src
-        return d_src, _unfold(dual), self.grid.fourier_dual()
+        return src, dual
+
+    def densities(self, t, source=True):
+        """(k-space stats or None if not source, position stats) of
+        Ftilde(k, t) (_DensityStats), reduced from the octants alone
+        (_octant_stats): no density of the whole cube is formed."""
+        src, dual = self.octants(t, source)
+        # position space first: its checks raise first
+        r = _octant_stats(dual, self.grid.fourier_dual())
+        return None if src is None else _octant_stats(src, self.grid), r
 
 
 def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):

@@ -40,15 +40,17 @@ pairwise summation keeps them reproducible at the stated tolerances.
 Dr^2, Dk^2 and the norms of both spaces are public only as fields of the
 report that uncertainty_product returns.
 
-Grid path.  A grid report is made from one density array per space
-(_density_report): each gives its space's boundary ratio, moment and norm.
-For a FieldGrid (uncertainty_product) the densities come from a stream of
-its components (_grid_report): each adds its density in its own space, is
-transformed in place and adds its partner's density, so one component and
-two density arrays are held and no partner FieldGrid is built.  For an
-amplitude pair (`verify-bound --method grid`) they come from the synthesis
-parts' densities (kspace._synthesis_parts): for radial amplitudes on a
-centred even cube, from the positive octant with no component built.
+Grid path.  A grid report is made from three numbers per space, its
+density's boundary ratio, second moment and norm (_density_report of two
+kspace._DensityStats).  For a FieldGrid (uncertainty_product) they come
+from one density array per space, streamed from its components
+(_grid_report): each adds its density in its own space, is transformed in
+place and adds its partner's density, so one component and two density
+arrays are held and no partner FieldGrid is built.  For an amplitude pair
+(`verify-bound --method grid`) they come from the synthesis parts'
+densities (kspace._synthesis_parts): for radial amplitudes on a centred
+even cube, from the positive octant of each density, with no component
+and no density of the whole cube built.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .kspace import (
     FieldGrid,
     HelicityAmplitudePair,
     SampledAmplitude,
-    _boundary_ratio,
+    _density_stats,
     _stream_densities,
     # not called here since grid reports stream; kept as a binding site that
     # bench/selftest.py checks the tracer wraps and restores
@@ -290,23 +292,6 @@ def _check_axis_regular(amps, rule=None):
 
 
 # ---------------------------------------------------------------------------
-# grid path
-# ---------------------------------------------------------------------------
-
-def _grid_moment(d, grid):
-    """(second moment about the origin, norm) of the density array d on
-    grid, by Riemann sums over its marginals."""
-    x, y, z = grid.axes()
-    dxy = d.sum(axis=2)
-    n = dxy.sum() * grid.cell_volume
-    if not np.isfinite(n) or n <= 0.0:
-        raise DegenerateFieldError("variance: zero field norm")
-    m = (x ** 2 @ dxy.sum(axis=1) + y ** 2 @ dxy.sum(axis=0)
-         + z ** 2 @ d.sum(axis=(0, 1))) * grid.cell_volume
-    return m / n, float(n)
-
-
-# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
@@ -378,7 +363,8 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
     fieldR, fieldK = source
     if fieldR.space != "position" or fieldK.space != "wavevector":
         raise ValueError("uncertainty_product: expected (position, wavevector)")
-    return _density_report(fieldR.density(), fieldR.grid, fieldK.density(), fieldK.grid)
+    return _density_report(_density_stats(fieldR.density(), fieldR.grid),
+                           _density_stats(fieldK.density(), fieldK.grid))
 
 
 def _field_components(field: FieldGrid):
@@ -402,23 +388,21 @@ def _grid_report(components, grid, space) -> VarianceReport:
     norm of each space then come from its density array."""
     sign = +1 if space == "wavevector" else -1
     d_src, d_dual, dual = _stream_densities(components, grid, sign)
-    if space == "position":
-        return _density_report(d_src, grid, d_dual, dual)
-    return _density_report(d_dual, dual, d_src, grid)
+    spaces = [(d_src, grid), (d_dual, dual)]
+    if space == "wavevector":
+        spaces.reverse()
+    # position space first: its checks raise first, as in every report
+    return _density_report(*(_density_stats(d, g) for d, g in spaces))
 
 
-def _density_report(dr, rgrid, dk, kgrid) -> VarianceReport:
-    """Report from the position and wavevector densities: one density array
-    per space gives both its boundary ratio and its moment."""
-    warnings = []
-    sums = []
-    for d, grid, space in ((dr, rgrid, "position"), (dk, kgrid, "wavevector")):
-        if _boundary_ratio(d) > TRUNCATION_RATIO:
-            warnings.append(f"truncation: {space}-space density at boundary "
-                            f"exceeds {TRUNCATION_RATIO:g} of peak")
-        sums.append(_grid_moment(d, grid))
-    (dr2, nr), (dk2, nk) = sums
-    return _report(dr2, dk2, nr, nk, warnings)
+def _density_report(r, k) -> VarianceReport:
+    """Report from the position and wavevector stats (kspace._DensityStats):
+    each space's boundary ratio, second moment and norm."""
+    warnings = [f"truncation: {space}-space density at boundary "
+                f"exceeds {TRUNCATION_RATIO:g} of peak"
+                for stats, space in ((r, "position"), (k, "wavevector"))
+                if stats.ratio > TRUNCATION_RATIO]
+    return _report(r.moment, k.moment, r.norm, k.norm, warnings)
 
 
 def massless_bound(h) -> float:

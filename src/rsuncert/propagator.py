@@ -11,20 +11,20 @@ pairs with zero linear coefficient (e.g. real profiles) the minimum is at
 t = 0 and the packet spreads symmetrically.
 
 The grid trajectory builds the time-independent synthesis part once
-(kspace._synthesis_parts) and, per time, takes one real position density
-from it (the parts' densities(t, source=False)), and no position FieldGrid
-is built.  That one density gives the time's boundary ratio (the
-truncation check), norm (the zero-norm check) and second moment.  evolve
-is the one-time case and returns the position field itself.
+(kspace._synthesis_parts) and, per time, takes the position density's
+stats from it (the parts' densities(t, source=False)), and no position
+FieldGrid is built: the time's boundary ratio (the truncation check), norm
+(the zero-norm check) and second moment.  evolve is the one-time case and
+returns the position field itself.
 
 The synthesis part takes one of two routes (see kspace), chosen only from
 the amplitude types and the grid.  Radial amplitudes (every
 saturating_amplitudes pair) on a centred even cube take the radial route:
 a time step is one table of the distinct radii (6,049 at 128^3), three
 terms gathered from it on the positive octant (the two of F1 mirror those
-of F0), a DCT-IV or DST-IV per axis of each, and one octant density
-unfolded into one real density, so a trajectory never holds a complex
-component.  Any other input takes the
+of F0), a DCT-IV or DST-IV per axis of each, and one octant density that
+gives the three numbers, so a trajectory never holds a complex component
+or a density of the whole cube.  Any other input takes the
 node route (kspace._NodeParts): one complex component at a time through
 the FFT, holding also f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp)
 and |k| (40 bytes a node) and no polarization frame.
@@ -42,16 +42,11 @@ from .kspace import (
     FieldGrid,
     Grid3D,
     HelicityAmplitudePair,
-    _boundary_ratio,
     _synthesis_parts,
     fourier_to_position,
     synthesize_kspace,
 )
-from .moments import (
-    TRUNCATION_RATIO,
-    _amp_moments,
-    _grid_moment,
-)
+from .moments import TRUNCATION_RATIO, _amp_moments
 
 __all__ = ["Trajectory", "evolve", "spreading_trajectory"]
 
@@ -145,18 +140,16 @@ def spreading_trajectory(
         if grid is None:
             raise ValueError("spreading_trajectory: grid method needs a grid")
         parts = _synthesis_parts(amps, grid)
-        rgrid = grid.fourier_dual()
         for i, t in enumerate(times):
-            d = parts.densities(t, source=False)[1]
-            if _boundary_ratio(d) > TRUNCATION_RATIO:
+            r = parts.densities(t, source=False)[1]
+            if r.ratio > TRUNCATION_RATIO:
                 truncated = True
                 if strict:
                     raise TruncationError(
                         f"packet reached the box boundary at t = {t}; "
                         "enlarge the grid extent"
                     )
-            moments[i], norms[i] = _grid_moment(d, rgrid)
-            del d  # else it stays alive while the next time's density is built
+            moments[i], norms[i] = r.moment, r.norm
     elif method == "analytic":
         for i, t in enumerate(times):
             n, _, mr, _, _ = _amp_moments(amps.evolved(t))

@@ -1,6 +1,7 @@
 """Shared test oracles, kept independent of the code paths they check."""
 
 from fractions import Fraction
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -183,3 +184,17 @@ def node_route_pair(c_plus, c_minus, a):
         return PolynomialGaussianAmplitude({(0, 0, 0): C}, a * a / 2.0) if C else None
 
     return HelicityAmplitudePair(amp(c_plus), amp(c_minus))
+
+
+def unfold_octant(dp):
+    """The whole cube of a radial-route density from its positive-octant
+    values D+ (_RadialParts.octants), by the eight-reflection rule: the
+    octant reflected by (sx, sy, sz) holds D+ if sx sy sz = 1 and
+    D+^T (x <-> y) otherwise."""
+    h = dp.shape[0]
+    halves = {1: slice(h, None), -1: slice(h - 1, None, -1)}
+    d = np.empty((2 * h,) * 3)
+    for signs in itertools.product((1, -1), repeat=3):
+        block = dp if np.prod(signs) == 1 else dp.transpose(1, 0, 2)
+        d[tuple(halves[s] for s in signs)] = block
+    return d

@@ -452,3 +452,17 @@ def test_overflow_one_line_outside_pytest(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: arithmetic:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["spread", "--grid", 16, "--extent", 12, "--a", 1e-60],
+    ["verify-bound", "--method", "grid", "--grid", 16, "--a", 1e-60],
+])
+def test_out_of_range_scale_readable(capsys, args):
+    # the k-space density's scale overflows a float power, whose
+    # OverflowError carries an errno pair: its text is printed, not the
+    # (34, '...') tuple
+    code = run(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: arithmetic: Numerical result out of range\n"

@@ -1,6 +1,7 @@
 """Radial eigenproblem: spectrum 5/2 + 2n, eigenfunctions, Rayleigh quotient."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rsuncert import (
     rayleigh_quotient,
     solve_radial,
 )
+from rsuncert.cli import _emit
 from rsuncert.eigensolver import N_POINTS_MAX, radial_operator_apply
 
 
@@ -108,10 +110,30 @@ class TestSpectrum:
         assert d["grid"] == {"kappa_max": 10.0, "n_points": 2000}
         assert len(d["eigenvalues"]) == 3
         assert len(d["residuals"]) == 3
-        csv = spectrum.eigenfunctions_csv()
+        csv = "".join(spectrum.eigenfunctions_csv_blocks())
         head, first = csv.splitlines()[:2]
         assert head == "kappa,g0,g1,g2"
         assert len(first.split(",")) == 4
+
+    def test_csv_dump_in_blocks(self, tmp_path):
+        # spectrum --dump-eigenfunctions writes its blocks in turn: 20000
+        # points x 10 states is 1.6 MB of eigenfunctions and 4.4 MB of text,
+        # never held whole, and the text is the same as built in one piece
+        big = solve_radial(RadialProblem(kappa_max=10.0, n_points=20000), n_states=10)
+        path = tmp_path / "eig.csv"
+        tracemalloc.start()
+        try:
+            _emit(big.eigenfunctions_csv_blocks(), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+        blocks = list(big.eigenfunctions_csv_blocks())
+        assert len(blocks) > 2 and all(b.endswith("\n") for b in blocks)
+        lines = [",".join(["kappa"] + [f"g{n}" for n in range(10)])] + [
+            ",".join(repr(float(v)) for v in (k, *big.eigenfunctions[:, i]))
+            for i, k in enumerate(big.kappa)]
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 class TestAnalyticEigenfunction:

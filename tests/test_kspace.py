@@ -29,13 +29,14 @@ from rsuncert.kspace import (
     _NodeParts,
     _RadialParts,
     _boundary_ratio,
+    _density_stats,
     _dft_phases,
     _phased,
     _stream_densities,
     _synthesis_parts,
 )
 from rsuncert.moments import TRUNCATION_RATIO, _SphericalRule
-from conftest import node_route_pair, second_moment_oracle
+from conftest import node_route_pair, second_moment_oracle, unfold_octant
 
 
 def random_offaxis_k(rng, n):
@@ -364,14 +365,27 @@ class TestRadialRoute:
 
 
 class TestOctantDensities:
-    """_RadialParts.densities builds both densities from the positive
-    octant (DCT-IV/DST-IV per parity term); the reference streams the full
-    components of the same parts through the FFT."""
+    """_RadialParts.octants builds the positive-octant values of both
+    densities (DCT-IV/DST-IV per parity term); unfolded by the
+    eight-reflection rule, they are compared at every node with a reference
+    that streams the full components of the same parts through the FFT.
+    _RadialParts.densities reduces the octants to the reports' stats."""
 
     @staticmethod
     def assert_close(got, want, tol=1e-13):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= tol * want.max()
+
+    @staticmethod
+    def unfolded(parts, t, source=True):
+        return [None if d is None else unfold_octant(d) for d in parts.octants(t, source)]
+
+    @staticmethod
+    def radial_parts(n, c_minus):
+        grid = Grid3D.centered(n, 16.0 * 1.3).fourier_dual()
+        parts = _synthesis_parts(saturating_amplitudes(1.0, c_minus, 1.3), grid)
+        assert isinstance(parts, _RadialParts)
+        return grid, parts
 
     # 16^3 has the smallest octant the CLI makes (h = 8)
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -380,17 +394,32 @@ class TestOctantDensities:
     @pytest.mark.parametrize("c", [1.0, 1.7])
     def test_matches_stream(self, n, c_minus, t, c):
         # c = 1 is fixed: a speed of light c enters as the time c t
-        grid = Grid3D.centered(n, 16.0 * 1.3).fourier_dual()
-        parts = _synthesis_parts(saturating_amplitudes(1.0, c_minus, 1.3), grid)
-        assert isinstance(parts, _RadialParts)
-        d_k, d_r, rgrid = parts.densities(c * t)
-        w_k, w_r, w_grid = _stream_densities(parts.components(c * t), grid, +1)
-        assert rgrid == w_grid
+        grid, parts = self.radial_parts(n, c_minus)
+        d_k, d_r = self.unfolded(parts, c * t)
+        w_k, w_r, _ = _stream_densities(parts.components(c * t), grid, +1)
         self.assert_close(d_k, w_k)
         self.assert_close(d_r, w_r)
-        none_k, only_r, _ = parts.densities(c * t, source=False)
+        none_k, only_r = parts.octants(c * t, source=False)
         assert none_k is None
-        np.testing.assert_array_equal(only_r, d_r)
+        np.testing.assert_array_equal(unfold_octant(only_r), d_r)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
+    @pytest.mark.parametrize("t", [0.0, 0.3, -0.7])
+    @pytest.mark.parametrize("c", [1.0, 1.7])
+    def test_stats_match_unfolded_cube(self, n, c_minus, t, c):
+        # the reports' numbers from the octant alone against those of the
+        # whole cube: the boundary ratio exactly, moment and norm to rounding
+        grid, parts = self.radial_parts(n, c_minus)
+        d_k, d_r = self.unfolded(parts, c * t)
+        got = parts.densities(c * t)
+        for stats, want in zip(got, (_density_stats(d_k, grid),
+                                     _density_stats(d_r, grid.fourier_dual()))):
+            assert stats.ratio == want.ratio
+            assert abs(stats.moment / want.moment - 1.0) <= 1e-13
+            assert abs(stats.norm / want.norm - 1.0) <= 1e-13
+        none_k, only_r = parts.densities(c * t, source=False)
+        assert none_k is None and only_r == got[1]
 
     def test_matches_frame_route(self):
         # the node route shares the time tables with it, but no gather,
@@ -399,8 +428,13 @@ class TestOctantDensities:
         radial = _synthesis_parts(saturating_amplitudes(1.0, 0.5j, 1.0), grid)
         node = _synthesis_parts(node_route_pair(1.0, 0.5j, 1.0), grid)
         assert isinstance(node, _NodeParts)
-        for got, want in zip(radial.densities(1.2 * 0.3)[:2], node.densities(1.2 * 0.3)[:2]):
-            self.assert_close(got, want)
+        t = 1.2 * 0.3
+        want = _stream_densities(node.components(t), grid, +1)[:2]
+        for got, w in zip(self.unfolded(radial, t), want):
+            self.assert_close(got, w)
+        for got, w in zip(radial.densities(t), node.densities(t)):
+            assert abs(got.moment / w.moment - 1.0) <= 1e-13
+            assert abs(got.norm / w.norm - 1.0) <= 1e-13
 
     def test_zero_terms_skipped(self, monkeypatch):
         # A0 = x z W, B0 = i y T and F2 take one DCT-IV/DST-IV per axis
@@ -416,7 +450,7 @@ class TestOctantDensities:
         parts = _synthesis_parts(simplest_field_amplitudes(1.0, 1.0), grid)
         for t, count in ((0.0, 3), (0.3, 9)):
             inputs.clear()
-            got = parts.densities(t)[:2]
+            got = self.unfolded(parts, t)
             assert inputs == [True] * count
             want = _stream_densities(parts.components(t), grid, +1)[:2]
             for g, w in zip(got, want):
@@ -431,9 +465,8 @@ class TestOctantDensities:
         # and the octant route builds D- as D+^T, so both densities are
         # exactly symmetric (a plain x <-> y swap is not a symmetry: the
         # position density misses it by up to 1e-3 of the peak at 16^3)
-        grid = Grid3D.centered(n, 16.0 * 1.3).fourier_dual()
-        parts = _synthesis_parts(saturating_amplitudes(1.0, c_minus, 1.3), grid)
-        for d in parts.densities(t)[:2]:
+        _, parts = self.radial_parts(n, c_minus)
+        for d in self.unfolded(parts, t):
             np.testing.assert_array_equal(d, d.transpose(1, 0, 2)[:, :, ::-1])
 
     def test_truncated_box(self, capsys):
@@ -442,11 +475,12 @@ class TestOctantDensities:
         a = 0.7371
         grid = Grid3D.centered(16, 16.0 * a).fourier_dual()
         parts = _synthesis_parts(SaturatingFieldSpec.simplest(C=1.0, a=a).amplitudes(), grid)
-        got = parts.densities(0.0)[:2]
+        got = self.unfolded(parts, 0.0)
         want = _stream_densities(parts.components(0.0), grid, +1)[:2]
         for g, w in zip(got, want):
             assert abs(_boundary_ratio(g) - _boundary_ratio(w)) <= 1e-12 * _boundary_ratio(w)
         assert _boundary_ratio(got[1]) > TRUNCATION_RATIO
+        assert parts.densities(0.0)[1].ratio == _boundary_ratio(got[1])
         assert main(["verify-bound", "--method", "grid", "--grid", "16", "--a", str(a)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: truncation:") and len(err.strip().splitlines()) == 1

@@ -179,16 +179,15 @@ class TestBoundedMemory:
     2 densities + 20 % at 64^3 (the node route's parts add
     f+/k_perp, conj f-(-k)/k_perp and |k|, 40 bytes a node, on top).
 
-    The radial route holds no component at all: its octant working set is
-    two complex octant terms plus the two real octant densities (D+, D-)
-    of each density it returns, and the unfolded densities come after it."""
+    The radial route holds no component and no density of the whole cube:
+    its working set is two complex octant terms plus one real octant
+    density D+ per space it reports (D- = D+^T is never formed)."""
 
     grid = Grid3D.centered(64, 20.0).fourier_dual()
     pair = saturating_amplitudes(1.0, 0.5j, 1.0)
     limit = 1.2 * (2 * 16 + 2 * 8) * 64 ** 3  # bytes
-    density = 8 * 64 ** 3
     octant_terms = 2 * 16 * 32 ** 3
-    octant_densities = 2 * 8 * 32 ** 3  # (D+, D-) of one space
+    octant_density = 8 * 32 ** 3  # D+ of one space
 
     @staticmethod
     def traced_peak(fn):
@@ -207,13 +206,13 @@ class TestBoundedMemory:
     def test_radial_trajectory_octant_bound(self):
         times = [-1.0, -0.5, 0.0, 0.5, 1.0]
         peak = self.traced_peak(lambda: spreading_trajectory(self.pair, times, grid=self.grid))
-        assert peak < 1.2 * (self.density + self.octant_terms + self.octant_densities)
+        assert peak < 1.2 * (self.octant_terms + self.octant_density)
 
     def test_radial_grid_report_octant_bound(self, tmp_path):
         out = tmp_path / "report.json"
         argv = ["verify-bound", "--method", "grid", "--grid", "64", "--out", str(out)]
         peak = self.traced_peak(lambda: main(argv))
-        assert peak < 1.2 * (2 * self.density + self.octant_terms + 2 * self.octant_densities)
+        assert peak < 1.2 * (self.octant_terms + 2 * self.octant_density)
         assert out.exists()
 
     def test_streamed_grid_report(self, tmp_path):
