@@ -43,7 +43,6 @@ from .kspace import (
     fourier_to_position,
     polarization,
     saturating_amplitudes,
-    simplest_field_amplitudes,
     synthesize_kspace,
 )
 from .moments import (

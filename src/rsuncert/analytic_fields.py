@@ -169,8 +169,7 @@ def scalar_generator(r, t, spec: SaturatingFieldSpec, helicity=+1):
     small = r_b < R_SWITCH * a
     if np.any(~small):
         rr, tt = r_b[~small], t_b[~small]
-        lp = (rr + tt) * b
-        lm = (rr - tt) * b
+        lp, lm = light_cone_vars(rr, tt, a)
         G = dawson(lp) + dawson(lm)
         H = np.exp(-lp * lp) - np.exp(-lm * lm)
         out[~small] = (G + sgn * 1j * _SQPI / 2.0 * H) / (2.0 * a * rr)
@@ -222,8 +221,7 @@ def _scalar_blocks(r, t, a, A, B):
     far = r_b >= R_SWITCH * a
     if np.any(far):
         rr, tt = r_b[far], t_b[far]
-        lp = (rr + tt) * b
-        lm = (rr - tt) * b
+        lp, lm = light_cone_vars(rr, tt, a)
         Dp, Dm = dawson(lp), dawson(lm)
         Ep, Em = np.exp(-lp * lp), np.exp(-lm * lm)
         D1p, D1m = 1.0 - 2.0 * lp * Dp, 1.0 - 2.0 * lm * Dm

@@ -12,10 +12,11 @@ off its target), 2 input error, 3 degenerate field, 4 resolution error,
 comes from main, the one place that catches an exception: it maps the
 exception to its code through _ERROR_EXITS and prints one `error:` line.
 Inputs are checked where they are built (SaturatingFieldSpec, Grid3D,
-RadialProblem, read_rsf, spreading_trajectory), output directories before
-any command runs, and each command runs under np.errstate(over, divide,
-invalid = "raise"), so out-of-range arithmetic is an input error too.  Flag-syntax errors keep argparse's
-usage output (exit 2).
+RadialProblem, read_rsf, spreading_trajectory), output paths before any
+command runs (an existing directory, none that names an input or another
+output), and each command runs under np.errstate(over, divide,
+invalid = "raise"), so out-of-range arithmetic is an input error too.
+Flag-syntax errors keep argparse's usage output (exit 2).
 Units: c = 1; times are given in units of a/c.
 Option precedence: command-line flags > --config JSON file > defaults.
 """
@@ -169,17 +170,26 @@ def _check_tolerance(args):
 
 
 def _check_output_dirs(args):
-    """Every output path's directory must exist, and the path must not be
-    a directory itself, checked before any work, so a bad path costs no
-    computation and writes nothing."""
-    for dest in ("out", "out_field", "profile_out", "dump_eigenfunctions"):
-        path = getattr(args, dest, None) or ""
+    """Every output path's directory must exist, the path must not be a
+    directory itself, and it must not name the file of --input, of
+    --config or of another output (by os.path.realpath), checked before
+    any work, so a bad path costs no computation and writes nothing."""
+    taken = {}  # realpath -> the first flag that names it
+    for dest in ("input", "config", "out", "out_field", "profile_out", "dump_eigenfunctions"):
+        path = getattr(args, dest, None)
+        if not path:
+            continue
         flag = f"--{dest.replace('_', '-')}"
-        folder = os.path.dirname(path)
-        if folder and not os.path.isdir(folder):
-            raise ValueError(f"{flag}: no such directory {folder!r}")
-        if path and os.path.isdir(path):
-            raise ValueError(f"{flag}: {path!r} is a directory")
+        real = os.path.realpath(path)
+        if dest not in ("input", "config"):
+            if real in taken:
+                raise ValueError(f"{flag}: {path!r} is also the file of {taken[real]}")
+            folder = os.path.dirname(path)
+            if folder and not os.path.isdir(folder):
+                raise ValueError(f"{flag}: no such directory {folder!r}")
+            if os.path.isdir(path):
+                raise ValueError(f"{flag}: {path!r} is a directory")
+        taken.setdefault(real, flag)
 
 
 def _field_spec(args) -> SaturatingFieldSpec:
@@ -240,6 +250,8 @@ def cmd_field(args) -> int:
     """Evaluate the closed-form field (or a photon wave function) on a grid,
     write an .rsf file and optionally an axis-profile CSV."""
     spec = _field_spec(args)
+    if args.photon and spec.c_plus == 0:
+        raise ValueError("--photon uses --c-plus only, and --c-plus is zero")
     t = float(args.time) * spec.a  # times in units of a/c, c = 1
     if not np.isfinite(t):
         raise ValueError(f"--time must be finite, got {args.time}")

@@ -64,10 +64,12 @@ density is computed once per field as re^2 + im^2 (FieldGrid.density).
 _stream_densities reduces a stream of components to the density on their
 grid and the density of their transform on the dual grid, holding one
 component and the two densities (the output-side DFT phases are unimodular
-and drop out); _NodeParts.densities and the FieldGrid reports of moments
-use it.  Both routes' parts have densities(t, source), which give per
-space the three numbers a report takes of a density (_DensityStats: its
-boundary ratio, second moment and norm), and the spreading trajectory and
+and drop out).  _stream_stats, the one reducer of a component stream,
+takes from those two arrays the three numbers a report takes of a density
+(_DensityStats: its boundary ratio, second moment and norm), position
+space first; _NodeParts.densities and the FieldGrid reports of moments
+call it.  Both routes' parts have densities(t, source), which give those
+numbers per space, and the spreading trajectory and
 `verify-bound --method grid` take them from there.
 """
 
@@ -95,7 +97,6 @@ __all__ = [
     "PolynomialGaussianAmplitude",
     "SampledAmplitude",
     "saturating_amplitudes",
-    "simplest_field_amplitudes",
     "synthesize_kspace",
     "fourier_to_position",
     "fourier_to_kspace",
@@ -541,6 +542,17 @@ def _phase_evolved(amp, t):
     return _PhaseEvolved(amp, t)
 
 
+def _dilated(amp, lam):
+    if amp is None:
+        return None
+    if isinstance(amp, SampledAmplitude):
+        # f(lambda k) takes at k / lambda the value f has at k
+        g = amp.grid
+        return SampledAmplitude(amp.values, Grid3D(g.counts, tuple(d / lam for d in g.spacings),
+                                                   tuple(o / lam for o in g.origins)))
+    return _Dilated(amp, lam)
+
+
 @dataclass
 class HelicityAmplitudePair:
     """The pair f+(k), f-(k) of complex helicity amplitudes.
@@ -560,16 +572,12 @@ class HelicityAmplitudePair:
         scales = [a.k_scale for a in (self.f_plus, self.f_minus) if a is not None]
         return min(scales)
 
-    def swapped(self) -> "HelicityAmplitudePair":
-        return HelicityAmplitudePair(self.f_minus, self.f_plus)
-
     def evolved(self, t) -> "HelicityAmplitudePair":
         return HelicityAmplitudePair(_phase_evolved(self.f_plus, t),
                                      _phase_evolved(self.f_minus, t))
 
     def dilated(self, lam) -> "HelicityAmplitudePair":
-        return HelicityAmplitudePair(*(None if a is None else _Dilated(a, lam)
-                                       for a in (self.f_plus, self.f_minus)))
+        return HelicityAmplitudePair(_dilated(self.f_plus, lam), _dilated(self.f_minus, lam))
 
 
 def saturating_amplitudes(c_plus, c_minus, a) -> HelicityAmplitudePair:
@@ -588,17 +596,6 @@ def saturating_amplitudes(c_plus, c_minus, a) -> HelicityAmplitudePair:
         )
 
     return HelicityAmplitudePair(make(c_plus), make(c_minus))
-
-
-def simplest_field_amplitudes(C, a) -> HelicityAmplitudePair:
-    """Amplitude pair whose k-space field is i C a^5 e^{-a^2 k^2/2} (ky,-kx,0),
-    i.e. C+ = C a^5/sqrt(2), C- = -conj(C) a^5/sqrt(2).
-
-    The corresponding position field is -C e^{-r^2/2a^2} (y,-x,0); pass -C to
-    get the packet C e^{-r^2/2a^2} (y,-x,0).
-    """
-    s = a ** 5 / np.sqrt(2.0)
-    return saturating_amplitudes(C * s, -np.conj(C) * s, a)
 
 
 # ---------------------------------------------------------------------------
@@ -688,12 +685,8 @@ class _NodeParts:
 
     def densities(self, t, source=True):
         """(k-space stats or None if not source, position stats) of
-        Ftilde(k, t) (_DensityStats): its components streamed through the
-        FFT (_stream_densities) and each density array reduced."""
-        d_src, d_dual, dual = _stream_densities(self.components(t), self.grid, +1, source)
-        # position space first: its checks raise first
-        r = _density_stats(d_dual, dual)
-        return None if d_src is None else _density_stats(d_src, self.grid), r
+        Ftilde(k, t) (_DensityStats), from its components (_stream_stats)."""
+        return _stream_stats(self.components(t), self.grid, "wavevector", source)
 
 
 def _radius_keys(grid):
@@ -936,7 +929,7 @@ class _RadialParts:
         Ftilde(k, t) (_DensityStats), reduced from the octants alone
         (_octant_stats): no density of the whole cube is formed."""
         src, dual = self.octants(t, source)
-        # position space first: its checks raise first
+        # position space first, as in _stream_stats
         r = _octant_stats(dual, self.grid.fourier_dual())
         return None if src is None else _octant_stats(src, self.grid), r
 
@@ -1077,3 +1070,17 @@ def _stream_densities(components, grid: Grid3D, sign, source=True):
         _add_density(d_dual, _fft(comp, pins, sign, out=comp))
     d_dual *= _dft_scale(grid, sign) ** 2
     return d_src, d_dual, dual
+
+
+def _stream_stats(components, grid: Grid3D, space, source=True):
+    """(k-space stats, position stats) (_DensityStats) of a field given as
+    a stream of its components on grid, in `space` ("wavevector" or
+    "position"): the two density arrays of _stream_densities, each reduced.
+    The k-space stats are None if not source (a wavevector stream only).
+    Position space is reduced first, so its checks raise first."""
+    sign = +1 if space == "wavevector" else -1
+    d_src, d_dual, dual = _stream_densities(components, grid, sign, source)
+    (d_r, rgrid), (d_k, kgrid) = (((d_dual, dual), (d_src, grid)) if sign > 0
+                                  else ((d_src, grid), (d_dual, dual)))
+    r = _density_stats(d_r, rgrid)
+    return None if d_k is None else _density_stats(d_k, kgrid), r

@@ -43,10 +43,11 @@ report that uncertainty_product returns.
 Grid path.  A grid report is made from three numbers per space, its
 density's boundary ratio, second moment and norm (_density_report of two
 kspace._DensityStats).  For a FieldGrid (uncertainty_product) they come
-from one density array per space, streamed from its components
-(_grid_report): each adds its density in its own space, is transformed in
-place and adds its partner's density, so one component and two density
-arrays are held and no partner FieldGrid is built.  For an amplitude pair
+from the one reducer of a component stream, kspace._stream_stats, which
+the node route's densities also use: each component adds its density in
+its own space, is transformed in place and adds its partner's density, so
+one component and two density arrays are held and no partner FieldGrid is
+built.  For an amplitude pair
 (`verify-bound --method grid`) they come from the synthesis parts'
 densities (kspace._synthesis_parts): for radial amplitudes on a centred
 even cube, from the positive octant of each density, with no component
@@ -67,7 +68,7 @@ from .kspace import (
     HelicityAmplitudePair,
     SampledAmplitude,
     _density_stats,
-    _stream_densities,
+    _stream_stats,
     # not called here since grid reports stream; kept as a binding site that
     # bench/selftest.py checks the tracer wraps and restores
     fourier_to_position,  # noqa: F401
@@ -347,7 +348,7 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
 
     * HelicityAmplitudePair     analytic amplitude path
     * FieldGrid                 grid path (partner obtained by FFT, streamed
-                                one component at a time: _grid_report)
+                                one component at a time: kspace._stream_stats)
     * (fieldR, fieldK) tuple    grid path with independently sampled sides
     """
     if isinstance(source, HelicityAmplitudePair):
@@ -357,7 +358,8 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
         return _report(mr / n, mk / n, n_coarse, n, [], err)
 
     if isinstance(source, FieldGrid):
-        return _grid_report(_field_components(source), source.grid, source.space)
+        k, r = _stream_stats(_field_components(source), source.grid, source.space)
+        return _density_report(r, k)
     if not (isinstance(source, tuple) and len(source) == 2):
         raise TypeError("uncertainty_product: unsupported source type")
     fieldR, fieldK = source
@@ -374,25 +376,6 @@ def _field_components(field: FieldGrid):
     for comp in range(3):
         np.copyto(buf, field.values[..., comp])
         yield buf
-
-
-def _grid_report(components, grid, space) -> VarianceReport:
-    """The grid-path report of a field given as a stream of its components
-    on grid, in `space` ("position" or "wavevector"), each a contiguous
-    array that may be overwritten.
-
-    Per component, the source-space density is added, the component is
-    transformed in place and the partner density added
-    (kspace._stream_densities), so only one component and two density
-    arrays are held, never a FieldGrid.  The boundary ratio, moment and
-    norm of each space then come from its density array."""
-    sign = +1 if space == "wavevector" else -1
-    d_src, d_dual, dual = _stream_densities(components, grid, sign)
-    spaces = [(d_src, grid), (d_dual, dual)]
-    if space == "wavevector":
-        spaces.reverse()
-    # position space first: its checks raise first, as in every report
-    return _density_report(*(_density_stats(d, g) for d, g in spaces))
 
 
 def _density_report(r, k) -> VarianceReport:

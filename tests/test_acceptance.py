@@ -39,7 +39,6 @@ from rsuncert import (
     saturating_field_t0,
     saturating_rs_field,
     simplest_field,
-    simplest_field_amplitudes,
     solve_radial,
     spreading_trajectory,
     synthesize_kspace,
@@ -61,7 +60,7 @@ def report(name, ok, detail=""):
 def test_criterion_1_saturation():
     for a in (0.5, 1.0, 2.0):
         t0 = time.perf_counter()
-        rep_a = uncertainty_product(simplest_field_amplitudes(1.0, a))
+        rep_a = uncertainty_product(SaturatingFieldSpec.simplest(-1.0, a).amplitudes())
         ok_a = (
             abs(rep_a.product - 2.5) < 1e-6
             and abs(rep_a.delta_r2 - 2.5 * a * a) < 1e-6 * a * a
@@ -217,9 +216,9 @@ def test_criterion_8_plancherel():
     rng = np.random.default_rng(4321)
     worst_analytic = 0.0
     suite = [
-        simplest_field_amplitudes(1.0, 0.5),
-        simplest_field_amplitudes(1.0, 1.0),
-        simplest_field_amplitudes(1.0, 2.0),
+        SaturatingFieldSpec.simplest(-1.0, 0.5).amplitudes(),
+        SaturatingFieldSpec.simplest(-1.0, 1.0).amplitudes(),
+        SaturatingFieldSpec.simplest(-1.0, 2.0).amplitudes(),
         SaturatingFieldSpec(a=1.0, c_plus=1.0).amplitudes(),
     ] + [random_pair(rng) for _ in range(5)]
     for amps in suite:
@@ -235,7 +234,7 @@ def test_criterion_8_plancherel():
         pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         fieldR = FieldGrid(simplest_field(pts, 1.0, a), grid, "position")
         fieldK = synthesize_kspace(
-            simplest_field_amplitudes(-1.0, a), grid.fourier_dual(), 0.0
+            SaturatingFieldSpec.simplest(1.0, a).amplitudes(), grid.fourier_dual(), 0.0
         )
         rep = uncertainty_product((fieldR, fieldK))
         worst_grid = max(worst_grid, abs(rep.norm_r - rep.norm_k) / rep.norm_r)

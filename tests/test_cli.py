@@ -421,6 +421,49 @@ def test_directory_output_path_exit2(tmp_path, monkeypatch, capsys, args):
     assert os.listdir(tmp_path) == []
 
 
+# a command whose output flag names a file another flag reads or writes;
+# f.rsf (a 16^3 field) and c.json exist beforehand
+SHARED_PATHS = [
+    ["verify-bound", "--input", "f.rsf", "--out", "f.rsf"],
+    ["verify-bound", "--input", "f.rsf", "--out", "sub/../f.rsf"],
+    ["verify-bound", "--config", "c.json", "--out", "c.json"],
+    ["field", "--grid", 16, "--out-field", "x", "--profile-out", "x"],
+    ["spectrum", "--out", "x", "--dump-eigenfunctions", "x"],
+]
+
+
+@pytest.mark.parametrize("args", SHARED_PATHS)
+def test_output_names_another_file_exit2(tmp_path, monkeypatch, capsys, args):
+    # it would be overwritten with no warning: rejected before the work
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert run(["field", "--grid", 16, "--out-field", "f.rsf"]) == 0
+    (tmp_path / "c.json").write_text('{"grid": 16}')
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    code = run(args)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    flags = [a for a in args if str(a).startswith("--")]
+    assert flags[-1] in err and flags[-2] in err
+    assert out == ""
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize("photon", ["plus", "minus"])
+@pytest.mark.parametrize("coeffs", [["--c-minus", 1], ["--c-plus", 0, "--c-minus", 1]])
+def test_photon_needs_c_plus_exit2(tmp_path, capsys, photon, coeffs):
+    # the photon wave function is normalized by C+ alone: with C+ = 0 it
+    # would be all zero, so it is an input error, not an empty field file
+    code = run(["field", "--grid", 16, "--photon", photon, *coeffs,
+                "--out-field", tmp_path / "z.rsf"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "--c-plus" in err
+    assert not (tmp_path / "z.rsf").exists()
+
+
 @pytest.mark.parametrize("name", ["nope.json", "."])
 def test_unreadable_config_exit2(tmp_path, capsys, name):
     # a missing file and a directory: one line, no argparse usage

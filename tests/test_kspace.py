@@ -19,7 +19,6 @@ from rsuncert import (
     polarization,
     saturating_amplitudes,
     simplest_field,
-    simplest_field_amplitudes,
     synthesize_kspace,
     uncertainty_product,
 )
@@ -35,7 +34,7 @@ from rsuncert.kspace import (
     _stream_densities,
     _synthesis_parts,
 )
-from rsuncert.moments import TRUNCATION_RATIO, _SphericalRule
+from rsuncert.moments import TRUNCATION_RATIO, _SphericalRule, _density_report
 from conftest import node_route_pair, second_moment_oracle, unfold_octant
 
 
@@ -101,7 +100,7 @@ class TestSynthesis:
         # Ftilde = i C a^5 e^{-a^2k^2/2} (ky, -kx, 0)
         C, a = 0.8 + 0.5j, 1.2
         grid = Grid3D.centered(16, 10.0).fourier_dual()
-        field = synthesize_kspace(simplest_field_amplitudes(C, a), grid, t=0.0)
+        field = synthesize_kspace(SaturatingFieldSpec.simplest(-C, a).amplitudes(), grid, t=0.0)
         KX, KY, KZ = grid.meshes(sparse=False)
         env = 1j * C * a ** 5 * np.exp(-a * a * (KX ** 2 + KY ** 2 + KZ ** 2) / 2)
         want = np.stack([env * KY, -env * KX, np.zeros_like(env)], axis=-1)
@@ -327,6 +326,22 @@ class TestNodeRoute:
             with pytest.raises(GridMismatchError):
                 synthesize_kspace(sampled, grid)
 
+    @pytest.mark.parametrize("grid", [
+        Grid3D.centered(32, 16.0).fourier_dual(),
+        Grid3D((24, 20, 16), (0.7, 0.75, 0.8), (-8.3, -7.2, -6.1)),
+    ], ids=["centred", "offset"])
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_reducer(self, grid, t, seed):
+        # a FieldGrid report and the node route's densities reduce the same
+        # component stream through the same function: equal to the last bit
+        pair = self.random_pair([seed, round(10 * t), grid.counts[1]])
+        parts = _synthesis_parts(pair, grid)
+        assert isinstance(parts, _NodeParts)
+        k, r = parts.densities(t)
+        want = _density_report(r, k).to_dict()
+        assert uncertainty_product(synthesize_kspace(pair, grid, t)).to_dict() == want
+
 
 class TestRadialRoute:
     """Radial amplitudes on a centred even cube take the radial route; the
@@ -447,7 +462,7 @@ class TestOctantDensities:
                 return _f(x, *args, **kwargs)
             monkeypatch.setattr(kspace, name, counted)
         grid = Grid3D.centered(16, 16.0).fourier_dual()
-        parts = _synthesis_parts(simplest_field_amplitudes(1.0, 1.0), grid)
+        parts = _synthesis_parts(SaturatingFieldSpec.simplest(-1.0, 1.0).amplitudes(), grid)
         for t, count in ((0.0, 3), (0.3, 9)):
             inputs.clear()
             got = self.unfolded(parts, t)
@@ -531,7 +546,7 @@ class TestFourierBridge:
         C, a = 0.6 - 0.8j, 1.0
         kgrid = Grid3D.centered(64, 16.0).fourier_dual()
         fieldR = fourier_to_position(
-            synthesize_kspace(simplest_field_amplitudes(C, a), kgrid, 0.0)
+            synthesize_kspace(SaturatingFieldSpec.simplest(-C, a).amplitudes(), kgrid, 0.0)
         )
         pts = np.stack(np.meshgrid(*fieldR.grid.axes(), indexing="ij"), axis=-1)
         want = simplest_field(pts, -C, a)
@@ -554,7 +569,7 @@ class TestFourierBridge:
         pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         fieldR = FieldGrid(simplest_field(pts, C, a), grid, "position")
         kgrid = grid.fourier_dual()
-        fieldK = synthesize_kspace(simplest_field_amplitudes(-C, a), kgrid, 0.0)
+        fieldK = synthesize_kspace(SaturatingFieldSpec.simplest(C, a).amplitudes(), kgrid, 0.0)
         nr = uncertainty_product(fieldR).norm_r
         nk = uncertainty_product(fieldK).norm_k
         assert abs(nr - nk) / nr < 1e-6

@@ -13,13 +13,14 @@ from rsuncert import (
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
+    SampledAmplitude,
+    SaturatingFieldSpec,
     SingularAmplitudeError,
     fourier_to_kspace,
     fourier_to_position,
     massless_bound,
     saturating_amplitudes,
     simplest_field,
-    simplest_field_amplitudes,
     synthesize_kspace,
     uncertainty_product,
 )
@@ -45,6 +46,26 @@ def radial_mode_amplitude(n, a=1.0, C=1.0):
         return C * a * np.exp(-a * a * q / 2.0) * (a * a * dL - a * a / 2.0 * L)
 
     return RadialProfileAmplitude(h, dh, k_scale=1.0 / a)
+
+
+class SmoothAmplitude:
+    """f = k_perp^2 e^{-k^2/2}: smooth across the kz-axis, so a sampled
+    copy's spectral derivatives are exact to rounding."""
+
+    k_scale = 1.0
+
+    def value(self, kx, ky, kz):
+        kp2 = kx * kx + ky * ky
+        return kp2 * np.exp(-(kp2 + kz * kz) / 2)
+
+    def grad(self, kx, ky, kz):
+        E = np.exp(-(kx * kx + ky * ky + kz * kz) / 2)
+        kp2 = kx * kx + ky * ky
+        return (
+            E * (2 * kx - kx * kp2),
+            E * (2 * ky - ky * kp2),
+            -kz * kp2 * E,
+        )
 
 
 class TestVariancePosition:
@@ -80,12 +101,12 @@ class TestVariancePosition:
 class TestVarianceKspace:
     def test_simplest_transform_a1(self):
         kgrid = Grid3D.centered(64, 16.0).fourier_dual()
-        field = synthesize_kspace(simplest_field_amplitudes(1.0, 1.0), kgrid)
+        field = synthesize_kspace(SaturatingFieldSpec.simplest(-1.0, 1.0).amplitudes(), kgrid)
         assert uncertainty_product(field).delta_k2 == pytest.approx(2.5, abs=1e-6)
 
     def test_simplest_transform_a2(self):
         kgrid = Grid3D.centered(64, 32.0).fourier_dual()
-        field = synthesize_kspace(simplest_field_amplitudes(1.0, 2.0), kgrid)
+        field = synthesize_kspace(SaturatingFieldSpec.simplest(-1.0, 2.0).amplitudes(), kgrid)
         assert uncertainty_product(field).delta_k2 == pytest.approx(5.0 / 8.0, rel=1e-6)
 
     def test_narrow_shell(self):
@@ -158,28 +179,10 @@ class TestVarianceFromAmplitudes:
     def test_sampled_smooth_amplitude_matches_closure(self):
         # smooth amplitude: the spectral-derivative route is exact to
         # rounding on an adequate grid
-        from rsuncert import SampledAmplitude
-
-        class Smooth:
-            k_scale = 1.0
-
-            def value(self, kx, ky, kz):
-                kp2 = kx * kx + ky * ky
-                return kp2 * np.exp(-(kp2 + kz * kz) / 2)
-
-            def grad(self, kx, ky, kz):
-                E = np.exp(-(kx * kx + ky * ky + kz * kz) / 2)
-                kp2 = kx * kx + ky * ky
-                return (
-                    E * (2 * kx - kx * kp2),
-                    E * (2 * ky - ky * kp2),
-                    -kz * kp2 * E,
-                )
-
-        closure = HelicityAmplitudePair(Smooth(), None)
+        closure = HelicityAmplitudePair(SmoothAmplitude(), None)
         kgrid = Grid3D.centered(64, 16.0).fourier_dual()
         sampled = HelicityAmplitudePair(
-            SampledAmplitude.from_closure(Smooth(), kgrid), None
+            SampledAmplitude.from_closure(SmoothAmplitude(), kgrid), None
         )
         ref = uncertainty_product(closure)
         got = uncertainty_product(sampled)
@@ -187,11 +190,26 @@ class TestVarianceFromAmplitudes:
             assert abs(getattr(got, key) - getattr(ref, key)) / getattr(ref, key) < 1e-12
         assert got.product >= 2.5 - 1e-6
 
+    def test_dilated_sampled_amplitude(self):
+        # f(lambda k) of a sampled f is the same values on the grid scaled
+        # by 1/lambda: both report paths and synthesis take it as they take f
+        kgrid = Grid3D.centered(64, 16.0).fourier_dual()
+        sampled = HelicityAmplitudePair(SampledAmplitude.from_closure(SmoothAmplitude(), kgrid))
+        rep = uncertainty_product(sampled)
+        fK = synthesize_kspace(sampled, kgrid, 0.3)
+        for lam in (0.8, 1.7):
+            dil = sampled.dilated(lam)
+            rep_l = uncertainty_product(dil)
+            assert abs(rep_l.delta_k2 - rep.delta_k2 / lam ** 2) / rep_l.delta_k2 < 1e-12
+            assert abs(rep_l.delta_r2 - rep.delta_r2 * lam ** 2) / rep_l.delta_r2 < 1e-12
+            assert abs(rep_l.product - rep.product) / rep.product < 1e-12
+            # Ftilde(k / lambda, t / lambda) of f(lambda k) is Ftilde(k, t) of f
+            fK_l = synthesize_kspace(dil, dil.f_plus.grid, 0.3 * lam)
+            assert np.abs(fK_l.values - fK.values).max() <= 1e-13 * np.abs(fK.values).max()
+
     def test_sampled_cone_amplitude_converges(self):
         # the saturating profile has a conical kink on the kz-axis, so the
         # spectral route converges only algebraically with the box size
-        from rsuncert import SampledAmplitude
-
         cone = saturating_amplitudes(1.0, 0.0, 1.0)
         ref = uncertainty_product(cone).delta_r2
         errs = []
@@ -205,8 +223,6 @@ class TestVarianceFromAmplitudes:
         assert errs[1] < 0.35 * errs[0]
 
     def test_sampled_amplitude_synthesis_matches_closure(self):
-        from rsuncert import SampledAmplitude
-
         closures = saturating_amplitudes(0.7, 0.0, 1.0)
         kgrid = Grid3D.centered(16, 10.0).fourier_dual()
         sampled = HelicityAmplitudePair(
@@ -229,8 +245,6 @@ class TestVarianceFromAmplitudes:
             synthesize_kspace(sampled, other)
 
     def test_sampled_on_axis_rejected(self):
-        from rsuncert import SampledAmplitude
-
         kgrid = Grid3D.centered(32, 12.0).fourier_dual()
         KX, KY, KZ = kgrid.meshes(sparse=False)
         vals = np.exp(-(KX ** 2 + KY ** 2 + KZ ** 2))  # no k_perp zero
@@ -256,7 +270,7 @@ class TestVarianceFromAmplitudes:
 class TestUncertaintyProduct:
     def test_saturating_analytic_path(self):
         for a in (0.5, 1.0, 2.0):
-            rep = uncertainty_product(simplest_field_amplitudes(1.0, a))
+            rep = uncertainty_product(SaturatingFieldSpec.simplest(-1.0, a).amplitudes())
             assert abs(rep.product - 2.5) < 1e-6
             assert abs(rep.saturation_ratio - 1.0) < 1e-6
 
@@ -297,14 +311,14 @@ class TestUncertaintyProduct:
     def test_helicity_swap_symmetry(self, rng):
         amps = random_pair(rng, allow_single=False)
         rep = uncertainty_product(amps)
-        rep_s = uncertainty_product(amps.swapped())
+        rep_s = uncertainty_product(HelicityAmplitudePair(amps.f_minus, amps.f_plus))
         assert abs(rep.delta_r2 - rep_s.delta_r2) / rep.delta_r2 < 1e-12
         assert abs(rep.delta_k2 - rep_s.delta_k2) / rep.delta_k2 < 1e-12
 
     def test_grid_report_from_tuple(self):
         fieldR = simplest_field_grid()
         kgrid = fieldR.grid.fourier_dual()
-        fieldK = synthesize_kspace(simplest_field_amplitudes(-1.0, 1.0), kgrid)
+        fieldK = synthesize_kspace(SaturatingFieldSpec.simplest(1.0, 1.0).amplitudes(), kgrid)
         rep = uncertainty_product((fieldR, fieldK))
         assert abs(rep.norm_r - rep.norm_k) / rep.norm_r < 1e-6
         assert abs(rep.product - 2.5) < 1e-3
@@ -330,8 +344,8 @@ class TestUncertaintyProduct:
 
 class TestGridReportSpaces:
     """A FieldGrid report streams from the field's own space to its Fourier
-    partner's (_grid_report), so a field and its FFT partner must give the
-    same report from either side."""
+    partner's (kspace._stream_stats), so a field and its FFT partner must
+    give the same report from either side."""
 
     @staticmethod
     def assert_same(got, want):
@@ -348,7 +362,7 @@ class TestGridReportSpaces:
     def test_simplest_packet(self, n, C):
         fR = simplest_field_grid(C=C, n=n)
         self.assert_both_sides(fR, fourier_to_kspace(fR))
-        fK = synthesize_kspace(simplest_field_amplitudes(C, 1.0),
+        fK = synthesize_kspace(SaturatingFieldSpec.simplest(-C, 1.0).amplitudes(),
                                Grid3D.centered(n, 16.0).fourier_dual())
         self.assert_both_sides(fK, fourier_to_position(fK))
 
