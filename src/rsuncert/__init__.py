@@ -54,6 +54,6 @@ from .moments import (
 )
 from .propagator import Trajectory, evolve, spreading_trajectory
 from .rsfio import read_rsf, write_rsf
-from .specfun import dawson, erfi, laguerre_general
+from .specfun import dawson, laguerre_general
 
 __version__ = "0.1.0"

@@ -82,7 +82,7 @@ _SQPI = np.sqrt(np.pi)
 # while the closed form suffers 1/r^3-amplified cancellation there once
 # t != 0; 0.05 a keeps both branches at ~1e-10 agreement or better).
 R_SWITCH = 0.05
-_SERIES_TERMS = 10  # powers r^1 .. r^19 of the odd scalar series
+_SERIES_TERMS = 10  # terms rho^1 .. rho^21 of the odd series of M
 
 
 @dataclass(frozen=True)
@@ -153,41 +153,16 @@ def scalar_generator(r, t, spec: SaturatingFieldSpec, helicity=+1):
 
         Fgen_{+-}(r,t) = 1/(2ar) [D(l+) + D(l-) -+ i sqrt(pi)/2 (e^{-l+^2}-e^{-l-^2})]
 
-    with the upper sign for helicity=+1.  At r = 0 the removable singularity
-    is evaluated by its series limit; at t = 0 the result is real.
+    with the upper sign for helicity=+1: the scalar G of _scalar_blocks
+    with A = sqrt(2 pi)/2 (so nu A = 1/(2a)) and B = -+ i sqrt(pi)/2 A.
+    At r = 0 the removable singularity is evaluated by its series limit;
+    at t = 0 the result is real.
     """
     if helicity not in (+1, -1):
         raise ValueError("scalar_generator: helicity must be +1 or -1")
-    a = spec.a
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    r_b, t_b = np.broadcast_arrays(r, t)
-    b = 1.0 / (np.sqrt(2.0) * a)
-    sgn = -1.0 if helicity == +1 else 1.0
-
-    out = np.empty(r_b.shape, dtype=np.complex128)
-    small = r_b < R_SWITCH * a
-    if np.any(~small):
-        rr, tt = r_b[~small], t_b[~small]
-        lp, lm = light_cone_vars(rr, tt, a)
-        G = dawson(lp) + dawson(lm)
-        H = np.exp(-lp * lp) - np.exp(-lm * lm)
-        out[~small] = (G + sgn * 1j * _SQPI / 2.0 * H) / (2.0 * a * rr)
-    if np.any(small):
-        # odd Taylor series of the bracket in rho = b r about r = 0
-        rr, tt = r_b[small], t_b[small]
-        w = tt * b
-        rho = rr * b
-        Ds, gs = _deriv_ladder(w, 2 * _SERIES_TERMS + 1)
-        acc = np.zeros(rr.shape, dtype=np.complex128)
-        for m in range(_SERIES_TERMS):
-            n = 2 * m + 1
-            cm = (Ds[n] + sgn * 1j * _SQPI / 2.0 * gs[n]) * (2.0 / math.factorial(n))
-            acc = acc + cm * rho ** (2 * m)
-        out[small] = acc * b / (2.0 * a)
-    if out.ndim == 0 or r_b.ndim == 0:
-        return complex(out)
-    return out
+    A = np.sqrt(2.0 * np.pi) / 2.0
+    G = _scalar_blocks(r, t, spec.a, A, -helicity * 1j * _SQPI / 2.0 * A)[3]
+    return complex(G) if G.ndim == 0 else G
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +175,7 @@ def _scalar_blocks(r, t, a, A, B):
     For G(r,t) = nu M(r,t)/r with nu = 1/(a sqrt(2 pi)) and
     M = A [D(l+)+D(l-)] + B [e^{-l+^2} - e^{-l-^2}], returns
 
-        (W/r^2, G_rt/r, G_r/r),  W = G_rr - G_r/r,
+        (W/r^2, G_rt/r, G_r/r, G),  W = G_rr - G_r/r,
 
     all regular at r = 0 (series branch below R_SWITCH * a).  The field is
 
@@ -217,6 +192,7 @@ def _scalar_blocks(r, t, a, A, B):
     w2 = np.empty(shape, dtype=np.complex128)
     grt = np.empty(shape, dtype=np.complex128)
     gr = np.empty(shape, dtype=np.complex128)
+    G = np.empty(shape, dtype=np.complex128)
 
     far = r_b >= R_SWITCH * a
     if np.any(far):
@@ -241,10 +217,12 @@ def _scalar_blocks(r, t, a, A, B):
         w2[far] = (g_rr - g_r / rr) / rr ** 2
         grt[far] = g_rt / rr
         gr[far] = g_r / rr
+        G[far] = nu * M / rr
     near = ~far
     if np.any(near):
         # M is odd in rho = b r: M = sum_m c_m rho^(2m+1), with
-        # c_m = 2/(2m+1)! [A D^(2m+1)(w) + B g^(2m+1)(w)], w = t b.
+        # c_m = 2/(2m+1)! [A D^(2m+1)(w) + B g^(2m+1)(w)], w = t b, so
+        # G = nu b sum_m c_m rho^(2m).
         rr, tt = r_b[near], t_b[near]
         w = tt * b
         rho2 = (rr * b) ** 2
@@ -253,6 +231,7 @@ def _scalar_blocks(r, t, a, A, B):
         s_w2 = np.zeros(rr.shape, dtype=np.complex128)
         s_gr = np.zeros(rr.shape, dtype=np.complex128)
         s_grt = np.zeros(rr.shape, dtype=np.complex128)
+        s_g = 2.0 * (A * Ds[1] + B * gs[1])  # c_0
         pw = np.ones_like(rr)       # rho^(2m-2) for the gr/grt sums
         pw_prev = np.ones_like(rr)  # rho^(2m-4) for the w2 sum (m >= 2)
         for m in range(1, _SERIES_TERMS + 1):
@@ -266,10 +245,12 @@ def _scalar_blocks(r, t, a, A, B):
                 s_w2 = s_w2 + 4 * m * (m - 1) * cm * pw_prev
             pw_prev = pw
             pw = pw * rho2
+            s_g = s_g + cm * pw
         w2[near] = nu * b ** 5 * s_w2
         grt[near] = nu * b ** 3 * s_grt  # cmt already carries the b of dw/dt
         gr[near] = nu * b ** 3 * s_gr
-    return w2, grt, gr
+        G[near] = nu * b * s_g
+    return w2, grt, gr, G
 
 
 def _field(points, t, a, A, B):
@@ -281,7 +262,7 @@ def _field(points, t, a, A, B):
     if not isinstance(points, Grid3D):
         points = np.asarray(points, dtype=float)
         x, y, z = points[..., 0], points[..., 1], points[..., 2]
-        w2, grt, gr = _scalar_blocks(np.sqrt((points ** 2).sum(axis=-1)), t, a, A, B)
+        w2, grt, gr, _ = _scalar_blocks(np.sqrt((points ** 2).sum(axis=-1)), t, a, A, B)
         out = np.empty(points.shape, dtype=np.complex128)
         out[..., 0] = x * z * w2 + 1j * y * grt
         out[..., 1] = y * z * w2 - 1j * x * grt
@@ -292,7 +273,7 @@ def _field(points, t, a, A, B):
         raise ValueError("closed-form grid evaluation needs a centred cube with an "
                          "even node count (Grid3D.centered)")
     q, r = keys
-    w2, grt, gr = _scalar_blocks(r, float(t), a, A, B)
+    w2, grt, gr, _ = _scalar_blocks(r, float(t), a, A, B)
     out = np.empty(points.counts + (3,), dtype=np.complex128)
     slabs = _gathered(q, w2, 1j * grt, 2.0 * gr)
     for _ in _assemble_grid(points, slabs, out=[out[..., comp] for comp in range(3)]):

@@ -8,7 +8,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 bound violated (for spectrum and spread: a result
 off its target), 2 input error, 3 degenerate field, 4 resolution error,
-5 truncation.  Exit 1 is only ever a verdict.  Every other non-zero code
+5 truncation.  Exit 1 is only ever a verdict.  verify-bound gives it when
+the product falls below the bound or, for the built-in field, when the
+saturation ratio misses 1, either by more than --tolerance; a miss in a
+report with a truncation warning exits 5 instead, as a box that cuts the
+packet off gives no verdict.  Every other non-zero code
 comes from main, the one place that catches an exception: it maps the
 exception to its code through _ERROR_EXITS and prints one `error:` line.
 Inputs are checked where they are built (SaturatingFieldSpec, Grid3D,
@@ -210,7 +214,7 @@ def cmd_verify_bound(args) -> int:
     saturating = args.input is None
     if not saturating:
         report = uncertainty_product(read_rsf(args.input))
-    elif (args.method or "analytic") == "analytic":
+    elif args.method == "analytic":
         report = uncertainty_product(_field_spec(args).amplitudes())
     else:
         spec = _field_spec(args)
@@ -221,14 +225,15 @@ def cmd_verify_bound(args) -> int:
         report = _density_report(r, k)
 
     _emit(_report_text(report, args.format), args.out)
-    if not report.product >= report.bound - args.tolerance:
-        # a packet cut off by the box has too small a variance: that is not
-        # a violated bound
+    ok = report.product >= report.bound - args.tolerance
+    if saturating:
+        ok = ok and abs(report.saturation_ratio - 1.0) <= args.tolerance
+    if not ok:
+        # a packet cut off by the box has the wrong variance: that is a
+        # truncation, not a violated bound or a missed saturation
         cut = [w for w in report.warnings if w.startswith("truncation: ")]
         if cut:
             raise TruncationError(cut[0].removeprefix("truncation: "))
-        return 1
-    if saturating and not abs(report.saturation_ratio - 1.0) <= args.tolerance:
         return 1
     return EXIT_OK
 
@@ -326,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--saturating", action="store_true",
                     help="use the built-in saturating field (default when no --input)")
     pv.add_argument("--input", default=None, help=".rsf field file to analyze")
-    pv.add_argument("--method", choices=["analytic", "grid"], default=None,
+    pv.add_argument("--method", choices=["analytic", "grid"], default="analytic",
                     help="evaluation path for the built-in field (default analytic)")
     pv.add_argument("--tolerance", type=float, default=1e-3)
     pv.add_argument("--out", default=None)

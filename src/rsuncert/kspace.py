@@ -295,14 +295,13 @@ def polarization(kx, ky, kz):
 class RadialProfileAmplitude:
     """f(k) = k_perp * h(k^2) with a user profile h and its derivatives.
 
-    h, dh (and optionally d2h, enabling the exact Laplacian): callables of
-    q = k^2, vectorized; k_scale sizes quadrature domains.
+    h, dh: callables of q = k^2, vectorized; k_scale sizes quadrature
+    domains.
     """
 
-    def __init__(self, h, dh, k_scale, d2h=None):
+    def __init__(self, h, dh, k_scale):
         self.h = h
         self.dh = dh
-        self.d2h = d2h
         self.k_scale = float(k_scale)
 
     def value(self, kx, ky, kz):
@@ -318,14 +317,6 @@ class RadialProfileAmplitude:
         gy = ky / kp * h + 2.0 * ky * kp * dh
         gz = 2.0 * kz * kp * dh
         return gx, gy, gz
-
-    def laplacian(self, kx, ky, kz):
-        # Lap(kp h(q)) = h/kp + 10 kp h' + 4 q kp h''
-        if self.d2h is None:
-            raise NotImplementedError("amplitude has no second profile derivative")
-        q = kx * kx + ky * ky + kz * kz
-        kp = np.sqrt(kx * kx + ky * ky)
-        return self.h(q) / kp + 10.0 * kp * self.dh(q) + 4.0 * q * kp * self.d2h(q)
 
 
 class PolynomialGaussianAmplitude:
@@ -577,6 +568,9 @@ class HelicityAmplitudePair:
                                      _phase_evolved(self.f_minus, t))
 
     def dilated(self, lam) -> "HelicityAmplitudePair":
+        """The pair f(lam k), for a finite lam > 0 (else ValueError)."""
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"dilated: lambda must be finite and positive, got {lam}")
         return HelicityAmplitudePair(_dilated(self.f_plus, lam), _dilated(self.f_minus, lam))
 
 
@@ -591,7 +585,6 @@ def saturating_amplitudes(c_plus, c_minus, a) -> HelicityAmplitudePair:
         return RadialProfileAmplitude(
             h=lambda q, C=C: C * np.exp(-a * a * q / 2.0),
             dh=lambda q, C=C: -C * a * a / 2.0 * np.exp(-a * a * q / 2.0),
-            d2h=lambda q, C=C: C * a ** 4 / 4.0 * np.exp(-a * a * q / 2.0),
             k_scale=1.0 / a,
         )
 

@@ -21,9 +21,8 @@ Amplitude path.  In terms of helicity amplitudes the same moments read
 
 with kp^2 = kx^2 + ky^2.  The helicity sign s comes from the frame: f-
 enters the field as e*(k) conj(f-)(-k), not as e(k) f+(k), which reverses
-the azimuthal term.  The weak (second) form needs only first derivatives
-and is the one evaluated; the strong form is kept for amplitudes that
-provide an exact Laplacian (_amp_moments(amps, weak=False), a cross-check).
+the azimuthal term.  The second (by-parts) form needs only first
+derivatives and is the one evaluated.
 
 Quadrature: one engine (_amp_moments) evaluates N, Dk^2 N and Dr^2 N on a
 nested pair of spherical rules per amplitude -- Gauss-Legendre in k on
@@ -67,7 +66,6 @@ from .kspace import (
     FieldGrid,
     HelicityAmplitudePair,
     SampledAmplitude,
-    _density_stats,
     _stream_stats,
     # not called here since grid reports stream; kept as a binding site that
     # bench/selftest.py checks the tracer wraps and restores
@@ -187,27 +185,24 @@ def _rule_for_amp(amp, rule):
     return _SphericalRule(k_max=9.0 * amp.k_scale)
 
 
-def _integrands(f, grads, KX, KY, KZ, sign, lap=None):
-    """|f|^2, k^2 and the Dr^2 integrand of an amplitude of helicity
-    sign = +-1: the weak form, or the strong form when lap is given."""
+def _integrands(f, grads, KX, KY, KZ, sign):
+    """|f|^2, k^2 and the by-parts Dr^2 integrand of an amplitude of
+    helicity sign = +-1."""
     KP2 = KX * KX + KY * KY
     K2 = KP2 + KZ * KZ
     gx, gy, gz = grads
     dphi = KX * gy - KY * gx
     az = (sign * 2.0) * KZ / (np.sqrt(K2) * KP2)
     af2 = f.real ** 2 + f.imag ** 2
-    if lap is None:
-        integ = (
-            np.abs(gx) ** 2 + np.abs(gy) ** 2 + np.abs(gz) ** 2
-            + af2 / KP2
-            - az * (np.conj(f) * dphi).imag
-        )
-    else:
-        integ = (np.conj(f) * (f / KP2 + 1j * az * dphi - lap)).real
+    integ = (
+        np.abs(gx) ** 2 + np.abs(gy) ** 2 + np.abs(gz) ** 2
+        + af2 / KP2
+        - az * (np.conj(f) * dphi).imag
+    )
     return af2, K2, integ
 
 
-def _amp_integrals(amp, sign, rule, weak=True):
+def _amp_integrals(amp, sign, rule):
     """(N, Mk, Mr) of one amplitude: on `rule` with the exact gradients for
     closures, as Riemann sums with spectral gradients for sampled ones."""
     if isinstance(amp, SampledAmplitude):
@@ -216,13 +211,12 @@ def _amp_integrals(amp, sign, rule, weak=True):
         af2, K2, integ = _integrands(amp.values, amp.spectral_grad(), KX, KY, KZ, sign)
     else:
         KX, KY, KZ, W = rule.nodes()
-        lap = None if weak else amp.laplacian(KX, KY, KZ)
         af2, K2, integ = _integrands(amp.value(KX, KY, KZ), amp.grad(KX, KY, KZ),
-                                     KX, KY, KZ, sign, lap)
+                                     KX, KY, KZ, sign)
     return np.array([(W * af2).sum(), (W * K2 * af2).sum(), (W * integ).sum()])
 
 
-def _amp_moments(amps: HelicityAmplitudePair, rule=None, weak=True):
+def _amp_moments(amps: HelicityAmplitudePair, rule=None):
     """The amplitude-path integral engine: (N, Mk, Mr, N_coarse,
     quad_rel_err) summed over both helicities, Mk and Mr being the Dk^2 and
     Dr^2 numerators.
@@ -244,8 +238,8 @@ def _amp_moments(amps: HelicityAmplitudePair, rule=None, weak=True):
             coarse += sums
             continue
         r = _rule_for_amp(amp, rule)
-        coarse += _amp_integrals(amp, sign, r, weak)
-        fine += _amp_integrals(amp, sign, r.refined(), weak)
+        coarse += _amp_integrals(amp, sign, r)
+        fine += _amp_integrals(amp, sign, r.refined())
         ruled = True
     n, mk, mr = (float(v) for v in fine)
     if not np.isfinite(n) or n <= 0.0:
@@ -344,29 +338,23 @@ def _report(dr2, dk2, nr, nk, warnings, quad_rel_err=None):
 
 
 def uncertainty_product(source, rule=None) -> VarianceReport:
-    """Build a VarianceReport (bound BOUND_EM = 5/2) from any of:
+    """Build a VarianceReport (bound BOUND_EM = 5/2) from either of:
 
     * HelicityAmplitudePair     analytic amplitude path
     * FieldGrid                 grid path (partner obtained by FFT, streamed
                                 one component at a time: kspace._stream_stats)
-    * (fieldR, fieldK) tuple    grid path with independently sampled sides
+
+    Any other source raises TypeError.
     """
     if isinstance(source, HelicityAmplitudePair):
         # norm_r is the coarser rule's norm: its agreement with norm_k is
         # the Plancherel line of the report
         n, mk, mr, n_coarse, err = _amp_moments(source, rule)
         return _report(mr / n, mk / n, n_coarse, n, [], err)
-
-    if isinstance(source, FieldGrid):
-        k, r = _stream_stats(_field_components(source), source.grid, source.space)
-        return _density_report(r, k)
-    if not (isinstance(source, tuple) and len(source) == 2):
+    if not isinstance(source, FieldGrid):
         raise TypeError("uncertainty_product: unsupported source type")
-    fieldR, fieldK = source
-    if fieldR.space != "position" or fieldK.space != "wavevector":
-        raise ValueError("uncertainty_product: expected (position, wavevector)")
-    return _density_report(_density_stats(fieldR.density(), fieldR.grid),
-                           _density_stats(fieldK.density(), fieldK.grid))
+    k, r = _stream_stats(_field_components(source), source.grid, source.space)
+    return _density_report(r, k)
 
 
 def _field_components(field: FieldGrid):

@@ -1,12 +1,12 @@
-"""Special functions: Dawson function, imaginary error function,
-generalized Laguerre polynomials.
+"""Special functions: Dawson function, generalized Laguerre polynomials.
 
-Each is a thin wrapper over scipy.special (dawsn, erfi, eval_genlaguerre)
-that adds this package's input checks.  Measured against the test oracles:
-dawson is within 5.6e-17 absolute of an arbitrary-precision series on
-[-50, 50] and within 1.7e-16 of mpmath's erfi form at 1e4 points, and is
-exactly odd; laguerre_general meets its three-term recurrence to 1.6e-13
-relative for n <= 21 and x in [0, 12].
+Each is a thin wrapper over scipy.special (dawsn, eval_genlaguerre) that
+adds this package's input checks; for erfi, call scipy.special.erfi
+directly.  Measured against the test oracles: dawson is within 5.6e-17
+absolute of an arbitrary-precision series on [-50, 50] and within 1.7e-16
+of mpmath's erfi form at 1e4 points, and is exactly odd; laguerre_general
+meets its three-term recurrence to 1.6e-13 relative for n <= 21 and x in
+[0, 12].
 
 All functions are pure and accept scalars (returning a float) or numpy
 arrays (returning an array of the same shape).
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.special as sps
 
-__all__ = ["dawson", "erfi", "laguerre_general"]
+__all__ = ["dawson", "laguerre_general"]
 
 
 def _finite(x, name):
@@ -35,18 +35,6 @@ def dawson(w):
     """Dawson function D(w) = sqrt(pi)/2 * exp(-w^2) * erfi(w).  D is odd."""
     w = _finite(w, "dawson")
     return _like(sps.dawsn(w), w)
-
-
-def erfi(w):
-    """Imaginary error function, erfi(w) = 2 D(w) exp(w^2) / sqrt(pi).
-
-    Raises OverflowError for |w| > 50.  For 26.7 < |w| <= 50 the true value
-    exceeds the double range and +-inf is returned.
-    """
-    w = _finite(w, "erfi")
-    if np.any(np.abs(w) > 50.0):
-        raise OverflowError("erfi: |w| > 50 overflows double range")
-    return _like(sps.erfi(w), w)
 
 
 def laguerre_general(n, alpha, x):

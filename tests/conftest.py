@@ -92,6 +92,24 @@ def second_moment_oracle(density_cyl, r_max, epsrel=1e-10):
     return M / N, N
 
 
+def strong_form_moment(amp, sign, d2h, rule):
+    """(N, Dr^2 N) of a radial-profile amplitude f = k_perp h(k^2) of
+    helicity sign = +-1 on `rule`, from the strong form of the Dr^2
+    integrand, Re f* [f/kp^2 + s (2 i kz)/(k kp^2) d_phi f - Lap_k f], with
+    Lap_k f = h/kp + 10 kp h' + 4 k^2 kp h'' and d2h = h''.  Reference for
+    the by-parts form that moments evaluates."""
+    KX, KY, KZ, W = rule.nodes()
+    KP2 = KX * KX + KY * KY
+    K2 = KP2 + KZ * KZ
+    kp = np.sqrt(KP2)
+    f = amp.value(KX, KY, KZ)
+    gx, gy, _ = amp.grad(KX, KY, KZ)
+    az = (sign * 2.0) * KZ / (np.sqrt(K2) * KP2)
+    lap = amp.h(K2) / kp + 10.0 * kp * amp.dh(K2) + 4.0 * K2 * kp * d2h(K2)
+    integ = (np.conj(f) * (f / KP2 + 1j * az * (KX * gy - KY * gx) - lap)).real
+    return (W * (f.real ** 2 + f.imag ** 2)).sum(), (W * integ).sum()
+
+
 # ---------------------------------------------------------------------------
 # finite-difference helpers
 # ---------------------------------------------------------------------------

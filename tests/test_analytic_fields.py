@@ -113,6 +113,22 @@ class TestScalarGenerator:
             scale = max(abs(dtt), abs(lap), 1.0)
             assert abs(dtt - lap) / scale < 1e-5
 
+    @pytest.mark.parametrize("a", [1.0, 1.7])
+    @pytest.mark.parametrize("helicity", [+1, -1])
+    def test_series_closed_form_agree(self, monkeypatch, a, helicity):
+        # the two branches (forced via the switch radius) agree from deep
+        # inside the series branch to beyond the production switch
+        import rsuncert.analytic_fields as af
+
+        spec = SaturatingFieldSpec(a=a)
+        r = np.array([1e-3, af.R_SWITCH, 0.2]) * a
+        for t in (0.0, 0.5 * a, -1.3 * a):
+            monkeypatch.setattr(af, "R_SWITCH", 10.0)
+            series = scalar_generator(r, t, spec, helicity)
+            monkeypatch.setattr(af, "R_SWITCH", 1e-9)
+            closed = scalar_generator(r, t, spec, helicity)
+            assert np.max(np.abs(series - closed) / np.abs(closed)) < 1e-11
+
     def test_bad_helicity(self):
         with pytest.raises(ValueError):
             scalar_generator(1.0, 0.0, SaturatingFieldSpec(a=1.0), helicity=0)
@@ -311,8 +327,8 @@ class TestPhotonWavefunctions:
         for pts, where in ((random_points(rng, 400, lo=0.001, hi=5.0), None),
                            (np.stack(grid.meshes(sparse=False), axis=-1), grid)):
             x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-            w2, grt, gr = _scalar_blocks(np.sqrt((pts ** 2).sum(axis=-1)), t, a,
-                                         C, -1j * np.sqrt(np.pi) / 2.0 * C)
+            w2, grt, gr, _ = _scalar_blocks(np.sqrt((pts ** 2).sum(axis=-1)), t, a,
+                                            C, -1j * np.sqrt(np.pi) / 2.0 * C)
             want = np.stack([x * z * w2 - 1j * y * grt, y * z * w2 + 1j * x * grt,
                              -(x * x + y * y) * w2 - 2.0 * gr], axis=-1)
             _, got = photon_wavefunctions(pts if where is None else where, t, spec)

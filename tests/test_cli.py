@@ -100,6 +100,35 @@ class TestVerifyBound:
         assert code == 5
         assert err.startswith("error: truncation:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("grid, extent, product", [
+        (16, 24, 2.5494899040682166),
+        (16, 64, 6.085396172533191),
+        (32, 64, 3.991952002212246),
+    ])
+    def test_saturation_miss_on_truncated_box_exit5(self, capsys, grid, extent, product):
+        # a box too coarse for its edge gives a product above 5/2 that
+        # misses saturation: with both truncation warnings that is a
+        # truncation, not a verdict, and the report is still written
+        code = run(["verify-bound", "--method", "grid", "--grid", grid, "--extent", extent])
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert code == 5
+        assert err.startswith("error: truncation:") and len(err.strip().splitlines()) == 1
+        assert abs(rep["product"] - product) <= 1e-12 * product
+        assert [w.split("-space")[0] for w in rep["warnings"]] == [
+            "truncation: position", "truncation: wavevector"]
+
+    def test_saturation_miss_without_truncation_is_a_verdict(self, capsys):
+        # at --tolerance 0 a resolved box is held to exact saturation (the
+        # 64^3 report reads 0.9999999999999997): no warning, so a miss is
+        # exit 1, never exit 5
+        code = run(["verify-bound", "--method", "grid", "--grid", 64, "--tolerance", 0])
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert rep["warnings"] == [] and err == ""
+        exact = rep["product"] >= 2.5 and rep["saturation_ratio"] == 1.0
+        assert code == (0 if exact else 1)
+
 
 class TestSpectrum:
     def test_default_three_states(self, capsys):

@@ -24,9 +24,9 @@ from rsuncert import (
     synthesize_kspace,
     uncertainty_product,
 )
-from rsuncert.moments import _amp_integrals, _amp_moments, _SphericalRule
+from rsuncert.moments import _amp_integrals, _SphericalRule
 from rsuncert.specfun import laguerre_general
-from conftest import random_pair, second_moment_oracle
+from conftest import random_pair, second_moment_oracle, strong_form_moment
 
 
 def simplest_field_grid(C=1.0, a=1.0, n=64, extent=16.0):
@@ -148,9 +148,15 @@ class TestVarianceFromAmplitudes:
         assert abs(term) < 1e-14
 
     def test_weak_equals_strong_form(self):
-        amps = saturating_amplitudes(0.8, -0.3 + 0.1j, 1.2)
+        a, c_plus, c_minus = 1.2, 0.8, -0.3 + 0.1j
+        amps = saturating_amplitudes(c_plus, c_minus, a)
         weak = uncertainty_product(amps).delta_r2
-        n, _, mr, _, _ = _amp_moments(amps, weak=False)
+        rule = _SphericalRule(9.0 * amps.k_scale).refined()
+        n = mr = 0.0
+        for C, amp, sign in ((c_plus, amps.f_plus, 1.0), (c_minus, amps.f_minus, -1.0)):
+            d2h = lambda q, C=C: C * a ** 4 / 4.0 * np.exp(-a * a * q / 2.0)
+            dn, dmr = strong_form_moment(amp, sign, d2h, rule)
+            n, mr = n + dn, mr + dmr
         strong = mr / n
         assert abs(weak - strong) / weak < 1e-10
 
@@ -308,6 +314,17 @@ class TestUncertaintyProduct:
             assert abs(rep_l.delta_r2 - rep.delta_r2 * lam ** 2) / rep_l.delta_r2 < 1e-10
             assert abs(rep_l.product - rep.product) / rep.product < 1e-10
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closure", "sampled"])
+    def test_dilation_factor_must_be_finite_positive(self, lam, sampled):
+        pair = saturating_amplitudes(1.0, 0.5, 1.0)
+        if sampled:
+            kgrid = Grid3D.centered(16, 8.0).fourier_dual()
+            pair = HelicityAmplitudePair(SampledAmplitude.from_closure(pair.f_plus, kgrid),
+                                         SampledAmplitude.from_closure(pair.f_minus, kgrid))
+        with pytest.raises(ValueError, match="finite and positive"):
+            pair.dilated(lam)
+
     def test_helicity_swap_symmetry(self, rng):
         amps = random_pair(rng, allow_single=False)
         rep = uncertainty_product(amps)
@@ -315,13 +332,10 @@ class TestUncertaintyProduct:
         assert abs(rep.delta_r2 - rep_s.delta_r2) / rep.delta_r2 < 1e-12
         assert abs(rep.delta_k2 - rep_s.delta_k2) / rep.delta_k2 < 1e-12
 
-    def test_grid_report_from_tuple(self):
-        fieldR = simplest_field_grid()
-        kgrid = fieldR.grid.fourier_dual()
-        fieldK = synthesize_kspace(SaturatingFieldSpec.simplest(1.0, 1.0).amplitudes(), kgrid)
-        rep = uncertainty_product((fieldR, fieldK))
-        assert abs(rep.norm_r - rep.norm_k) / rep.norm_r < 1e-6
-        assert abs(rep.product - 2.5) < 1e-3
+    def test_unsupported_source_rejected(self):
+        fieldR = simplest_field_grid(n=16, extent=8.0)
+        with pytest.raises(TypeError):
+            uncertainty_product((fieldR, fourier_to_kspace(fieldR)))
 
     def test_truncation_warning(self):
         rep = uncertainty_product(simplest_field_grid(a=1.0, n=16, extent=4.0))

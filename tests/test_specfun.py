@@ -1,21 +1,17 @@
 """Special-function kernels against independent oracles."""
 
 from fractions import Fraction
-import warnings
 
 import numpy as np
 import pytest
 import scipy.special as sps
 
-from rsuncert import dawson, erfi, laguerre_general
+from rsuncert import dawson, laguerre_general
 from conftest import dawson_series_oracle, laguerre_halfint_oracle
-
-SQRT_PI = np.sqrt(np.pi)
 
 # frozen from the arbitrary-precision series oracle
 D_AT_1 = 0.53807950691276841914
 D_AT_5 = 0.10213407442427683544
-ERFI_AT_1 = 1.650425758797542876
 
 
 class TestDawson:
@@ -64,47 +60,6 @@ class TestDawson:
     def test_array_shape(self):
         w = np.ones((3, 4))
         assert dawson(w).shape == (3, 4)
-
-
-class TestErfi:
-    def test_zero(self):
-        assert erfi(0.0) == 0.0
-
-    def test_value_at_1(self):
-        assert abs(erfi(1.0) - ERFI_AT_1) < 1e-14
-
-    def test_dawson_identity(self, rng):
-        # sqrt(pi) exp(-w^2) erfi(w)/2 == dawson(w) to 1e-12 relative
-        w = rng.uniform(-5, 5, size=400)
-        lhs = SQRT_PI * np.exp(-w * w) * erfi(w) / 2.0
-        rhs = dawson(w)
-        assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-12
-
-    def test_odd(self):
-        assert erfi(-1.3) == -erfi(1.3)
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            erfi(50.1)
-        assert np.isinf(erfi(40.0))  # true value exceeds double range
-
-    def test_against_scipy(self):
-        w = np.linspace(-5, 5, 801)
-        assert np.max(np.abs(erfi(w) - sps.erfi(w)) / (1 + np.abs(sps.erfi(w)))) < 1e-13
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            erfi(np.nan)
-
-    def test_array_and_scalar_shape(self):
-        assert erfi(np.ones((3, 4))).shape == (3, 4)
-        assert isinstance(erfi(np.array(0.5)), float)
-
-    def test_beyond_double_range_is_silent_inf(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert erfi(40.0) == np.inf
-            assert erfi(-40.0) == -np.inf
 
 
 class TestLaguerre:
