@@ -12,7 +12,8 @@ off its target), 2 input error, 3 degenerate field, 4 resolution error,
 the product falls below the bound or, for the built-in field, when the
 saturation ratio misses 1, either by more than --tolerance; a miss in a
 report with a truncation warning exits 5 instead, as a box that cuts the
-packet off gives no verdict.  Every other non-zero code
+packet off gives no verdict (spread: at any time; it names the first as
+given in --times).  Every other non-zero code
 comes from main, the one place that catches an exception: it maps the
 exception to its code through _ERROR_EXITS and prints one `error:` line.
 Inputs are checked where they are built (SaturatingFieldSpec, Grid3D,
@@ -213,6 +214,9 @@ def cmd_verify_bound(args) -> int:
     """Uncertainty product of a saturating or stored field vs the 5/2 bound."""
     saturating = args.input is None
     if not saturating:
+        if args.saturating or args.method == "grid":
+            flag = "--saturating" if args.saturating else "--method grid"
+            raise ValueError(f"{flag} applies to the built-in field, not to --input")
         report = uncertainty_product(read_rsf(args.input))
     elif args.method == "analytic":
         report = uncertainty_product(_field_spec(args).amplitudes())
@@ -289,8 +293,11 @@ def cmd_spread(args) -> int:
     spec = _field_spec(args)
     times = np.asarray(args.times, dtype=float) * spec.a  # units of a/c
     grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
-    traj = spreading_trajectory(spec.amplitudes(), times, grid=grid, method="grid",
-                                strict=True)
+    traj = spreading_trajectory(spec.amplitudes(), times, grid)
+    if traj.truncated:
+        first = args.times[int(np.argmax(traj.cut))]  # as given, in units of a
+        raise TruncationError(f"packet reached the box boundary at t = {first}; "
+                              "enlarge the grid extent")
 
     text = traj.to_csv() if args.format == "csv" else traj.to_json() + "\n"
     _emit(text, args.out)

@@ -6,16 +6,16 @@ the norm is exactly conserved and the packet's second moment obeys
 
     d^2/dt^2 < r^2 >(t) = 2       (exactly, for any amplitudes),
 
-i.e. <r^2>(t) is a perfect parabola with curvature 1.  For amplitude
+i.e. <r^2>(t) is a perfect parabola alpha + beta t + t^2.  For amplitude
 pairs with zero linear coefficient (e.g. real profiles) the minimum is at
 t = 0 and the packet spreads symmetrically.
 
 The grid trajectory builds the time-independent synthesis part once
 (kspace._synthesis_parts) and, per time, takes the position density's
 stats from it (the parts' densities(t, source=False)), and no position
-FieldGrid is built: the time's boundary ratio (the truncation check), norm
-(the zero-norm check) and second moment.  evolve is the one-time case and
-returns the position field itself.
+FieldGrid is built: the time's boundary ratio (kept: a cut-off box raises
+nothing), norm (the zero-norm check) and second moment.  evolve is the
+one-time case and returns the position field itself.
 
 The synthesis part takes one of two routes (see kspace), chosen only from
 the amplitude types and the grid.  Radial amplitudes (every
@@ -37,7 +37,6 @@ import json
 
 import numpy as np
 
-from .errors import TruncationError
 from .kspace import (
     FieldGrid,
     Grid3D,
@@ -46,23 +45,32 @@ from .kspace import (
     fourier_to_position,
     synthesize_kspace,
 )
-from .moments import TRUNCATION_RATIO, _amp_moments
+from .moments import TRUNCATION_RATIO
 
 __all__ = ["Trajectory", "evolve", "spreading_trajectory"]
 
 
 @dataclass
 class Trajectory:
-    """<r^2>(t) samples of an evolving packet, plus per-time norms."""
+    """<r^2>(t) samples of an evolving packet, with per-time norms and ratios."""
 
     times: np.ndarray
     second_moments: np.ndarray
     norms: np.ndarray
-    truncated: bool = False
+    ratios: np.ndarray
 
     @property
     def norm(self) -> float:
         return float(self.norms[0])
+
+    @property
+    def cut(self) -> np.ndarray:
+        """Per-time mask: the boundary ratio exceeds TRUNCATION_RATIO."""
+        return np.asarray(self.ratios) > TRUNCATION_RATIO
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.cut.any())
 
     def quadratic_fit(self):
         """Least-squares alpha + beta t + gamma t^2 fit.
@@ -93,9 +101,10 @@ class Trajectory:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
+        """One row a time, each value the repr of a Python float, as in to_json."""
         lines = ["t,second_moment,norm"]
-        for t, m, n in zip(self.times, self.second_moments, self.norms):
-            lines.append(f"{t!r},{m!r},{n!r}")
+        for row in zip(self.times, self.second_moments, self.norms):
+            lines.append(",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
 
 
@@ -105,24 +114,13 @@ def evolve(amps: HelicityAmplitudePair, grid: Grid3D, t) -> FieldGrid:
     return fourier_to_position(synthesize_kspace(amps, grid, t))
 
 
-def spreading_trajectory(
-    amps: HelicityAmplitudePair,
-    times,
-    grid: Grid3D = None,
-    method: str = "grid",
-    strict: bool = False,
-) -> Trajectory:
-    """Sample <r^2>(t) over the given times.
+def spreading_trajectory(amps: HelicityAmplitudePair, times, grid: Grid3D) -> Trajectory:
+    """Sample the Riemann-sum <r^2>(t), norm and boundary ratio (boundary
+    over peak) of the position density on the dual of the wavevector grid.
 
     times needs at least 5 finite samples with at least 3 distinct values
-    (ValueError otherwise).
-    method="grid": evolve on the supplied wavevector grid and its position
-    dual and take Riemann-sum moments of the position density; flags
-    truncation when boundary density exceeds 1e-8 of the peak (raises
-    TruncationError if strict).
-    method="analytic": evaluate the amplitude-path variance with
-    phase-evolved amplitudes on the default spherical rules (no grid;
-    quadrature-accurate, so the parabola is exact to quadrature noise).
+    (ValueError otherwise).  A box that cuts the packet off raises nothing
+    (see Trajectory.cut).
     """
     times = np.asarray(times, dtype=float)
     if times.size < 5:
@@ -132,29 +130,7 @@ def spreading_trajectory(
     if np.unique(times).size < 3:
         raise ValueError("spreading_trajectory: need at least 3 distinct times "
                          "for the quadratic fit")
-    moments = np.empty(times.size)
-    norms = np.empty(times.size)
-    truncated = False
-
-    if method == "grid":
-        if grid is None:
-            raise ValueError("spreading_trajectory: grid method needs a grid")
-        parts = _synthesis_parts(amps, grid)
-        for i, t in enumerate(times):
-            r = parts.densities(t, source=False)[1]
-            if r.ratio > TRUNCATION_RATIO:
-                truncated = True
-                if strict:
-                    raise TruncationError(
-                        f"packet reached the box boundary at t = {t}; "
-                        "enlarge the grid extent"
-                    )
-            moments[i], norms[i] = r.moment, r.norm
-    elif method == "analytic":
-        for i, t in enumerate(times):
-            n, _, mr, _, _ = _amp_moments(amps.evolved(t))
-            moments[i], norms[i] = mr / n, n
-    else:
-        raise ValueError("spreading_trajectory: method must be 'grid' or 'analytic'")
-
-    return Trajectory(times, moments, norms, truncated)
+    parts = _synthesis_parts(amps, grid)
+    ratios, moments, norms = np.array(
+        [parts.densities(t, source=False)[1] for t in times]).T
+    return Trajectory(times, moments, norms, ratios)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -108,6 +109,99 @@ def strong_form_moment(amp, sign, d2h, rule):
     lap = amp.h(K2) / kp + 10.0 * kp * amp.dh(K2) + 4.0 * K2 * kp * d2h(K2)
     integ = (np.conj(f) * (f / KP2 + 1j * az * (KX * gy - KY * gx) - lap)).real
     return (W * (f.real ** 2 + f.imag ** 2)).sum(), (W * integ).sum()
+
+
+# ---------------------------------------------------------------------------
+# closed-form moments of polynomial-Gaussian amplitudes
+# ---------------------------------------------------------------------------
+# Polynomials are dicts {(i, j, l): complex} of monomials kx^i ky^j kz^l.
+
+def _poly_mul(p, q):
+    out = {}
+    for (e1, c1), (e2, c2) in itertools.product(p.items(), q.items()):
+        e = tuple(a + b for a, b in zip(e1, e2))
+        out[e] = out.get(e, 0.0) + c1 * c2
+    return out
+
+
+def _poly_add(*terms):
+    """The sum of (scale, polynomial) pairs."""
+    out = {}
+    for scale, p in terms:
+        for e, c in p.items():
+            out[e] = out.get(e, 0.0) + scale * c
+    return out
+
+
+def _poly_conj(p):
+    return {e: complex(c).conjugate() for e, c in p.items()}
+
+
+def _poly_diff(p, axis):
+    out = {}
+    for e, c in p.items():
+        if e[axis]:
+            d = list(e)
+            d[axis] -= 1
+            out[tuple(d)] = out.get(tuple(d), 0.0) + e[axis] * c
+    return out
+
+
+def _gauss_integral(p, beta, z_hat=False):
+    """Int d3k p(k) e^{-beta k^2}, times kz/k if z_hat, exactly: each
+    monomial is k^n x^i y^j z^l on the unit sphere (n = i + j + l), whose
+    sphere integral 2 G((i+1)/2) G((j+1)/2) G((l+1)/2) / G((n+3)/2)
+    vanishes unless i, j and l are all even, times the radial moment
+    Int k^(n+2) e^{-beta k^2} dk = G((n+3)/2) / (2 beta^((n+3)/2))."""
+    g = math.gamma
+    total = 0.0
+    for (i, j, l), c in p.items():
+        n = i + j + l
+        l += z_hat
+        if i % 2 or j % 2 or l % 2:
+            continue
+        sphere = 2.0 * g((i + 1) / 2) * g((j + 1) / 2) * g((l + 1) / 2) / g((i + j + l + 3) / 2)
+        total += c * sphere * g((n + 3) / 2) / (2.0 * beta ** ((n + 3) / 2))
+    return total
+
+
+def polynomial_gaussian_moments(pair):
+    """Exact (N, Dk^2, Dr^2) of a HelicityAmplitudePair of
+    PolynomialGaussianAmplitude, f = k_perp P e^{-alpha k^2}, from the
+    weak form of the Dr^2 integrand (moments' module docstring), with
+    kp^2 = kx^2 + ky^2, Q_a = d_a P - 2 alpha k_a P and
+    d_phi P = kx d_y P - ky d_x P:
+
+        |f|^2          = kp^2 |P|^2 E
+        |grad f|^2     = [|P|^2 + 2 Re P* (kx Q_x + ky Q_y)
+                          + kp^2 (|Q_x|^2 + |Q_y|^2 + |Q_z|^2)] E
+        |f|^2 / kp^2   = |P|^2 E
+        Im f* d_phi f  = kp^2 Im(P* d_phi P) E
+
+    with E = e^{-2 alpha k^2}, summed over f+ (s = +1) and f- (s = -1)."""
+    x, y, z = {(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0}
+    kp2 = _poly_add((1.0, _poly_mul(x, x)), (1.0, _poly_mul(y, y)))
+    k2 = _poly_add((1.0, kp2), (1.0, _poly_mul(z, z)))
+    n = mk = mr = 0.0
+    for amp, s in ((pair.f_plus, 1.0), (pair.f_minus, -1.0)):
+        if amp is None:
+            continue
+        P, alpha = dict(amp.terms), amp.alpha
+        beta = 2.0 * alpha
+        Pc = _poly_conj(P)
+        P2 = _poly_mul(Pc, P)
+        Q = [_poly_add((1.0, _poly_diff(P, a)), (-2.0 * alpha, _poly_mul(k, P)))
+             for a, k in enumerate((x, y, z))]
+        Q2 = _poly_add(*((1.0, _poly_mul(_poly_conj(q), q)) for q in Q))
+        cross = _poly_mul(Pc, _poly_add((1.0, _poly_mul(x, Q[0])), (1.0, _poly_mul(y, Q[1]))))
+        dphi = _poly_add((1.0, _poly_mul(x, _poly_diff(P, 1))),
+                         (-1.0, _poly_mul(y, _poly_diff(P, 0))))
+        n += _gauss_integral(_poly_mul(kp2, P2), beta).real
+        mk += _gauss_integral(_poly_mul(k2, _poly_mul(kp2, P2)), beta).real
+        mr += (_gauss_integral(_poly_add((2.0, P2), (2.0, cross), (1.0, _poly_mul(kp2, Q2))),
+                               beta).real
+               - 2.0 * s * _gauss_integral(_poly_mul(Pc, dphi), beta, z_hat=True).imag)
+    return n, mk / n, mr / n
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from rsuncert import (
     RadialProfileAmplitude,
     RadialProblem,
     SaturatingFieldSpec,
+    Trajectory,
     dawson,
     fourier_to_kspace,
     laguerre_general,
@@ -131,7 +132,11 @@ def test_criterion_4_spreading_law():
     _, _, gamma_g, _ = traj.quadratic_fit()
     ok_grid = abs(2.0 * gamma_g - 2.0) < 0.02 and not traj.truncated
 
-    traj_a = spreading_trajectory(amps, np.linspace(-1, 1, 9), method="analytic")
+    # the amplitude path: reports of the phase-evolved pairs
+    times_a = np.linspace(-1, 1, 9)
+    reps = [uncertainty_product(amps.evolved(t)) for t in times_a]
+    traj_a = Trajectory(times_a, np.array([r.delta_r2 for r in reps]),
+                        np.array([r.norm_k for r in reps]), np.zeros(len(times_a)))
     _, _, gamma_a, resid = traj_a.quadratic_fit()
     ok_analytic = resid <= 1e-6 and abs(2.0 * gamma_a - 2.0) < 1e-6
     dt = time.perf_counter() - t0

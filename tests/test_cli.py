@@ -73,6 +73,25 @@ class TestVerifyBound:
     def test_missing_input_exit2(self, tmp_path):
         assert run(["verify-bound", "--input", tmp_path / "nope.rsf"]) == 2
 
+    @pytest.mark.parametrize("source", [
+        ["--saturating"], ["--method", "grid"],
+        {"saturating": True}, {"method": "grid"},
+    ], ids=["saturating", "method-grid", "config-saturating", "config-method-grid"])
+    def test_input_with_builtin_source_exit2(self, tmp_path, capsys, source):
+        # each selects the built-in field, which --input replaces: an input
+        # error before the file is read, from a flag or from --config
+        path = tmp_path / "f.rsf"
+        assert run(["field", "--grid", 16, "--out-field", path]) == 0
+        if isinstance(source, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(source))
+            source = ["--config", cfg]
+        code = run(["verify-bound", "--input", path] + source)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --") and len(err.strip().splitlines()) == 1
+
     def test_out_file_and_csv(self, tmp_path):
         out = tmp_path / "report.csv"
         code = run(["verify-bound", "--saturating", "--format", "csv", "--out", out])
@@ -308,6 +327,34 @@ class TestSpread:
         code = run(["spread", "--grid", 16, "--extent", 5,
                     "--times=-4,-2,0,2,4"])
         assert code == 5
+
+    def test_csv_fields_are_the_json_numbers(self, capsys):
+        args = ["spread", "--grid", 32, "--extent", 24, "--times=-1,-1e-7,0,1e-7,1"]
+        assert run(args + ["--format", "csv"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert run(args) == 0
+        rep = json.loads(capsys.readouterr().out)
+        want = list(zip(rep["times"], rep["second_moments"], rep["norms"]))
+        assert [tuple(float(v) for v in row.split(",")) for row in rows] == want
+
+    def test_truncation_names_the_time_as_given(self, capsys):
+        # at a = 2 the box cuts the packet off at t = 3 a and 6 a: the line
+        # names the first, in units of a as in --times
+        code = run(["spread", "--a", 2, "--grid", 16, "--extent", 12,
+                    "--times=0,0.5,1,3,6"])
+        out, err = capsys.readouterr()
+        assert code == 5
+        assert out == ""
+        assert "t = 3.0;" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("times", ["--times=1.7e308,0,1,2,3", "--times=0,1,2,3,1.7e308"])
+    def test_out_of_range_time_exit2(self, capsys, times):
+        # every time is evaluated, so an overflow is an input error even
+        # after a time whose density reaches the boundary (t = 2 here)
+        code = run(["spread", "--grid", 16, "--extent", 12, times])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: arithmetic:") and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("times", ["--times=0,0,0,0,0", "--times=0,1"])
     def test_bad_times_exit2(self, capsys, times):

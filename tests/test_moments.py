@@ -1,6 +1,10 @@
 """Variance engine: both evaluation paths, the uncertainty product, the
 massless bound, and the bound/covariance property suites."""
 
+import cmath
+import itertools
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -26,7 +30,12 @@ from rsuncert import (
 )
 from rsuncert.moments import _amp_integrals, _SphericalRule
 from rsuncert.specfun import laguerre_general
-from conftest import random_pair, second_moment_oracle, strong_form_moment
+from conftest import (
+    polynomial_gaussian_moments,
+    random_pair,
+    second_moment_oracle,
+    strong_form_moment,
+)
 
 
 def simplest_field_grid(C=1.0, a=1.0, n=64, extent=16.0):
@@ -447,6 +456,33 @@ class TestQuadratureConvergence:
 
     def test_grid_report_has_no_quadrature_error(self):
         assert uncertainty_product(simplest_field_grid()).quad_rel_err is None
+
+
+# k_perp P e^{-alpha k^2}, P of 1-4 monomials of degree <= 3 with
+# coefficient moduli in [0.1, 10], in either helicity or both
+_monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+_coefficients = st.builds(cmath.rect, st.floats(0.1, 10.0), st.floats(0.0, 2.0 * np.pi))
+_amplitudes = st.builds(
+    PolynomialGaussianAmplitude,
+    st.dictionaries(st.sampled_from(_monomials), _coefficients, min_size=1, max_size=4),
+    st.floats(0.35, 1.8),
+)
+_pairs = st.one_of(
+    st.builds(HelicityAmplitudePair, _amplitudes, st.none()),
+    st.builds(HelicityAmplitudePair, st.none(), _amplitudes),
+    st.builds(HelicityAmplitudePair, _amplitudes, _amplitudes),
+)
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=200)
+@given(_pairs)
+def test_amplitude_path_matches_closed_form(pair):
+    # conftest.polynomial_gaussian_moments: every integral in closed form
+    n, dk2, dr2 = polynomial_gaussian_moments(pair)
+    rep = uncertainty_product(pair)
+    for got, want in ((rep.norm_k, n), (rep.delta_k2, dk2), (rep.delta_r2, dr2),
+                      (rep.product, np.sqrt(dr2 * dk2))):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 class TestMasslessBound:

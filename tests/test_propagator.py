@@ -8,7 +8,7 @@ import pytest
 from rsuncert import (
     Grid3D,
     SaturatingFieldSpec,
-    TruncationError,
+    Trajectory,
     evolve,
     fourier_to_kspace,
     fourier_to_position,
@@ -25,6 +25,14 @@ from conftest import node_route_pair
 
 SPEC = SaturatingFieldSpec.simplest(C=1.0, a=1.0)
 KGRID = Grid3D.centered(64, 16.0).fourier_dual()
+
+
+def amplitude_trajectory(amps, times):
+    """The trajectory of the amplitude-path reports of the evolved pairs:
+    quadrature-accurate, so its parabola is exact to quadrature noise."""
+    reps = [uncertainty_product(amps.evolved(t)) for t in times]
+    return Trajectory(times, np.array([r.delta_r2 for r in reps]),
+                      np.array([r.norm_k for r in reps]), np.zeros(len(times)))
 
 
 class TestEvolve:
@@ -88,7 +96,7 @@ class TestSpreadingTrajectory:
 
     def test_analytic_exact_parabola(self):
         times = np.linspace(-1.2, 1.2, 9)
-        traj = spreading_trajectory(SPEC.amplitudes(), times, method="analytic")
+        traj = amplitude_trajectory(SPEC.amplitudes(), times)
         alpha, beta, gamma, resid = traj.quadratic_fit()
         assert resid < 1e-6
         assert abs(2.0 * gamma - 2.0) < 1e-9
@@ -97,7 +105,7 @@ class TestSpreadingTrajectory:
 
     def test_analytic_unitarity(self):
         times = np.linspace(-1.0, 1.0, 5)
-        traj = spreading_trajectory(SPEC.amplitudes(), times, method="analytic")
+        traj = amplitude_trajectory(SPEC.amplitudes(), times)
         assert np.max(np.abs(traj.norms - traj.norm)) / traj.norm < 1e-10
 
     def test_time_reversal_symmetry(self):
@@ -106,13 +114,22 @@ class TestSpreadingTrajectory:
         assert abs(m[0] - m[-1]) / m[0] < 1e-9
         assert abs(m[1] - m[-2]) / m[1] < 1e-9
 
-    def test_truncation_flag_and_strict_error(self):
+    def test_truncation_flag_and_cut_times(self):
+        # a cut-off box raises nothing: the trajectory carries each time's
+        # boundary ratio, and the CLI turns a cut into exit 5
+        # (test_cli.py::TestSpread::test_truncation_exit5)
         small = Grid3D.centered(16, 6.0).fourier_dual()
         times = np.array([-3.0, -1.5, 0.0, 1.5, 3.0])
         traj = spreading_trajectory(SPEC.amplitudes(), times, grid=small)
         assert traj.truncated
-        with pytest.raises(TruncationError):
-            spreading_trajectory(SPEC.amplitudes(), times, grid=small, strict=True)
+        # at extent 12 the box cuts the packet off at t = 3 and 6 only
+        grid = Grid3D.centered(16, 12.0).fourier_dual()
+        times = np.array([0.0, 0.5, 1.0, 3.0, 6.0])
+        traj = spreading_trajectory(SPEC.amplitudes(), times, grid)
+        want = [evolve(SPEC.amplitudes(), grid, t).boundary_density_ratio() for t in times]
+        np.testing.assert_allclose(traj.ratios, want, rtol=1e-6, atol=0)
+        assert traj.cut.tolist() == [False, False, False, True, True]
+        assert traj.to_dict()["truncated"] is True
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
