@@ -49,10 +49,10 @@ _synthesis_parts picks one from two properties of its input, nothing else:
 * Node route (_NodeParts) for everything else: polynomial, sampled and
   wrapped (phase-evolved, dilated) amplitudes, and any other grid.  Every
   admissible amplitude is f = k_perp g, so the same polynomial holds with
-  per-node tables: it keeps f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k
-  k_perp) and |k| (40 bytes a node), builds no polarization frame, and
-  forms the two functions and the phases one x-slab at a time through
-  the same assembler.
+  per-node tables f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp) and
+  |k|.  It keeps only the grid and the amplitudes, builds no polarization
+  frame, and forms those tables, the two functions and the phases one
+  x-slab at a time through the same assembler.
 
 synthesize_kspace is the one-time case of either route: with three
 distinct output arrays the assembler forms each x-slab's tables once and
@@ -61,16 +61,15 @@ writes all three components.
 The Fourier bridge transforms one component at a time: per-axis phases are
 applied one x-slab at a time, in place, around an overwriting scipy FFT.  A
 density is computed once per field as re^2 + im^2 (FieldGrid.density).
-_stream_densities reduces a stream of components to the density on their
-grid and the density of their transform on the dual grid, holding one
-component and the two densities (the output-side DFT phases are unimodular
-and drop out).  _stream_stats, the one reducer of a component stream,
-takes from those two arrays the three numbers a report takes of a density
-(_DensityStats: its boundary ratio, second moment and norm), position
-space first; _NodeParts.densities and the FieldGrid reports of moments
-call it.  Both routes' parts have densities(t, source), which give those
-numbers per space, and the spreading trajectory and
-`verify-bound --method grid` take them from there.
+_stream_stats, the one reducer of a component stream, takes the three
+numbers a report takes of a density (_DensityStats: its boundary ratio,
+second moment and norm) in one pass over the components per space,
+position space first: one component buffer and one density are held at a
+time (the output-side DFT phases are unimodular and drop out).
+_NodeParts.densities and the FieldGrid reports of moments call it.  Both
+routes' parts have densities(t, source), which give those numbers per
+space, and the spreading trajectory and `verify-bound --method grid` take
+them from there.
 """
 
 from __future__ import annotations
@@ -511,16 +510,17 @@ class SampledAmplitude:
             out.append(_dft(mult * U, rgrid, self.grid, -1))
         return tuple(out)
 
-    def negated_conj(self):
-        """conj(f)(-k) on the grid nodes, by index reversal: a grid
-        symmetric about k = 0 closes under k -> -k that way; any other grid
-        raises GridMismatchError."""
+    def negated_conj(self, i=None):
+        """conj(f)(-k) on the grid nodes (x-slab i only, if given), by index
+        reversal: a grid symmetric about k = 0 closes under k -> -k that
+        way; any other grid raises GridMismatchError."""
         g = self.grid
         if any(abs(2.0 * o + (n - 1) * d) > 1e-12 * n * d
                for n, d, o in zip(g.counts, g.spacings, g.origins)):
             raise GridMismatchError("SampledAmplitude: conj f(-k) needs a grid "
                                     "symmetric about k = 0")
-        return np.conj(self.values[::-1, ::-1, ::-1])
+        rev = self.values[::-1, ::-1, ::-1]
+        return np.conj(rev if i is None else rev[i])
 
 
 def _phase_evolved(amp, t):
@@ -625,40 +625,59 @@ class _NodeParts:
 
     With f = k_perp g the frame's 1/k_perp cancels (see the module
     docstring), so Ftilde is the radial route's polynomial with per-node
-    tables: plus = f+(k) / (sqrt2 k k_perp) and minus = conj(f-)(-k) /
-    (sqrt2 k k_perp) at the nodes (None for a zero amplitude), and k = |k|,
-    40 bytes per node and no polarization frame.  components(t) forms W and
-    V (_time_tables) one x-slab at a time and writes the polynomial of
-    _assemble_grid: only the unimodular phases depend on t, so a
-    trajectory builds the parts once and takes components(t) per time.
+    tables plus = f+(k) / (sqrt2 k k_perp) and minus = conj(f-)(-k) /
+    (sqrt2 k k_perp) (None for a zero amplitude) and k = |k|.  Only the
+    grid and the amplitudes are kept: components(t) forms the tables of
+    each x-slab from the sparse meshes (_slab_tables), then W and V
+    (_time_tables), and writes the polynomial of _assemble_grid, so no
+    table of the whole grid and no polarization frame is ever held.  A
+    component sweep evaluates the amplitudes once; a trajectory builds the
+    parts once and takes components(t) per time.
     """
 
     grid: Grid3D
-    plus: np.ndarray | None
-    minus: np.ndarray | None
-    k: np.ndarray
+    amps: HelicityAmplitudePair
 
     @classmethod
     def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D) -> "_NodeParts":
+        """The parts of amps on grid, after the checks that need no
+        amplitude value: no node on the kz-axis, and a sampled amplitude on
+        grid itself (as f-, on a grid symmetric about k = 0)."""
         KX, KY, KZ = grid.meshes(sparse=True)
         kp2 = KX * KX + KY * KY
-        k = kp2 + KZ * KZ
-        _check_off_axis(kp2, k)  # before any division by k_perp
-        np.sqrt(k, out=k)
-        den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
-
-        def table(amp, negk):
+        # rounding is monotone, so the largest kz^2 decides for every node
+        _check_off_axis(kp2, kp2 + (KZ * KZ).max())
+        for amp, negk in ((amps.f_plus, False), (amps.f_minus, True)):
             if isinstance(amp, SampledAmplitude):
                 if amp.grid != grid:
                     raise GridMismatchError("synthesize_kspace: amplitude grid differs")
-                f = amp.negated_conj() if negk else amp.values
+                if negk:
+                    amp.negated_conj(0)  # raises on a grid not symmetric about 0
+        return cls(grid, amps)
+
+    def _slab_tables(self):
+        """tables(i) -> (plus, minus, k) on x-slab i, each (ny, nz)."""
+        KX, KY, KZ = self.grid.meshes(sparse=True)
+        ky, kz = KY[0], KZ[0]
+
+        def table(amp, i, kx, den, k, negk):
+            if amp is None:
+                return None
+            if isinstance(amp, SampledAmplitude):
+                f = amp.negated_conj(i) if negk else amp.values[i]
             else:
-                f = np.conj(amp.value(-KX, -KY, -KZ)) if negk else amp.value(KX, KY, KZ)
+                f = np.conj(amp.value(-kx, -ky, -kz)) if negk else amp.value(kx, ky, kz)
             return f / den / k  # k_perp(-k) = k_perp(k)
 
-        plus = None if amps.f_plus is None else table(amps.f_plus, False)
-        minus = None if amps.f_minus is None else table(amps.f_minus, True)
-        return cls(grid, plus, minus, k)
+        def tables(i):
+            kx = KX[i]
+            kp2 = kx * kx + ky * ky
+            k = np.sqrt(kp2 + kz * kz)
+            den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
+            return (table(self.amps.f_plus, i, kx, den, k, False),
+                    table(self.amps.f_minus, i, kx, den, k, True), k)
+
+        return tables
 
     def components(self, t, out=None):
         """The per-time phase step: yield Ftilde_comp(k, t) for comp = 0, 1,
@@ -666,20 +685,21 @@ class _NodeParts:
         so consume each component before taking the next)."""
         if not np.isfinite(t):
             raise ValueError("_NodeParts.components: t must be finite")
+        tables = self._slab_tables()
         buf = np.empty((4,) + self.grid.counts[1:], dtype=np.complex128)
 
         def slabs(i, comps):
-            # the slab's W and V, formed per sweep: nothing full-size
-            return _time_tables(None if self.plus is None else self.plus[i],
-                                None if self.minus is None else self.minus[i],
-                                self.k[i], t, buf, with_v=comps != (2,)) + (None,)
+            # the slab's tables, W and V, formed per sweep: nothing full-size
+            plus, minus, k = tables(i)
+            return _time_tables(plus, minus, k, t, buf, with_v=comps != (2,)) + (None,)
 
         yield from _assemble_grid(self.grid, slabs, out)
 
     def densities(self, t, source=True):
         """(k-space stats or None if not source, position stats) of
         Ftilde(k, t) (_DensityStats), from its components (_stream_stats)."""
-        return _stream_stats(self.components(t), self.grid, "wavevector", source)
+        return _stream_stats(lambda buf: self.components(t, out=(buf,) * 3),
+                             self.grid, "wavevector", source)
 
 
 def _radius_keys(grid):
@@ -1041,39 +1061,40 @@ def _add_density(d, x):
         di += xi.imag ** 2
 
 
-def _stream_densities(components, grid: Grid3D, sign, source=True):
-    """Reduce a stream of field components sampled on grid to densities:
-    (density on grid or None if not source, density of the unitary
-    transform on the dual grid, the dual grid).  sign = +1 transforms
-    k-space to position space, -1 the reverse.
-
-    Each component must be a contiguous array that may be overwritten (the
-    components(t) buffers of the synthesis parts qualify): its density is
-    added, it is transformed in place and the density of the result is
-    added.  The output-side DFT phases are unimodular and never applied,
-    so only the component and the two densities are held.
-    """
-    dual = grid.fourier_dual()
-    pins, _ = _dft_phases(grid, dual, sign)
-    d_src = np.zeros(grid.counts) if source else None
-    d_dual = np.zeros(dual.counts)
-    for comp in components:
-        if source:
-            _add_density(d_src, comp)
-        _add_density(d_dual, _fft(comp, pins, sign, out=comp))
-    d_dual *= _dft_scale(grid, sign) ** 2
-    return d_src, d_dual, dual
-
-
 def _stream_stats(components, grid: Grid3D, space, source=True):
-    """(k-space stats, position stats) (_DensityStats) of a field given as
-    a stream of its components on grid, in `space` ("wavevector" or
-    "position"): the two density arrays of _stream_densities, each reduced.
-    The k-space stats are None if not source (a wavevector stream only).
-    Position space is reduced first, so its checks raise first."""
+    """(k-space stats, position stats) (_DensityStats) of a field on grid in
+    `space` ("wavevector" or "position"), given as components(buf): an
+    iterator over its three components, each either buf itself (which may
+    be overwritten) or an array that is left untouched.  The k-space stats
+    are None if not source (a wavevector field only).
+
+    One pass over the components per space, each adding up one real
+    density that is reduced and freed before the next pass, so one
+    component buffer and one density are held.  Position space is reduced
+    first, so its checks raise first.  The transform pass phases each
+    component into buf, transforms it in place and adds the density of the
+    result; the output-side DFT phases are unimodular and never applied.
+    """
     sign = +1 if space == "wavevector" else -1
-    d_src, d_dual, dual = _stream_densities(components, grid, sign, source)
-    (d_r, rgrid), (d_k, kgrid) = (((d_dual, dual), (d_src, grid)) if sign > 0
-                                  else ((d_src, grid), (d_dual, dual)))
-    r = _density_stats(d_r, rgrid)
-    return None if d_k is None else _density_stats(d_k, kgrid), r
+    buf = np.empty(grid.counts, dtype=np.complex128)
+
+    def source_pass():
+        d = np.zeros(grid.counts)
+        for comp in components(buf):
+            _add_density(d, comp)
+        return _density_stats(d, grid)
+
+    def transform_pass():
+        dual = grid.fourier_dual()
+        pins, _ = _dft_phases(grid, dual, sign)
+        d = np.zeros(dual.counts)
+        for comp in components(buf):
+            _add_density(d, _fft(comp, pins, sign, out=buf))
+        d *= _dft_scale(grid, sign) ** 2
+        return _density_stats(d, dual)
+
+    if sign < 0:
+        r = source_pass()
+        return transform_pass(), r
+    r = transform_pass()
+    return source_pass() if source else None, r

@@ -43,10 +43,12 @@ Grid path.  A grid report is made from three numbers per space, its
 density's boundary ratio, second moment and norm (_density_report of two
 kspace._DensityStats).  For a FieldGrid (uncertainty_product) they come
 from the one reducer of a component stream, kspace._stream_stats, which
-the node route's densities also use: each component adds its density in
-its own space, is transformed in place and adds its partner's density, so
-one component and two density arrays are held and no partner FieldGrid is
-built.  For an amplitude pair
+the node route's densities also use: one pass over the field's components
+per space, position space first, reads each component in place (a view of
+the field) or transforms it into one reused buffer, and adds up that
+space's density, which is reduced and freed before the next pass.  So one
+component buffer and one density array are held, the field is left
+untouched and no partner FieldGrid is built.  For an amplitude pair
 (`verify-bound --method grid`) they come from the synthesis parts'
 densities (kspace._synthesis_parts): for radial amplitudes on a centred
 even cube, from the positive octant of each density, with no component
@@ -353,17 +355,10 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
         return _report(mr / n, mk / n, n_coarse, n, [], err)
     if not isinstance(source, FieldGrid):
         raise TypeError("uncertainty_product: unsupported source type")
-    k, r = _stream_stats(_field_components(source), source.grid, source.space)
+    # the components are views of the caller's field, left untouched
+    k, r = _stream_stats(lambda buf: (source.values[..., c] for c in range(3)),
+                         source.grid, source.space)
     return _density_report(r, k)
-
-
-def _field_components(field: FieldGrid):
-    """The components of field, each copied into one reused contiguous
-    buffer (which the consumer may overwrite)."""
-    buf = np.empty(field.grid.counts, dtype=np.complex128)
-    for comp in range(3):
-        np.copyto(buf, field.values[..., comp])
-        yield buf
 
 
 def _density_report(r, k) -> VarianceReport:

@@ -26,8 +26,9 @@ of F0), a DCT-IV or DST-IV per axis of each, and one octant density that
 gives the three numbers, so a trajectory never holds a complex component
 or a density of the whole cube.  Any other input takes the
 node route (kspace._NodeParts): one complex component at a time through
-the FFT, holding also f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp)
-and |k| (40 bytes a node) and no polarization frame.
+the FFT into one position density, with f+/(sqrt2 k k_perp),
+conj(f-)(-k)/(sqrt2 k k_perp) and |k| formed one x-slab at a time, so a
+time step holds one component buffer and one density (24 bytes a node).
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ class Trajectory:
     second_moments: np.ndarray
     norms: np.ndarray
     ratios: np.ndarray
+
+    def __post_init__(self):
+        for name in ("times", "second_moments", "norms", "ratios"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def norm(self) -> float:

@@ -8,6 +8,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rsuncert.kspace import Grid3D, _add_density, _dft_phases, _dft_scale, _fft
+
 
 # ---------------------------------------------------------------------------
 # arbitrary-precision Dawson oracles
@@ -287,9 +289,9 @@ def rng():
 def node_route_pair(c_plus, c_minus, a):
     """saturating_amplitudes(c_plus, c_minus, a) written as polynomial
     amplitudes, C k_perp e^{-a^2 k^2/2}: the same field (to rounding), but
-    synthesized through the node route (_NodeParts: per-node tables, FFT
-    densities), not the radial route's radius table, gather and octant
-    transforms, so it is a reference for the latter."""
+    synthesized through the node route (_NodeParts: per-node tables formed
+    a slab at a time, FFT densities), not the radial route's radius table,
+    gather and octant transforms, so it is a reference for the latter."""
     from rsuncert import HelicityAmplitudePair, PolynomialGaussianAmplitude
 
     def amp(C):
@@ -310,3 +312,31 @@ def unfold_octant(dp):
         block = dp if np.prod(signs) == 1 else dp.transpose(1, 0, 2)
         d[tuple(halves[s] for s in signs)] = block
     return d
+
+
+# ---------------------------------------------------------------------------
+# full-cube density arrays of a component stream (octant-route reference)
+# ---------------------------------------------------------------------------
+
+def _stream_densities(components, grid: Grid3D, sign, source=True):
+    """Reduce a stream of field components sampled on grid to densities:
+    (density on grid or None if not source, density of the unitary
+    transform on the dual grid, the dual grid).  sign = +1 transforms
+    k-space to position space, -1 the reverse.
+
+    Each component must be a contiguous array that may be overwritten (the
+    components(t) buffers of the synthesis parts qualify): its density is
+    added, it is transformed in place and the density of the result is
+    added.  The output-side DFT phases are unimodular and never applied,
+    so only the component and the two densities are held.
+    """
+    dual = grid.fourier_dual()
+    pins, _ = _dft_phases(grid, dual, sign)
+    d_src = np.zeros(grid.counts) if source else None
+    d_dual = np.zeros(dual.counts)
+    for comp in components:
+        if source:
+            _add_density(d_src, comp)
+        _add_density(d_dual, _fft(comp, pins, sign, out=comp))
+    d_dual *= _dft_scale(grid, sign) ** 2
+    return d_src, d_dual, dual

@@ -31,11 +31,10 @@ from rsuncert.kspace import (
     _density_stats,
     _dft_phases,
     _phased,
-    _stream_densities,
     _synthesis_parts,
 )
 from rsuncert.moments import TRUNCATION_RATIO, _SphericalRule, _density_report
-from conftest import node_route_pair, second_moment_oracle, unfold_octant
+from conftest import _stream_densities, node_route_pair, second_moment_oracle, unfold_octant
 
 
 def random_offaxis_k(rng, n):

@@ -399,6 +399,16 @@ class TestGridReportSpaces:
             self.assert_both_sides(fK, fR)
             self.assert_both_sides(fR, fourier_to_kspace(fR))
 
+    def test_field_left_untouched(self):
+        # the reducer reads views of the caller's field and transforms into
+        # its own buffer: the field is unchanged in either space
+        fK = synthesize_kspace(saturating_amplitudes(1.0, 0.5j, 1.0),
+                               Grid3D.centered(32, 16.0).fourier_dual())
+        for field in (fK, fourier_to_position(fK)):
+            before = field.values.copy()
+            uncertainty_product(field)
+            assert np.array_equal(field.values, before)
+
 
 class TestHelicitySign:
     """The azimuthal term of the weak form changes sign with the helicity."""

@@ -135,6 +135,13 @@ class TestSpreadingTrajectory:
         with pytest.raises(ValueError):
             spreading_trajectory(SPEC.amplitudes(), [0.0, 1.0], grid=KGRID)
 
+    def test_built_from_lists(self):
+        # a Trajectory of plain lists fits and serializes like one of arrays
+        lists = ([-1.0, -0.5, 0.0, 0.5, 1.0], [3.5, 2.75, 2.5, 2.75, 3.5], [1.0] * 5, [0.0] * 5)
+        traj = Trajectory(*lists)
+        assert traj.to_json() == Trajectory(*map(np.array, lists)).to_json()
+        assert traj.to_dict()["fit"]["acceleration"] == pytest.approx(2.0, abs=1e-12)
+
     def test_serialization(self):
         traj = spreading_trajectory(SPEC.amplitudes(), self.times, grid=KGRID)
         d = traj.to_dict()
@@ -191,10 +198,12 @@ class TestGridPathEquivalence:
 
 
 class TestBoundedMemory:
-    """Streamed grid paths hold one complex component buffer and at most
-    two real densities: the traced peak stays below 2 components +
-    2 densities + 20 % at 64^3 (the node route's parts add
-    f+/k_perp, conj f-(-k)/k_perp and |k|, 40 bytes a node, on top).
+    """Streamed grid paths hold one complex component buffer and one real
+    density at a time: the traced peak of a FieldGrid report, and of the
+    node route's densities and trajectories, stays below one component +
+    one density + 20 % at 64^3.  The node route keeps no table of the
+    whole grid: it forms f+/k_perp, conj f-(-k)/k_perp and |k| one x-slab
+    at a time.
 
     The radial route holds no component and no density of the whole cube:
     its working set is two complex octant terms plus one real octant
@@ -202,7 +211,8 @@ class TestBoundedMemory:
 
     grid = Grid3D.centered(64, 20.0).fourier_dual()
     pair = saturating_amplitudes(1.0, 0.5j, 1.0)
-    limit = 1.2 * (2 * 16 + 2 * 8) * 64 ** 3  # bytes
+    limit = 1.2 * (16 + 8) * 64 ** 3  # bytes
+    times = [-1.0, -0.5, 0.0, 0.5, 1.0]
     octant_terms = 2 * 16 * 32 ** 3
     octant_density = 8 * 32 ** 3  # D+ of one space
 
@@ -216,13 +226,11 @@ class TestBoundedMemory:
             tracemalloc.stop()
 
     def test_radial_trajectory(self):
-        times = [-1.0, -0.5, 0.0, 0.5, 1.0]
-        peak = self.traced_peak(lambda: spreading_trajectory(self.pair, times, grid=self.grid))
+        peak = self.traced_peak(lambda: spreading_trajectory(self.pair, self.times, grid=self.grid))
         assert peak < self.limit
 
     def test_radial_trajectory_octant_bound(self):
-        times = [-1.0, -0.5, 0.0, 0.5, 1.0]
-        peak = self.traced_peak(lambda: spreading_trajectory(self.pair, times, grid=self.grid))
+        peak = self.traced_peak(lambda: spreading_trajectory(self.pair, self.times, grid=self.grid))
         assert peak < 1.2 * (self.octant_terms + self.octant_density)
 
     def test_radial_grid_report_octant_bound(self, tmp_path):
@@ -240,16 +248,28 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("t", [0.0, 0.3])
     def test_node_route_synthesis(self, t):
-        # the FieldGrid (48 bytes a node) plus the parts (f+/k_perp,
-        # conj f-(-k)/k_perp and |k|: 40 bytes a node) and slab buffers;
-        # no polarization frame, full-size phase or full-size W, T
+        # the FieldGrid (48 bytes a node) plus slab buffers: no per-node
+        # table, polarization frame, full-size phase or full-size W, T
         pair = node_route_pair(1.0, 0.5j, 1.0)
         assert isinstance(_synthesis_parts(pair, self.grid), _NodeParts)
         peak = self.traced_peak(lambda: synthesize_kspace(pair, self.grid, t))
-        assert peak <= 96 * 64 ** 3
+        assert peak <= 56 * 64 ** 3
+
+    @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
+    def test_node_route_densities(self, c_minus):
+        pair = node_route_pair(1.0, c_minus, 1.0)
+        peak = self.traced_peak(lambda: _synthesis_parts(pair, self.grid).densities(0.3))
+        assert peak < self.limit
+
+    @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
+    def test_node_route_trajectory(self, c_minus):
+        pair = node_route_pair(1.0, c_minus, 1.0)
+        assert isinstance(_synthesis_parts(pair, self.grid), _NodeParts)
+        peak = self.traced_peak(lambda: spreading_trajectory(pair, self.times, grid=self.grid))
+        assert peak < self.limit
 
     def test_field_grid_report(self):
         # the field itself is the caller's; the report adds one buffer and
-        # two densities, not the partner field
+        # one density at a time, not the partner field
         field = synthesize_kspace(self.pair, self.grid)
         assert self.traced_peak(lambda: uncertainty_product(field)) < self.limit
