@@ -321,8 +321,10 @@ class RadialProfileAmplitude:
 class PolynomialGaussianAmplitude:
     """f(k) = k_perp * P(kx,ky,kz) * exp(-alpha k^2), P a polynomial.
 
-    terms: dict {(i,j,l): complex coefficient} for monomials kx^i ky^j kz^l.
-    Gradients are exact (product rule on the monomial expansion).
+    terms: dict {(i,j,l): complex coefficient} for monomials kx^i ky^j kz^l,
+    with i, j, l non-negative integers; alpha finite and positive (either
+    check failing raises ValueError).  Gradients are exact (product rule on
+    the monomial expansion).
 
     The kernel works in real arithmetic.  Each call forms every axis's
     powers k_a^2, k_a^3, ... once, up to that axis's highest degree, and
@@ -339,6 +341,14 @@ class PolynomialGaussianAmplitude:
     def __init__(self, terms, alpha):
         self.terms = dict(terms)
         self.alpha = float(alpha)
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("PolynomialGaussianAmplitude: alpha must be finite and "
+                             f"positive, got {alpha}")
+        for e in self.terms:
+            if not (isinstance(e, tuple) and len(e) == 3
+                    and all(isinstance(n, (int, np.integer)) and n >= 0 for n in e)):
+                raise ValueError("PolynomialGaussianAmplitude: exponents must be three "
+                                 f"non-negative integers, got {e}")
         self.k_scale = 1.0 / np.sqrt(2.0 * self.alpha)
 
     def _parts(self):

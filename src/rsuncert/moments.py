@@ -24,17 +24,30 @@ enters the field as e*(k) conj(f-)(-k), not as e(k) f+(k), which reverses
 the azimuthal term.  The second (by-parts) form needs only first
 derivatives and is the one evaluated.
 
-Quadrature: one engine (_amp_moments) evaluates N, Dk^2 N and Dr^2 N on a
-nested pair of spherical rules per amplitude -- Gauss-Legendre in k on
-(0, 9 k_scale] and in cos(theta), half-offset trapezoid in phi, at 32x20x16
-and 48x30x24 nodes.  It reports the finer sums, and the largest relative
-difference of the three between the two rules as quad_rel_err.  It grows
-with the polynomial degree of the amplitude: measured 7.8e-15 for the
-saturating pairs, at most 2.5e-13 over 280 random pairs k_perp P(k)
-e^{-alpha k^2} with P of degree <= 3, and 7.5e-15, 1.3e-13, 3.7e-12 and
-2.7e-10 for the radial modes k_perp L_n^{3/2}(k^2) e^{-k^2/2}, n = 0..3.
-Grid-path reductions and sampled amplitudes use plain Riemann sums; numpy's
-pairwise summation keeps them reproducible at the stated tolerances.
+Integrals: one engine (_amp_moments) evaluates N, Dk^2 N and Dr^2 N per
+amplitude, by one of three means.
+* A PolynomialGaussianAmplitude, k_perp P(k) e^{-alpha k^2}, given no rule:
+  every term of the by-parts integrand is a polynomial times e^{-2 alpha
+  k^2}, the azimuthal one also times kz/k, so each integral is a finite sum
+  of Gamma-function factors (_closed_form_integrals).  quad_rel_err is then
+  a float rounding bound, a few ulps times the sum of the moduli of the
+  terms over the modulus of their sum: 4.6e-15 for the saturating pair,
+  4.8e-15 to 2.0e-14 over the benchmark's 80 random pairs (P of degree
+  <= 3), and 3.5e-12 for the radial mode L_3^{3/2} expanded into monomials,
+  whose coefficients cancel.
+* Every other closure, and any closure given an explicit rule: a nested
+  pair of spherical rules -- Gauss-Legendre in k on (0, 9 k_scale] and in
+  cos(theta), half-offset trapezoid in phi, at 32x20x16 and 48x30x24 nodes.
+  The finer sums are taken, and quad_rel_err is the largest relative
+  difference of the three between the two rules.  It grows with the
+  polynomial degree of the amplitude: measured 7.8e-15 for the saturating
+  pairs, at most 2.5e-13 over 280 random pairs with P of degree <= 3, and
+  7.5e-15, 1.3e-13, 3.7e-12 and 2.7e-10 for the radial modes
+  k_perp L_n^{3/2}(k^2) e^{-k^2/2}, n = 0..3.
+* Sampled amplitudes: plain Riemann sums, with no error estimate.
+A pair that mixes the first two reports the larger of the two estimates.
+Grid-path reductions are plain Riemann sums too; numpy's pairwise summation
+keeps them reproducible at the stated tolerances.
 
 Dr^2, Dk^2 and the norms of both spaces are public only as fields of the
 report that uncertainty_product returns.
@@ -67,6 +80,7 @@ from .errors import DegenerateFieldError, SingularAmplitudeError
 from .kspace import (
     FieldGrid,
     HelicityAmplitudePair,
+    PolynomialGaussianAmplitude,
     SampledAmplitude,
     _stream_stats,
     # not called here since grid reports stream; kept as a binding site that
@@ -223,38 +237,149 @@ def _amp_moments(amps: HelicityAmplitudePair, rule=None):
     quad_rel_err) summed over both helicities, Mk and Mr being the Dk^2 and
     Dr^2 numerators.
 
-    Closures are integrated on their rule and on rule.refined(); the refined
-    sums are returned, N_coarse is the coarser rule's norm, and quad_rel_err
-    is the largest relative difference of the three sums between the two
-    rules (None when every amplitude is sampled, i.e. no rule was used)."""
+    With no rule given, a PolynomialGaussianAmplitude is integrated in
+    closed form (_closed_form_integrals).  Other closures, and every closure
+    when a rule is given, are integrated on their rule and on
+    rule.refined(), and the refined sums are taken; sampled amplitudes are
+    Riemann sums.  N_coarse is N with the coarser rule's norm in place of
+    the finer one's.  quad_rel_err is the larger of two parts, each the
+    largest relative error estimate of the three sums over the amplitudes of
+    its kind: the rounding bound of the closed forms, and the difference
+    between the two rules.  It is None when every amplitude is sampled."""
     _check_axis_regular(amps, rule)
+    exact = np.zeros((2, 3))  # closed-form sums and their rounding bounds
     fine = np.zeros(3)
     coarse = np.zeros(3)
-    ruled = False
+    sampled = np.zeros(3)
+    closed = ruled = False
     for amp, sign in ((amps.f_plus, 1.0), (amps.f_minus, -1.0)):
         if amp is None:
             continue
         if isinstance(amp, SampledAmplitude):
-            sums = _amp_integrals(amp, sign, None)
-            fine += sums
-            coarse += sums
-            continue
-        r = _rule_for_amp(amp, rule)
-        coarse += _amp_integrals(amp, sign, r)
-        fine += _amp_integrals(amp, sign, r.refined())
-        ruled = True
-    n, mk, mr = (float(v) for v in fine)
+            sampled += _amp_integrals(amp, sign, None)
+        elif rule is None and isinstance(amp, PolynomialGaussianAmplitude):
+            exact += _closed_form_integrals(amp, sign)
+            closed = True
+        else:
+            r = _rule_for_amp(amp, rule)
+            coarse += _amp_integrals(amp, sign, r)
+            fine += _amp_integrals(amp, sign, r.refined())
+            ruled = True
+    n, mk, mr = (float(v) for v in exact[0] + fine + sampled)
     if not np.isfinite(n) or n <= 0.0:
         raise DegenerateFieldError("degenerate amplitude pair: zero norm")
-    err = float(np.max(np.abs(fine - coarse) / np.abs(fine))) if ruled else None
-    return n, mk, mr, float(coarse[0]), err
+    errs = []
+    if closed:
+        errs.append(float(np.max(exact[1] / np.abs(exact[0]))))
+    if ruled:
+        errs.append(float(np.max(np.abs(fine - coarse) / np.abs(fine))))
+    n_coarse = float(exact[0, 0] + coarse[0] + sampled[0])
+    return n, mk, mr, n_coarse, max(errs, default=None)
+
+
+# a float rounding bound in ulps per term of a closed-form sum, covering the
+# two coefficients, the three Gaussian factors, their products and the sum:
+# on 600 random amplitudes (P of degree <= 3) it was at least twice the error
+# against a 50-digit evaluation of the same sums
+_CLOSED_FORM_ULPS = 8
+
+
+def _closed_form_integrals(amp, sign):
+    """[(N, Mk, Mr), their rounding bounds] of f = k_perp P e^{-alpha k^2}
+    (a PolynomialGaussianAmplitude) of helicity sign = +-1, in closed form.
+
+    Each integral is a Hermitian form c^H M c in the coefficients c_e of P's
+    monomials k^e.  With m = e + e', beta = 2 alpha, |e| = e_x + e_y + e_z,
+    |e_perp| = e_x + e_y, unit shifts x, y, z of the exponent and the
+    Gaussian moments G(m) = Int k^m e^{-beta k^2} d3k and Z(m), the same
+    with a factor kz/k, the weak form of the module docstring reads
+
+        N_ee'  = G(m + 2x) + G(m + 2y)
+        Mk_ee' = sum_{a = x, y} sum_{b = x, y, z} G(m + 2a + 2b)
+        Mr_ee' = (2 + |e_perp| + |e'_perp|) G(m) - 2 alpha (2 + |e| + |e'|) N_ee'
+                 + 4 alpha^2 Mk_ee' + sum_{a = x, y} sum_b e_b e'_b G(m + 2a - 2b)
+                 + i sign [(e'_y - e_y) Z(m + x - y) - (e'_x - e_x) Z(m - x + y)]
+
+    G factorizes per axis, g(n) = Int x^n e^{-beta x^2} dx (zero for odd n,
+    sqrt(pi/beta) at 0, then g(n) = g(n - 2) (n - 1)/(2 beta), which
+    overflows only where the moment does), and Z(m) = G(m + z) sqrt(beta)
+    Gamma((|m| + 3)/2) / Gamma((|m| + 4)/2), the ratio of the radial
+    moments of k^{|m|} and k^{|m| + 1}.  The rounding bound of each sum is
+    _CLOSED_FORM_ULPS ulps times the sum of the moduli of its terms, every
+    product |c_e| |c_e'| times each Gaussian term of M_ee' taken positive,
+    so it grows with the cancellation between them."""
+    terms = amp.terms
+    if not terms:
+        return np.zeros((2, 3))
+    e = np.array(list(terms), dtype=np.intp)
+    c = np.array([complex(v) for v in terms.values()])
+    alpha = amp.alpha
+    beta = 2.0 * alpha
+    # exponent sums, offset by 2 so that shifts down to -2 index zeros
+    mx, my, mz = np.moveaxis(e[:, None, :] + e[None, :, :] + 2, -1, 0)
+    top = 2 * int(e.max()) + 4
+    g = np.zeros(top + 3)
+    g[2::2] = np.sqrt(np.pi / beta) * np.cumprod(
+        np.concatenate(([1.0], np.arange(1, top, 2) / beta / 2.0)))
+
+    def G(sx, sy, sz):
+        return g[mx + sx] * g[my + sy] * g[mz + sz]
+
+    def pair_sum(v):
+        return v[:, None] + v[None, :]
+
+    perp = pair_sum(e[:, 0] + e[:, 1])
+    deg = pair_sum(e.sum(axis=1))
+    bx, by, bz = (e[:, None, a] * e[None, :, a] for a in range(3))
+    g0 = G(0, 0, 0)
+    n_m = G(2, 0, 0) + G(0, 2, 0)
+    mk_m = G(4, 0, 0) + G(0, 4, 0) + 2.0 * G(2, 2, 0) + G(2, 0, 2) + G(0, 2, 2)
+    shifted = ((bx + by) * g0 + by * G(2, -2, 0) + bz * G(2, 0, -2)
+               + bx * G(-2, 2, 0) + bz * G(0, 2, -2))
+    drift = 2.0 * alpha * (2 + deg) * n_m
+    mr_pos = (2 + perp) * g0 + 4.0 * alpha * alpha * mk_m + shifted
+    dx, dy = (e[None, :, a] - e[:, None, a] for a in range(2))
+    r = np.sqrt(beta) * _half_gamma_ratios(int(deg.max()) + 3)[deg + 3]
+    zxy, zyx = r * G(1, -1, 1), r * G(-1, 1, 1)
+    az = sign * (dy * zxy - dx * zyx)
+    ac = np.abs(c)
+    out = np.empty((2, 3))
+    for q, (m, m_abs) in enumerate((
+            (n_m, n_m), (mk_m, mk_m),
+            (mr_pos - drift + 1j * az, mr_pos + drift + np.abs(dy) * zxy + np.abs(dx) * zyx))):
+        out[0, q] = (np.conj(c) @ m @ c).real
+        out[1, q] = ac @ m_abs @ ac
+    out[1] *= _CLOSED_FORM_ULPS * np.finfo(float).eps
+    return out
+
+
+@lru_cache(maxsize=8)
+def _half_gamma_ratios(n):
+    """Gamma(j/2) / Gamma((j+1)/2) for j = 0..n (0 at j = 0), each an exact
+    ratio of integers rounded once, times or over sqrt(pi):
+    Gamma(k + 1/2) / Gamma(k + 1) = sqrt(pi) prod_{i<=k} (2i - 1)/(2i) and
+    Gamma(k) / Gamma(k + 1/2) = 1 / (sqrt(pi) k prod_{i<=k} (2i - 1)/(2i))."""
+    out = np.zeros(n + 1)
+    num = den = 1
+    for j in range(1, n + 1):
+        k, odd = divmod(j, 2)
+        if odd:
+            out[j] = num / den * np.sqrt(np.pi)
+            num *= 2 * k + 1
+            den *= 2 * k + 2
+        else:
+            out[j] = den / (k * num) / np.sqrt(np.pi)
+    out.flags.writeable = False
+    return out
 
 
 def _check_axis_regular(amps, rule=None):
     """Amplitudes must vanish on the kz-axis: probe |f| near k_perp = 0
-    (closures), or bound the near-axis share of the norm (sampled grids)."""
+    (closures), or bound the near-axis share of the norm (sampled grids).
+    A PolynomialGaussianAmplitude carries the factor k_perp, so it vanishes
+    there by construction and is not probed."""
     for amp in (amps.f_plus, amps.f_minus):
-        if amp is None:
+        if amp is None or isinstance(amp, PolynomialGaussianAmplitude):
             continue
         if isinstance(amp, SampledAmplitude):
             # the 1/k_perp^2 density must stay bounded toward the axis: for
@@ -304,8 +429,9 @@ class VarianceReport:
     norm_r: float
     norm_k: float
     warnings: list = dc_field(default_factory=list)
-    # amplitude path only: largest relative change of (N, Mk, Mr) between
-    # the rule and its refinement; not part of to_dict()
+    # amplitude path only (None for grids and sampled pairs): the relative
+    # error estimate of (N, Mk, Mr), a rounding bound for closed forms and
+    # the change between a rule and its refinement; not part of to_dict()
     quad_rel_err: float | None = None
 
     def to_dict(self) -> dict:
@@ -349,8 +475,8 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
     Any other source raises TypeError.
     """
     if isinstance(source, HelicityAmplitudePair):
-        # norm_r is the coarser rule's norm: its agreement with norm_k is
-        # the Plancherel line of the report
+        # norm_r takes the coarser rule's norm, so its agreement with norm_k
+        # is the Plancherel line of the report; closed forms give both exactly
         n, mk, mr, n_coarse, err = _amp_moments(source, rule)
         return _report(mr / n, mk / n, n_coarse, n, [], err)
     if not isinstance(source, FieldGrid):

@@ -212,6 +212,19 @@ class TestPolynomialGaussianKernel:
             assert g.shape == shape and g.dtype == np.complex128
             assert np.abs(g - want).max() <= 1e-14 * scale
 
+    @pytest.mark.parametrize("terms, alpha", [
+        ({(0, 0, 0): 1.0}, 0.0),
+        ({(0, 0, 0): 1.0}, -1.0),
+        ({(0, 0, 0): 1.0}, np.nan),
+        ({(0, 0, 0): 1.0}, np.inf),
+        ({(-1, 0, 0): 1.0}, 0.5),
+        ({(0.5, 0, 0): 1.0}, 0.5),
+    ], ids=["alpha-0", "alpha-negative", "alpha-nan", "alpha-inf",
+            "exponent-negative", "exponent-fractional"])
+    def test_invalid_inputs_rejected(self, terms, alpha):
+        with pytest.raises(ValueError, match="PolynomialGaussianAmplitude"):
+            PolynomialGaussianAmplitude(terms, alpha)
+
 
 def polarization_reference(amps, grid, t):
     """e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt} on the grid nodes,

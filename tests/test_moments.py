@@ -2,7 +2,9 @@
 massless bound, and the bound/covariance property suites."""
 
 import cmath
+from fractions import Fraction
 import itertools
+import math
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -484,15 +486,79 @@ _pairs = st.one_of(
 )
 
 
+@pytest.mark.parametrize("engine", ["default", "rule"])
 @settings(database=None, deadline=None, derandomize=True, max_examples=200)
-@given(_pairs)
-def test_amplitude_path_matches_closed_form(pair):
-    # conftest.polynomial_gaussian_moments: every integral in closed form
+@given(pair=_pairs)
+def test_amplitude_path_matches_closed_form(engine, pair):
+    # conftest.polynomial_gaussian_moments: every integral in closed form,
+    # against the default engine (moments' own closed form) and against the
+    # spherical-rule pair, whose one explicit rule must reach past the
+    # slower-decaying amplitude (the larger k_scale)
     n, dk2, dr2 = polynomial_gaussian_moments(pair)
-    rep = uncertainty_product(pair)
+    k_scale = max(a.k_scale for a in (pair.f_plus, pair.f_minus) if a is not None)
+    rule = None if engine == "default" else _SphericalRule(9.0 * k_scale)
+    rep = uncertainty_product(pair, rule=rule)
     for got, want in ((rep.norm_k, n), (rep.delta_k2, dk2), (rep.delta_r2, dr2),
                       (rep.product, np.sqrt(dr2 * dk2))):
         assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def expanded_radial_mode(n):
+    """radial_mode_amplitude(n) (a = 1) as a PolynomialGaussianAmplitude:
+    k_perp L_n^{3/2}(k^2) e^{-k^2/2}, with L_n^{3/2}(q) = sum_j
+    binom(n + 3/2, n - j) (-q)^j / j! and q^j = (kx^2 + ky^2 + kz^2)^j
+    expanded into monomials, each coefficient exact and rounded once."""
+    terms = {}
+    for j in range(n + 1):
+        c = Fraction((-1) ** j, math.factorial(j))
+        for i in range(n - j):
+            c *= Fraction(2 * n + 3 - 2 * i, 2) / (i + 1)
+        for i, l in itertools.product(range(j + 1), repeat=2):
+            if i + l <= j:
+                e = (2 * i, 2 * l, 2 * (j - i - l))
+                multinomial = math.factorial(j) // (
+                    math.factorial(i) * math.factorial(l) * math.factorial(j - i - l))
+                terms[e] = terms.get(e, 0) + c * multinomial
+    return PolynomialGaussianAmplitude({e: float(c) for e, c in terms.items()}, 0.5)
+
+
+class TestClosedFormEngine:
+    """With no rule given, polynomial amplitudes are integrated in closed
+    form (moments._closed_form_integrals); quad_rel_err is then a float
+    rounding bound, and norm_r is the exact norm."""
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_radial_modes(self, n):
+        # gamma_n = 5/2 + 2n exactly; the expanded coefficients cancel more
+        # with n, and the rounding bound must cover the error that leaves
+        want = 2.5 + 2 * n
+        rep = uncertainty_product(HelicityAmplitudePair(expanded_radial_mode(n), None))
+        assert abs(rep.product - want) <= 1e-11
+        measured = max(abs(v / want - 1.0) for v in (rep.product, rep.delta_r2, rep.delta_k2))
+        assert measured <= rep.quad_rel_err
+        assert rep.norm_r == rep.norm_k
+
+    @pytest.mark.parametrize("poly_mode, radial_mode, larger", [
+        (3, 0, "exact"),   # cancellation in the expanded L_3
+        (0, 3, "ruled"),   # the n = 3 mode on the spherical rules
+    ])
+    def test_mixed_pair_error_is_the_larger_part(self, poly_mode, radial_mode, larger):
+        poly, radial = expanded_radial_mode(poly_mode), radial_mode_amplitude(radial_mode)
+        parts = {"exact": uncertainty_product(HelicityAmplitudePair(poly, None)).quad_rel_err,
+                 "ruled": uncertainty_product(HelicityAmplitudePair(None, radial)).quad_rel_err}
+        assert max(parts, key=parts.get) == larger
+        rep = uncertainty_product(HelicityAmplitudePair(poly, radial))
+        assert rep.quad_rel_err == max(parts.values())
+
+    def test_explicit_rule_integrates_polynomials(self):
+        # rule= still selects the spherical-rule pair: its error is the
+        # difference between the two rules, and norm_r the coarser norm
+        pair = HelicityAmplitudePair(expanded_radial_mode(3), None)
+        exact = uncertainty_product(pair)
+        ruled = uncertainty_product(pair, rule=_SphericalRule(9.0))
+        assert ruled.norm_r != ruled.norm_k
+        assert 1e-12 < ruled.quad_rel_err < 1e-6
+        assert abs(ruled.product / exact.product - 1.0) < 1e-9
 
 
 class TestMasslessBound:

@@ -225,10 +225,8 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
 
-    def test_radial_trajectory(self):
-        peak = self.traced_peak(lambda: spreading_trajectory(self.pair, self.times, grid=self.grid))
-        assert peak < self.limit
-
+    # the octant bounds below are 4-5x tighter than `limit`, so the radial
+    # route's runs are checked against them alone
     def test_radial_trajectory_octant_bound(self):
         peak = self.traced_peak(lambda: spreading_trajectory(self.pair, self.times, grid=self.grid))
         assert peak < 1.2 * (self.octant_terms + self.octant_density)
@@ -238,12 +236,6 @@ class TestBoundedMemory:
         argv = ["verify-bound", "--method", "grid", "--grid", "64", "--out", str(out)]
         peak = self.traced_peak(lambda: main(argv))
         assert peak < 1.2 * (self.octant_terms + 2 * self.octant_density)
-        assert out.exists()
-
-    def test_streamed_grid_report(self, tmp_path):
-        out = tmp_path / "report.json"
-        argv = ["verify-bound", "--method", "grid", "--grid", "64", "--out", str(out)]
-        assert self.traced_peak(lambda: main(argv)) < self.limit
         assert out.exists()
 
     @pytest.mark.parametrize("t", [0.0, 0.3])
