@@ -38,7 +38,6 @@ from .kspace import (
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
-    SampledAmplitude,
     fourier_to_kspace,
     fourier_to_position,
     polarization,

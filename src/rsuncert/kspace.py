@@ -46,8 +46,8 @@ _synthesis_parts picks one from two properties of its input, nothing else:
   octant density per space, D+, stands for the whole cube: every number
   a report takes of a density comes from D+ (_octant_stats), and no
   density of the whole cube is ever formed.
-* Node route (_NodeParts) for everything else: polynomial, sampled and
-  wrapped (phase-evolved, dilated) amplitudes, and any other grid.  Every
+* Node route (_NodeParts) for everything else: polynomial and wrapped
+  (phase-evolved, dilated) amplitudes, and any other grid.  Every
   admissible amplitude is f = k_perp g, so the same polynomial holds with
   per-node tables f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp) and
   |k|.  It keeps only the grid and the amplitudes, builds no polarization
@@ -56,7 +56,9 @@ _synthesis_parts picks one from two properties of its input, nothing else:
 
 synthesize_kspace is the one-time case of either route: with three
 distinct output arrays the assembler forms each x-slab's tables once and
-writes all three components.
+writes all three components.  Amplitudes known only as samples on a
+wavevector grid have no amplitude class: build Ftilde from them with the
+polarization frame and report that FieldGrid (see the README).
 
 The Fourier bridge transforms one component at a time: per-axis phases are
 applied one x-slab at a time, in place, around an overwriting scipy FFT.  A
@@ -74,6 +76,7 @@ them from there.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 import math
 from typing import NamedTuple
@@ -94,7 +97,6 @@ __all__ = [
     "HelicityAmplitudePair",
     "RadialProfileAmplitude",
     "PolynomialGaussianAmplitude",
-    "SampledAmplitude",
     "saturating_amplitudes",
     "synthesize_kspace",
     "fourier_to_position",
@@ -322,9 +324,9 @@ class PolynomialGaussianAmplitude:
     """f(k) = k_perp * P(kx,ky,kz) * exp(-alpha k^2), P a polynomial.
 
     terms: dict {(i,j,l): complex coefficient} for monomials kx^i ky^j kz^l,
-    with i, j, l non-negative integers; alpha finite and positive (either
-    check failing raises ValueError).  Gradients are exact (product rule on
-    the monomial expansion).
+    with i, j, l non-negative integers and every coefficient finite; alpha
+    finite and positive (any check failing raises ValueError).  Gradients
+    are exact (product rule on the monomial expansion).
 
     The kernel works in real arithmetic.  Each call forms every axis's
     powers k_a^2, k_a^3, ... once, up to that axis's highest degree, and
@@ -344,11 +346,14 @@ class PolynomialGaussianAmplitude:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("PolynomialGaussianAmplitude: alpha must be finite and "
                              f"positive, got {alpha}")
-        for e in self.terms:
+        for e, c in self.terms.items():
             if not (isinstance(e, tuple) and len(e) == 3
                     and all(isinstance(n, (int, np.integer)) and n >= 0 for n in e)):
                 raise ValueError("PolynomialGaussianAmplitude: exponents must be three "
                                  f"non-negative integers, got {e}")
+            if not cmath.isfinite(c):
+                raise ValueError("PolynomialGaussianAmplitude: coefficients must be "
+                                 f"finite, got {c} for the monomial {e}")
         self.k_scale = 1.0 / np.sqrt(2.0 * self.alpha)
 
     def _parts(self):
@@ -468,89 +473,17 @@ class _Dilated:
         return s * gx, s * gy, s * gz
 
 
-class SampledAmplitude:
-    """Helicity amplitude sampled on a wavevector grid.
-
-    Derivatives come from the Fourier-multiplier route: transform to the
-    conjugate domain, multiply by -i r_j, transform back.  Moments of
-    sampled amplitudes are Riemann sums over the grid (see moments), so the
-    grid must resolve and contain the amplitude.
-
-    Accuracy note: the spectral derivative is exact to rounding for
-    amplitudes smooth across the kz-axis (e.g. k_perp^2 profiles).  The
-    common k_perp * h(k^2) profiles have a conical kink on the axis, which
-    limits the route to algebraic convergence in the box size; prefer
-    analytic closures for those when tight tolerances matter.
-
-    As f-, a sampled amplitude needs a grid symmetric about k = 0 on every
-    axis (origin = -(n - 1) spacing / 2, as on Grid3D.centered and
-    fourier_dual grids): synthesis takes conj f-(-k) by index reversal
-    (negated_conj), which on any other grid reads another node's value, so
-    there it raises GridMismatchError.  f+ may use any grid.
-    """
-
-    def __init__(self, values, grid: Grid3D):
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != grid.counts:
-            raise ValueError(
-                f"SampledAmplitude: values shape {values.shape} != {grid.counts}"
-            )
-        self.values = values
-        self.grid = grid
-        # decay scale estimate from the grid extent (rule sizing only)
-        self.k_scale = max(n * d for n, d in zip(grid.counts, grid.spacings)) / 18.0
-
-    @classmethod
-    def from_closure(cls, amp, grid: Grid3D) -> "SampledAmplitude":
-        KX, KY, KZ = grid.meshes(sparse=True)
-        vals = np.broadcast_to(amp.value(KX, KY, KZ), grid.counts).astype(
-            np.complex128
-        )
-        return cls(vals, grid)
-
-    def spectral_grad(self):
-        """(df/dkx, df/dky, df/dkz) on the grid nodes."""
-        rgrid = self.grid.fourier_dual()
-        U = _dft(self.values, self.grid, rgrid, +1)
-        out = []
-        for a, coord in enumerate(rgrid.axes()):
-            shape = [1, 1, 1]
-            shape[a] = coord.size
-            mult = (-1j * coord).reshape(shape)
-            out.append(_dft(mult * U, rgrid, self.grid, -1))
-        return tuple(out)
-
-    def negated_conj(self, i=None):
-        """conj(f)(-k) on the grid nodes (x-slab i only, if given), by index
-        reversal: a grid symmetric about k = 0 closes under k -> -k that
-        way; any other grid raises GridMismatchError."""
-        g = self.grid
-        if any(abs(2.0 * o + (n - 1) * d) > 1e-12 * n * d
-               for n, d, o in zip(g.counts, g.spacings, g.origins)):
-            raise GridMismatchError("SampledAmplitude: conj f(-k) needs a grid "
-                                    "symmetric about k = 0")
-        rev = self.values[::-1, ::-1, ::-1]
-        return np.conj(rev if i is None else rev[i])
-
-
 def _phase_evolved(amp, t):
-    if amp is None:
-        return None
-    if isinstance(amp, SampledAmplitude):
-        KX, KY, KZ = amp.grid.meshes(sparse=True)
-        k = np.sqrt(KX * KX + KY * KY + KZ * KZ)
-        return SampledAmplitude(amp.values * np.exp(-1j * k * t), amp.grid)
-    return _PhaseEvolved(amp, t)
+    return None if amp is None else _PhaseEvolved(amp, t)
 
 
 def _dilated(amp, lam):
     if amp is None:
         return None
-    if isinstance(amp, SampledAmplitude):
-        # f(lambda k) takes at k / lambda the value f has at k
-        g = amp.grid
-        return SampledAmplitude(amp.values, Grid3D(g.counts, tuple(d / lam for d in g.spacings),
-                                                   tuple(o / lam for o in g.origins)))
+    if isinstance(amp, PolynomialGaussianAmplitude):
+        # f(lambda k) = lambda k_perp P(lambda k) e^{-alpha lambda^2 k^2}
+        return PolynomialGaussianAmplitude(
+            {e: c * lam ** (sum(e) + 1) for e, c in amp.terms.items()}, amp.alpha * lam * lam)
     return _Dilated(amp, lam)
 
 
@@ -578,7 +511,8 @@ class HelicityAmplitudePair:
                                      _phase_evolved(self.f_minus, t))
 
     def dilated(self, lam) -> "HelicityAmplitudePair":
-        """The pair f(lam k), for a finite lam > 0 (else ValueError)."""
+        """The pair f(lam k), for a finite lam > 0 (else ValueError); a
+        PolynomialGaussianAmplitude stays one, so it keeps its closed form."""
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"dilated: lambda must be finite and positive, got {lam}")
         return HelicityAmplitudePair(_dilated(self.f_plus, lam), _dilated(self.f_minus, lam))
@@ -650,19 +584,12 @@ class _NodeParts:
 
     @classmethod
     def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D) -> "_NodeParts":
-        """The parts of amps on grid, after the checks that need no
-        amplitude value: no node on the kz-axis, and a sampled amplitude on
-        grid itself (as f-, on a grid symmetric about k = 0)."""
+        """The parts of amps on grid, after the check that needs no
+        amplitude value: no node on the kz-axis."""
         KX, KY, KZ = grid.meshes(sparse=True)
         kp2 = KX * KX + KY * KY
         # rounding is monotone, so the largest kz^2 decides for every node
         _check_off_axis(kp2, kp2 + (KZ * KZ).max())
-        for amp, negk in ((amps.f_plus, False), (amps.f_minus, True)):
-            if isinstance(amp, SampledAmplitude):
-                if amp.grid != grid:
-                    raise GridMismatchError("synthesize_kspace: amplitude grid differs")
-                if negk:
-                    amp.negated_conj(0)  # raises on a grid not symmetric about 0
         return cls(grid, amps)
 
     def _slab_tables(self):
@@ -670,13 +597,10 @@ class _NodeParts:
         KX, KY, KZ = self.grid.meshes(sparse=True)
         ky, kz = KY[0], KZ[0]
 
-        def table(amp, i, kx, den, k, negk):
+        def table(amp, kx, den, k, negk):
             if amp is None:
                 return None
-            if isinstance(amp, SampledAmplitude):
-                f = amp.negated_conj(i) if negk else amp.values[i]
-            else:
-                f = np.conj(amp.value(-kx, -ky, -kz)) if negk else amp.value(kx, ky, kz)
+            f = np.conj(amp.value(-kx, -ky, -kz)) if negk else amp.value(kx, ky, kz)
             return f / den / k  # k_perp(-k) = k_perp(k)
 
         def tables(i):
@@ -684,8 +608,8 @@ class _NodeParts:
             kp2 = kx * kx + ky * ky
             k = np.sqrt(kp2 + kz * kz)
             den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
-            return (table(self.amps.f_plus, i, kx, den, k, False),
-                    table(self.amps.f_minus, i, kx, den, k, True), k)
+            return (table(self.amps.f_plus, kx, den, k, False),
+                    table(self.amps.f_minus, kx, den, k, True), k)
 
         return tables
 

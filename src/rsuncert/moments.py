@@ -25,7 +25,7 @@ the azimuthal term.  The second (by-parts) form needs only first
 derivatives and is the one evaluated.
 
 Integrals: one engine (_amp_moments) evaluates N, Dk^2 N and Dr^2 N per
-amplitude, by one of three means.
+amplitude, by one of two means, each with an error estimate.
 * A PolynomialGaussianAmplitude, k_perp P(k) e^{-alpha k^2}, given no rule:
   every term of the by-parts integrand is a polynomial times e^{-2 alpha
   k^2}, the azimuthal one also times kz/k, so each integral is a finite sum
@@ -44,10 +44,9 @@ amplitude, by one of three means.
   pairs, at most 2.5e-13 over 280 random pairs with P of degree <= 3, and
   7.5e-15, 1.3e-13, 3.7e-12 and 2.7e-10 for the radial modes
   k_perp L_n^{3/2}(k^2) e^{-k^2/2}, n = 0..3.
-* Sampled amplitudes: plain Riemann sums, with no error estimate.
-A pair that mixes the first two reports the larger of the two estimates.
-Grid-path reductions are plain Riemann sums too; numpy's pairwise summation
-keeps them reproducible at the stated tolerances.
+A pair that mixes the two reports the larger of the two estimates.
+Grid-path reductions are plain Riemann sums, with no error estimate; numpy's
+pairwise summation keeps them reproducible at the stated tolerances.
 
 Dr^2, Dk^2 and the norms of both spaces are public only as fields of the
 report that uncertainty_product returns.
@@ -81,7 +80,6 @@ from .kspace import (
     FieldGrid,
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
-    SampledAmplitude,
     _stream_stats,
     # not called here since grid reports stream; kept as a binding site that
     # bench/selftest.py checks the tracer wraps and restores
@@ -219,16 +217,10 @@ def _integrands(f, grads, KX, KY, KZ, sign):
 
 
 def _amp_integrals(amp, sign, rule):
-    """(N, Mk, Mr) of one amplitude: on `rule` with the exact gradients for
-    closures, as Riemann sums with spectral gradients for sampled ones."""
-    if isinstance(amp, SampledAmplitude):
-        KX, KY, KZ = amp.grid.meshes(sparse=False)
-        W = amp.grid.cell_volume
-        af2, K2, integ = _integrands(amp.values, amp.spectral_grad(), KX, KY, KZ, sign)
-    else:
-        KX, KY, KZ, W = rule.nodes()
-        af2, K2, integ = _integrands(amp.value(KX, KY, KZ), amp.grad(KX, KY, KZ),
-                                     KX, KY, KZ, sign)
+    """(N, Mk, Mr) of one amplitude on `rule`, with its exact gradients."""
+    KX, KY, KZ, W = rule.nodes()
+    af2, K2, integ = _integrands(amp.value(KX, KY, KZ), amp.grad(KX, KY, KZ),
+                                 KX, KY, KZ, sign)
     return np.array([(W * af2).sum(), (W * K2 * af2).sum(), (W * integ).sum()])
 
 
@@ -240,41 +232,36 @@ def _amp_moments(amps: HelicityAmplitudePair, rule=None):
     With no rule given, a PolynomialGaussianAmplitude is integrated in
     closed form (_closed_form_integrals).  Other closures, and every closure
     when a rule is given, are integrated on their rule and on
-    rule.refined(), and the refined sums are taken; sampled amplitudes are
-    Riemann sums.  N_coarse is N with the coarser rule's norm in place of
-    the finer one's.  quad_rel_err is the larger of two parts, each the
-    largest relative error estimate of the three sums over the amplitudes of
-    its kind: the rounding bound of the closed forms, and the difference
-    between the two rules.  It is None when every amplitude is sampled."""
+    rule.refined(), and the refined sums are taken.  N_coarse is N with the
+    coarser rule's norm in place of the finer one's.  quad_rel_err is the
+    larger of two parts, each the largest relative error estimate of the
+    three sums over the amplitudes of its kind: the rounding bound of the
+    closed forms, and the difference between the two rules."""
     _check_axis_regular(amps, rule)
     exact = np.zeros((2, 3))  # closed-form sums and their rounding bounds
     fine = np.zeros(3)
     coarse = np.zeros(3)
-    sampled = np.zeros(3)
-    closed = ruled = False
     for amp, sign in ((amps.f_plus, 1.0), (amps.f_minus, -1.0)):
         if amp is None:
             continue
-        if isinstance(amp, SampledAmplitude):
-            sampled += _amp_integrals(amp, sign, None)
-        elif rule is None and isinstance(amp, PolynomialGaussianAmplitude):
+        if rule is None and isinstance(amp, PolynomialGaussianAmplitude):
             exact += _closed_form_integrals(amp, sign)
-            closed = True
         else:
             r = _rule_for_amp(amp, rule)
             coarse += _amp_integrals(amp, sign, r)
             fine += _amp_integrals(amp, sign, r.refined())
-            ruled = True
-    n, mk, mr = (float(v) for v in exact[0] + fine + sampled)
+    n, mk, mr = (float(v) for v in exact[0] + fine)
     if not np.isfinite(n) or n <= 0.0:
         raise DegenerateFieldError("degenerate amplitude pair: zero norm")
-    errs = []
-    if closed:
-        errs.append(float(np.max(exact[1] / np.abs(exact[0]))))
-    if ruled:
-        errs.append(float(np.max(np.abs(fine - coarse) / np.abs(fine))))
-    n_coarse = float(exact[0, 0] + coarse[0] + sampled[0])
-    return n, mk, mr, n_coarse, max(errs, default=None)
+    err = max(_rel_err(exact[1], exact[0]), _rel_err(np.abs(fine - coarse), fine))
+    n_coarse = float(exact[0, 0] + coarse[0])
+    return n, mk, mr, n_coarse, err
+
+
+def _rel_err(err, sums):
+    """The largest err / |sums|, a zero err counting as 0: the sums of a kind
+    with no amplitude, or with only zero ones, are zero, exactly."""
+    return float(np.max(np.divide(err, np.abs(sums), out=np.zeros(3), where=err != 0)))
 
 
 # a float rounding bound in ulps per term of a closed-form sum, covering the
@@ -374,28 +361,11 @@ def _half_gamma_ratios(n):
 
 
 def _check_axis_regular(amps, rule=None):
-    """Amplitudes must vanish on the kz-axis: probe |f| near k_perp = 0
-    (closures), or bound the near-axis share of the norm (sampled grids).
+    """Amplitudes must vanish on the kz-axis: probe |f| near k_perp = 0.
     A PolynomialGaussianAmplitude carries the factor k_perp, so it vanishes
     there by construction and is not probed."""
     for amp in (amps.f_plus, amps.f_minus):
         if amp is None or isinstance(amp, PolynomialGaussianAmplitude):
-            continue
-        if isinstance(amp, SampledAmplitude):
-            # the 1/k_perp^2 density must stay bounded toward the axis: for
-            # admissible amplitudes (vanishing at k_perp = 0) its near-axis
-            # peak is no larger than its off-axis peak; a non-vanishing
-            # amplitude spikes as 1/k_perp^2 in the closest cells
-            KX, KY, KZ = amp.grid.meshes(sparse=False)
-            kp2 = KX * KX + KY * KY
-            near = kp2 < (3.0 * max(amp.grid.spacings[:2])) ** 2
-            q = np.abs(amp.values) ** 2 / kp2
-            off_peak = q[~near].max() if np.any(~near) else 0.0
-            if np.any(near) and q[near].max() > 10.0 * max(off_peak, 1e-300):
-                raise SingularAmplitudeError(
-                    "sampled amplitude carries weight on the kz-axis; "
-                    "1/k_perp^2 variance integrand is singular"
-                )
             continue
         k_max = _rule_for_amp(amp, rule).k_max
         kz = k_max * np.array([0.31, -0.54, 0.12, -0.05, 0.44])
@@ -429,9 +399,9 @@ class VarianceReport:
     norm_r: float
     norm_k: float
     warnings: list = dc_field(default_factory=list)
-    # amplitude path only (None for grids and sampled pairs): the relative
-    # error estimate of (N, Mk, Mr), a rounding bound for closed forms and
-    # the change between a rule and its refinement; not part of to_dict()
+    # amplitude path only (None for grid reports): the relative error
+    # estimate of (N, Mk, Mr), a rounding bound for closed forms and the
+    # change between a rule and its refinement; not part of to_dict()
     quad_rel_err: float | None = None
 
     def to_dict(self) -> dict:

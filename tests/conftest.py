@@ -8,7 +8,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rsuncert.kspace import Grid3D, _add_density, _dft_phases, _dft_scale, _fft
+from rsuncert.kspace import (
+    FieldGrid,
+    Grid3D,
+    _add_density,
+    _dft_phases,
+    _dft_scale,
+    _fft,
+    polarization,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +306,21 @@ def node_route_pair(c_plus, c_minus, a):
         return PolynomialGaussianAmplitude({(0, 0, 0): C}, a * a / 2.0) if C else None
 
     return HelicityAmplitudePair(amp(c_plus), amp(c_minus))
+
+
+def sampled_kspace_field(f_plus, f_minus, kgrid):
+    """The wavevector FieldGrid e(k) f+(k) + e*(k) conj f-(-k) of helicity
+    amplitudes sampled on kgrid (arrays of shape kgrid.counts, None for a
+    zero amplitude), through the public polarization frame.  conj f-(-k)
+    is taken by index reversal, which needs a kgrid symmetric about k = 0,
+    as Grid3D.centered(...).fourier_dual() is."""
+    e = np.stack(np.broadcast_arrays(*polarization(*kgrid.meshes())), axis=-1)
+    vals = np.zeros(kgrid.counts + (3,), dtype=complex)
+    if f_plus is not None:
+        vals += e * f_plus[..., None]
+    if f_minus is not None:
+        vals += np.conj(e) * np.conj(f_minus[::-1, ::-1, ::-1])[..., None]
+    return FieldGrid(vals, kgrid, "wavevector")
 
 
 def unfold_octant(dp):

@@ -9,10 +9,8 @@ from rsuncert import (
     DegenerateFieldError,
     FieldGrid,
     Grid3D,
-    GridMismatchError,
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
-    SampledAmplitude,
     SaturatingFieldSpec,
     fourier_to_kspace,
     fourier_to_position,
@@ -219,11 +217,18 @@ class TestPolynomialGaussianKernel:
         ({(0, 0, 0): 1.0}, np.inf),
         ({(-1, 0, 0): 1.0}, 0.5),
         ({(0.5, 0, 0): 1.0}, 0.5),
+        ({(1, 0, 2): np.nan}, 0.5),
+        ({(0, 0, 0): 1.0, (2, 1, 0): complex(0.5, np.inf)}, 0.5),
     ], ids=["alpha-0", "alpha-negative", "alpha-nan", "alpha-inf",
-            "exponent-negative", "exponent-fractional"])
+            "exponent-negative", "exponent-fractional", "coefficient-nan",
+            "coefficient-inf"])
     def test_invalid_inputs_rejected(self, terms, alpha):
         with pytest.raises(ValueError, match="PolynomialGaussianAmplitude"):
             PolynomialGaussianAmplitude(terms, alpha)
+
+    def test_nonfinite_coefficient_is_named(self):
+        with pytest.raises(ValueError, match=r"got \(0\.5\+infj\) for the monomial \(2, 1, 0\)"):
+            PolynomialGaussianAmplitude({(0, 0, 0): 1.0, (2, 1, 0): complex(0.5, np.inf)}, 0.5)
 
 
 def polarization_reference(amps, grid, t):
@@ -250,8 +255,6 @@ class TestNodeRoute:
     grids = {
         "centred": Grid3D.centered(24, 24.0).fourier_dual(),
         "offset": Grid3D((20, 18, 22), (0.45, 0.5, 0.4), (-4.3, -4.1, -4.6)),
-        # not a cube, but symmetric about k = 0 as SampledAmplitude needs
-        "anisotropic": Grid3D((20, 18, 22), (0.45, 0.5, 0.4), (-4.275, -4.25, -4.2)),
     }
 
     @staticmethod
@@ -289,15 +292,6 @@ class TestNodeRoute:
         self.assert_matches(synthesize_kspace(pair, grid, c * t),
                             polarization_reference(pair, grid, c * t))
 
-    @pytest.mark.parametrize("name", ["centred", "anisotropic"])
-    def test_sampled_pair(self, name):
-        grid = self.grids[name]
-        pair = self.random_pair(7)
-        sampled = HelicityAmplitudePair(SampledAmplitude.from_closure(pair.f_plus, grid),
-                                        SampledAmplitude.from_closure(pair.f_minus, grid))
-        self.assert_matches(synthesize_kspace(sampled, grid, 1.7 * 0.3),
-                            polarization_reference(pair, grid, 1.7 * 0.3))
-
     def test_evolved_and_dilated_pairs(self):
         grid = self.grids["offset"]
         pair = self.random_pair(11)
@@ -315,28 +309,6 @@ class TestNodeRoute:
                        HelicityAmplitudePair(None, pair.f_minus)):
             self.assert_matches(synthesize_kspace(single, grid, 0.3),
                                 polarization_reference(single, grid, 0.3))
-
-    def test_sampled_minus_needs_symmetric_grid(self):
-        # conj f-(-k) comes from index reversal, which on the offset grid
-        # (not symmetric about k = 0) reads another node: refused.  A
-        # sampled f+ on the same grid needs no -k and is still synthesized.
-        grid = self.grids["offset"]
-        pair = self.random_pair(13)
-        with pytest.raises(GridMismatchError, match="symmetric about k = 0"):
-            synthesize_kspace(HelicityAmplitudePair(
-                None, SampledAmplitude.from_closure(pair.f_minus, grid)), grid)
-        plus = HelicityAmplitudePair(SampledAmplitude.from_closure(pair.f_plus, grid))
-        self.assert_matches(synthesize_kspace(plus, grid, 0.3),
-                            polarization_reference(HelicityAmplitudePair(pair.f_plus), grid, 0.3))
-
-    def test_sampled_amplitude_on_another_grid(self):
-        grid = self.grids["centred"]
-        other = Grid3D.centered(24, 20.0).fourier_dual()
-        pair = self.random_pair(5)
-        for sampled in (HelicityAmplitudePair(SampledAmplitude.from_closure(pair.f_plus, other)),
-                        HelicityAmplitudePair(None, SampledAmplitude.from_closure(pair.f_minus, other))):
-            with pytest.raises(GridMismatchError):
-                synthesize_kspace(sampled, grid)
 
     @pytest.mark.parametrize("grid", [
         Grid3D.centered(32, 16.0).fourier_dual(),

@@ -19,7 +19,6 @@ from rsuncert import (
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
-    SampledAmplitude,
     SaturatingFieldSpec,
     SingularAmplitudeError,
     fourier_to_kspace,
@@ -30,11 +29,14 @@ from rsuncert import (
     synthesize_kspace,
     uncertainty_product,
 )
+from rsuncert.kspace import _Dilated
 from rsuncert.moments import _amp_integrals, _SphericalRule
 from rsuncert.specfun import laguerre_general
 from conftest import (
+    node_route_pair,
     polynomial_gaussian_moments,
     random_pair,
+    sampled_kspace_field,
     second_moment_oracle,
     strong_form_moment,
 )
@@ -60,8 +62,7 @@ def radial_mode_amplitude(n, a=1.0, C=1.0):
 
 
 class SmoothAmplitude:
-    """f = k_perp^2 e^{-k^2/2}: smooth across the kz-axis, so a sampled
-    copy's spectral derivatives are exact to rounding."""
+    """f = k_perp^2 e^{-k^2/2}: smooth across the kz-axis."""
 
     k_scale = 1.0
 
@@ -194,80 +195,53 @@ class TestVarianceFromAmplitudes:
         assert err_k128 <= err_k64 + 1e-12
 
     def test_sampled_smooth_amplitude_matches_closure(self):
-        # smooth amplitude: the spectral-derivative route is exact to
-        # rounding on an adequate grid
+        # sampled data is reported as a FieldGrid built with the frame; its
+        # Dk^2 is a Riemann sum of a Gaussian, exact to rounding here.  Its
+        # Dr^2 is not compared: Ftilde carries the frame's cone at k = 0,
+        # which the amplitude alone does not
         closure = HelicityAmplitudePair(SmoothAmplitude(), None)
         kgrid = Grid3D.centered(64, 16.0).fourier_dual()
-        sampled = HelicityAmplitudePair(
-            SampledAmplitude.from_closure(SmoothAmplitude(), kgrid), None
-        )
+        values = SmoothAmplitude().value(*kgrid.meshes())
         ref = uncertainty_product(closure)
-        got = uncertainty_product(sampled)
-        for key in ("delta_r2", "delta_k2"):
-            assert abs(getattr(got, key) - getattr(ref, key)) / getattr(ref, key) < 1e-12
+        got = uncertainty_product(sampled_kspace_field(values, None, kgrid))
+        assert abs(got.delta_k2 - ref.delta_k2) / ref.delta_k2 < 1e-12
         assert got.product >= 2.5 - 1e-6
 
     def test_dilated_sampled_amplitude(self):
-        # f(lambda k) of a sampled f is the same values on the grid scaled
-        # by 1/lambda: both report paths and synthesis take it as they take f
+        # f(lambda k) of a sampled f is the same values on the grid whose
+        # spacings and origins are divided by lambda (e(lambda k) = e(k))
         kgrid = Grid3D.centered(64, 16.0).fourier_dual()
-        sampled = HelicityAmplitudePair(SampledAmplitude.from_closure(SmoothAmplitude(), kgrid))
-        rep = uncertainty_product(sampled)
-        fK = synthesize_kspace(sampled, kgrid, 0.3)
+        KX, KY, KZ = kgrid.meshes()
+        # phase-evolved to t = 0.3
+        values = SmoothAmplitude().value(KX, KY, KZ) * np.exp(
+            -0.3j * np.sqrt(KX * KX + KY * KY + KZ * KZ))
+        rep = uncertainty_product(sampled_kspace_field(values, None, kgrid))
         for lam in (0.8, 1.7):
-            dil = sampled.dilated(lam)
-            rep_l = uncertainty_product(dil)
+            grid_l = Grid3D(kgrid.counts, tuple(d / lam for d in kgrid.spacings),
+                            tuple(o / lam for o in kgrid.origins))
+            fK_l = sampled_kspace_field(values, None, grid_l)
+            rep_l = uncertainty_product(fK_l)
             assert abs(rep_l.delta_k2 - rep.delta_k2 / lam ** 2) / rep_l.delta_k2 < 1e-12
             assert abs(rep_l.delta_r2 - rep.delta_r2 * lam ** 2) / rep_l.delta_r2 < 1e-12
             assert abs(rep_l.product - rep.product) / rep.product < 1e-12
             # Ftilde(k / lambda, t / lambda) of f(lambda k) is Ftilde(k, t) of f
-            fK_l = synthesize_kspace(dil, dil.f_plus.grid, 0.3 * lam)
-            assert np.abs(fK_l.values - fK.values).max() <= 1e-13 * np.abs(fK.values).max()
+            dil = HelicityAmplitudePair(SmoothAmplitude()).dilated(lam)
+            want = synthesize_kspace(dil, grid_l, 0.3 * lam).values
+            assert np.abs(fK_l.values - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_sampled_cone_amplitude_converges(self):
         # the saturating profile has a conical kink on the kz-axis, so the
-        # spectral route converges only algebraically with the box size
+        # sampled field's Riemann sums converge only algebraically with the
+        # box size
         cone = saturating_amplitudes(1.0, 0.0, 1.0)
         ref = uncertainty_product(cone).delta_r2
         errs = []
         for n, L in ((64, 16.0), (128, 32.0)):
             kg = Grid3D.centered(n, L).fourier_dual()
-            samp = HelicityAmplitudePair(
-                SampledAmplitude.from_closure(cone.f_plus, kg), None
-            )
-            errs.append(abs(uncertainty_product(samp).delta_r2 - ref) / ref)
+            field = sampled_kspace_field(cone.f_plus.value(*kg.meshes()), None, kg)
+            errs.append(abs(uncertainty_product(field).delta_r2 - ref) / ref)
         assert errs[0] < 0.05
         assert errs[1] < 0.35 * errs[0]
-
-    def test_sampled_amplitude_synthesis_matches_closure(self):
-        closures = saturating_amplitudes(0.7, 0.0, 1.0)
-        kgrid = Grid3D.centered(16, 10.0).fourier_dual()
-        sampled = HelicityAmplitudePair(
-            SampledAmplitude.from_closure(closures.f_plus, kgrid), None
-        )
-        f1 = synthesize_kspace(closures, kgrid, t=0.3)
-        f2 = synthesize_kspace(sampled, kgrid, t=0.3)
-        assert np.allclose(f1.values, f2.values, atol=1e-14)
-
-    def test_sampled_amplitude_grid_mismatch(self):
-        from rsuncert import GridMismatchError, SampledAmplitude
-
-        closures = saturating_amplitudes(1.0, 0.0, 1.0)
-        kgrid = Grid3D.centered(16, 10.0).fourier_dual()
-        other = Grid3D.centered(16, 12.0).fourier_dual()
-        sampled = HelicityAmplitudePair(
-            SampledAmplitude.from_closure(closures.f_plus, kgrid), None
-        )
-        with pytest.raises(GridMismatchError):
-            synthesize_kspace(sampled, other)
-
-    def test_sampled_on_axis_rejected(self):
-        kgrid = Grid3D.centered(32, 12.0).fourier_dual()
-        KX, KY, KZ = kgrid.meshes(sparse=False)
-        vals = np.exp(-(KX ** 2 + KY ** 2 + KZ ** 2))  # no k_perp zero
-        pair = HelicityAmplitudePair(SampledAmplitude(vals, kgrid), None)
-        with pytest.raises(SingularAmplitudeError):
-            uncertainty_product(pair)
 
     def test_singular_amplitude_rejected(self):
         class OnAxis:
@@ -325,14 +299,27 @@ class TestUncertaintyProduct:
             assert abs(rep_l.delta_r2 - rep.delta_r2 * lam ** 2) / rep_l.delta_r2 < 1e-10
             assert abs(rep_l.product - rep.product) / rep.product < 1e-10
 
+    def test_dilated_polynomial_pair_stays_polynomial(self, rng):
+        # f(lambda k) of k_perp P(k) e^{-alpha k^2} has coefficients
+        # c_e lambda^(|e| + 1) and exponent alpha lambda^2: the same report as
+        # the wrapped amplitudes on an explicit rule
+        for _ in range(4):
+            amps = random_pair(rng, allow_single=False)
+            for lam in (0.5, 2.0):
+                dil = amps.dilated(lam)
+                assert all(isinstance(a, PolynomialGaussianAmplitude)
+                           for a in (dil.f_plus, dil.f_minus))
+                wrapped = HelicityAmplitudePair(_Dilated(amps.f_plus, lam),
+                                                _Dilated(amps.f_minus, lam))
+                rule = _SphericalRule(9.0 * max(a.k_scale for a in (dil.f_plus, dil.f_minus)))
+                got, want = uncertainty_product(dil), uncertainty_product(wrapped, rule=rule)
+                for key in ("delta_r2", "delta_k2", "norm_k"):
+                    assert abs(getattr(got, key) / getattr(want, key) - 1) < 1e-12, key
+
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
-    @pytest.mark.parametrize("sampled", [False, True], ids=["closure", "sampled"])
-    def test_dilation_factor_must_be_finite_positive(self, lam, sampled):
-        pair = saturating_amplitudes(1.0, 0.5, 1.0)
-        if sampled:
-            kgrid = Grid3D.centered(16, 8.0).fourier_dual()
-            pair = HelicityAmplitudePair(SampledAmplitude.from_closure(pair.f_plus, kgrid),
-                                         SampledAmplitude.from_closure(pair.f_minus, kgrid))
+    @pytest.mark.parametrize("kind", ["closure", "polynomial"])
+    def test_dilation_factor_must_be_finite_positive(self, lam, kind):
+        pair = (saturating_amplitudes if kind == "closure" else node_route_pair)(1.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="finite and positive"):
             pair.dilated(lam)
 
@@ -549,6 +536,15 @@ class TestClosedFormEngine:
         assert max(parts, key=parts.get) == larger
         rep = uncertainty_product(HelicityAmplitudePair(poly, radial))
         assert rep.quad_rel_err == max(parts.values())
+
+    @pytest.mark.parametrize("terms", [{}, {(0, 0, 0): 0.0}], ids=["no-terms", "zero"])
+    def test_zero_amplitude_adds_no_error(self, terms):
+        # a zero amplitude has zero sums and a zero error: the report's
+        # estimate is its partner's, finite
+        radial = radial_mode_amplitude(1)
+        alone = uncertainty_product(HelicityAmplitudePair(radial, None)).quad_rel_err
+        rep = uncertainty_product(HelicityAmplitudePair(radial, PolynomialGaussianAmplitude(terms, 0.5)))
+        assert rep.quad_rel_err == alone
 
     def test_explicit_rule_integrates_polynomials(self):
         # rule= still selects the spherical-rule pair: its error is the
