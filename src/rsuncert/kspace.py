@@ -22,8 +22,8 @@ Conventions (used everywhere in this package):
 
 Synthesis is split in two: a time-independent part, built once per
 (amplitudes, grid), and a per-time components(t) step that yields one
-contiguous component of Ftilde(k, t) at a time.  There are two routes, and
-_synthesis_parts picks one from two properties of its input, nothing else:
+contiguous component of Ftilde(k, t + amps.t) at a time.  There are two
+routes, and _synthesis_parts picks one from two properties of its input:
 
 * Radial route (_RadialParts), taken when every non-None amplitude is a
   RadialProfileAmplitude and the grid is a centred cube with an even node
@@ -47,7 +47,7 @@ _synthesis_parts picks one from two properties of its input, nothing else:
   a report takes of a density comes from D+ (_octant_stats), and no
   density of the whole cube is ever formed.
 * Node route (_NodeParts) for everything else: polynomial and wrapped
-  (phase-evolved, dilated) amplitudes, and any other grid.  Every
+  (dilated) amplitudes, and any other grid.  Every
   admissible amplitude is f = k_perp g, so the same polynomial holds with
   per-node tables f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp) and
   |k|.  It keeps only the grid and the amplitudes, builds no polarization
@@ -77,7 +77,7 @@ them from there.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 import math
 from typing import NamedTuple
 
@@ -296,7 +296,7 @@ def polarization(kx, ky, kz):
 class RadialProfileAmplitude:
     """f(k) = k_perp * h(k^2) with a user profile h and its derivatives.
 
-    h, dh: callables of q = k^2, vectorized; k_scale sizes quadrature
+    h, dh: callables of q = k^2, vectorized; k_scale > 0 sizes quadrature
     domains.
     """
 
@@ -304,6 +304,9 @@ class RadialProfileAmplitude:
         self.h = h
         self.dh = dh
         self.k_scale = float(k_scale)
+        if not (math.isfinite(self.k_scale) and self.k_scale > 0):
+            raise ValueError(f"RadialProfileAmplitude: k_scale must be finite and positive, "
+                             f"got {k_scale}")
 
     def value(self, kx, ky, kz):
         q = kx * kx + ky * ky + kz * kz
@@ -430,31 +433,6 @@ def _add_poly(acc, terms, pows, scratch, axis=None):
         acc += term
 
 
-class _PhaseEvolved:
-    """Amplitude multiplied by a free-photon phase e^{-ikt}."""
-
-    def __init__(self, base, t):
-        self.base = base
-        self.t = float(t)
-        self.k_scale = base.k_scale
-
-    def value(self, kx, ky, kz):
-        k = np.sqrt(kx * kx + ky * ky + kz * kz)
-        return self.base.value(kx, ky, kz) * np.exp(-1j * k * self.t)
-
-    def grad(self, kx, ky, kz):
-        k = np.sqrt(kx * kx + ky * ky + kz * kz)
-        ph = np.exp(-1j * k * self.t)
-        f = self.base.value(kx, ky, kz)
-        gx, gy, gz = self.base.grad(kx, ky, kz)
-        it = 1j * self.t
-        return (
-            ph * (gx - it * kx / k * f),
-            ph * (gy - it * ky / k * f),
-            ph * (gz - it * kz / k * f),
-        )
-
-
 class _Dilated:
     """f(lambda k): maps Dk^2 -> Dk^2/lambda^2, Dr^2 -> lambda^2 Dr^2."""
 
@@ -473,10 +451,6 @@ class _Dilated:
         return s * gx, s * gy, s * gz
 
 
-def _phase_evolved(amp, t):
-    return None if amp is None else _PhaseEvolved(amp, t)
-
-
 def _dilated(amp, lam):
     if amp is None:
         return None
@@ -489,13 +463,13 @@ def _dilated(amp, lam):
 
 @dataclass
 class HelicityAmplitudePair:
-    """The pair f+(k), f-(k) of complex helicity amplitudes.
-
-    Either entry may be None (identically zero).
-    """
+    """The pair f+(k), f-(k) of complex helicity amplitudes at time t, the
+    field's amplitudes being f+- e^{-ikt} (t = 0 unless set by evolved or
+    dilated).  Either entry may be None (identically zero)."""
 
     f_plus: object = None
     f_minus: object = None
+    t: float = dc_field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.f_plus is None and self.f_minus is None:
@@ -506,22 +480,30 @@ class HelicityAmplitudePair:
         scales = [a.k_scale for a in (self.f_plus, self.f_minus) if a is not None]
         return min(scales)
 
+    def _at(self, f_plus, f_minus, t) -> "HelicityAmplitudePair":
+        pair = HelicityAmplitudePair(f_plus, f_minus)
+        pair.t = t
+        return pair
+
     def evolved(self, t) -> "HelicityAmplitudePair":
-        return HelicityAmplitudePair(_phase_evolved(self.f_plus, t),
-                                     _phase_evolved(self.f_minus, t))
+        """The same amplitudes at time self.t + t, for a finite t (else ValueError)."""
+        if not math.isfinite(t):
+            raise ValueError(f"evolved: t must be finite, got {t}")
+        return self._at(self.f_plus, self.f_minus, self.t + float(t))
 
     def dilated(self, lam) -> "HelicityAmplitudePair":
         """The pair f(lam k), for a finite lam > 0 (else ValueError); a
-        PolynomialGaussianAmplitude stays one, so it keeps its closed form."""
+        PolynomialGaussianAmplitude stays one, so it keeps its closed form;
+        f(lam k) e^{-i lam k t} is at time lam t."""
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"dilated: lambda must be finite and positive, got {lam}")
-        return HelicityAmplitudePair(_dilated(self.f_plus, lam), _dilated(self.f_minus, lam))
+        return self._at(_dilated(self.f_plus, lam), _dilated(self.f_minus, lam), lam * self.t)
 
 
 def saturating_amplitudes(c_plus, c_minus, a) -> HelicityAmplitudePair:
     """Minimal-uncertainty amplitudes f+- = C+- k_perp exp(-a^2 k^2 / 2)."""
-    if a <= 0:
-        raise ValueError("saturating_amplitudes: a must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"saturating_amplitudes: a must be finite and positive, got {a}")
 
     def make(C):
         if C == 0:
@@ -614,9 +596,10 @@ class _NodeParts:
         return tables
 
     def components(self, t, out=None):
-        """The per-time phase step: yield Ftilde_comp(k, t) for comp = 0, 1,
-        2, written into out[comp] (default: one buffer reused for all three,
-        so consume each component before taking the next)."""
+        """The per-time phase step: yield Ftilde_comp(k, t + amps.t) for comp
+        = 0, 1, 2, written into out[comp] (default: one buffer reused for all
+        three, so consume each component before taking the next)."""
+        t = t + self.amps.t
         if not np.isfinite(t):
             raise ValueError("_NodeParts.components: t must be finite")
         tables = self._slab_tables()
@@ -795,9 +778,9 @@ class _RadialParts:
 
     q are the per-axis radius keys and k the table of distinct radii
     (_radius_keys); plus = h+(k^2)/(sqrt2 k) and minus = conj(h-(k^2))/
-    (sqrt2 k) on that table (None for a zero amplitude).  Per time,
-    components(t) forms the two radial tables W = -(P + M) and
-    V = i k (P - M), with P = plus e^{-ikt} and M = minus e^{+ikt}
+    (sqrt2 k) on that table (None for a zero amplitude); t0 = amps.t.  Per
+    time, components(t) forms the two radial tables W = -(P + M) and
+    V = i k (P - M) at t + t0, with P = plus e^{-ikt} and M = minus e^{+ikt}
     (_time_tables), and assembles
 
         Ftilde = [kx kz W + ky V, ky kz W - kx V, -k_perp^2 W]
@@ -813,6 +796,7 @@ class _RadialParts:
     k: np.ndarray
     plus: np.ndarray | None
     minus: np.ndarray | None
+    t0: float
 
     @classmethod
     def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D, keys) -> "_RadialParts":
@@ -820,10 +804,11 @@ class _RadialParts:
         den = np.sqrt(2.0) * k
         plus = None if amps.f_plus is None else amps.f_plus.h(k * k) / den
         minus = None if amps.f_minus is None else np.conj(amps.f_minus.h(k * k)) / den
-        return cls(grid, q, k, plus, minus)
+        return cls(grid, q, k, plus, minus, amps.t)
 
     def _tables(self, t):
-        """The radial tables W and V = i T at time t (_time_tables)."""
+        """The radial tables W and V = i T at time t + t0 (_time_tables)."""
+        t = t + self.t0
         if not np.isfinite(t):
             raise ValueError("_RadialParts: t must be finite")
         buf = np.empty((4,) + self.k.shape, dtype=np.complex128)
@@ -894,13 +879,13 @@ def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
     return _NodeParts.from_amplitudes(amps, grid)
 
 
-def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D, t=0.0) -> FieldGrid:
-    """Sample Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt}
-    on a wavevector grid: the one-time case of the synthesis parts (radial
-    or node route, see the module docstring)."""
+def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D) -> FieldGrid:
+    """Sample Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt},
+    t = amps.t, on a wavevector grid: the one-time case of the synthesis
+    parts (radial or node route, see the module docstring)."""
     parts = _synthesis_parts(amps, grid)
     vals = np.empty(grid.counts + (3,), dtype=np.complex128)
-    for _ in parts.components(t, out=[vals[..., comp] for comp in range(3)]):
+    for _ in parts.components(0.0, out=[vals[..., comp] for comp in range(3)]):
         pass  # each component is written into its slice of vals
     return FieldGrid(vals, grid, "wavevector")
 

@@ -24,12 +24,18 @@ enters the field as e*(k) conj(f-)(-k), not as e(k) f+(k), which reverses
 the azimuthal term.  The second (by-parts) form needs only first
 derivatives and is the one evaluated.
 
+A pair at time t (HelicityAmplitudePair.t) has the amplitudes f e^{-ikt},
+and |grad(f e^{-ikt})|^2 = |grad f|^2 + t^2 |f|^2 - 2 t Im(f* d_k f) with
+d_k f = k.grad f / k; no other term sees the phase.  Both engines add the
+two terms (none at t = 0), so Dr^2 N(t) = Dr^2 N(0) + t^2 N + t X.
+
 Integrals: one engine (_amp_moments) evaluates N, Dk^2 N and Dr^2 N per
 amplitude, by one of two means, each with an error estimate.
-* A PolynomialGaussianAmplitude, k_perp P(k) e^{-alpha k^2}, given no rule:
-  every term of the by-parts integrand is a polynomial times e^{-2 alpha
-  k^2}, the azimuthal one also times kz/k, so each integral is a finite sum
-  of Gamma-function factors (_closed_form_integrals).  quad_rel_err is then
+* A PolynomialGaussianAmplitude, k_perp P(k) e^{-alpha k^2}, given no rule
+  (evolved and dilated ones too): every term of the by-parts integrand is a
+  polynomial times e^{-2 alpha k^2}, the azimuthal one also times kz/k and
+  the phase's one times 1/k, so each integral is a finite sum of
+  Gamma-function factors (_closed_form_integrals).  quad_rel_err is then
   a float rounding bound, a few ulps times the sum of the moduli of the
   terms over the modulus of their sum: 4.6e-15 for the saturating pair,
   4.8e-15 to 2.0e-14 over the benchmark's 80 random pairs (P of degree
@@ -199,9 +205,9 @@ def _rule_for_amp(amp, rule):
     return _SphericalRule(k_max=9.0 * amp.k_scale)
 
 
-def _integrands(f, grads, KX, KY, KZ, sign):
+def _integrands(f, grads, KX, KY, KZ, sign, t=0.0):
     """|f|^2, k^2 and the by-parts Dr^2 integrand of an amplitude of
-    helicity sign = +-1."""
+    helicity sign = +-1 at time t (the amplitude f e^{-ikt})."""
     KP2 = KX * KX + KY * KY
     K2 = KP2 + KZ * KZ
     gx, gy, gz = grads
@@ -213,21 +219,24 @@ def _integrands(f, grads, KX, KY, KZ, sign):
         + af2 / KP2
         - az * (np.conj(f) * dphi).imag
     )
+    if t:  # the phase's terms (module docstring)
+        dk = (KX * gx + KY * gy + KZ * gz) / np.sqrt(K2)
+        integ += t * t * af2 - 2.0 * t * (np.conj(f) * dk).imag
     return af2, K2, integ
 
 
-def _amp_integrals(amp, sign, rule):
-    """(N, Mk, Mr) of one amplitude on `rule`, with its exact gradients."""
+def _amp_integrals(amp, sign, rule, t=0.0):
+    """(N, Mk, Mr) of one amplitude at time t on `rule`, with its exact gradients."""
     KX, KY, KZ, W = rule.nodes()
     af2, K2, integ = _integrands(amp.value(KX, KY, KZ), amp.grad(KX, KY, KZ),
-                                 KX, KY, KZ, sign)
+                                 KX, KY, KZ, sign, t)
     return np.array([(W * af2).sum(), (W * K2 * af2).sum(), (W * integ).sum()])
 
 
 def _amp_moments(amps: HelicityAmplitudePair, rule=None):
     """The amplitude-path integral engine: (N, Mk, Mr, N_coarse,
-    quad_rel_err) summed over both helicities, Mk and Mr being the Dk^2 and
-    Dr^2 numerators.
+    quad_rel_err) summed over both helicities at the pair's time amps.t, Mk
+    and Mr being the Dk^2 and Dr^2 numerators.
 
     With no rule given, a PolynomialGaussianAmplitude is integrated in
     closed form (_closed_form_integrals).  Other closures, and every closure
@@ -245,11 +254,11 @@ def _amp_moments(amps: HelicityAmplitudePair, rule=None):
         if amp is None:
             continue
         if rule is None and isinstance(amp, PolynomialGaussianAmplitude):
-            exact += _closed_form_integrals(amp, sign)
+            exact += _closed_form_integrals(amp, sign, amps.t)
         else:
             r = _rule_for_amp(amp, rule)
-            coarse += _amp_integrals(amp, sign, r)
-            fine += _amp_integrals(amp, sign, r.refined())
+            coarse += _amp_integrals(amp, sign, r, amps.t)
+            fine += _amp_integrals(amp, sign, r.refined(), amps.t)
     n, mk, mr = (float(v) for v in exact[0] + fine)
     if not np.isfinite(n) or n <= 0.0:
         raise DegenerateFieldError("degenerate amplitude pair: zero norm")
@@ -271,9 +280,10 @@ def _rel_err(err, sums):
 _CLOSED_FORM_ULPS = 8
 
 
-def _closed_form_integrals(amp, sign):
+def _closed_form_integrals(amp, sign, t=0.0):
     """[(N, Mk, Mr), their rounding bounds] of f = k_perp P e^{-alpha k^2}
-    (a PolynomialGaussianAmplitude) of helicity sign = +-1, in closed form.
+    (a PolynomialGaussianAmplitude) of helicity sign = +-1 at time t (the
+    amplitude f e^{-ikt}), in closed form.
 
     Each integral is a Hermitian form c^H M c in the coefficients c_e of P's
     monomials k^e.  With m = e + e', beta = 2 alpha, |e| = e_x + e_y + e_z,
@@ -286,15 +296,18 @@ def _closed_form_integrals(amp, sign):
         Mr_ee' = (2 + |e_perp| + |e'_perp|) G(m) - 2 alpha (2 + |e| + |e'|) N_ee'
                  + 4 alpha^2 Mk_ee' + sum_{a = x, y} sum_b e_b e'_b G(m + 2a - 2b)
                  + i sign [(e'_y - e_y) Z(m + x - y) - (e'_x - e_x) Z(m - x + y)]
+                 + t^2 N_ee' + i t (|e'| - |e|) Phi_ee'
 
     G factorizes per axis, g(n) = Int x^n e^{-beta x^2} dx (zero for odd n,
     sqrt(pi/beta) at 0, then g(n) = g(n - 2) (n - 1)/(2 beta), which
     overflows only where the moment does), and Z(m) = G(m + z) sqrt(beta)
     Gamma((|m| + 3)/2) / Gamma((|m| + 4)/2), the ratio of the radial
-    moments of k^{|m|} and k^{|m| + 1}.  The rounding bound of each sum is
-    _CLOSED_FORM_ULPS ulps times the sum of the moduli of its terms, every
-    product |c_e| |c_e'| times each Gaussian term of M_ee' taken positive,
-    so it grows with the cancellation between them."""
+    moments of k^{|m|} and k^{|m| + 1}; Phi_ee' = Int phi_e phi_e' / k d3k
+    is N_ee' times the next such ratio (k.grad phi_e = (|e| + 1 - 2 alpha
+    k^2) phi_e, phi_e = k_perp k^e e^{-alpha k^2}).  The rounding bound of
+    each sum is _CLOSED_FORM_ULPS ulps times the sum of the moduli of its
+    terms, every product |c_e| |c_e'| times each Gaussian term of M_ee'
+    taken positive, so it grows with the cancellation between them."""
     terms = amp.terms
     if not terms:
         return np.zeros((2, 3))
@@ -326,14 +339,19 @@ def _closed_form_integrals(amp, sign):
     drift = 2.0 * alpha * (2 + deg) * n_m
     mr_pos = (2 + perp) * g0 + 4.0 * alpha * alpha * mk_m + shifted
     dx, dy = (e[None, :, a] - e[:, None, a] for a in range(2))
-    r = np.sqrt(beta) * _half_gamma_ratios(int(deg.max()) + 3)[deg + 3]
+    ratios = np.sqrt(beta) * _half_gamma_ratios(int(deg.max()) + 4)
+    r = ratios[deg + 3]
     zxy, zyx = r * G(1, -1, 1), r * G(-1, 1, 1)
-    az = sign * (dy * zxy - dx * zyx)
+    mr_m = mr_pos - drift + 1j * sign * (dy * zxy - dx * zyx)
+    mr_abs = mr_pos + drift + np.abs(dy) * zxy + np.abs(dx) * zyx
+    if t:
+        ddeg = dx + dy + e[None, :, 2] - e[:, None, 2]  # |e'| - |e|
+        phi = ratios[deg + 4] * n_m
+        mr_m = mr_m + t * t * n_m + 1j * t * ddeg * phi
+        mr_abs = mr_abs + t * t * n_m + abs(t) * np.abs(ddeg) * phi
     ac = np.abs(c)
     out = np.empty((2, 3))
-    for q, (m, m_abs) in enumerate((
-            (n_m, n_m), (mk_m, mk_m),
-            (mr_pos - drift + 1j * az, mr_pos + drift + np.abs(dy) * zxy + np.abs(dx) * zyx))):
+    for q, (m, m_abs) in enumerate(((n_m, n_m), (mk_m, mk_m), (mr_m, mr_abs))):
         out[0, q] = (np.conj(c) @ m @ c).real
         out[1, q] = ac @ m_abs @ ac
     out[1] *= _CLOSED_FORM_ULPS * np.finfo(float).eps

@@ -15,20 +15,16 @@ The grid trajectory builds the time-independent synthesis part once
 stats from it (the parts' densities(t, source=False)), and no position
 FieldGrid is built: the time's boundary ratio (kept: a cut-off box raises
 nothing), norm (the zero-norm check) and second moment.  evolve is the
-one-time case and returns the position field itself.
+one-time case and returns the position field itself; both count time
+from the pair's own (HelicityAmplitudePair.t).
 
 The synthesis part takes one of two routes (see kspace), chosen only from
-the amplitude types and the grid.  Radial amplitudes (every
-saturating_amplitudes pair) on a centred even cube take the radial route:
-a time step is one table of the distinct radii (6,049 at 128^3), three
-terms gathered from it on the positive octant (the two of F1 mirror those
-of F0), a DCT-IV or DST-IV per axis of each, and one octant density that
-gives the three numbers, so a trajectory never holds a complex component
-or a density of the whole cube.  Any other input takes the
-node route (kspace._NodeParts): one complex component at a time through
-the FFT into one position density, with f+/(sqrt2 k k_perp),
-conj(f-)(-k)/(sqrt2 k k_perp) and |k| formed one x-slab at a time, so a
-time step holds one component buffer and one density (24 bytes a node).
+the amplitude types and the grid, not the time.  Radial amplitudes (every
+saturating_amplitudes pair) on a centred even cube take the radial route,
+whose time step reduces three octant terms of one table of the distinct
+radii and never holds a complex component or a density of the whole cube.
+Any other input takes the node route, whose time step holds one component
+buffer and one density (24 bytes a node).
 """
 
 from __future__ import annotations
@@ -114,9 +110,9 @@ class Trajectory:
 
 
 def evolve(amps: HelicityAmplitudePair, grid: Grid3D, t) -> FieldGrid:
-    """Position-space field at time t: apply the e^{-+ikt} phases in the
-    Fourier representation and transform back.  Exactly unitary in N."""
-    return fourier_to_position(synthesize_kspace(amps, grid, t))
+    """Position-space field of amps.evolved(t), synthesized in k-space and
+    transformed back.  Exactly unitary in N."""
+    return fourier_to_position(synthesize_kspace(amps.evolved(t), grid))
 
 
 def spreading_trajectory(amps: HelicityAmplitudePair, times, grid: Grid3D) -> Trajectory:

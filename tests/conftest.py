@@ -122,6 +122,51 @@ def strong_form_moment(amp, sign, d2h, rule):
 
 
 # ---------------------------------------------------------------------------
+# phase-evolved reference closure
+# ---------------------------------------------------------------------------
+
+class PhaseEvolved:
+    """The amplitude base(k) e^{-ikt} as a closure: value and grad with the
+    phase multiplied in at every node, by the product rule
+    grad(f e^{-ikt}) = e^{-ikt} (grad f - i t k_hat f).  Reference for a
+    pair's time t (HelicityAmplitudePair.t), which moments integrates
+    through the identity of its module docstring and kspace phases per
+    radius or x-slab."""
+
+    def __init__(self, base, t):
+        self.base = base
+        self.t = float(t)
+        self.k_scale = base.k_scale
+
+    def value(self, kx, ky, kz):
+        k = np.sqrt(kx * kx + ky * ky + kz * kz)
+        return self.base.value(kx, ky, kz) * np.exp(-1j * k * self.t)
+
+    def grad(self, kx, ky, kz):
+        k = np.sqrt(kx * kx + ky * ky + kz * kz)
+        ph = np.exp(-1j * k * self.t)
+        f = self.base.value(kx, ky, kz)
+        gx, gy, gz = self.base.grad(kx, ky, kz)
+        it = 1j * self.t
+        return (
+            ph * (gx - it * kx / k * f),
+            ph * (gy - it * ky / k * f),
+            ph * (gz - it * kz / k * f),
+        )
+
+
+def phase_evolved_pair(pair, t):
+    """The pair's amplitudes at time t as PhaseEvolved closures, in a pair
+    at time 0."""
+    from rsuncert import HelicityAmplitudePair
+
+    def wrap(amp):
+        return None if amp is None else PhaseEvolved(amp, t)
+
+    return HelicityAmplitudePair(wrap(pair.f_plus), wrap(pair.f_minus))
+
+
+# ---------------------------------------------------------------------------
 # closed-form moments of polynomial-Gaussian amplitudes
 # ---------------------------------------------------------------------------
 # Polynomials are dicts {(i, j, l): complex} of monomials kx^i ky^j kz^l.
@@ -157,38 +202,42 @@ def _poly_diff(p, axis):
     return out
 
 
-def _gauss_integral(p, beta, z_hat=False):
-    """Int d3k p(k) e^{-beta k^2}, times kz/k if z_hat, exactly: each
-    monomial is k^n x^i y^j z^l on the unit sphere (n = i + j + l), whose
-    sphere integral 2 G((i+1)/2) G((j+1)/2) G((l+1)/2) / G((n+3)/2)
-    vanishes unless i, j and l are all even, times the radial moment
-    Int k^(n+2) e^{-beta k^2} dk = G((n+3)/2) / (2 beta^((n+3)/2))."""
+def _gauss_integral(p, beta, z_hat=False, inv_k=False):
+    """Int d3k p(k) e^{-beta k^2}, times kz/k if z_hat and 1/k if inv_k,
+    exactly: each monomial is k^n x^i y^j z^l on the unit sphere
+    (n = i + j + l), whose sphere integral 2 G((i+1)/2) G((j+1)/2)
+    G((l+1)/2) / G((n+3)/2) vanishes unless i, j and l are all even, times
+    the radial moment Int k^(r+2) e^{-beta k^2} dk = G((r+3)/2) /
+    (2 beta^((r+3)/2)), r = n (n - 1 with 1/k)."""
     g = math.gamma
     total = 0.0
     for (i, j, l), c in p.items():
-        n = i + j + l
+        r = i + j + l - inv_k
         l += z_hat
         if i % 2 or j % 2 or l % 2:
             continue
         sphere = 2.0 * g((i + 1) / 2) * g((j + 1) / 2) * g((l + 1) / 2) / g((i + j + l + 3) / 2)
-        total += c * sphere * g((n + 3) / 2) / (2.0 * beta ** ((n + 3) / 2))
+        total += c * sphere * g((r + 3) / 2) / (2.0 * beta ** ((r + 3) / 2))
     return total
 
 
-def polynomial_gaussian_moments(pair):
+def polynomial_gaussian_moments(pair, t=0.0):
     """Exact (N, Dk^2, Dr^2) of a HelicityAmplitudePair of
-    PolynomialGaussianAmplitude, f = k_perp P e^{-alpha k^2}, from the
-    weak form of the Dr^2 integrand (moments' module docstring), with
-    kp^2 = kx^2 + ky^2, Q_a = d_a P - 2 alpha k_a P and
-    d_phi P = kx d_y P - ky d_x P:
+    PolynomialGaussianAmplitude, f = k_perp P e^{-alpha k^2}, at time t
+    (the amplitudes f e^{-ikt}), from the weak form of the Dr^2 integrand
+    (moments' module docstring), with kp^2 = kx^2 + ky^2,
+    Q_a = d_a P - 2 alpha k_a P, d_phi P = kx d_y P - ky d_x P and the
+    Euler operator k.grad P:
 
         |f|^2          = kp^2 |P|^2 E
         |grad f|^2     = [|P|^2 + 2 Re P* (kx Q_x + ky Q_y)
                           + kp^2 (|Q_x|^2 + |Q_y|^2 + |Q_z|^2)] E
         |f|^2 / kp^2   = |P|^2 E
         Im f* d_phi f  = kp^2 Im(P* d_phi P) E
+        Im f* d_k f    = kp^2 Im(P* k.grad P) E / k
 
-    with E = e^{-2 alpha k^2}, summed over f+ (s = +1) and f- (s = -1)."""
+    with E = e^{-2 alpha k^2}, summed over f+ (s = +1) and f- (s = -1);
+    the phase adds t^2 |f|^2 - 2 t Im f* d_k f to |grad f|^2."""
     x, y, z = {(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0}
     kp2 = _poly_add((1.0, _poly_mul(x, x)), (1.0, _poly_mul(y, y)))
     k2 = _poly_add((1.0, kp2), (1.0, _poly_mul(z, z)))
@@ -206,11 +255,16 @@ def polynomial_gaussian_moments(pair):
         cross = _poly_mul(Pc, _poly_add((1.0, _poly_mul(x, Q[0])), (1.0, _poly_mul(y, Q[1]))))
         dphi = _poly_add((1.0, _poly_mul(x, _poly_diff(P, 1))),
                          (-1.0, _poly_mul(y, _poly_diff(P, 0))))
-        n += _gauss_integral(_poly_mul(kp2, P2), beta).real
+        euler = {e: sum(e) * c for e, c in P.items()}
+        na = _gauss_integral(_poly_mul(kp2, P2), beta).real
+        n += na
         mk += _gauss_integral(_poly_mul(k2, _poly_mul(kp2, P2)), beta).real
         mr += (_gauss_integral(_poly_add((2.0, P2), (2.0, cross), (1.0, _poly_mul(kp2, Q2))),
                                beta).real
-               - 2.0 * s * _gauss_integral(_poly_mul(Pc, dphi), beta, z_hat=True).imag)
+               - 2.0 * s * _gauss_integral(_poly_mul(Pc, dphi), beta, z_hat=True).imag
+               + t * t * na
+               - 2.0 * t * _gauss_integral(_poly_mul(kp2, _poly_mul(Pc, euler)), beta,
+                                           inv_k=True).imag)
     return n, mk / n, mr / n
 
 

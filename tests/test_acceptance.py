@@ -166,7 +166,7 @@ def test_criterion_5_closed_form_consistency():
     rpts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
     fieldR = FieldGrid(saturating_rs_field(rpts, 0.0, packet), grid, "position")
     fieldK = fourier_to_kspace(fieldR)
-    want_k = synthesize_kspace(packet.amplitudes(), fieldK.grid, 0.0)
+    want_k = synthesize_kspace(packet.amplitudes(), fieldK.grid)
     rel_l2 = np.linalg.norm(fieldK.values - want_k.values) / np.linalg.norm(
         want_k.values
     )
@@ -239,7 +239,7 @@ def test_criterion_8_plancherel():
         pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         fieldR = FieldGrid(simplest_field(pts, 1.0, a), grid, "position")
         fieldK = synthesize_kspace(
-            SaturatingFieldSpec.simplest(1.0, a).amplitudes(), grid.fourier_dual(), 0.0
+            SaturatingFieldSpec.simplest(1.0, a).amplitudes(), grid.fourier_dual()
         )
         norm_r = uncertainty_product(fieldR).norm_r
         norm_k = uncertainty_product(fieldK).norm_k

@@ -106,6 +106,18 @@ class TestVerifyBound:
         run(["verify-bound", "--saturating", "--out", o2])
         assert o1.read_bytes() == o2.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ["verify-bound", "--method", "grid", "--grid", 32],
+        ["spread", "--grid", 32, "--extent", 24],
+    ], ids=["verify-bound-grid", "spread"])
+    def test_deterministic_streamed_output(self, tmp_path, args):
+        # the streamed commands' FFTs and type-4 transforms run on every
+        # core (workers=-1): their reports must not depend on the split
+        o1, o2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(args + ["--out", o1]) == 0
+        assert run(args + ["--out", o2]) == 0
+        assert o1.read_bytes() == o2.read_bytes()
+
     def test_bad_grid_size_exit2(self):
         with pytest.raises(SystemExit) as exc:
             run(["verify-bound", "--saturating", "--grid", 37])

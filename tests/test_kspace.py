@@ -11,6 +11,7 @@ from rsuncert import (
     Grid3D,
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
+    RadialProfileAmplitude,
     SaturatingFieldSpec,
     fourier_to_kspace,
     fourier_to_position,
@@ -85,7 +86,7 @@ class TestSynthesis:
     def test_plus_only_reduces_to_e_f(self, rng):
         grid = Grid3D.centered(16, 12.0).fourier_dual()
         amps = saturating_amplitudes(1.3 - 0.4j, 0.0, 1.0)
-        field = synthesize_kspace(amps, grid, t=0.0)
+        field = synthesize_kspace(amps, grid)
         KX, KY, KZ = grid.meshes()
         ex, ey, ez = polarization(KX, KY, KZ)
         f = amps.f_plus.value(KX, KY, KZ)
@@ -97,7 +98,7 @@ class TestSynthesis:
         # Ftilde = i C a^5 e^{-a^2k^2/2} (ky, -kx, 0)
         C, a = 0.8 + 0.5j, 1.2
         grid = Grid3D.centered(16, 10.0).fourier_dual()
-        field = synthesize_kspace(SaturatingFieldSpec.simplest(-C, a).amplitudes(), grid, t=0.0)
+        field = synthesize_kspace(SaturatingFieldSpec.simplest(-C, a).amplitudes(), grid)
         KX, KY, KZ = grid.meshes(sparse=False)
         env = 1j * C * a ** 5 * np.exp(-a * a * (KX ** 2 + KY ** 2 + KZ ** 2) / 2)
         want = np.stack([env * KY, -env * KX, np.zeros_like(env)], axis=-1)
@@ -108,7 +109,7 @@ class TestSynthesis:
         cp, cm = 0.7 + 0.2j, -0.3 + 0.9j
         a = 0.9
         t = 0.37
-        field = synthesize_kspace(saturating_amplitudes(cp, cm, a), grid, t=t)
+        field = synthesize_kspace(saturating_amplitudes(cp, cm, a).evolved(t), grid)
         xs, ys, zs = grid.axes()
         for _ in range(5):
             i, j, l = rng.integers(0, 16, size=3)
@@ -124,7 +125,7 @@ class TestSynthesis:
     def test_nonfinite_time_rejected(self):
         grid = Grid3D.centered(16, 9.0).fourier_dual()
         with pytest.raises(ValueError):
-            synthesize_kspace(saturating_amplitudes(1.0, 0.0, 1.0), grid, t=np.nan)
+            saturating_amplitudes(1.0, 0.0, 1.0).evolved(np.nan)
         with pytest.raises(ValueError):
             _synthesis_parts(saturating_amplitudes(1.0, 0.0, 1.0), grid).densities(np.inf)
 
@@ -210,21 +211,29 @@ class TestPolynomialGaussianKernel:
             assert g.shape == shape and g.dtype == np.complex128
             assert np.abs(g - want).max() <= 1e-14 * scale
 
-    @pytest.mark.parametrize("terms, alpha", [
-        ({(0, 0, 0): 1.0}, 0.0),
-        ({(0, 0, 0): 1.0}, -1.0),
-        ({(0, 0, 0): 1.0}, np.nan),
-        ({(0, 0, 0): 1.0}, np.inf),
-        ({(-1, 0, 0): 1.0}, 0.5),
-        ({(0.5, 0, 0): 1.0}, 0.5),
-        ({(1, 0, 2): np.nan}, 0.5),
-        ({(0, 0, 0): 1.0, (2, 1, 0): complex(0.5, np.inf)}, 0.5),
+    @pytest.mark.parametrize("make, args", [
+        (PolynomialGaussianAmplitude, ({(0, 0, 0): 1.0}, 0.0)),
+        (PolynomialGaussianAmplitude, ({(0, 0, 0): 1.0}, -1.0)),
+        (PolynomialGaussianAmplitude, ({(0, 0, 0): 1.0}, np.nan)),
+        (PolynomialGaussianAmplitude, ({(0, 0, 0): 1.0}, np.inf)),
+        (PolynomialGaussianAmplitude, ({(-1, 0, 0): 1.0}, 0.5)),
+        (PolynomialGaussianAmplitude, ({(0.5, 0, 0): 1.0}, 0.5)),
+        (PolynomialGaussianAmplitude, ({(1, 0, 2): np.nan}, 0.5)),
+        (PolynomialGaussianAmplitude, ({(0, 0, 0): 1.0, (2, 1, 0): complex(0.5, np.inf)}, 0.5)),
+        (saturating_amplitudes, (1.0, 0.0, np.nan)),
+        (saturating_amplitudes, (1.0, 0.0, np.inf)),
+        (RadialProfileAmplitude, (np.exp, np.exp, np.nan)),
+        (RadialProfileAmplitude, (np.exp, np.exp, -1.0)),
+        (RadialProfileAmplitude, (np.exp, np.exp, 0.0)),
     ], ids=["alpha-0", "alpha-negative", "alpha-nan", "alpha-inf",
             "exponent-negative", "exponent-fractional", "coefficient-nan",
-            "coefficient-inf"])
-    def test_invalid_inputs_rejected(self, terms, alpha):
-        with pytest.raises(ValueError, match="PolynomialGaussianAmplitude"):
-            PolynomialGaussianAmplitude(terms, alpha)
+            "coefficient-inf", "saturating-a-nan", "saturating-a-inf",
+            "radial-k_scale-nan", "radial-k_scale-negative", "radial-k_scale-0"])
+    def test_invalid_inputs_rejected(self, make, args):
+        # refused where the amplitude is built, naming the bad value, not
+        # later as a zero-norm pair
+        with pytest.raises(ValueError, match=rf"^{make.__name__}: .+, got "):
+            make(*args)
 
     def test_nonfinite_coefficient_is_named(self):
         with pytest.raises(ValueError, match=r"got \(0\.5\+infj\) for the monomial \(2, 1, 0\)"):
@@ -289,17 +298,17 @@ class TestNodeRoute:
         grid = self.grids[name]
         pair = self.random_pair([len(name), round(10 * t) + 10, round(10 * c)])
         assert isinstance(_synthesis_parts(pair, grid), _NodeParts)
-        self.assert_matches(synthesize_kspace(pair, grid, c * t),
+        self.assert_matches(synthesize_kspace(pair.evolved(c * t), grid),
                             polarization_reference(pair, grid, c * t))
 
     def test_evolved_and_dilated_pairs(self):
         grid = self.grids["offset"]
         pair = self.random_pair(11)
-        # the evolved amplitudes carry the phases of t = 0.4 themselves
-        self.assert_matches(synthesize_kspace(pair.evolved(1.7 * 0.4), grid, 1.7 * 0.3),
+        # evolved twice: the pair carries the sum of the two times
+        self.assert_matches(synthesize_kspace(pair.evolved(1.7 * 0.4).evolved(1.7 * 0.3), grid),
                             polarization_reference(pair, grid, 1.7 * 0.7))
         dil = pair.dilated(0.8)
-        self.assert_matches(synthesize_kspace(dil, grid, -0.7),
+        self.assert_matches(synthesize_kspace(dil.evolved(-0.7), grid),
                             polarization_reference(dil, grid, -0.7))
 
     def test_single_helicity(self):
@@ -307,7 +316,7 @@ class TestNodeRoute:
         pair = self.random_pair(3)
         for single in (HelicityAmplitudePair(pair.f_plus, None),
                        HelicityAmplitudePair(None, pair.f_minus)):
-            self.assert_matches(synthesize_kspace(single, grid, 0.3),
+            self.assert_matches(synthesize_kspace(single.evolved(0.3), grid),
                                 polarization_reference(single, grid, 0.3))
 
     @pytest.mark.parametrize("grid", [
@@ -324,7 +333,7 @@ class TestNodeRoute:
         assert isinstance(parts, _NodeParts)
         k, r = parts.densities(t)
         want = _density_report(r, k).to_dict()
-        assert uncertainty_product(synthesize_kspace(pair, grid, t)).to_dict() == want
+        assert uncertainty_product(synthesize_kspace(pair.evolved(t), grid)).to_dict() == want
 
 
 class TestRadialRoute:
@@ -342,8 +351,8 @@ class TestRadialRoute:
         node = node_route_pair(1.0, c_minus, a)
         assert isinstance(_synthesis_parts(radial, grid), _RadialParts)
         assert isinstance(_synthesis_parts(node, grid), _NodeParts)
-        got = synthesize_kspace(radial, grid, t)
-        want = synthesize_kspace(node, grid, t)
+        got = synthesize_kspace(radial.evolved(t), grid)
+        want = synthesize_kspace(node.evolved(t), grid)
         peak = np.abs(want.values).max()
         assert np.abs(got.values - want.values).max() <= 1e-13 * peak
         r_got, r_want = uncertainty_product(got), uncertainty_product(want)
@@ -352,13 +361,23 @@ class TestRadialRoute:
             assert abs(g - w) <= 1e-12 * abs(w), key
         assert r_got.warnings == r_want.warnings
 
+    def test_evolved_pair_keeps_the_radial_route(self):
+        # the pair carries its time: evolved twice, it is the node route's
+        # field at the sum of the two times
+        grid = Grid3D.centered(32, 16.0).fourier_dual()
+        sat = saturating_amplitudes(1.0, 0.5j, 1.0)
+        assert isinstance(_synthesis_parts(sat.evolved(0.4), grid), _RadialParts)
+        got = synthesize_kspace(sat.evolved(0.4).evolved(0.3), grid)
+        want = synthesize_kspace(node_route_pair(1.0, 0.5j, 1.0).evolved(0.7), grid)
+        assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
+
     def test_other_grids_take_the_frame_route(self):
         # not centred: the radius keys do not apply, so the node route runs
         amps = saturating_amplitudes(0.7 + 0.2j, -0.3 + 0.9j, 0.9)
         grid = Grid3D((16, 16, 16), (0.5, 0.5, 0.5), (-3.7, -3.9, -4.1))
         assert isinstance(_synthesis_parts(amps, grid), _NodeParts)
         t = 0.37
-        field = synthesize_kspace(amps, grid, t)
+        field = synthesize_kspace(amps.evolved(t), grid)
         want = polarization_reference(amps, grid, t)
         assert np.abs(field.values - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -530,7 +549,7 @@ class TestFourierBridge:
         C, a = 0.6 - 0.8j, 1.0
         kgrid = Grid3D.centered(64, 16.0).fourier_dual()
         fieldR = fourier_to_position(
-            synthesize_kspace(SaturatingFieldSpec.simplest(-C, a).amplitudes(), kgrid, 0.0)
+            synthesize_kspace(SaturatingFieldSpec.simplest(-C, a).amplitudes(), kgrid)
         )
         pts = np.stack(np.meshgrid(*fieldR.grid.axes(), indexing="ij"), axis=-1)
         want = simplest_field(pts, -C, a)
@@ -553,7 +572,7 @@ class TestFourierBridge:
         pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         fieldR = FieldGrid(simplest_field(pts, C, a), grid, "position")
         kgrid = grid.fourier_dual()
-        fieldK = synthesize_kspace(SaturatingFieldSpec.simplest(C, a).amplitudes(), kgrid, 0.0)
+        fieldK = synthesize_kspace(SaturatingFieldSpec.simplest(C, a).amplitudes(), kgrid)
         nr = uncertainty_product(fieldR).norm_r
         nk = uncertainty_product(fieldK).norm_k
         assert abs(nr - nk) / nr < 1e-6

@@ -34,6 +34,7 @@ from rsuncert.moments import _amp_integrals, _SphericalRule
 from rsuncert.specfun import laguerre_general
 from conftest import (
     node_route_pair,
+    phase_evolved_pair,
     polynomial_gaussian_moments,
     random_pair,
     sampled_kspace_field,
@@ -226,7 +227,7 @@ class TestVarianceFromAmplitudes:
             assert abs(rep_l.product - rep.product) / rep.product < 1e-12
             # Ftilde(k / lambda, t / lambda) of f(lambda k) is Ftilde(k, t) of f
             dil = HelicityAmplitudePair(SmoothAmplitude()).dilated(lam)
-            want = synthesize_kspace(dil, grid_l, 0.3 * lam).values
+            want = synthesize_kspace(dil.evolved(0.3 * lam), grid_l).values
             assert np.abs(fK_l.values - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_sampled_cone_amplitude_converges(self):
@@ -316,12 +317,17 @@ class TestUncertaintyProduct:
                 for key in ("delta_r2", "delta_k2", "norm_k"):
                     assert abs(getattr(got, key) / getattr(want, key) - 1) < 1e-12, key
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("op, value", [
+        ("dilated", 0.0), ("dilated", -1.0), ("dilated", np.nan), ("dilated", np.inf),
+        ("evolved", np.nan), ("evolved", np.inf),
+    ], ids=["0.0", "-1.0", "nan", "inf", "evolved-nan", "evolved-inf"])
     @pytest.mark.parametrize("kind", ["closure", "polynomial"])
-    def test_dilation_factor_must_be_finite_positive(self, lam, kind):
+    def test_dilation_factor_must_be_finite_positive(self, op, value, kind):
+        # the dilation factor, and the time of evolved, are refused where
+        # the pair is built, naming the value
         pair = (saturating_amplitudes if kind == "closure" else node_route_pair)(1.0, 0.5, 1.0)
-        with pytest.raises(ValueError, match="finite and positive"):
-            pair.dilated(lam)
+        with pytest.raises(ValueError, match=rf"{op}: .* must be finite.*, got {value}"):
+            getattr(pair, op)(value)
 
     def test_helicity_swap_symmetry(self, rng):
         amps = random_pair(rng, allow_single=False)
@@ -555,6 +561,55 @@ class TestClosedFormEngine:
         assert ruled.norm_r != ruled.norm_k
         assert 1e-12 < ruled.quad_rel_err < 1e-6
         assert abs(ruled.product / exact.product - 1.0) < 1e-9
+
+
+class TestEvolvedPairs:
+    """A pair's time t is integrated through the phase identity of the
+    moments docstring, in closed form for polynomial pairs and on the
+    spherical rules for closures; the reference is the phase multiplied
+    into value and grad at every node (conftest.PhaseEvolved)."""
+
+    @staticmethod
+    def max_rel_err(rep, n, dk2, dr2):
+        return max(abs(got / want - 1.0) for got, want in
+                   ((rep.norm_k, n), (rep.delta_k2, dk2), (rep.delta_r2, dr2)))
+
+    @pytest.mark.parametrize("t", [-1.3, 0.3, 2.5])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_polynomial_pairs_match_reference_closure(self, t, lam):
+        # p.evolved(t).dilated(lam) is p.dilated(lam) at time lam t.  The
+        # rounding bound is checked against the tests' closed form: the
+        # fine rule's own rounding reaches 1e-14 on some of these pairs
+        rng = np.random.default_rng([round(10 * t) + 20, round(10 * lam)])
+        for _ in range(4):
+            pair = random_pair(rng)
+            rep = uncertainty_product(pair.evolved(t).dilated(lam))
+            ref = phase_evolved_pair(pair.dilated(lam), lam * t)
+            n, mk, mr = sum(
+                _amp_integrals(amp, sign, _SphericalRule(10.5 * amp.k_scale, 96, 48, 32))
+                for amp, sign in ((ref.f_plus, 1.0), (ref.f_minus, -1.0)) if amp is not None)
+            assert self.max_rel_err(rep, n, mk / n, mr / n) <= 1e-12
+            exact = self.max_rel_err(rep, *polynomial_gaussian_moments(pair.dilated(lam), lam * t))
+            assert exact <= 1e-12
+            assert rep.quad_rel_err >= exact
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_saturating_spreading_law(self, a):
+        # Dr^2(t) = a^2 5/2 + t^2 exactly, on the spherical rules
+        amps = SaturatingFieldSpec.simplest(1.0, a).amplitudes()
+        for t in (-1.3, 0.4, 3.0):
+            got = uncertainty_product(amps.evolved(t)).delta_r2
+            want = 2.5 * a * a + t * t
+            assert abs(got / want - 1.0) <= 1e-14, (t, got, want)
+
+    @pytest.mark.parametrize("kind", ["closure", "polynomial"])
+    def test_dilation_scales_time(self, kind, rng):
+        pair = saturating_amplitudes(1.0, 0.5j, 1.3) if kind == "closure" else random_pair(rng)
+        for t, lam in ((0.7, 0.5), (-1.3, 2.0)):
+            a, b = pair.evolved(t).dilated(lam), pair.dilated(lam).evolved(lam * t)
+            assert a.t == b.t == lam * t
+            ra, rb = uncertainty_product(a), uncertainty_product(b)
+            assert ra.to_dict() == rb.to_dict() and ra.quad_rel_err == rb.quad_rel_err
 
 
 class TestMasslessBound:

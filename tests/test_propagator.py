@@ -39,7 +39,7 @@ class TestEvolve:
     def test_t0_matches_direct_synthesis(self):
         amps = SPEC.amplitudes()
         via_evolve = evolve(amps, KGRID, 0.0)
-        direct = fourier_to_position(synthesize_kspace(amps, KGRID, 0.0))
+        direct = fourier_to_position(synthesize_kspace(amps, KGRID))
         assert np.array_equal(via_evolve.values, direct.values)
 
     def test_matches_analytic_field_at_random_nodes(self, rng):
@@ -56,9 +56,9 @@ class TestEvolve:
 
     def test_norm_conserved(self):
         amps = SPEC.amplitudes()
-        n0 = uncertainty_product(synthesize_kspace(amps, KGRID, 0.0)).norm_k
+        n0 = uncertainty_product(synthesize_kspace(amps, KGRID)).norm_k
         for t in (1.0, 5.0, 10.0):
-            nt = uncertainty_product(synthesize_kspace(amps, KGRID, t)).norm_k
+            nt = uncertainty_product(synthesize_kspace(amps.evolved(t), KGRID)).norm_k
             assert abs(nt - n0) / n0 < 1e-10
 
     def test_spectral_maxwell_equation(self):
@@ -68,7 +68,7 @@ class TestEvolve:
         fp = evolve(amps, KGRID, t0 + d)
         fm = evolve(amps, KGRID, t0 - d)
         dF = (fp.values - fm.values) / (2 * d)
-        ft = synthesize_kspace(amps, KGRID, t0)
+        ft = synthesize_kspace(amps.evolved(t0), KGRID)
         KX, KY, KZ = ft.grid.meshes(sparse=False)
         kvec = np.stack([KX, KY, KZ], axis=-1)
         curl_k = 1j * np.cross(kvec, ft.values)
@@ -244,7 +244,7 @@ class TestBoundedMemory:
         # table, polarization frame, full-size phase or full-size W, T
         pair = node_route_pair(1.0, 0.5j, 1.0)
         assert isinstance(_synthesis_parts(pair, self.grid), _NodeParts)
-        peak = self.traced_peak(lambda: synthesize_kspace(pair, self.grid, t))
+        peak = self.traced_peak(lambda: synthesize_kspace(pair.evolved(t), self.grid))
         assert peak <= 56 * 64 ** 3
 
     @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
