@@ -225,7 +225,7 @@ def cmd_verify_bound(args) -> int:
         grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
         # the two densities' stats straight from the synthesis parts: no
         # FieldGrid is built
-        k, r = _synthesis_parts(spec.amplitudes(), grid).densities(0.0)
+        k, r = _synthesis_parts(spec.amplitudes(), grid).densities()
         report = _density_report(r, k)
 
     _emit(_report_text(report, args.format), args.out)

@@ -20,10 +20,11 @@ Conventions (used everywhere in this package):
 
       Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt}.
 
-Synthesis is split in two: a time-independent part, built once per
-(amplitudes, grid), and a per-time components(t) step that yields one
-contiguous component of Ftilde(k, t + amps.t) at a time.  There are two
-routes, and _synthesis_parts picks one from two properties of its input:
+Synthesis takes its time only from the pair (HelicityAmplitudePair.t):
+_synthesis_parts(amps, grid) builds the parts of Ftilde(k, amps.t), whose
+components() yield one contiguous component at a time, and a trajectory
+builds one set of parts per time.  There are two routes, and
+_synthesis_parts picks one from two properties of its input:
 
 * Radial route (_RadialParts), taken when every non-None amplitude is a
   RadialProfileAmplitude and the grid is a centred cube with an even node
@@ -35,10 +36,11 @@ routes, and _synthesis_parts picks one from two properties of its input:
   every component is a polynomial in (kx, ky, kz) times one of two radial
   functions, S = P + M and k (P - M), where P = h+ e^{-ikt}/(sqrt2 k) and
   M = conj(h-) e^{+ikt}/(sqrt2 k).  Those are tabulated once per distinct
-  radius (6,049 at 128^3) and gathered per node by the slab assembler
-  _assemble_grid, the same one the closed-form position field uses; no
-  polarization frame, no full-size |k| and no per-node exponential.
-  Its densities(t) assemble no component at all: every term of a
+  radius (6,049 at 128^3) when the parts are built and gathered per node
+  by the slab assembler _assemble_grid, the same one the closed-form
+  position field uses; no polarization frame, no full-size |k| and no
+  per-node exponential.
+  Its densities() assemble no component at all: every term of a
   component has a definite parity in each axis, so both densities come
   from the positive octant, through one DCT-IV or DST-IV per axis and
   term (_RadialParts.octants).  F1 is the x <-> y mirror of F0, so only
@@ -46,8 +48,8 @@ routes, and _synthesis_parts picks one from two properties of its input:
   octant density per space, D+, stands for the whole cube: every number
   a report takes of a density comes from D+ (_octant_stats), and no
   density of the whole cube is ever formed.
-* Node route (_NodeParts) for everything else: polynomial and wrapped
-  (dilated) amplitudes, and any other grid.  Every
+* Node route (_NodeParts) for everything else: polynomial and duck-typed
+  amplitudes, and any other grid.  Every
   admissible amplitude is f = k_perp g, so the same polynomial holds with
   per-node tables f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp) and
   |k|.  It keeps only the grid and the amplitudes, builds no polarization
@@ -69,7 +71,7 @@ second moment and norm) in one pass over the components per space,
 position space first: one component buffer and one density are held at a
 time (the output-side DFT phases are unimodular and drop out).
 _NodeParts.densities and the FieldGrid reports of moments call it.  Both
-routes' parts have densities(t, source), which give those numbers per
+routes' parts have densities(source=...), which give those numbers per
 space, and the spreading trajectory and `verify-bound --method grid` take
 them from there.
 """
@@ -434,7 +436,8 @@ def _add_poly(acc, terms, pows, scratch, axis=None):
 
 
 class _Dilated:
-    """f(lambda k): maps Dk^2 -> Dk^2/lambda^2, Dr^2 -> lambda^2 Dr^2."""
+    """f(lambda k) of a duck-typed amplitude (both amplitude classes dilate
+    in their own family): maps Dk^2 -> Dk^2/lambda^2, Dr^2 -> lambda^2 Dr^2."""
 
     def __init__(self, base, lam):
         self.base = base
@@ -458,6 +461,11 @@ def _dilated(amp, lam):
         # f(lambda k) = lambda k_perp P(lambda k) e^{-alpha lambda^2 k^2}
         return PolynomialGaussianAmplitude(
             {e: c * lam ** (sum(e) + 1) for e, c in amp.terms.items()}, amp.alpha * lam * lam)
+    if isinstance(amp, RadialProfileAmplitude):
+        # f(lambda k) = k_perp lambda h(lambda^2 k^2)
+        h, dh, s = amp.h, amp.dh, lam * lam
+        return RadialProfileAmplitude(lambda q: lam * h(s * q), lambda q: lam * s * dh(s * q),
+                                      amp.k_scale / lam)
     return _Dilated(amp, lam)
 
 
@@ -480,24 +488,30 @@ class HelicityAmplitudePair:
         scales = [a.k_scale for a in (self.f_plus, self.f_minus) if a is not None]
         return min(scales)
 
-    def _at(self, f_plus, f_minus, t) -> "HelicityAmplitudePair":
+    def _at(self, op, value, f_plus, f_minus, t) -> "HelicityAmplitudePair":
+        """The pair (f_plus, f_minus) at time t, made from self by op(value);
+        ValueError, naming both, if t is not finite."""
+        if not math.isfinite(t):
+            raise ValueError(f"{op}: the pair's time must be finite, got {t} "
+                             f"for {op}({value}) of a pair at t = {self.t}")
         pair = HelicityAmplitudePair(f_plus, f_minus)
         pair.t = t
         return pair
 
     def evolved(self, t) -> "HelicityAmplitudePair":
-        """The same amplitudes at time self.t + t, for a finite t (else ValueError)."""
-        if not math.isfinite(t):
-            raise ValueError(f"evolved: t must be finite, got {t}")
-        return self._at(self.f_plus, self.f_minus, self.t + float(t))
+        """The same amplitudes at time self.t + t; ValueError unless that
+        sum is finite."""
+        return self._at("evolved", t, self.f_plus, self.f_minus, self.t + float(t))
 
     def dilated(self, lam) -> "HelicityAmplitudePair":
-        """The pair f(lam k), for a finite lam > 0 (else ValueError); a
-        PolynomialGaussianAmplitude stays one, so it keeps its closed form;
-        f(lam k) e^{-i lam k t} is at time lam t."""
+        """The pair f(lam k), for a finite lam > 0 (else ValueError); either
+        amplitude class stays in its family, so a PolynomialGaussianAmplitude
+        keeps its closed form and a RadialProfileAmplitude the radial route;
+        f(lam k) e^{-i lam k t} is at time lam t (ValueError unless finite)."""
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"dilated: lambda must be finite and positive, got {lam}")
-        return self._at(_dilated(self.f_plus, lam), _dilated(self.f_minus, lam), lam * self.t)
+        return self._at("dilated", lam, _dilated(self.f_plus, lam),
+                        _dilated(self.f_minus, lam), lam * self.t)
 
 
 def saturating_amplitudes(c_plus, c_minus, a) -> HelicityAmplitudePair:
@@ -546,38 +560,30 @@ def _time_tables(plus, minus, k, t, out, with_v=True):
 
 @dataclass(frozen=True, eq=False)
 class _NodeParts:
-    """The time-independent part of Ftilde(k,t) on a wavevector grid: the
-    node route of the synthesis, for any amplitude on any grid.
+    """The synthesis parts of Ftilde(k, amps.t) on a wavevector grid: the
+    node route, for any amplitude on any grid.
 
     With f = k_perp g the frame's 1/k_perp cancels (see the module
     docstring), so Ftilde is the radial route's polynomial with per-node
     tables plus = f+(k) / (sqrt2 k k_perp) and minus = conj(f-)(-k) /
     (sqrt2 k k_perp) (None for a zero amplitude) and k = |k|.  Only the
-    grid and the amplitudes are kept: components(t) forms the tables of
-    each x-slab from the sparse meshes (_slab_tables), then W and V
+    grid and the amplitudes are kept: components() forms the tables of
+    each x-slab from the sparse meshes, then W and V at self.amps.t
     (_time_tables), and writes the polynomial of _assemble_grid, so no
     table of the whole grid and no polarization frame is ever held.  A
-    component sweep evaluates the amplitudes once; a trajectory builds the
-    parts once and takes components(t) per time.
+    component sweep evaluates the amplitudes once.
     """
 
     grid: Grid3D
     amps: HelicityAmplitudePair
 
-    @classmethod
-    def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D) -> "_NodeParts":
-        """The parts of amps on grid, after the check that needs no
-        amplitude value: no node on the kz-axis."""
-        KX, KY, KZ = grid.meshes(sparse=True)
-        kp2 = KX * KX + KY * KY
-        # rounding is monotone, so the largest kz^2 decides for every node
-        _check_off_axis(kp2, kp2 + (KZ * KZ).max())
-        return cls(grid, amps)
-
-    def _slab_tables(self):
-        """tables(i) -> (plus, minus, k) on x-slab i, each (ny, nz)."""
+    def components(self, *, out=None):
+        """Yield Ftilde_comp(k, amps.t) for comp = 0, 1, 2, written into
+        out[comp] (default: one buffer reused for all three, so consume
+        each component before taking the next)."""
         KX, KY, KZ = self.grid.meshes(sparse=True)
         ky, kz = KY[0], KZ[0]
+        buf = np.empty((4,) + self.grid.counts[1:], dtype=np.complex128)
 
         def table(amp, kx, den, k, negk):
             if amp is None:
@@ -585,37 +591,24 @@ class _NodeParts:
             f = np.conj(amp.value(-kx, -ky, -kz)) if negk else amp.value(kx, ky, kz)
             return f / den / k  # k_perp(-k) = k_perp(k)
 
-        def tables(i):
+        def slabs(i, comps):
+            # the slab's tables, W and V, formed per sweep: nothing full-size
             kx = KX[i]
             kp2 = kx * kx + ky * ky
             k = np.sqrt(kp2 + kz * kz)
             den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
-            return (table(self.amps.f_plus, kx, den, k, False),
-                    table(self.amps.f_minus, kx, den, k, True), k)
-
-        return tables
-
-    def components(self, t, out=None):
-        """The per-time phase step: yield Ftilde_comp(k, t + amps.t) for comp
-        = 0, 1, 2, written into out[comp] (default: one buffer reused for all
-        three, so consume each component before taking the next)."""
-        t = t + self.amps.t
-        if not np.isfinite(t):
-            raise ValueError("_NodeParts.components: t must be finite")
-        tables = self._slab_tables()
-        buf = np.empty((4,) + self.grid.counts[1:], dtype=np.complex128)
-
-        def slabs(i, comps):
-            # the slab's tables, W and V, formed per sweep: nothing full-size
-            plus, minus, k = tables(i)
-            return _time_tables(plus, minus, k, t, buf, with_v=comps != (2,)) + (None,)
+            plus = table(self.amps.f_plus, kx, den, k, False)
+            minus = table(self.amps.f_minus, kx, den, k, True)
+            return _time_tables(plus, minus, k, self.amps.t, buf,
+                                with_v=comps != (2,)) + (None,)
 
         yield from _assemble_grid(self.grid, slabs, out)
 
-    def densities(self, t, source=True):
+    def densities(self, *, source=True):
         """(k-space stats or None if not source, position stats) of
-        Ftilde(k, t) (_DensityStats), from its components (_stream_stats)."""
-        return _stream_stats(lambda buf: self.components(t, out=(buf,) * 3),
+        Ftilde(k, amps.t) (_DensityStats), from its components
+        (_stream_stats)."""
+        return _stream_stats(lambda buf: self.components(out=(buf,) * 3),
                              self.grid, "wavevector", source)
 
 
@@ -773,56 +766,36 @@ def _octant_densities(terms, q, source):
 
 @dataclass(frozen=True, eq=False)
 class _RadialParts:
-    """The time-independent part of Ftilde(k,t) for radial amplitudes
+    """The synthesis parts of Ftilde(k, amps.t) for radial amplitudes
     f+- = k_perp h+-(k^2) on a centred even cube: the radial route.
 
-    q are the per-axis radius keys and k the table of distinct radii
-    (_radius_keys); plus = h+(k^2)/(sqrt2 k) and minus = conj(h-(k^2))/
-    (sqrt2 k) on that table (None for a zero amplitude); t0 = amps.t.  Per
-    time, components(t) forms the two radial tables W = -(P + M) and
-    V = i k (P - M) at t + t0, with P = plus e^{-ikt} and M = minus e^{+ikt}
-    (_time_tables), and assembles
+    q are the per-axis radius keys of _radius_keys, and w and v the radial
+    tables W = -(P + M) and V = i k (P - M) on its table of distinct radii
+    k, with P = h+(k^2) e^{-ikt}/(sqrt2 k), M = conj(h-(k^2)) e^{+ikt}/
+    (sqrt2 k) and t = amps.t (_time_tables), formed once by
+    _synthesis_parts.  components() assembles
 
         Ftilde = [kx kz W + ky V, ky kz W - kx V, -k_perp^2 W]
 
-    by gathering them per node (_assemble_grid with _gathered).  octants(t)
+    by gathering them per node (_assemble_grid with _gathered).  octants()
     reduces the same field to the positive-octant values of its two
-    densities, with no component built, and densities(t) takes the
+    densities, with no component built, and densities() takes the
     reports' stats from those.  Same interface as _NodeParts.
     """
 
     grid: Grid3D
     q: np.ndarray
-    k: np.ndarray
-    plus: np.ndarray | None
-    minus: np.ndarray | None
-    t0: float
+    w: np.ndarray
+    v: np.ndarray
 
-    @classmethod
-    def from_amplitudes(cls, amps: HelicityAmplitudePair, grid: Grid3D, keys) -> "_RadialParts":
-        q, k = keys
-        den = np.sqrt(2.0) * k
-        plus = None if amps.f_plus is None else amps.f_plus.h(k * k) / den
-        minus = None if amps.f_minus is None else np.conj(amps.f_minus.h(k * k)) / den
-        return cls(grid, q, k, plus, minus, amps.t)
+    def components(self, *, out=None):
+        """Yield Ftilde_comp(k, amps.t) for comp = 0, 1, 2, written into
+        out[comp] (default: one buffer reused for all three)."""
+        yield from _assemble_grid(self.grid, _gathered(self.q, self.w, self.v), out)
 
-    def _tables(self, t):
-        """The radial tables W and V = i T at time t + t0 (_time_tables)."""
-        t = t + self.t0
-        if not np.isfinite(t):
-            raise ValueError("_RadialParts: t must be finite")
-        buf = np.empty((4,) + self.k.shape, dtype=np.complex128)
-        return _time_tables(self.plus, self.minus, self.k, t, buf)
-
-    def components(self, t, out=None):
-        """The per-time step: yield Ftilde_comp(k, t) for comp = 0, 1, 2,
-        written into out[comp] (default: one buffer reused for all three)."""
-        w, v = self._tables(t)
-        yield from _assemble_grid(self.grid, _gathered(self.q, w, v), out)
-
-    def octants(self, t, source=True):
+    def octants(self, *, source=True):
         """The positive-octant values D+ of the k-space density (None if
-        not source) and of the position density of Ftilde(k, t); the
+        not source) and of the position density of Ftilde(k, amps.t); the
         density at the reflection (sx, sy, sz) of an octant node is D+
         there if sx sy sz = 1 and D- = D+^T (x <-> y) otherwise.
 
@@ -844,39 +817,48 @@ class _RadialParts:
         time from the radius table, so two complex octants and one real
         octant density per space are held, never a component.
         """
-        w, it = self._tables(t)
         h = self.grid.counts[0] // 2
         q = self.q[h:]
         x, y, z = (ax[h:] for ax in self.grid.axes())
         x, y = x[:, None, None], y[:, None]
         # (table, polynomial, odd axes) of A0, B0 and F2
-        terms = [(w, x * z, (0, 2)), (it, y, (1,)),
-                 (w, -(x * x + y * y), ())]
+        terms = [(self.w, x * z, (0, 2)), (self.v, y, (1,)),
+                 (self.w, -(x * x + y * y), ())]
         src, dual = _octant_densities(terms, q, source)
         dual *= _dft_scale(self.grid, -1) ** 2
         return src, dual
 
-    def densities(self, t, source=True):
+    def densities(self, *, source=True):
         """(k-space stats or None if not source, position stats) of
-        Ftilde(k, t) (_DensityStats), reduced from the octants alone
+        Ftilde(k, amps.t) (_DensityStats), reduced from the octants alone
         (_octant_stats): no density of the whole cube is formed."""
-        src, dual = self.octants(t, source)
+        src, dual = self.octants(source=source)
         # position space first, as in _stream_stats
         r = _octant_stats(dual, self.grid.fourier_dual())
         return None if src is None else _octant_stats(src, self.grid), r
 
 
 def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
-    """The time-independent synthesis part of amps on grid: the radial route
+    """The synthesis parts of Ftilde(k, amps.t) on grid: the radial route
     when every non-None amplitude is a RadialProfileAmplitude and the grid
-    is a centred even cube, _NodeParts (the node route) otherwise.  Both
-    yield the same components(t) to rounding."""
+    is a centred even cube, with its radial tables formed here, and the
+    node route otherwise, after the check that needs no amplitude value
+    (no node on the kz-axis).  Both yield the same components() to
+    rounding."""
     present = [a for a in (amps.f_plus, amps.f_minus) if a is not None]
-    if all(isinstance(a, RadialProfileAmplitude) for a in present):
-        keys = _radius_keys(grid)
-        if keys is not None:
-            return _RadialParts.from_amplitudes(amps, grid, keys)
-    return _NodeParts.from_amplitudes(amps, grid)
+    keys = _radius_keys(grid)
+    if keys is not None and all(isinstance(a, RadialProfileAmplitude) for a in present):
+        q, k = keys
+        den = np.sqrt(2.0) * k
+        plus = None if amps.f_plus is None else amps.f_plus.h(k * k) / den
+        minus = None if amps.f_minus is None else np.conj(amps.f_minus.h(k * k)) / den
+        buf = np.empty((4,) + k.shape, dtype=np.complex128)
+        return _RadialParts(grid, q, *_time_tables(plus, minus, k, amps.t, buf))
+    KX, KY, KZ = grid.meshes(sparse=True)
+    kp2 = KX * KX + KY * KY
+    # rounding is monotone, so the largest kz^2 decides for every node
+    _check_off_axis(kp2, kp2 + (KZ * KZ).max())
+    return _NodeParts(grid, amps)
 
 
 def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D) -> FieldGrid:
@@ -885,7 +867,7 @@ def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D) -> FieldGrid:
     parts (radial or node route, see the module docstring)."""
     parts = _synthesis_parts(amps, grid)
     vals = np.empty(grid.counts + (3,), dtype=np.complex128)
-    for _ in parts.components(0.0, out=[vals[..., comp] for comp in range(3)]):
+    for _ in parts.components(out=[vals[..., comp] for comp in range(3)]):
         pass  # each component is written into its slice of vals
     return FieldGrid(vals, grid, "wavevector")
 

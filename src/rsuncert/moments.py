@@ -44,11 +44,14 @@ amplitude, by one of two means, each with an error estimate.
 * Every other closure, and any closure given an explicit rule: a nested
   pair of spherical rules -- Gauss-Legendre in k on (0, 9 k_scale] and in
   cos(theta), half-offset trapezoid in phi, at 32x20x16 and 48x30x24 nodes.
-  The finer sums are taken, and quad_rel_err is the largest relative
-  difference of the three between the two rules.  It grows with the
-  polynomial degree of the amplitude: measured 7.8e-15 for the saturating
-  pairs, at most 2.5e-13 over 280 random pairs with P of degree <= 3, and
-  7.5e-15, 1.3e-13, 3.7e-12 and 2.7e-10 for the radial modes
+  A RadialProfileAmplitude's integrands are polynomials of degree <= 2 in
+  cos(theta) and constant in phi, so its rules take 4 and 6 nodes in
+  cos(theta) and one in phi, exact in angle.  The finer sums are taken,
+  and quad_rel_err is the largest relative difference of the three
+  between the two rules.  It grows with the polynomial degree of the
+  amplitude: measured 2.9e-15 for the saturating pairs, at most 2.5e-13
+  over 280 random pairs with P of degree <= 3 (on the full rules), and
+  2.8e-15, 1.4e-13, 3.7e-12 and 2.7e-10 for the radial modes
   k_perp L_n^{3/2}(k^2) e^{-k^2/2}, n = 0..3.
 A pair that mixes the two reports the larger of the two estimates.
 Grid-path reductions are plain Riemann sums, with no error estimate; numpy's
@@ -86,6 +89,7 @@ from .kspace import (
     FieldGrid,
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
+    RadialProfileAmplitude,
     _stream_stats,
     # not called here since grid reports stream; kept as a binding site that
     # bench/selftest.py checks the tracer wraps and restores
@@ -115,10 +119,10 @@ class _SphericalRule:
 
     Every integrand of the amplitude classes here is a polynomial in
     (k, cos theta, sin theta e^{+-i phi}) times a Gaussian in k, so the rule
-    converges exponentially.  For k_max = 9 k_scale the default and its
-    refinement agree to 7.8e-15 relative for the saturating pairs and to
-    2.7e-10 for the n = 3 radial mode; the difference grows with the
-    polynomial degree (see the module docstring)."""
+    converges exponentially.  For k_max = 9 k_scale a radial profile's
+    rule and its refinement agree to 2.9e-15 relative for the saturating
+    pairs and to 2.7e-10 for the n = 3 radial mode; the difference grows
+    with the polynomial degree (see the module docstring)."""
 
     k_max: float
     n_k: int = 32
@@ -199,9 +203,14 @@ def _rule_nodes(k_max, n_radial, n_phi, n_axial):
 
 
 def _rule_for_amp(amp, rule):
-    """Rule for one amplitude: explicit rule wins, else sized to its decay."""
+    """Rule for one amplitude: explicit rule wins, else sized to its decay.
+    Every integrand of a RadialProfileAmplitude (the time's terms included)
+    is a polynomial of degree <= 2 in cos(theta) and does not depend on
+    phi, so 4 nodes in cos(theta) and one in phi integrate it exactly."""
     if rule is not None:
         return rule
+    if isinstance(amp, RadialProfileAmplitude):
+        return _SphericalRule(9.0 * amp.k_scale, n_theta=4, n_phi=1)
     return _SphericalRule(k_max=9.0 * amp.k_scale)
 
 
@@ -464,9 +473,17 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
     """
     if isinstance(source, HelicityAmplitudePair):
         # norm_r takes the coarser rule's norm, so its agreement with norm_k
-        # is the Plancherel line of the report; closed forms give both exactly
-        n, mk, mr, n_coarse, err = _amp_moments(source, rule)
-        return _report(mr / n, mk / n, n_coarse, n, [], err)
+        # is the Plancherel line of the report; closed forms give both
+        # exactly.  A time so large that a moment overflows is refused
+        # below, not warned of on the way (a caller's "raise" still raises)
+        quiet = {k: "ignore" for k in ("over", "invalid") if np.geterr()[k] == "warn"}
+        with np.errstate(**quiet):
+            n, mk, mr, n_coarse, err = _amp_moments(source, rule)
+            rep = _report(mr / n, mk / n, n_coarse, n, [], err)
+        if not np.all(np.isfinite([rep.delta_r2, rep.delta_k2, rep.product, rep.norm_r, err])):
+            raise ValueError(f"uncertainty_product: the pair at t = {source.t} has "
+                             "moments that are not finite")
+        return rep
     if not isinstance(source, FieldGrid):
         raise TypeError("uncertainty_product: unsupported source type")
     # the components are views of the caller's field, left untouched

@@ -10,15 +10,15 @@ i.e. <r^2>(t) is a perfect parabola alpha + beta t + t^2.  For amplitude
 pairs with zero linear coefficient (e.g. real profiles) the minimum is at
 t = 0 and the packet spreads symmetrically.
 
-The grid trajectory builds the time-independent synthesis part once
-(kspace._synthesis_parts) and, per time, takes the position density's
-stats from it (the parts' densities(t, source=False)), and no position
-FieldGrid is built: the time's boundary ratio (kept: a cut-off box raises
-nothing), norm (the zero-norm check) and second moment.  evolve is the
-one-time case and returns the position field itself; both count time
-from the pair's own (HelicityAmplitudePair.t).
+The grid trajectory builds the synthesis parts of amps.evolved(t) per
+time (kspace._synthesis_parts) and takes the position density's stats
+from them (densities(source=False)), and no position FieldGrid is built:
+the time's boundary ratio (kept: a cut-off box raises nothing), norm (the
+zero-norm check) and second moment.  evolve is the one-time case and
+returns the position field itself; both count time from the pair's own
+(HelicityAmplitudePair.t), the only time the synthesis takes.
 
-The synthesis part takes one of two routes (see kspace), chosen only from
+The synthesis parts take one of two routes (see kspace), chosen only from
 the amplitude types and the grid, not the time.  Radial amplitudes (every
 saturating_amplitudes pair) on a centred even cube take the radial route,
 whose time step reduces three octant terms of one table of the distinct
@@ -131,7 +131,6 @@ def spreading_trajectory(amps: HelicityAmplitudePair, times, grid: Grid3D) -> Tr
     if np.unique(times).size < 3:
         raise ValueError("spreading_trajectory: need at least 3 distinct times "
                          "for the quadratic fit")
-    parts = _synthesis_parts(amps, grid)
     ratios, moments, norms = np.array(
-        [parts.densities(t, source=False)[1] for t in times]).T
+        [_synthesis_parts(amps.evolved(t), grid).densities(source=False)[1] for t in times]).T
     return Trajectory(times, moments, norms, ratios)

@@ -402,7 +402,7 @@ def _stream_densities(components, grid: Grid3D, sign, source=True):
     k-space to position space, -1 the reverse.
 
     Each component must be a contiguous array that may be overwritten (the
-    components(t) buffers of the synthesis parts qualify): its density is
+    components() buffers of the synthesis parts qualify): its density is
     added, it is transformed in place and the density of the result is
     added.  The output-side DFT phases are unimodular and never applied,
     so only the component and the two densities are held.

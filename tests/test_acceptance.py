@@ -283,9 +283,9 @@ def test_criterion_9_radial_spectrum_oracle(n, spectrum_4):
     assert isinstance(parts, _RadialParts)
     # the whole cubes, unfolded from the octants, and the octant stats
     # that `verify-bound --method grid` reports
-    src, dual = (unfold_octant(d) for d in parts.octants(0.0))
+    src, dual = (unfold_octant(d) for d in parts.octants())
     rep_g = _density_report(_density_stats(dual, grid.fourier_dual()), _density_stats(src, grid))
-    k, r = parts.densities(0.0)
+    k, r = parts.densities()
     rep_o = _density_report(r, k)
     errs = [abs(v / want - 1.0) for rep in (rep_a, rep_g, rep_o)
             for v in (rep.delta_r2, rep.delta_k2)]

@@ -24,6 +24,7 @@ from rsuncert import (
 from rsuncert import kspace
 from rsuncert.cli import main
 from rsuncert.kspace import (
+    _Dilated,
     _NodeParts,
     _RadialParts,
     _boundary_ratio,
@@ -123,11 +124,19 @@ class TestSynthesis:
             assert np.allclose(field.values[i, j, l], want, atol=1e-15)
 
     def test_nonfinite_time_rejected(self):
+        # the pair refuses the time before any parts are built, and the
+        # parts take no time of their own
         grid = Grid3D.centered(16, 9.0).fourier_dual()
-        with pytest.raises(ValueError):
-            saturating_amplitudes(1.0, 0.0, 1.0).evolved(np.nan)
-        with pytest.raises(ValueError):
-            _synthesis_parts(saturating_amplitudes(1.0, 0.0, 1.0), grid).densities(np.inf)
+        pair = saturating_amplitudes(1.0, 0.0, 1.0)
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                pair.evolved(t)
+        radial = _synthesis_parts(pair, grid)
+        node = _synthesis_parts(node_route_pair(1.0, 0.0, 1.0), grid)
+        for method in (radial.components, radial.densities, radial.octants,
+                       node.components, node.densities):
+            with pytest.raises(TypeError):
+                method(np.inf)
 
     def test_on_axis_grid_propagates_singularity(self):
         # a custom grid with nodes at kx = ky = 0 hits the k_perp = 0
@@ -329,9 +338,9 @@ class TestNodeRoute:
         # a FieldGrid report and the node route's densities reduce the same
         # component stream through the same function: equal to the last bit
         pair = self.random_pair([seed, round(10 * t), grid.counts[1]])
-        parts = _synthesis_parts(pair, grid)
+        parts = _synthesis_parts(pair.evolved(t), grid)
         assert isinstance(parts, _NodeParts)
-        k, r = parts.densities(t)
+        k, r = parts.densities()
         want = _density_report(r, k).to_dict()
         assert uncertainty_product(synthesize_kspace(pair.evolved(t), grid)).to_dict() == want
 
@@ -371,6 +380,18 @@ class TestRadialRoute:
         want = synthesize_kspace(node_route_pair(1.0, 0.5j, 1.0).evolved(0.7), grid)
         assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
 
+    def test_dilated_pair_keeps_the_radial_route(self):
+        # a radial profile dilates in its own family: the field of the
+        # wrapped amplitudes (_Dilated, node route) to rounding
+        grid = Grid3D.centered(32, 16.0).fourier_dual()
+        sat = saturating_amplitudes(1.0, 0.5j, 1.0)
+        dil = sat.dilated(1.7)
+        wrapped = HelicityAmplitudePair(_Dilated(sat.f_plus, 1.7), _Dilated(sat.f_minus, 1.7))
+        assert isinstance(_synthesis_parts(dil, grid), _RadialParts)
+        assert isinstance(_synthesis_parts(wrapped, grid), _NodeParts)
+        got, want = (synthesize_kspace(pair, grid).values for pair in (dil, wrapped))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_other_grids_take_the_frame_route(self):
         # not centred: the radius keys do not apply, so the node route runs
         amps = saturating_amplitudes(0.7 + 0.2j, -0.3 + 0.9j, 0.9)
@@ -395,13 +416,13 @@ class TestOctantDensities:
         assert np.abs(got - want).max() <= tol * want.max()
 
     @staticmethod
-    def unfolded(parts, t, source=True):
-        return [None if d is None else unfold_octant(d) for d in parts.octants(t, source)]
+    def unfolded(parts, source=True):
+        return [None if d is None else unfold_octant(d) for d in parts.octants(source=source)]
 
     @staticmethod
-    def radial_parts(n, c_minus):
+    def radial_parts(n, c_minus, t):
         grid = Grid3D.centered(n, 16.0 * 1.3).fourier_dual()
-        parts = _synthesis_parts(saturating_amplitudes(1.0, c_minus, 1.3), grid)
+        parts = _synthesis_parts(saturating_amplitudes(1.0, c_minus, 1.3).evolved(t), grid)
         assert isinstance(parts, _RadialParts)
         return grid, parts
 
@@ -412,12 +433,12 @@ class TestOctantDensities:
     @pytest.mark.parametrize("c", [1.0, 1.7])
     def test_matches_stream(self, n, c_minus, t, c):
         # c = 1 is fixed: a speed of light c enters as the time c t
-        grid, parts = self.radial_parts(n, c_minus)
-        d_k, d_r = self.unfolded(parts, c * t)
-        w_k, w_r, _ = _stream_densities(parts.components(c * t), grid, +1)
+        grid, parts = self.radial_parts(n, c_minus, c * t)
+        d_k, d_r = self.unfolded(parts)
+        w_k, w_r, _ = _stream_densities(parts.components(), grid, +1)
         self.assert_close(d_k, w_k)
         self.assert_close(d_r, w_r)
-        none_k, only_r = parts.octants(c * t, source=False)
+        none_k, only_r = parts.octants(source=False)
         assert none_k is None
         np.testing.assert_array_equal(unfold_octant(only_r), d_r)
 
@@ -428,29 +449,29 @@ class TestOctantDensities:
     def test_stats_match_unfolded_cube(self, n, c_minus, t, c):
         # the reports' numbers from the octant alone against those of the
         # whole cube: the boundary ratio exactly, moment and norm to rounding
-        grid, parts = self.radial_parts(n, c_minus)
-        d_k, d_r = self.unfolded(parts, c * t)
-        got = parts.densities(c * t)
+        grid, parts = self.radial_parts(n, c_minus, c * t)
+        d_k, d_r = self.unfolded(parts)
+        got = parts.densities()
         for stats, want in zip(got, (_density_stats(d_k, grid),
                                      _density_stats(d_r, grid.fourier_dual()))):
             assert stats.ratio == want.ratio
             assert abs(stats.moment / want.moment - 1.0) <= 1e-13
             assert abs(stats.norm / want.norm - 1.0) <= 1e-13
-        none_k, only_r = parts.densities(c * t, source=False)
+        none_k, only_r = parts.densities(source=False)
         assert none_k is None and only_r == got[1]
 
     def test_matches_frame_route(self):
         # the node route shares the time tables with it, but no gather,
         # octant term or transform
         grid = Grid3D.centered(32, 16.0).fourier_dual()
-        radial = _synthesis_parts(saturating_amplitudes(1.0, 0.5j, 1.0), grid)
-        node = _synthesis_parts(node_route_pair(1.0, 0.5j, 1.0), grid)
-        assert isinstance(node, _NodeParts)
         t = 1.2 * 0.3
-        want = _stream_densities(node.components(t), grid, +1)[:2]
-        for got, w in zip(self.unfolded(radial, t), want):
+        radial = _synthesis_parts(saturating_amplitudes(1.0, 0.5j, 1.0).evolved(t), grid)
+        node = _synthesis_parts(node_route_pair(1.0, 0.5j, 1.0).evolved(t), grid)
+        assert isinstance(node, _NodeParts)
+        want = _stream_densities(node.components(), grid, +1)[:2]
+        for got, w in zip(self.unfolded(radial), want):
             self.assert_close(got, w)
-        for got, w in zip(radial.densities(t), node.densities(t)):
+        for got, w in zip(radial.densities(), node.densities()):
             assert abs(got.moment / w.moment - 1.0) <= 1e-13
             assert abs(got.norm / w.norm - 1.0) <= 1e-13
 
@@ -465,12 +486,13 @@ class TestOctantDensities:
                 return _f(x, *args, **kwargs)
             monkeypatch.setattr(kspace, name, counted)
         grid = Grid3D.centered(16, 16.0).fourier_dual()
-        parts = _synthesis_parts(SaturatingFieldSpec.simplest(-1.0, 1.0).amplitudes(), grid)
+        pair = SaturatingFieldSpec.simplest(-1.0, 1.0).amplitudes()
         for t, count in ((0.0, 3), (0.3, 9)):
+            parts = _synthesis_parts(pair.evolved(t), grid)
             inputs.clear()
-            got = self.unfolded(parts, t)
+            got = self.unfolded(parts)
             assert inputs == [True] * count
-            want = _stream_densities(parts.components(t), grid, +1)[:2]
+            want = _stream_densities(parts.components(), grid, +1)[:2]
             for g, w in zip(got, want):
                 self.assert_close(g, w)
 
@@ -483,8 +505,8 @@ class TestOctantDensities:
         # and the octant route builds D- as D+^T, so both densities are
         # exactly symmetric (a plain x <-> y swap is not a symmetry: the
         # position density misses it by up to 1e-3 of the peak at 16^3)
-        _, parts = self.radial_parts(n, c_minus)
-        for d in self.unfolded(parts, t):
+        _, parts = self.radial_parts(n, c_minus, t)
+        for d in self.unfolded(parts):
             np.testing.assert_array_equal(d, d.transpose(1, 0, 2)[:, :, ::-1])
 
     def test_truncated_box(self, capsys):
@@ -493,12 +515,12 @@ class TestOctantDensities:
         a = 0.7371
         grid = Grid3D.centered(16, 16.0 * a).fourier_dual()
         parts = _synthesis_parts(SaturatingFieldSpec.simplest(C=1.0, a=a).amplitudes(), grid)
-        got = self.unfolded(parts, 0.0)
-        want = _stream_densities(parts.components(0.0), grid, +1)[:2]
+        got = self.unfolded(parts)
+        want = _stream_densities(parts.components(), grid, +1)[:2]
         for g, w in zip(got, want):
             assert abs(_boundary_ratio(g) - _boundary_ratio(w)) <= 1e-12 * _boundary_ratio(w)
         assert _boundary_ratio(got[1]) > TRUNCATION_RATIO
-        assert parts.densities(0.0)[1].ratio == _boundary_ratio(got[1])
+        assert parts.densities()[1].ratio == _boundary_ratio(got[1])
         assert main(["verify-bound", "--method", "grid", "--grid", "16", "--a", str(a)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: truncation:") and len(err.strip().splitlines()) == 1

@@ -5,6 +5,7 @@ import cmath
 from fractions import Fraction
 import itertools
 import math
+import re
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -317,6 +318,20 @@ class TestUncertaintyProduct:
                 for key in ("delta_r2", "delta_k2", "norm_k"):
                     assert abs(getattr(got, key) / getattr(want, key) - 1) < 1e-12, key
 
+    def test_dilated_radial_pair_stays_radial(self):
+        # f(lambda k) of k_perp h(k^2) is k_perp lambda h(lambda^2 k^2): the
+        # same report as the wrapped amplitudes on an explicit rule
+        sat = saturating_amplitudes(1.0, 0.5j, 1.3)
+        for lam in (0.5, 1.7):
+            dil = sat.evolved(0.4).dilated(lam)
+            assert all(isinstance(a, RadialProfileAmplitude) for a in (dil.f_plus, dil.f_minus))
+            wrapped = HelicityAmplitudePair(_Dilated(sat.f_plus, lam), _Dilated(sat.f_minus, lam))
+            wrapped.t = dil.t
+            got = uncertainty_product(dil)
+            want = uncertainty_product(wrapped, rule=_SphericalRule(9.0 * dil.k_scale))
+            for key in ("delta_r2", "delta_k2", "norm_k"):
+                assert abs(getattr(got, key) / getattr(want, key) - 1) < 1e-12, key
+
     @pytest.mark.parametrize("op, value", [
         ("dilated", 0.0), ("dilated", -1.0), ("dilated", np.nan), ("dilated", np.inf),
         ("evolved", np.nan), ("evolved", np.inf),
@@ -328,6 +343,27 @@ class TestUncertaintyProduct:
         pair = (saturating_amplitudes if kind == "closure" else node_route_pair)(1.0, 0.5, 1.0)
         with pytest.raises(ValueError, match=rf"{op}: .* must be finite.*, got {value}"):
             getattr(pair, op)(value)
+
+    @pytest.mark.parametrize("op", ["evolved", "dilated"])
+    @pytest.mark.parametrize("kind", ["closure", "polynomial"])
+    def test_pair_time_must_stay_finite(self, op, kind):
+        # two finite steps whose time overflows are refused where the pair
+        # is built, naming the operation, its value and the pair's time
+        pair = (saturating_amplitudes if kind == "closure" else node_route_pair)(1.0, 0.5, 1.0)
+        first, value = (1e308, 1e308) if op == "evolved" else (1e300, 1e10)
+        pair = pair.evolved(first)
+        tail = re.escape(f"got inf for {op}({value!r}) of a pair at t = {first!r}")
+        with pytest.raises(ValueError, match=rf"{op}: .* must be finite, {tail}"):
+            getattr(pair, op)(value)
+
+    @pytest.mark.parametrize("kind", ["closure", "polynomial"])
+    def test_report_of_an_overflowing_time_is_refused(self, kind):
+        # t^2 N overflows: no NaN or infinite report, and no RuntimeWarning
+        # (an error under this suite's filter) on the way
+        pair = (saturating_amplitudes if kind == "closure" else node_route_pair)(1.0, 0.5, 1.0)
+        assert np.isfinite(uncertainty_product(pair.evolved(1e150)).product)
+        with pytest.raises(ValueError, match=r"pair at t = 1e\+200 "):
+            uncertainty_product(pair.evolved(1e200))
 
     def test_helicity_swap_symmetry(self, rng):
         amps = random_pair(rng, allow_single=False)
@@ -458,6 +494,18 @@ class TestQuadratureConvergence:
         rep = uncertainty_product(saturating_amplitudes(1.0, 0.5, 1.0), rule=rule)
         assert abs(rep.product - 2.5) < 1e-6
         assert 0.0 < rep.quad_rel_err < 1e-6
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_radial_rule_is_exact_in_angle(self, n):
+        # a radial profile's integrands are polynomials of degree <= 2 in
+        # cos(theta), constant in phi: its 4 x 1 angular rule gives the
+        # full 20 x 16 rule's report, at any time
+        pair = HelicityAmplitudePair(radial_mode_amplitude(n), radial_mode_amplitude(n, C=0.5j))
+        for t in (0.0, -1.3):
+            got = uncertainty_product(pair.evolved(t))
+            want = uncertainty_product(pair.evolved(t), rule=_SphericalRule(9.0))
+            for key in ("delta_r2", "delta_k2", "norm_k", "norm_r"):
+                assert abs(getattr(got, key) / getattr(want, key) - 1) < 1e-13, key
 
     def test_grid_report_has_no_quadrature_error(self):
         assert uncertainty_product(simplest_field_grid()).quad_rel_err is None

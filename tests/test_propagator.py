@@ -153,8 +153,9 @@ class TestSpreadingTrajectory:
 
 
 class TestGridPathEquivalence:
-    """The grid trajectory (time-independent synthesis part, one density
-    pass per time, no position FieldGrid) against a per-time reference.
+    """The grid trajectory (the synthesis parts of the pair at each time,
+    one density pass each, no position FieldGrid) against a per-time
+    reference.
 
     The trajectory takes the radial route and its octant densities; the
     reference evolves the same field through the node route (polynomial
@@ -250,7 +251,7 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
     def test_node_route_densities(self, c_minus):
         pair = node_route_pair(1.0, c_minus, 1.0)
-        peak = self.traced_peak(lambda: _synthesis_parts(pair, self.grid).densities(0.3))
+        peak = self.traced_peak(lambda: _synthesis_parts(pair.evolved(0.3), self.grid).densities())
         assert peak < self.limit
 
     @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
