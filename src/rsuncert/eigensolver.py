@@ -42,7 +42,6 @@ __all__ = [
     "solve_radial",
     "analytic_eigenfunction",
     "rayleigh_quotient",
-    "radial_operator_apply",
 ]
 
 
@@ -230,23 +229,3 @@ def rayleigh_quotient(g, kappa) -> float:
         raise ValueError("rayleigh_quotient: non-normalizable trial function")
     return float(num / den)
 
-
-def radial_operator_apply(g, kappa):
-    """Finite-difference application of
-    1/2 [ -g'' - (2/kappa) g' + (2/kappa^2) g + kappa^2 g ]
-    to a sampled g (fourth-order interior stencils; used as a residual check
-    against the analytic spectrum)."""
-    g = np.asarray(g, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    h = kappa[1] - kappa[0]
-    dg = _derivative_4th(g, h)
-    d2g = np.empty_like(g)
-    d2g[2:-2] = (-g[:-4] + 16 * g[1:-3] - 30 * g[2:-2] + 16 * g[3:-1] - g[4:]) / (
-        12 * h * h
-    )
-    # second-order fallback at the edges (tests only use interior values)
-    d2g[0] = (g[0] - 2 * g[1] + g[2]) / h ** 2
-    d2g[1] = (g[0] - 2 * g[1] + g[2]) / h ** 2
-    d2g[-1] = (g[-3] - 2 * g[-2] + g[-1]) / h ** 2
-    d2g[-2] = (g[-3] - 2 * g[-2] + g[-1]) / h ** 2
-    return 0.5 * (-d2g - 2.0 / kappa * dg + 2.0 / kappa ** 2 * g + kappa ** 2 * g)

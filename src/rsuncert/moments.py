@@ -269,7 +269,10 @@ def _amp_moments(amps: HelicityAmplitudePair, rule=None):
             coarse += _amp_integrals(amp, sign, r, amps.t)
             fine += _amp_integrals(amp, sign, r.refined(), amps.t)
     n, mk, mr = (float(v) for v in exact[0] + fine)
-    if not np.isfinite(n) or n <= 0.0:
+    if not np.isfinite(n):
+        raise ValueError(f"uncertainty_product: the pair's norm N = {n} is not finite; "
+                         "the amplitudes' scale overflows")
+    if n <= 0.0:
         raise DegenerateFieldError("degenerate amplitude pair: zero norm")
     err = max(_rel_err(exact[1], exact[0]), _rel_err(np.abs(fine - coarse), fine))
     n_coarse = float(exact[0, 0] + coarse[0])
@@ -389,10 +392,12 @@ def _half_gamma_ratios(n):
 
 def _check_axis_regular(amps, rule=None):
     """Amplitudes must vanish on the kz-axis: probe |f| near k_perp = 0.
-    A PolynomialGaussianAmplitude carries the factor k_perp, so it vanishes
-    there by construction and is not probed."""
+    Both amplitude classes carry the factor k_perp, so |f|^2 / k_perp^2 is
+    |P|^2 e^{-2 alpha k^2} or |h(k^2)|^2, finite there, and they are not
+    probed."""
     for amp in (amps.f_plus, amps.f_minus):
-        if amp is None or isinstance(amp, PolynomialGaussianAmplitude):
+        if amp is None or isinstance(amp, (PolynomialGaussianAmplitude,
+                                           RadialProfileAmplitude)):
             continue
         k_max = _rule_for_amp(amp, rule).k_max
         kz = k_max * np.array([0.31, -0.54, 0.12, -0.05, 0.44])

@@ -312,6 +312,19 @@ def second_partial_4th(f, p, i, h):
     ) / (12.0 * h * h)
 
 
+def radial_operator_apply(g, kappa):
+    """Finite-difference application of the radial operator
+    1/2 [ -g'' - (2/kappa) g' + (2/kappa^2) g + kappa^2 g ]
+    to g sampled on a uniform kappa grid, with fourth-order central
+    stencils; the two values at each end have no stencil and are NaN."""
+    h = kappa[1] - kappa[0]
+    dg = np.full_like(g, np.nan)
+    d2g = np.full_like(g, np.nan)
+    dg[2:-2] = (g[:-4] - 8 * g[1:-3] + 8 * g[3:-1] - g[4:]) / (12 * h)
+    d2g[2:-2] = (-g[:-4] + 16 * g[1:-3] - 30 * g[2:-2] + 16 * g[3:-1] - g[4:]) / (12 * h * h)
+    return 0.5 * (-d2g - 2.0 / kappa * dg + 2.0 / kappa ** 2 * g + kappa ** 2 * g)
+
+
 # ---------------------------------------------------------------------------
 # random amplitude pairs for property suites
 # ---------------------------------------------------------------------------

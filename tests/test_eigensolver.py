@@ -14,7 +14,9 @@ from rsuncert import (
     solve_radial,
 )
 from rsuncert.cli import _emit
-from rsuncert.eigensolver import N_POINTS_MAX, radial_operator_apply
+from rsuncert.eigensolver import N_POINTS_MAX
+
+from conftest import radial_operator_apply
 
 
 @pytest.fixture(scope="module")

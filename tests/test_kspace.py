@@ -159,11 +159,17 @@ class TestSynthesis:
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
 
+def x_slab(grid, i):
+    """The sparse meshes of x-slab i, as the node route passes them to an
+    amplitude: kx of shape (1, 1), ky (ny, 1) and kz (1, nz)."""
+    KX, KY, KZ = grid.meshes(sparse=True)
+    return KX[i], KY[0], KZ[0]
+
+
 class TestPolynomialGaussianKernel:
-    """value and grad of PolynomialGaussianAmplitude (real arithmetic, powers
-    formed once) against the plain complex formula written out here:
-    f = k_perp sum c kx^i ky^j kz^l e^{-alpha k^2}, and its product-rule
-    gradient."""
+    """value and grad of PolynomialGaussianAmplitude against the formula
+    written out here: f = k_perp sum c kx^i ky^j kz^l e^{-alpha k^2}, and its
+    product-rule gradient, at the node shapes its callers pass."""
 
     cases = {
         "mixed": {(0, 0, 2): 0.45 - 0.54j, (0, 0, 0): 0.58 + 0.36j,
@@ -177,6 +183,7 @@ class TestPolynomialGaussianKernel:
     nodes = {
         "rule": _SphericalRule(9.0).nodes()[:3],
         "sparse": Grid3D.centered(16, 12.0).fourier_dual().meshes(sparse=True),
+        "slab": x_slab(Grid3D((12, 14, 18), (0.8, 0.7, 0.6), (0.0, 0.0, 0.0)).fourier_dual(), 3),
     }
 
     @staticmethod

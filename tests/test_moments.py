@@ -259,6 +259,19 @@ class TestVarianceFromAmplitudes:
         with pytest.raises(SingularAmplitudeError):
             uncertainty_product(HelicityAmplitudePair(OnAxis(), None))
 
+    def test_radial_amplitudes_skip_the_axis_probe(self):
+        # f = k_perp h(k^2) vanishes on the kz-axis by construction, so a
+        # report evaluates each radial amplitude on its two rules only
+        pair = saturating_amplitudes(1.0, 0.5, 1.0)
+        calls = {}
+        for name in ("f_plus", "f_minus"):
+            def value(*k, _value=getattr(pair, name).value, _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _value(*k)
+            getattr(pair, name).value = value
+        assert abs(uncertainty_product(pair).product - 2.5) < 1e-12
+        assert calls == {"f_plus": 2, "f_minus": 2}
+
 
 class TestUncertaintyProduct:
     def test_saturating_analytic_path(self):
@@ -364,6 +377,22 @@ class TestUncertaintyProduct:
         assert np.isfinite(uncertainty_product(pair.evolved(1e150)).product)
         with pytest.raises(ValueError, match=r"pair at t = 1e\+200 "):
             uncertainty_product(pair.evolved(1e200))
+
+    @pytest.mark.parametrize("pair", [
+        lambda: saturating_amplitudes(1e300, 1e300, 1.0),
+        lambda: HelicityAmplitudePair(PolynomialGaussianAmplitude({(0, 0, 0): 1e200}, 1.0), None),
+    ], ids=["saturating-1e300", "polynomial-1e200"])
+    def test_overflowing_norm_is_refused(self, pair):
+        # N = inf is not a zero norm: the message names N and the cause
+        with pytest.raises(ValueError, match=r"norm N = inf is not finite; "
+                                             r"the amplitudes' scale overflows"):
+            uncertainty_product(pair())
+
+    def test_underflowing_norm_is_zero(self):
+        # N underflows to 0: still a degenerate pair
+        pair = HelicityAmplitudePair(PolynomialGaussianAmplitude({(0, 0, 0): 1e-200}, 1.0), None)
+        with pytest.raises(DegenerateFieldError, match="zero norm"):
+            uncertainty_product(pair)
 
     def test_helicity_swap_symmetry(self, rng):
         amps = random_pair(rng, allow_single=False)
