@@ -11,7 +11,8 @@ off its target), 2 input error, 3 degenerate field, 4 resolution error,
 5 truncation.  Exit 1 is only ever a verdict.  verify-bound gives it when
 the product falls below the bound or, for the built-in field, when the
 saturation ratio misses 1, either by more than --tolerance; a miss in a
-report with a truncation warning exits 5 instead, as a box that cuts the
+report whose boundary ratio exceeds TRUNCATION_RATIO in either space (the
+report's truncation warning) exits 5 instead, as a box that cuts the
 packet off gives no verdict (spread: at any time; it names the first as
 given in --times).  Every other non-zero code
 comes from main, the one place that catches an exception: it maps the
@@ -39,7 +40,7 @@ from .analytic_fields import SaturatingFieldSpec, _photon_wavefunction, saturati
 from .errors import DegenerateFieldError, ResolutionError, RsUncertError, TruncationError
 from .eigensolver import RadialProblem, solve_radial
 from .kspace import FieldGrid, Grid3D, _synthesis_parts
-from .moments import _density_report, uncertainty_product
+from .moments import _density_report, _truncations, uncertainty_product
 from .propagator import spreading_trajectory
 from .rsfio import read_rsf, write_rsf
 
@@ -235,9 +236,9 @@ def cmd_verify_bound(args) -> int:
     if not ok:
         # a packet cut off by the box has the wrong variance: that is a
         # truncation, not a violated bound or a missed saturation
-        cut = [w for w in report.warnings if w.startswith("truncation: ")]
+        cut = _truncations(report)
         if cut:
-            raise TruncationError(cut[0].removeprefix("truncation: "))
+            raise TruncationError(cut[0])
         return 1
     return EXIT_OK
 

@@ -120,15 +120,40 @@ def _potential(kappa):
     return 1.0 / kappa ** 2 + 0.5 * kappa ** 2
 
 
+def _simpson(y, x):
+    """Int y dx over the increasing 1D nodes x (at least 3) by the composite
+    Simpson rule, in the arithmetic of scipy.integrate.simpson(y, x=x): parabolas
+    through each pair of spacings, and for an even node count Cartwright's
+    correction of the last interval.  Importing scipy.integrate for it
+    would pull in scipy.optimize, sparse and spatial."""
+    n = y.size
+    stop = n - 2 if n % 2 else n - 3  # pairs of intervals start before stop
+    d = np.diff(x)
+    h0, h1 = d[0:stop:2], d[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if n % 2 == 0:
+        # 0-d arrays, as in scipy, so that the powers take the same path
+        a, b = np.asarray(d[-2]), np.asarray(d[-1])
+        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
+        eta = b ** 3 / (6 * a * (a + b))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 def solve_radial(problem: RadialProblem, n_states: int = 3) -> RadialSpectrum:
     """Lowest n_states eigenpairs of the dimensionless radial operator.
 
     The eigenvectors and the sampled eigenfunctions take 16 n_states
     n_points bytes, so n_states * n_points <= 10 N_POINTS_MAX (160 MB) is
     required; a larger product raises ValueError before the solve."""
-    # scipy.integrate and scipy.linalg are imported here, not at module
-    # level, so that importing the package does not pay for them
-    from scipy.integrate import simpson
+    # scipy.linalg (LAPACK's tridiagonal solver) is imported here, not at
+    # module level, so that importing the package does not pay for it
     from scipy.linalg import eigh_tridiagonal
 
     if n_states < 1:
@@ -157,7 +182,7 @@ def solve_radial(problem: RadialProblem, n_states: int = 3) -> RadialSpectrum:
     for m in range(n_states):
         u = vecs[:, m]
         # normalize Int kappa^2 g^2 dkappa = Int u^2 dkappa = 1
-        u = u / np.sqrt(simpson(u ** 2, x=kappa))
+        u = u / np.sqrt(_simpson(u ** 2, kappa))
         if u[np.argmax(np.abs(u))] < 0:
             u = -u
         g = u / kappa
@@ -207,24 +232,30 @@ def rayleigh_quotient(g, kappa) -> float:
         u = kappa g,
 
     which bounds the true minimum 5/2 from above for any admissible g.
+    g and kappa must be finite and kappa uniform, increasing and above 0;
+    otherwise ValueError names the argument before any integral.
     """
-    from scipy.integrate import simpson
-
     g = np.asarray(g, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     if g.shape != kappa.shape or g.ndim != 1 or g.size < 9:
         raise ValueError("rayleigh_quotient: g and kappa must be equal 1D arrays")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("rayleigh_quotient: g must be finite")
+    if not np.all(np.isfinite(kappa)):
+        raise ValueError("rayleigh_quotient: kappa must be finite")
     if np.all(g == 0.0):
         raise ValueError("rayleigh_quotient: zero trial function")
     if kappa[0] <= 0.0:
         raise ValueError("rayleigh_quotient: kappa grid must start above 0")
+    if not np.all(np.diff(kappa) > 0.0):
+        raise ValueError("rayleigh_quotient: kappa grid must increase")
     h = kappa[1] - kappa[0]
     if not np.allclose(np.diff(kappa), h, rtol=1e-10):
         raise ValueError("rayleigh_quotient: kappa grid must be uniform")
     u = kappa * g
     du = _derivative_4th(u, h)
-    num = simpson(0.5 * du ** 2 + _potential(kappa) * u ** 2, x=kappa)
-    den = simpson(u ** 2, x=kappa)
+    num = _simpson(0.5 * du ** 2 + _potential(kappa) * u ** 2, kappa)
+    den = _simpson(u ** 2, kappa)
     if den <= 0:
         raise ValueError("rayleigh_quotient: non-normalizable trial function")
     return float(num / den)

@@ -435,6 +435,11 @@ class VarianceReport:
     # estimate of (N, Mk, Mr), a rounding bound for closed forms and the
     # change between a rule and its refinement; not part of to_dict()
     quad_rel_err: float | None = None
+    # grid path only (None for amplitude reports): max boundary-face
+    # density / max density in position and in wavevector space, the
+    # truncation diagnostic; not part of to_dict()
+    boundary_ratio_r: float | None = None
+    boundary_ratio_k: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -452,7 +457,7 @@ class VarianceReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _report(dr2, dk2, nr, nk, warnings, quad_rel_err=None):
+def _report(dr2, dk2, nr, nk, warnings, **extra):
     product = float(np.sqrt(dr2 * dk2))
     return VarianceReport(
         delta_r2=float(dr2),
@@ -463,7 +468,7 @@ def _report(dr2, dk2, nr, nk, warnings, quad_rel_err=None):
         norm_r=float(nr),
         norm_k=float(nk),
         warnings=warnings,
-        quad_rel_err=quad_rel_err,
+        **extra,
     )
 
 
@@ -484,7 +489,7 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
         quiet = {k: "ignore" for k in ("over", "invalid") if np.geterr()[k] == "warn"}
         with np.errstate(**quiet):
             n, mk, mr, n_coarse, err = _amp_moments(source, rule)
-            rep = _report(mr / n, mk / n, n_coarse, n, [], err)
+            rep = _report(mr / n, mk / n, n_coarse, n, [], quad_rel_err=err)
         if not np.all(np.isfinite([rep.delta_r2, rep.delta_k2, rep.product, rep.norm_r, err])):
             raise ValueError(f"uncertainty_product: the pair at t = {source.t} has "
                              "moments that are not finite")
@@ -500,11 +505,19 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
 def _density_report(r, k) -> VarianceReport:
     """Report from the position and wavevector stats (kspace._DensityStats):
     each space's boundary ratio, second moment and norm."""
-    warnings = [f"truncation: {space}-space density at boundary "
-                f"exceeds {TRUNCATION_RATIO:g} of peak"
-                for stats, space in ((r, "position"), (k, "wavevector"))
-                if stats.ratio > TRUNCATION_RATIO]
-    return _report(r.moment, k.moment, r.norm, k.norm, warnings)
+    rep = _report(r.moment, k.moment, r.norm, k.norm, [],
+                  boundary_ratio_r=float(r.ratio), boundary_ratio_k=float(k.ratio))
+    rep.warnings = [f"truncation: {cut}" for cut in _truncations(rep)]
+    return rep
+
+
+def _truncations(report) -> list:
+    """One line per space whose boundary ratio exceeds TRUNCATION_RATIO,
+    position space first; none for an amplitude report (no ratios)."""
+    return [f"{space}-space density at boundary exceeds {TRUNCATION_RATIO:g} of peak"
+            for ratio, space in ((report.boundary_ratio_r, "position"),
+                                 (report.boundary_ratio_k, "wavevector"))
+            if ratio is not None and ratio > TRUNCATION_RATIO]
 
 
 def massless_bound(h) -> float:

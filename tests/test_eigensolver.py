@@ -1,6 +1,9 @@
 """Radial eigenproblem: spectrum 5/2 + 2n, eigenfunctions, Rayleigh quotient."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +17,8 @@ from rsuncert import (
     solve_radial,
 )
 from rsuncert.cli import _emit
-from rsuncert.eigensolver import N_POINTS_MAX
+from rsuncert import eigensolver
+from rsuncert.eigensolver import N_POINTS_MAX, _simpson
 
 from conftest import radial_operator_apply
 
@@ -202,3 +206,53 @@ class TestRayleighQuotient:
         kap = np.linspace(0.0, 10.0, 1000)
         with pytest.raises(ValueError):
             rayleigh_quotient(np.exp(-kap), kap)
+
+    @pytest.mark.parametrize("name", ["g", "kappa"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, name, bad):
+        # a NaN or inf among the samples would integrate to a NaN quotient
+        args = {"g": analytic_eigenfunction(0, self.kappa), "kappa": self.kappa.copy()}
+        args[name][100] = bad
+        with pytest.raises(ValueError, match=f"rayleigh_quotient: {name} must be finite"):
+            rayleigh_quotient(**args)
+
+    @pytest.mark.parametrize("kappa", [np.full(100, 2.0), np.linspace(10.0, 0.1, 100)])
+    def test_nonincreasing_grid_rejected(self, kappa):
+        with pytest.raises(ValueError, match="rayleigh_quotient: kappa grid must increase"):
+            rayleigh_quotient(np.exp(-kappa ** 2 / 2), kappa)
+
+
+class TestSimpson:
+    """_simpson against scipy.integrate.simpson, the reference it
+    reproduces bit for bit (odd node counts by the composite rule, even
+    ones with the last-interval correction)."""
+
+    @pytest.mark.parametrize("n", [9, 10, 1999, 2000])
+    def test_bitwise_scipy(self, rng, n):
+        from scipy.integrate import simpson
+
+        for _ in range(10):
+            x = rng.uniform(0.001, 0.1) * np.arange(1, n + 1) + rng.uniform(0.0, 1.0)
+            y = rng.standard_normal(n) * np.exp(-x ** 2 / 20)
+            assert _simpson(y, x) == simpson(y, x=x)
+            x = np.cumsum(rng.uniform(0.01, 0.1, n))  # uneven spacing
+            assert _simpson(y, x) == simpson(y, x=x)
+
+
+def test_spectrum_leaves_scipy_integrate_unimported(tmp_path):
+    # scipy.integrate pulls in scipy.optimize, sparse and spatial: spectrum
+    # and rayleigh_quotient use _simpson, and only scipy.linalg is imported
+    code = """if True:
+        import sys
+        import numpy as np
+        from rsuncert import cli
+        from rsuncert.eigensolver import analytic_eigenfunction, rayleigh_quotient
+        assert cli.main(["spectrum", "--out", "sp.json"]) == 0
+        kappa = np.linspace(0.0025, 10.0, 4000)
+        rayleigh_quotient(analytic_eigenfunction(0, kappa), kappa)
+        sys.exit(sorted(m for m in sys.modules if m.startswith("scipy.integrate")) or 0)
+    """
+    src = os.path.dirname(os.path.dirname(eigensolver.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -352,6 +352,32 @@ class TestNodeRoute:
         assert uncertainty_product(synthesize_kspace(pair.evolved(t), grid)).to_dict() == want
 
 
+@pytest.mark.parametrize("n, extent, cut", [
+    (32, 16.0, []),
+    (16, 12.0, ["wavevector"]),
+    (16, 64.0, ["position", "wavevector"]),
+])
+def test_report_carries_boundary_ratios(n, extent, cut):
+    # a grid report holds both spaces' boundary ratios as numbers, and its
+    # truncation warnings follow from them; to_dict() is unchanged.  The
+    # amplitude path has no ratios
+    amps = SaturatingFieldSpec.simplest(C=1.0, a=1.0).amplitudes()
+    grid = Grid3D.centered(n, extent).fourier_dual()
+    k, r = _synthesis_parts(amps, grid).densities()
+    rep = _density_report(r, k)
+    assert (rep.boundary_ratio_r, rep.boundary_ratio_k) == (r.ratio, k.ratio)
+    assert list(rep.to_dict()) == ["delta_r2", "delta_k2", "product", "bound",
+                                   "saturation_ratio", "norm_r", "norm_k", "warnings"]
+    for rep in (rep, uncertainty_product(synthesize_kspace(amps, grid))):
+        over = [space for ratio, space in ((rep.boundary_ratio_r, "position"),
+                                           (rep.boundary_ratio_k, "wavevector"))
+                if ratio > TRUNCATION_RATIO]
+        assert over == cut
+        assert [w.split("-space")[0] for w in rep.warnings] == [f"truncation: {s}" for s in cut]
+    rep = uncertainty_product(amps)
+    assert rep.boundary_ratio_r is None and rep.boundary_ratio_k is None
+
+
 class TestRadialRoute:
     """Radial amplitudes on a centred even cube take the radial route; the
     same field as polynomial amplitudes takes the node route and is the
