@@ -41,6 +41,11 @@ array is the result.  The radius keys and the slab assembler live in kspace
 Ftilde(k, t) on the dual grid from the same assembler, with the tables W
 and V in place of the blocks, per radius on the radial route and per node
 on the node route (see kspace).
+The CLI's `field` holds no full-size array at all: _field_slabs yields the
+same field one z-slab at a time, in the .rsf payload's layout
+(kspace._assemble_zslabs), and each slab is written as it is made.  Both
+assemblers write the one polynomial of kspace._polynomial, so the file's
+bytes are those of the whole-grid result written by rsfio.write_rsf.
 photon_wavefunctions evaluates each helicity on its own
 (_photon_wavefunction), so a caller that needs one pays for one.
 """
@@ -58,6 +63,7 @@ from .kspace import (
     Grid3D,
     HelicityAmplitudePair,
     _assemble_grid,
+    _assemble_zslabs,
     _gathered,
     _radius_keys,
     saturating_amplitudes,
@@ -256,9 +262,8 @@ def _scalar_blocks(r, t, a, A, B):
 def _field(points, t, a, A, B):
     """The derivative-matrix field of the scalar with coefficients (A, B)
     (_scalar_blocks) at `points` (shape (..., 3)), or on a centred even
-    cube (Grid3D.centered) from one radius table: the blocks are evaluated
-    once per distinct radius (kspace._radius_keys) and gathered per node by
-    the slab assembler, which k-space synthesis shares."""
+    cube (Grid3D.centered) from one radius table (_grid_slabs), assembled
+    one x-slab at a time by the assembler k-space synthesis shares."""
     if not isinstance(points, Grid3D):
         points = np.asarray(points, dtype=float)
         x, y, z = points[..., 0], points[..., 1], points[..., 2]
@@ -268,16 +273,44 @@ def _field(points, t, a, A, B):
         out[..., 1] = y * z * w2 - 1j * x * grt
         out[..., 2] = -(x * x + y * y) * w2 - 2.0 * gr
         return out
-    keys = _radius_keys(points)
+    slabs = _grid_slabs(points, t, a, A, B)
+    out = np.empty(points.counts + (3,), dtype=np.complex128)
+    for _ in _assemble_grid(points, slabs, out=[out[..., comp] for comp in range(3)]):
+        pass  # each component is written into its slice of out
+    return out
+
+
+def _grid_slabs(grid, t, a, A, B):
+    """The slab source (kspace._gathered) of the derivative-matrix field on
+    a centred even cube: the blocks are evaluated once per distinct radius
+    (kspace._radius_keys) and gathered per node.  ValueError for any other
+    grid."""
+    keys = _radius_keys(grid)
     if keys is None:
         raise ValueError("closed-form grid evaluation needs a centred cube with an "
                          "even node count (Grid3D.centered)")
     q, r = keys
     w2, grt, gr, _ = _scalar_blocks(r, float(t), a, A, B)
-    out = np.empty(points.counts + (3,), dtype=np.complex128)
-    slabs = _gathered(q, w2, 1j * grt, 2.0 * gr)
-    for _ in _assemble_grid(points, slabs, out=[out[..., comp] for comp in range(3)]):
-        pass  # each component is written into its slice of out
+    return _gathered(q, w2, 1j * grt, 2.0 * gr)
+
+
+def _coefficients(spec: SaturatingFieldSpec, helicity=None):
+    """(A, B) of the scalar whose derivative-matrix field is the closed-form
+    field of spec (helicity None) or the photon wave function F+ of
+    C = spec.c_plus (+1) or of conj C (-1, conjugated after: see
+    _photon_wavefunction)."""
+    if helicity is None:
+        return (spec.c_plus + np.conj(spec.c_minus),
+                1j * _SQPI / 2.0 * (spec.c_plus - np.conj(spec.c_minus)))
+    C = spec.c_plus if helicity > 0 else np.conj(spec.c_plus)
+    return C, 1j * _SQPI / 2.0 * C
+
+
+def _conjugated(out):
+    """out conjugated in place and returned; -0 -> +0, so for real C,
+    F-(r, 0) and F+(r, 0) agree byte for byte."""
+    np.conj(out, out=out)
+    out += 0.0
     return out
 
 
@@ -295,9 +328,7 @@ def saturating_rs_field(points, t, spec: SaturatingFieldSpec):
     spec.amplitudes(); at t = 0 with spec = SaturatingFieldSpec.simplest(C, a)
     it reduces to the Gaussian packet C exp(-r^2/2a^2) (y, -x, 0).
     """
-    A = spec.c_plus + np.conj(spec.c_minus)
-    B = 1j * _SQPI / 2.0 * (spec.c_plus - np.conj(spec.c_minus))
-    return _field(points, t, spec.a, A, B)
+    return _field(points, t, spec.a, *_coefficients(spec))
 
 
 def photon_wavefunctions(points, t, spec: SaturatingFieldSpec):
@@ -321,12 +352,19 @@ def _photon_wavefunction(points, t, spec: SaturatingFieldSpec, helicity):
     """F+ (helicity +1) or F- (helicity -1) of photon_wavefunctions, with
     only the requested helicity's blocks evaluated.  The blocks are real-
     linear in (A, B), so F- is F+ of conj C, conjugated in place."""
-    C = spec.c_plus if helicity > 0 else np.conj(spec.c_plus)
-    out = _field(points, t, spec.a, C, 1j * _SQPI / 2.0 * C)
-    if helicity < 0:
-        np.conj(out, out=out)
-        out += 0.0  # -0 -> +0: for real C, F-(r, 0) and F+(r, 0) agree byte for byte
-    return out
+    out = _field(points, t, spec.a, *_coefficients(spec, helicity))
+    return _conjugated(out) if helicity < 0 else out
+
+
+def _field_slabs(grid, t, spec: SaturatingFieldSpec, helicity=None):
+    """The closed-form field of spec (helicity None) or the photon wave
+    function F+- (helicity +-1) on a centred even cube, as an iterator over
+    its z-slabs in the .rsf payload's layout (kspace._assemble_zslabs: one
+    reused (ny, nx, 3) buffer).  The grid is checked and the radius tables
+    formed here, before the first slab is asked for; each slab is made when
+    it is asked for, so no array of the whole grid is held."""
+    slabs = _assemble_zslabs(grid, _grid_slabs(grid, t, spec.a, *_coefficients(spec, helicity)))
+    return map(_conjugated, slabs) if helicity == -1 else slabs
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,16 @@ given in --times).  Every other non-zero code
 comes from main, the one place that catches an exception: it maps the
 exception to its code through _ERROR_EXITS and prints one `error:` line.
 Inputs are checked where they are built (SaturatingFieldSpec, Grid3D,
-RadialProblem, read_rsf, spreading_trajectory), output paths before any
+RadialProblem, the .rsf header, payload size and grid in
+rsfio._read_header, spreading_trajectory), output paths before any
 command runs (an existing directory, none that names an input or another
 output), and each command runs under np.errstate(over, divide,
 invalid = "raise"), so out-of-range arithmetic is an input error too.
+The file workflow streams: `field` checks everything and forms its radius
+tables before it opens its .rsf file, then evaluates and writes one z-slab
+at a time, and removes the file if anything raises after it is opened;
+`verify-bound --input` reads one component at a time in the file's order
+(_input_report), each read checked for a short payload.
 Flag-syntax errors keep argparse's usage output (exit 2).
 Units: c = 1; times are given in units of a/c.
 Option precedence: command-line flags > --config JSON file > defaults.
@@ -36,13 +42,18 @@ import sys
 
 import numpy as np
 
-from .analytic_fields import SaturatingFieldSpec, _photon_wavefunction, saturating_rs_field
+from .analytic_fields import (
+    SaturatingFieldSpec,
+    _field_slabs,
+    _photon_wavefunction,
+    saturating_rs_field,
+)
 from .errors import DegenerateFieldError, ResolutionError, RsUncertError, TruncationError
 from .eigensolver import RadialProblem, solve_radial
-from .kspace import FieldGrid, Grid3D, _synthesis_parts
+from .kspace import Grid3D, _stream_stats, _synthesis_parts
 from .moments import _density_report, _truncations, uncertainty_product
 from .propagator import spreading_trajectory
-from .rsfio import read_rsf, write_rsf
+from .rsfio import _read_component, _read_header, _write_slabs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -218,7 +229,7 @@ def cmd_verify_bound(args) -> int:
         if args.saturating or args.method == "grid":
             flag = "--saturating" if args.saturating else "--method grid"
             raise ValueError(f"{flag} applies to the built-in field, not to --input")
-        report = uncertainty_product(read_rsf(args.input))
+        report = _input_report(args.input)
     elif args.method == "analytic":
         report = uncertainty_product(_field_spec(args).amplitudes())
     else:
@@ -241,6 +252,18 @@ def cmd_verify_bound(args) -> int:
             raise TruncationError(cut[0])
         return 1
     return EXIT_OK
+
+
+def _input_report(path):
+    """The grid report of the .rsf file at path, the same report as
+    uncertainty_product(read_rsf(path)) without the field: each pass reads
+    one component at a time, in the file's order, into one buffer
+    (kspace._stream_stats with order "F")."""
+    with open(path, "rb") as fh:
+        space, grid, start = _read_header(fh)
+        k, r = _stream_stats(lambda buf: (_read_component(fh, start, c, buf) for c in range(3)),
+                             grid, space, order="F")
+    return _density_report(r, k)
 
 
 def cmd_spectrum(args) -> int:
@@ -266,19 +289,21 @@ def cmd_field(args) -> int:
     if not np.isfinite(t):
         raise ValueError(f"--time must be finite, got {args.time}")
 
-    def evaluate(where):  # a centred Grid3D or an array of points
-        if args.photon:
-            return _photon_wavefunction(where, t, spec, +1 if args.photon == "plus" else -1)
-        return saturating_rs_field(where, t, spec)
+    helicity = {None: None, "plus": +1, "minus": -1}[args.photon]
 
     grid = Grid3D.centered(args.grid, args.extent * spec.a)
-    write_rsf(args.out_field, FieldGrid(evaluate(grid), grid, "position"))
+    # every check, and the radius tables, come before the file is opened;
+    # each z-slab is evaluated as it is written
+    _write_slabs(args.out_field, "position", grid, _field_slabs(grid, t, spec, helicity))
     if args.profile_out:
         axis = {"x": 0, "y": 1, "z": 2}[args.profile_axis]
         coords = np.linspace(-args.extent * spec.a / 2, args.extent * spec.a / 2, 257)
         pts = np.zeros((coords.size, 3))
         pts[:, axis] = coords
-        vals = evaluate(pts)
+        if helicity is None:
+            vals = saturating_rs_field(pts, t, spec)
+        else:
+            vals = _photon_wavefunction(pts, t, spec, helicity)
         lines = [f"{args.profile_axis},ReFx,ImFx,ReFy,ImFy,ReFz,ImFz"]
         for i, cvt in enumerate(coords):
             row = [_fmt(cvt)]

@@ -39,7 +39,9 @@ _synthesis_parts picks one from two properties of its input:
   radius (6,049 at 128^3) when the parts are built and gathered per node
   by the slab assembler _assemble_grid, the same one the closed-form
   position field uses; no polarization frame, no full-size |k| and no
-  per-node exponential.
+  per-node exponential.  Its polynomial is _polynomial, which the
+  z-slab assembler of the closed-form field's .rsf file shares
+  (_assemble_zslabs).
   Its densities() assemble no component at all: every term of a
   component has a definite parity in each axis, so both densities come
   from the positive octant, through one DCT-IV or DST-IV per axis and
@@ -63,14 +65,16 @@ wavevector grid have no amplitude class: build Ftilde from them with the
 polarization frame and report that FieldGrid (see the README).
 
 The Fourier bridge transforms one component at a time: per-axis phases are
-applied one x-slab at a time, in place, around an overwriting scipy FFT.  A
+applied one slab at a time, in place, around an overwriting scipy FFT.  A
 density is computed once per field as re^2 + im^2 (FieldGrid.density).
 _stream_stats, the one reducer of a component stream, takes the three
 numbers a report takes of a density (_DensityStats: its boundary ratio,
 second moment and norm) in one pass over the components per space,
 position space first: one component buffer and one density are held at a
-time (the output-side DFT phases are unimodular and drop out).
-_NodeParts.densities and the FieldGrid reports of moments call it.  Both
+time (the output-side DFT phases are unimodular and drop out).  Its
+buffers follow the stream's memory order, C or the .rsf file's (x
+fastest), to the same bits.  _NodeParts.densities, the FieldGrid reports
+of moments and `verify-bound --input` call it.  Both
 routes' parts have densities(source=...), which give those numbers per
 space, and the spreading trajectory and `verify-bound --method grid` take
 them from there.
@@ -577,17 +581,37 @@ def _radius_keys(grid):
     return q, 0.5 * d * np.sqrt(m)
 
 
+def _polynomial(comp, terms, w, v, g, out, tmp):
+    """Write component comp of
+
+        F0 = (x z) W + y V,  F1 = (y z) W - x V,  F2 = -(x^2 + y^2) W - G
+
+    on one slab into out (tmp: complex scratch of its shape), from
+    terms = (x z, y, y z, x, -(x^2 + y^2)) broadcast to the slab and the
+    slab's W, V and G (None: no G term).  The x-slabs of _assemble_grid and
+    the z-slabs of _assemble_zslabs both go through here, so a node gets
+    the same products either way."""
+    xz, y, yz, x, s = terms
+    if comp == 0:
+        np.multiply(xz, w, out=out)
+        out += np.multiply(y, v, out=tmp)
+    elif comp == 1:
+        np.multiply(yz, w, out=out)
+        out -= np.multiply(x, v, out=tmp)
+    else:
+        np.multiply(s, w, out=out)
+        if g is not None:
+            out -= g
+
+
 def _assemble_grid(grid, slabs, out=None):
-    """Yield the components
-
-        F0 = x z W + y V,  F1 = y z W - x V,  F2 = -(x^2 + y^2) W - G
-
-    on grid, one at a time, written into out[comp] (default: one buffer
-    reused for all three, so consume each component before taking the
-    next), one x-slab at a time.  slabs(i, comps) gives x-slab i of W, of V
-    (None unless comps holds 0 or 1) and of G (None unless comps holds 2,
-    or for no G term) as (ny, nz) arrays: gathered from per-radius tables
-    (_gathered) or formed per node (_NodeParts).
+    """Yield the components F0, F1, F2 of _polynomial on grid, one at a
+    time, written into out[comp] (default: one buffer reused for all three,
+    so consume each component before taking the next), one x-slab at a
+    time.  slabs(i, comps) gives x-slab i of W, of V (None unless comps
+    holds 0 or 1) and of G (None unless comps holds 2, or for no G term) as
+    (ny, nz) arrays: gathered from per-radius tables (_gathered) or formed
+    per node (_NodeParts).
     """
     x, y, z = grid.axes()
     y = y[:, None]  # an x-slab is (ny, nz)
@@ -602,19 +626,30 @@ def _assemble_grid(grid, slabs, out=None):
     for comps in sweeps:
         for i, xi in enumerate(x):
             w, v, g = slabs(i, comps)
+            terms = (xi * z, y, yz, xi, -(xi * xi + y * y))
             for comp in comps:
-                oi = out[comp][i]
-                if comp == 0:
-                    np.multiply(xi * z, w, out=oi)
-                    oi += np.multiply(y, v, out=tmp)
-                elif comp == 1:
-                    np.multiply(yz, w, out=oi)
-                    oi -= np.multiply(xi, v, out=tmp)
-                else:
-                    np.multiply(-(xi * xi + y * y), w, out=oi)
-                    if g is not None:
-                        oi -= g
+                _polynomial(comp, terms, w, v, g, out[comp][i], tmp)
         yield from (out[comp] for comp in comps)
+
+
+def _assemble_zslabs(grid, slabs):
+    """Yield the z-slabs of [F0, F1, F2] (_polynomial) on grid, in z order:
+    one (ny, nx, 3) '<c16' array, reused for every slab, holding each node's
+    three components with x fastest, as an .rsf payload stores them.
+    slabs(l, comps) gives z-slab l of W, V and G as (ny, nx) arrays; on the
+    centred cube of _radius_keys, _gathered's slabs serve, as the radius
+    key is symmetric in the axes."""
+    x, y, z = grid.axes()
+    y = y[:, None]  # a z-slab is (ny, nx)
+    s = -(x * x + y * y)
+    out = np.empty(s.shape + (3,), dtype="<c16")
+    tmp = np.empty(s.shape, dtype=np.complex128)
+    for l, zl in enumerate(z):
+        w, v, g = slabs(l, (0, 1, 2))
+        terms = (x * zl, y, y * zl, x, s)
+        for comp in range(3):
+            _polynomial(comp, terms, w, v, g, out[..., comp], tmp)
+        yield out
 
 
 def _gathered(q, w, v, g=None):
@@ -839,11 +874,18 @@ def _dft_scale(src: Grid3D, sign):
 
 def _phased(a, p, out=None):
     """a[i, j, l] p[0][i] p[1][j] p[2][l], written into out (which may be
-    a itself) or a new array in one pass: each x-slab is multiplied by
-    p[0][i] times the (y, z) phase plane."""
+    a itself) or a new array in one pass, slab by slab along out's outer
+    memory axis: each x-slab is multiplied by p[0][i] times the (y, z)
+    phase plane yz, or, for an F-ordered out (the .rsf file's order), each
+    z-slab by the (y, x) plane yz[:, l] p[0], the same products."""
     yz = p[1][:, None] * p[2]
     if out is None:
         out = np.empty(a.shape, dtype=np.result_type(a, yz))
+    if out.flags.f_contiguous:
+        plane = np.empty((yz.shape[0], p[0].size), dtype=yz.dtype)
+        for al, ol, pyz in zip(a.T, out.T, yz.T):
+            np.multiply(al, np.multiply(pyz[:, None], p[0], out=plane), out=ol)
+        return out
     plane = np.empty_like(yz)
     for ai, oi, px in zip(a, out, p[0]):
         np.multiply(ai, np.multiply(yz, px, out=plane), out=oi)
@@ -856,7 +898,12 @@ def _fft(vals, pins, sign, out=None):
     and scale.  out=vals does the work in place; otherwise vals is left
     untouched."""
     fft = ifftn if sign > 0 else fftn
-    return fft(_phased(vals, pins, out=out), workers=-1, overwrite_x=True)
+    x = _phased(vals, pins, out=out)
+    if x.flags.f_contiguous:
+        # its C-contiguous transpose, x axis still first: pocketfft walks
+        # the lines in memory order, twice as fast, to the same bits
+        return fft(x.T, axes=(2, 1, 0), workers=-1, overwrite_x=True).T
+    return fft(x, workers=-1, overwrite_x=True)
 
 
 def _dft(vals, src: Grid3D, dst: Grid3D, sign, out=None):
@@ -898,44 +945,54 @@ def fourier_to_kspace(fieldR: FieldGrid) -> FieldGrid:
 
 
 def _add_density(d, x):
-    """d += re^2 + im^2 of the complex array x, one slab at a time (no
-    full-size temporary)."""
+    """d += re^2 + im^2 of the complex array x, one slab at a time along
+    d's outer memory axis (no full-size temporary)."""
+    if d.flags.f_contiguous:
+        d, x = d.T, x.T
     for di, xi in zip(d, x):
         di += xi.real ** 2
         di += xi.imag ** 2
 
 
-def _stream_stats(components, grid: Grid3D, space, source=True):
+def _stream_stats(components, grid: Grid3D, space, source=True, order="C"):
     """(k-space stats, position stats) (_DensityStats) of a field on grid in
     `space` ("wavevector" or "position"), given as components(buf): an
     iterator over its three components, each either buf itself (which may
-    be overwritten) or an array that is left untouched.  The k-space stats
+    be overwritten) or an array that is left untouched.  buf is an
+    (nx, ny, nz) array in `order`: "C", or "F" for a stream in the .rsf
+    file's order (x fastest, rsfio._read_component).  The k-space stats
     are None if not source (a wavevector field only).
 
     One pass over the components per space, each adding up one real
-    density that is reduced and freed before the next pass, so one
-    component buffer and one density are held.  Position space is reduced
-    first, so its checks raise first.  The transform pass phases each
-    component into buf, transforms it in place and adds the density of the
-    result; the output-side DFT phases are unimodular and never applied.
+    density in buf's order, so one component buffer and one density are
+    held.  The buffer is freed before the density is made C-contiguous (a
+    copy for order "F") and reduced, and the density before the next pass.
+    Position space is reduced first, so its checks raise first.  The
+    transform pass phases each component into buf, transforms it in place
+    and adds the density of the result; the output-side DFT phases are
+    unimodular and never applied.  Either order gives the same bits: the
+    phases and densities are the same products node by node, and fftn
+    applies the same 1-D transforms in the same axis order (x, y, z).
     """
     sign = +1 if space == "wavevector" else -1
-    buf = np.empty(grid.counts, dtype=np.complex128)
+
+    def density(pins):
+        # the components' density, transformed (pins: input-side phases)
+        # or as given (None); the buffer dies with this frame
+        buf = np.empty(grid.counts, dtype=np.complex128, order=order)
+        d = np.zeros(grid.counts, order=order)
+        for comp in components(buf):
+            _add_density(d, comp if pins is None else _fft(comp, pins, sign, out=buf))
+        return d
 
     def source_pass():
-        d = np.zeros(grid.counts)
-        for comp in components(buf):
-            _add_density(d, comp)
-        return _density_stats(d, grid)
+        return _density_stats(np.ascontiguousarray(density(None)), grid)
 
     def transform_pass():
         dual = grid.fourier_dual()
-        pins, _ = _dft_phases(grid, dual, sign)
-        d = np.zeros(dual.counts)
-        for comp in components(buf):
-            _add_density(d, _fft(comp, pins, sign, out=buf))
+        d = density(_dft_phases(grid, dual, sign)[0])
         d *= _dft_scale(grid, sign) ** 2
-        return _density_stats(d, dual)
+        return _density_stats(np.ascontiguousarray(d), dual)
 
     if sign < 0:
         r = source_pass()

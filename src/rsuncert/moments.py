@@ -69,7 +69,9 @@ per space, position space first, reads each component in place (a view of
 the field) or transforms it into one reused buffer, and adds up that
 space's density, which is reduced and freed before the next pass.  So one
 component buffer and one density array are held, the field is left
-untouched and no partner FieldGrid is built.  For an amplitude pair
+untouched and no partner FieldGrid is built.  `verify-bound --input` puts
+an .rsf file through the same reducer, one component at a time in the
+file's order, so it holds no field either.  For an amplitude pair
 (`verify-bound --method grid`) they come from the synthesis parts'
 densities (kspace._synthesis_parts): for radial amplitudes on a centred
 even cube, from the positive octant of each density, with no component

@@ -6,9 +6,16 @@ payload as little-endian 64-bit floats, interleaved per node as
 fastest.  The header carries the space tag, per-axis counts, spacings and
 origins, and the layout name.
 
-The payload is written and read one z-slab (nx * ny nodes) at a time, so
-no transposed copy of the field is made, and its size is checked against
-the header from the file size before anything is allocated.
+The payload is a sequence of z-slabs of nx * ny nodes, and it is written
+and read one z-slab at a time.  write_rsf and `field` share one slab
+writer (_write_slabs), which removes the file if anything raises before
+its last slab is written, so a failed write leaves no partial file.
+read_rsf builds the whole FieldGrid; `verify-bound --input` instead reads
+one component at a time, in the file's order, into a buffer of its own
+(_read_component), so it never holds the field.  Either way the header,
+the payload size (from the file size) and the Grid3D are checked before
+anything the size of the payload is allocated (_read_header), and every
+slab read is checked for a short read.
 """
 
 from __future__ import annotations
@@ -28,48 +35,96 @@ _HEADER_MAX = 1 << 16
 
 
 def write_rsf(path, field: FieldGrid) -> None:
-    header = {
-        "space": field.space,
-        "counts": list(field.grid.counts),
-        "spacings": list(field.grid.spacings),
-        "origins": list(field.grid.origins),
-        "layout": LAYOUT,
-    }
     nx, ny, nz = field.grid.counts
     slab = np.empty((ny, nx, 3), dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
+
+    def slabs():
         for k in range(nz):
             # (nx, ny, 3) -> (ny, nx, 3): x runs fastest per node
             slab[...] = field.values[:, :, k].transpose(1, 0, 2)
-            fh.write(slab)
+            yield slab
+
+    _write_slabs(path, field.space, field.grid, slabs())
+
+
+def _write_slabs(path, space, grid: Grid3D, slabs) -> None:
+    """Write the .rsf file of a field on grid in `space` whose payload is
+    the z-slabs `slabs` yields in z order, each a C-contiguous (ny, nx, 3)
+    '<c16' array.  If anything raises once the file is open, the file is
+    removed and the exception passes on."""
+    header = {
+        "space": space,
+        "counts": list(grid.counts),
+        "spacings": list(grid.spacings),
+        "origins": list(grid.origins),
+        "layout": LAYOUT,
+    }
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(json.dumps(header).encode("utf-8"))
+            fh.write(b"\n")
+            for slab in slabs:
+                fh.write(slab)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def read_rsf(path) -> FieldGrid:
     with open(path, "rb") as fh:
-        # a header is a few hundred bytes; the cap keeps a file without a
-        # newline from being read whole
-        header_line = fh.readline(_HEADER_MAX)
-        space, counts, spacings, origins = _parse_header(header_line)
-        nx, ny, nz = counts
-        expected = nx * ny * nz * 3 * 16
-        size = os.fstat(fh.fileno()).st_size - len(header_line)
-        if size != expected:
-            raise RsfFormatError(
-                f"payload size {size} != expected {expected} bytes"
-            )
-        try:
-            grid = Grid3D(counts, spacings, origins)
-        except ValueError as exc:
-            raise RsfFormatError(str(exc)) from exc
-        vals = np.empty(counts + (3,), dtype=np.complex128)
+        space, grid, _ = _read_header(fh)
+        nx, ny, nz = grid.counts
+        vals = np.empty(grid.counts + (3,), dtype=np.complex128)
         slab = np.empty((ny, nx, 3), dtype="<c16")
         for k in range(nz):
-            if fh.readinto(slab) != slab.nbytes:
-                raise RsfFormatError("payload ended early")
+            _read_slab(fh, slab)
             vals[:, :, k] = slab.transpose(1, 0, 2)
     return FieldGrid(vals, grid, space)
+
+
+def _read_header(fh):
+    """(space, grid, payload offset) of the open .rsf file fh, left at the
+    start of its payload.  The header, the payload size (from the file
+    size) and the Grid3D are checked here (RsfFormatError), before
+    anything the size of the payload is allocated."""
+    # a header is a few hundred bytes; the cap keeps a file without a
+    # newline from being read whole
+    header_line = fh.readline(_HEADER_MAX)
+    space, counts, spacings, origins = _parse_header(header_line)
+    nx, ny, nz = counts
+    expected = nx * ny * nz * 3 * 16
+    size = os.fstat(fh.fileno()).st_size - len(header_line)
+    if size != expected:
+        raise RsfFormatError(
+            f"payload size {size} != expected {expected} bytes"
+        )
+    try:
+        grid = Grid3D(counts, spacings, origins)
+    except ValueError as exc:
+        raise RsfFormatError(str(exc)) from exc
+    return space, grid, len(header_line)
+
+
+def _read_slab(fh, slab):
+    """Fill slab from fh; RsfFormatError if the payload ends first (the
+    file shrank after its size was checked)."""
+    if fh.readinto(slab) != slab.nbytes:
+        raise RsfFormatError("payload ended early")
+
+
+def _read_component(fh, start, comp, out):
+    """Fill out, an (nx, ny, nz) array in Fortran order (so its memory is
+    in the file's order, x fastest), with component comp of the payload
+    that starts at offset start of fh (_read_header), one z-slab at a
+    time; return out."""
+    nx, ny, _ = out.shape
+    fh.seek(start)
+    slab = np.empty((ny, nx, 3), dtype="<c16")
+    for ol in out.T:  # z-slab l of out, (ny, nx)
+        _read_slab(fh, slab)
+        ol[...] = slab[..., comp]
+    return out
 
 
 def _parse_header(header_line):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rsuncert import (
     write_rsf,
 )
 from rsuncert import cli
+from rsuncert.analytic_fields import saturating_rs_field
 from rsuncert.cli import main
 from rsuncert.eigensolver import N_POINTS_MAX
 from conftest import random_pair
@@ -64,6 +66,46 @@ class TestVerifyBound:
         path = tmp_path / "zeros.rsf"
         write_rsf(path, field)
         assert run(["verify-bound", "--input", path]) == 3
+
+    @pytest.mark.parametrize("space", ["position", "wavevector"])
+    def test_input_report_is_the_field_grid_report(self, tmp_path, rng, capsys, space):
+        # read one component at a time in the file's order, the report is
+        # uncertainty_product's of the whole FieldGrid, to the bit, on an
+        # off-centre grid with unequal counts and spacings
+        grid = Grid3D((32, 48, 40), (0.3, 0.25, 0.35), (-4.1, -6.3, -7.2))
+        shape = grid.counts + (3,)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        path = tmp_path / "f.rsf"
+        write_rsf(path, FieldGrid(vals, grid, space))
+        want = uncertainty_product(read_rsf(path))
+        got = cli._input_report(path)
+        assert got.to_dict() == want.to_dict()
+        assert (got.boundary_ratio_r, got.boundary_ratio_k) == (
+            want.boundary_ratio_r, want.boundary_ratio_k)
+        run(["verify-bound", "--input", path])
+        assert capsys.readouterr().out == want.to_json() + "\n"
+
+    def test_input_truncated_between_passes_exit2(self, tmp_path, capsys, monkeypatch):
+        # each pass reads the file again: one that shrinks after its size
+        # was checked is an input error, not a short or stale report
+        path = tmp_path / "f.rsf"
+        assert run(["field", "--grid", 16, "--out-field", path]) == 0
+        calls = []
+
+        def shrinking(fh, start, comp, out):
+            calls.append(comp)
+            if len(calls) == 4:  # the first component of the second pass
+                os.truncate(path, path.stat().st_size - 48)
+            return real(fh, start, comp, out)
+
+        real = cli._read_component
+        monkeypatch.setattr(cli, "_read_component", shrinking)
+        code = run(["verify-bound", "--input", path])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: payload ended early\n"
+        assert len(calls) == 4
 
     def test_malformed_input_exit2(self, tmp_path):
         path = tmp_path / "junk.rsf"
@@ -313,6 +355,44 @@ class TestField:
         code = run(["field", "--grid", 16,
                     "--out-field", tmp_path / "no" / "such" / "dir" / "f.rsf"])
         assert code == 2
+
+    @pytest.mark.parametrize("args, t, spec", [
+        ([], 0.0, SaturatingFieldSpec.simplest()),
+        (["--a", 1.3, "--c-plus", "1+2j", "--c-minus", "0.5-0.3j", "--time", 0.6],
+         0.6 * 1.3, SaturatingFieldSpec(a=1.3, c_plus=1 + 2j, c_minus=0.5 - 0.3j)),
+    ], ids=["default", "complex-time"])
+    def test_streamed_bytes_are_write_rsf_of_the_field(self, tmp_path, args, t, spec):
+        # the z-slabs `field` writes as it evaluates them are the bytes of
+        # the whole-grid field written by write_rsf
+        rsf, want = tmp_path / "f.rsf", tmp_path / "want.rsf"
+        assert run(["field", "--grid", 32, "--out-field", rsf] + args) == 0
+        grid = Grid3D.centered(32, 16.0 * spec.a)
+        write_rsf(want, FieldGrid(saturating_rs_field(grid, t, spec), grid, "position"))
+        assert rsf.read_bytes() == want.read_bytes()
+
+    def test_failure_on_a_later_slab_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the file is opened once every check has passed; anything raised
+        # while its slabs are written removes it, with the usual exit code
+        # and one line
+        def failing(*args, **kwargs):
+            slabs = real(*args, **kwargs)
+
+            def gen():
+                for l, slab in enumerate(slabs):
+                    if l == 5:
+                        raise FloatingPointError("overflow encountered in multiply")
+                    yield slab
+            return gen()
+
+        real = cli._field_slabs
+        monkeypatch.setattr(cli, "_field_slabs", failing)
+        rsf = tmp_path / "f.rsf"
+        code = run(["field", "--grid", 16, "--out-field", rsf])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: arithmetic: overflow encountered in multiply\n"
+        assert not rsf.exists()
 
 
 class TestSpread:
@@ -597,3 +677,39 @@ def test_out_of_range_scale_readable(capsys, args):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: arithmetic: Numerical result out of range\n"
+
+
+class TestBoundedMemory:
+    """The file workflow never holds the field.  `field` evaluates and
+    writes one z-slab at a time: its working set is the slab buffers (the
+    slab, its scratch, three gathered tables, the -(x^2 + y^2) and key
+    planes: 128 n^2 bytes) plus the per-radius tables (about 3 n^2 / 8
+    radii), under 200 n^2 bytes in all.  `verify-bound --input` reads one
+    component at a time into one buffer beside one density: 24 n^3 bytes."""
+
+    n = 64
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            assert fn() == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("args", [[], ["--photon", "minus", "--time", "0.3"]],
+                             ids=["default", "photon-minus"])
+    def test_field_slab_working_set(self, tmp_path, args):
+        rsf = tmp_path / "f.rsf"
+        argv = ["field", "--grid", str(self.n), "--out-field", str(rsf)] + args
+        peak = self.traced_peak(lambda: main(argv))
+        assert peak < 200 * self.n ** 2  # 48 n^3 would be 64 times more
+        assert rsf.stat().st_size > 48 * self.n ** 3
+
+    def test_input_one_component_and_one_density(self, tmp_path):
+        rsf = tmp_path / "f.rsf"
+        assert run(["field", "--grid", self.n, "--out-field", rsf]) == 0
+        argv = ["verify-bound", "--input", str(rsf), "--out", str(tmp_path / "r.json")]
+        peak = self.traced_peak(lambda: main(argv))
+        assert peak < 1.2 * 24 * self.n ** 3
