@@ -51,7 +51,7 @@ from .moments import (
     massless_bound,
     uncertainty_product,
 )
-from .propagator import Trajectory, evolve, spreading_trajectory
+from .propagator import Trajectory, spreading_trajectory
 from .rsfio import read_rsf, write_rsf
 from .specfun import dawson, laguerre_general
 

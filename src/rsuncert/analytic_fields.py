@@ -32,22 +32,17 @@ Grid evaluation: the field depends on position only through three radial
 blocks (_scalar_blocks) contracted with x, y and z.  On a centred cube with
 an even node count (Grid3D.centered) every node offset is an odd multiple
 of d/2, so r^2 = (d/2)^2 m with m = 3 (mod 8), and an n^3 grid has at most
-3(n-1)^2/8 + 5/8 radii (6,049 at 128^3, for 2,097,152 nodes).
-saturating_rs_field and photon_wavefunctions accept such a Grid3D in place
-of points: the blocks are evaluated once per radius and gathered per node
-by the integer key (m - 3)/8, one x-slab at a time, so the only full-size
-array is the result.  The radius keys and the slab assembler live in kspace
-(_radius_keys, _gathered, _assemble_grid): k-space synthesis builds
-Ftilde(k, t) on the dual grid from the same assembler, with the tables W
-and V in place of the blocks, per radius on the radial route and per node
-on the node route (see kspace).
-The CLI's `field` holds no full-size array at all: _field_slabs yields the
-same field one z-slab at a time, in the .rsf payload's layout
-(kspace._assemble_zslabs), and each slab is written as it is made.  Both
-assemblers write the one polynomial of kspace._polynomial, so the file's
-bytes are those of the whole-grid result written by rsfio.write_rsf.
-photon_wavefunctions evaluates each helicity on its own
-(_photon_wavefunction), so a caller that needs one pays for one.
+3(n-1)^2/8 + 5/8 radii (6,049 at 128^3, for 2,097,152 nodes).  The blocks
+are evaluated once per radius and gathered per node by the integer key
+(m - 3)/8 (kspace._radius_keys), one z-slab at a time, in the .rsf
+payload's layout (_field_slabs), and each slab writes the polynomial of
+kspace._polynomial, which the k-space node route writes too.  The CLI's
+`field` writes each slab to the file as it is made, so it holds no array
+of the whole grid.  saturating_rs_field and photon_wavefunctions accept
+such a Grid3D in place of points and fill their result from the same
+z-slabs, so the file's bytes are those of the whole-grid result written
+by rsfio.write_rsf.  Each helicity of photon_wavefunctions is evaluated
+on its own (_field), so a caller that needs one pays for one.
 """
 
 from __future__ import annotations
@@ -62,9 +57,7 @@ from .specfun import dawson
 from .kspace import (
     Grid3D,
     HelicityAmplitudePair,
-    _assemble_grid,
-    _assemble_zslabs,
-    _gathered,
+    _polynomial,
     _radius_keys,
     saturating_amplitudes,
 )
@@ -259,39 +252,27 @@ def _scalar_blocks(r, t, a, A, B):
     return w2, grt, gr, G
 
 
-def _field(points, t, a, A, B):
-    """The derivative-matrix field of the scalar with coefficients (A, B)
-    (_scalar_blocks) at `points` (shape (..., 3)), or on a centred even
-    cube (Grid3D.centered) from one radius table (_grid_slabs), assembled
-    one x-slab at a time by the assembler k-space synthesis shares."""
-    if not isinstance(points, Grid3D):
-        points = np.asarray(points, dtype=float)
-        x, y, z = points[..., 0], points[..., 1], points[..., 2]
-        w2, grt, gr, _ = _scalar_blocks(np.sqrt((points ** 2).sum(axis=-1)), t, a, A, B)
-        out = np.empty(points.shape, dtype=np.complex128)
-        out[..., 0] = x * z * w2 + 1j * y * grt
-        out[..., 1] = y * z * w2 - 1j * x * grt
-        out[..., 2] = -(x * x + y * y) * w2 - 2.0 * gr
+def _field(points, t, spec: SaturatingFieldSpec, helicity=None):
+    """The closed-form field of spec (helicity None) or the photon wave
+    function F+- (helicity +-1) at `points` (shape (..., 3)), or on a
+    centred even cube (Grid3D.centered), filled from the z-slabs that
+    _field_slabs writes.  Only the requested helicity's blocks are
+    evaluated; the blocks are real-linear in (A, B), so F- is F+ of
+    conj C, conjugated in place."""
+    if isinstance(points, Grid3D):
+        out = np.empty(points.counts + (3,), dtype=np.complex128)
+        for l, slab in enumerate(_field_slabs(points, t, spec, helicity)):
+            out[:, :, l] = slab.transpose(1, 0, 2)
         return out
-    slabs = _grid_slabs(points, t, a, A, B)
-    out = np.empty(points.counts + (3,), dtype=np.complex128)
-    for _ in _assemble_grid(points, slabs, out=[out[..., comp] for comp in range(3)]):
-        pass  # each component is written into its slice of out
-    return out
-
-
-def _grid_slabs(grid, t, a, A, B):
-    """The slab source (kspace._gathered) of the derivative-matrix field on
-    a centred even cube: the blocks are evaluated once per distinct radius
-    (kspace._radius_keys) and gathered per node.  ValueError for any other
-    grid."""
-    keys = _radius_keys(grid)
-    if keys is None:
-        raise ValueError("closed-form grid evaluation needs a centred cube with an "
-                         "even node count (Grid3D.centered)")
-    q, r = keys
-    w2, grt, gr, _ = _scalar_blocks(r, float(t), a, A, B)
-    return _gathered(q, w2, 1j * grt, 2.0 * gr)
+    points = np.asarray(points, dtype=float)
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    w2, grt, gr, _ = _scalar_blocks(np.sqrt((points ** 2).sum(axis=-1)), t, spec.a,
+                                    *_coefficients(spec, helicity))
+    out = np.empty(points.shape, dtype=np.complex128)
+    out[..., 0] = x * z * w2 + 1j * y * grt
+    out[..., 1] = y * z * w2 - 1j * x * grt
+    out[..., 2] = -(x * x + y * y) * w2 - 2.0 * gr
+    return _conjugated(out) if helicity == -1 else out
 
 
 def _coefficients(spec: SaturatingFieldSpec, helicity=None):
@@ -328,7 +309,7 @@ def saturating_rs_field(points, t, spec: SaturatingFieldSpec):
     spec.amplitudes(); at t = 0 with spec = SaturatingFieldSpec.simplest(C, a)
     it reduces to the Gaussian packet C exp(-r^2/2a^2) (y, -x, 0).
     """
-    return _field(points, t, spec.a, *_coefficients(spec))
+    return _field(points, t, spec)
 
 
 def photon_wavefunctions(points, t, spec: SaturatingFieldSpec):
@@ -344,27 +325,52 @@ def photon_wavefunctions(points, t, spec: SaturatingFieldSpec):
     `points` may also be a Grid3D.centered cube with an even node count, as
     in saturating_rs_field.
     """
-    return (_photon_wavefunction(points, t, spec, +1),
-            _photon_wavefunction(points, t, spec, -1))
-
-
-def _photon_wavefunction(points, t, spec: SaturatingFieldSpec, helicity):
-    """F+ (helicity +1) or F- (helicity -1) of photon_wavefunctions, with
-    only the requested helicity's blocks evaluated.  The blocks are real-
-    linear in (A, B), so F- is F+ of conj C, conjugated in place."""
-    out = _field(points, t, spec.a, *_coefficients(spec, helicity))
-    return _conjugated(out) if helicity < 0 else out
+    return _field(points, t, spec, +1), _field(points, t, spec, -1)
 
 
 def _field_slabs(grid, t, spec: SaturatingFieldSpec, helicity=None):
     """The closed-form field of spec (helicity None) or the photon wave
     function F+- (helicity +-1) on a centred even cube, as an iterator over
-    its z-slabs in the .rsf payload's layout (kspace._assemble_zslabs: one
-    reused (ny, nx, 3) buffer).  The grid is checked and the radius tables
-    formed here, before the first slab is asked for; each slab is made when
-    it is asked for, so no array of the whole grid is held."""
-    slabs = _assemble_zslabs(grid, _grid_slabs(grid, t, spec.a, *_coefficients(spec, helicity)))
+    its z-slabs in the .rsf payload's layout (_gathered_zslabs: one reused
+    (ny, nx, 3) buffer).  The grid is checked (ValueError for any other
+    grid) and the blocks evaluated once per distinct radius
+    (kspace._radius_keys) here, before the first slab is asked for; each
+    slab is made when it is asked for, so no array of the whole grid is
+    held."""
+    keys = _radius_keys(grid)
+    if keys is None:
+        raise ValueError("closed-form grid evaluation needs a centred cube with an "
+                         "even node count (Grid3D.centered)")
+    q, r = keys
+    w2, grt, gr, _ = _scalar_blocks(r, float(t), spec.a, *_coefficients(spec, helicity))
+    slabs = _gathered_zslabs(grid, q, (w2, 1j * grt, 2.0 * gr))
     return map(_conjugated, slabs) if helicity == -1 else slabs
+
+
+def _gathered_zslabs(grid, q, tables):
+    """Yield the z-slabs of [F0, F1, F2] (kspace._polynomial) on grid, in z
+    order: one (ny, nx, 3) '<c16' array, reused for every slab, holding
+    each node's three components with x fastest, as an .rsf payload stores
+    them.  tables = (W, V, G) per radius; the node (i, j, l) takes
+    table[q[i] + q[j] + q[l]], so a z-slab is gathered by one key plane,
+    the same for (j, i) as for (i, j), shifted by q[l]."""
+    x, y, z = grid.axes()
+    y = y[:, None]  # a z-slab is (ny, nx)
+    s = -(x * x + y * y)
+    key = q[:, None] + q
+    # slab-sized buffers are reused: allocating them per slab costs more
+    # than the gather
+    gathered = np.empty((3,) + key.shape, dtype=np.complex128)
+    out = np.empty(s.shape + (3,), dtype="<c16")
+    tmp = np.empty(s.shape, dtype=np.complex128)
+    for l, zl in enumerate(z):
+        # shifting a table by q[l] adds the z part of every key
+        w, v, g = (np.take(tab[q[l]:], key, out=buf, mode="clip")
+                   for tab, buf in zip(tables, gathered))
+        terms = (x * zl, y, y * zl, x, s)
+        for comp in range(3):
+            _polynomial(comp, terms, w, v, g, out[..., comp], tmp)
+        yield out
 
 
 # ---------------------------------------------------------------------------

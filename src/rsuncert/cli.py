@@ -44,8 +44,8 @@ import numpy as np
 
 from .analytic_fields import (
     SaturatingFieldSpec,
+    _field,
     _field_slabs,
-    _photon_wavefunction,
     saturating_rs_field,
 )
 from .errors import DegenerateFieldError, ResolutionError, RsUncertError, TruncationError
@@ -303,7 +303,7 @@ def cmd_field(args) -> int:
         if helicity is None:
             vals = saturating_rs_field(pts, t, spec)
         else:
-            vals = _photon_wavefunction(pts, t, spec, helicity)
+            vals = _field(pts, t, spec, helicity)
         lines = [f"{args.profile_axis},ReFx,ImFx,ReFy,ImFy,ReFz,ImFz"]
         for i, cvt in enumerate(coords):
             row = [_fmt(cvt)]

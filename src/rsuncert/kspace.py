@@ -21,48 +21,45 @@ Conventions (used everywhere in this package):
       Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt}.
 
 Synthesis takes its time only from the pair (HelicityAmplitudePair.t):
-_synthesis_parts(amps, grid) builds the parts of Ftilde(k, amps.t), whose
-components() yield one contiguous component at a time, and a trajectory
-builds one set of parts per time.  There are two routes, and
-_synthesis_parts picks one from two properties of its input:
+_synthesis_parts(amps, grid) builds the parts of Ftilde(k, amps.t) whose
+densities() the grid reports take, and a trajectory builds one set of
+parts per time.  Every admissible amplitude is f = k_perp g, and
 
-* Radial route (_RadialParts), taken when every non-None amplitude is a
-  RadialProfileAmplitude and the grid is a centred cube with an even node
-  count (the one _radius_keys accepts, e.g. Grid3D.centered(...)
-  .fourier_dual()).  With f+- = k_perp h+-(k^2) and
+    e(k) k_perp = [-kx kz + i ky k, -ky kz - i kx k, k_perp^2] / (sqrt2 k),
 
-      e(k) k_perp = [-kx kz + i ky k, -ky kz - i kx k, k_perp^2] / (sqrt2 k),
+so the frame's 1/k_perp cancels: every component is a polynomial in
+(kx, ky, kz) (_polynomial) times one of two functions, W = -(P + M) and
+V = i k (P - M), with P = f+ e^{-ikt}/(sqrt2 k k_perp) and M =
+conj(f-)(-k) e^{+ikt}/(sqrt2 k k_perp) (_time_tables).  There are two
+routes, each with its own assembly, and _synthesis_parts picks one from
+two properties of its input:
 
-  every component is a polynomial in (kx, ky, kz) times one of two radial
-  functions, S = P + M and k (P - M), where P = h+ e^{-ikt}/(sqrt2 k) and
-  M = conj(h-) e^{+ikt}/(sqrt2 k).  Those are tabulated once per distinct
-  radius (6,049 at 128^3) when the parts are built and gathered per node
-  by the slab assembler _assemble_grid, the same one the closed-form
-  position field uses; no polarization frame, no full-size |k| and no
-  per-node exponential.  Its polynomial is _polynomial, which the
-  z-slab assembler of the closed-form field's .rsf file shares
-  (_assemble_zslabs).
-  Its densities() assemble no component at all: every term of a
-  component has a definite parity in each axis, so both densities come
-  from the positive octant, through one DCT-IV or DST-IV per axis and
-  term (_RadialParts.octants).  F1 is the x <-> y mirror of F0, so only
-  the three terms x z W, i y T (of F0) and F2 are transformed, and one
+* Node route (_NodeParts), for any amplitude on any grid with no node on
+  the kz-axis.  It keeps only the grid and the amplitudes, builds no
+  polarization frame, and its components() form P, M, W and V one x-slab
+  at a time and write that slab of each component.  synthesize_kspace
+  always takes this route: with three distinct output arrays each
+  x-slab's tables are formed once and all three components written.
+* Radial route (_RadialParts), taken for the densities when every
+  non-None amplitude is a RadialProfileAmplitude and the grid is a
+  centred cube with an even node count (the one _radius_keys accepts,
+  e.g. Grid3D.centered(...).fourier_dual()).  With f+- = k_perp h+-(k^2),
+  W and V are radial: they are tabulated once per distinct radius (6,049
+  at 128^3) when the parts are built, with no per-node exponential.  No
+  component is ever assembled: every term of a component has a definite
+  parity in each axis, so both densities come from the positive octant,
+  through one DCT-IV or DST-IV per axis and term (_RadialParts.octants).
+  F1 is the x <-> y mirror of F0, so only the three terms x z W, y V =
+  i y T (of F0) and F2 are gathered from the tables and transformed, and one
   octant density per space, D+, stands for the whole cube: every number
   a report takes of a density comes from D+ (_octant_stats), and no
   density of the whole cube is ever formed.
-* Node route (_NodeParts) for everything else: polynomial and duck-typed
-  amplitudes, and any other grid.  Every
-  admissible amplitude is f = k_perp g, so the same polynomial holds with
-  per-node tables f+/(sqrt2 k k_perp), conj(f-)(-k)/(sqrt2 k k_perp) and
-  |k|.  It keeps only the grid and the amplitudes, builds no polarization
-  frame, and forms those tables, the two functions and the phases one
-  x-slab at a time through the same assembler.
 
-synthesize_kspace is the one-time case of either route: with three
-distinct output arrays the assembler forms each x-slab's tables once and
-writes all three components.  Amplitudes known only as samples on a
-wavevector grid have no amplitude class: build Ftilde from them with the
-polarization frame and report that FieldGrid (see the README).
+The closed-form position field of analytic_fields gathers its radial
+blocks by the same radius keys and writes the same polynomial, one
+z-slab at a time.  Amplitudes known only as samples on a wavevector grid
+have no amplitude class: build Ftilde from them with the polarization
+frame and report that FieldGrid (see the README).
 
 The Fourier bridge transforms one component at a time: per-axis phases are
 applied one slab at a time, in place, around an overwriting scipy FFT.  A
@@ -486,7 +483,7 @@ def _time_tables(plus, minus, k, t, out, with_v=True):
     """W = -(P + M) and V = i k (P - M) (None unless with_v), with
     P = plus e^{-ikt} and M = minus e^{+ikt} (a None table is zero), per
     radius on the radial route and per x-slab on the node route, written
-    into out[0] and out[1] of a complex (4,) + k.shape array (out[2:] is
+    into out[0] and out[1] of four complex arrays of k's shape (out[2:] is
     scratch)."""
     w, v, ph, mb = out
     p = 0.0 if plus is None else plus
@@ -508,29 +505,45 @@ def _time_tables(plus, minus, k, t, out, with_v=True):
 @dataclass(frozen=True, eq=False)
 class _NodeParts:
     """The synthesis parts of Ftilde(k, amps.t) on a wavevector grid: the
-    node route, for any amplitude on any grid.
+    node route, for any amplitude on any grid with no node on the kz-axis
+    (else AxisSingularityError, raised when the parts are built: the one
+    check that needs no amplitude value).
 
     With f = k_perp g the frame's 1/k_perp cancels (see the module
-    docstring), so Ftilde is the radial route's polynomial with per-node
+    docstring), so Ftilde is the polynomial of _polynomial with per-node
     tables plus = f+(k) / (sqrt2 k k_perp) and minus = conj(f-)(-k) /
     (sqrt2 k k_perp) (None for a zero amplitude) and k = |k|.  Only the
     grid and the amplitudes are kept: components() forms the tables of
     each x-slab from the sparse meshes, then W and V at self.amps.t
-    (_time_tables), and writes the polynomial of _assemble_grid, so no
-    table of the whole grid and no polarization frame is ever held.  A
-    component sweep evaluates the amplitudes once.
+    (_time_tables), and writes the slab's components, so no table of the
+    whole grid and no polarization frame is ever held.  A component sweep
+    evaluates the amplitudes once.
     """
 
     grid: Grid3D
     amps: HelicityAmplitudePair
 
+    def __post_init__(self):
+        KX, KY, KZ = self.grid.meshes(sparse=True)
+        kp2 = KX * KX + KY * KY
+        # rounding is monotone, so the largest kz^2 decides for every node
+        _check_off_axis(kp2, kp2 + (KZ * KZ).max())
+
     def components(self, *, out=None):
         """Yield Ftilde_comp(k, amps.t) for comp = 0, 1, 2, written into
         out[comp] (default: one buffer reused for all three, so consume
-        each component before taking the next)."""
+        each component before taking the next), one x-slab at a time."""
         KX, KY, KZ = self.grid.meshes(sparse=True)
-        ky, kz = KY[0], KZ[0]
-        buf = np.empty((4,) + self.grid.counts[1:], dtype=np.complex128)
+        ky, kz = KY[0], KZ[0]  # an x-slab is (ny, nz)
+        kyz = ky * kz
+        if out is None:
+            buf = np.empty(self.grid.counts, dtype=np.complex128)
+            out = (buf, buf, buf)
+        # three distinct outputs are written in one sweep, so each slab's
+        # tables are formed once; a shared buffer takes one component a sweep
+        sweeps = [(0, 1, 2)] if len({id(o) for o in out}) == 3 else [(0,), (1,), (2,)]
+        tables = np.empty((4,) + kyz.shape, dtype=np.complex128)
+        tmp = np.empty(kyz.shape, dtype=np.complex128)
 
         def table(amp, kx, den, k, negk):
             if amp is None:
@@ -538,18 +551,19 @@ class _NodeParts:
             f = np.conj(amp.value(-kx, -ky, -kz)) if negk else amp.value(kx, ky, kz)
             return f / den / k  # k_perp(-k) = k_perp(k)
 
-        def slabs(i, comps):
-            # the slab's tables, W and V, formed per sweep: nothing full-size
-            kx = KX[i]
-            kp2 = kx * kx + ky * ky
-            k = np.sqrt(kp2 + kz * kz)
-            den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
-            plus = table(self.amps.f_plus, kx, den, k, False)
-            minus = table(self.amps.f_minus, kx, den, k, True)
-            return _time_tables(plus, minus, k, self.amps.t, buf,
-                                with_v=comps != (2,)) + (None,)
-
-        yield from _assemble_grid(self.grid, slabs, out)
+        for comps in sweeps:
+            for i, kx in enumerate(KX):
+                # the slab's tables, W and V, formed per sweep: nothing full-size
+                kp2 = kx * kx + ky * ky
+                k = np.sqrt(kp2 + kz * kz)
+                den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
+                w, v = _time_tables(table(self.amps.f_plus, kx, den, k, False),
+                                    table(self.amps.f_minus, kx, den, k, True),
+                                    k, self.amps.t, tables, with_v=comps != (2,))
+                terms = (kx * kz, ky, kyz, kx, -kp2)
+                for comp in comps:
+                    _polynomial(comp, terms, w, v, None, out[comp][i], tmp)
+            yield from (out[comp] for comp in comps)
 
     def densities(self, *, source=True):
         """(k-space stats or None if not source, position stats) of
@@ -588,9 +602,9 @@ def _polynomial(comp, terms, w, v, g, out, tmp):
 
     on one slab into out (tmp: complex scratch of its shape), from
     terms = (x z, y, y z, x, -(x^2 + y^2)) broadcast to the slab and the
-    slab's W, V and G (None: no G term).  The x-slabs of _assemble_grid and
-    the z-slabs of _assemble_zslabs both go through here, so a node gets
-    the same products either way."""
+    slab's W, V and G (None: no G term).  The node route's x-slabs
+    (_NodeParts.components) and the closed-form field's z-slabs
+    (analytic_fields._gathered_zslabs) are written here."""
     xz, y, yz, x, s = terms
     if comp == 0:
         np.multiply(xz, w, out=out)
@@ -604,104 +618,41 @@ def _polynomial(comp, terms, w, v, g, out, tmp):
             out -= g
 
 
-def _assemble_grid(grid, slabs, out=None):
-    """Yield the components F0, F1, F2 of _polynomial on grid, one at a
-    time, written into out[comp] (default: one buffer reused for all three,
-    so consume each component before taking the next), one x-slab at a
-    time.  slabs(i, comps) gives x-slab i of W, of V (None unless comps
-    holds 0 or 1) and of G (None unless comps holds 2, or for no G term) as
-    (ny, nz) arrays: gathered from per-radius tables (_gathered) or formed
-    per node (_NodeParts).
-    """
-    x, y, z = grid.axes()
-    y = y[:, None]  # an x-slab is (ny, nz)
-    yz = y * z
-    if out is None:
-        buf = np.empty(grid.counts, dtype=np.complex128)
-        out = (buf, buf, buf)
-    # three distinct outputs are written in one sweep, so each slab's
-    # tables are formed once; a shared buffer takes one component a sweep
-    sweeps = [(0, 1, 2)] if len({id(o) for o in out}) == 3 else [(0,), (1,), (2,)]
-    tmp = np.empty(yz.shape, dtype=np.complex128)
-    for comps in sweeps:
-        for i, xi in enumerate(x):
-            w, v, g = slabs(i, comps)
-            terms = (xi * z, y, yz, xi, -(xi * xi + y * y))
-            for comp in comps:
-                _polynomial(comp, terms, w, v, g, out[comp][i], tmp)
-        yield from (out[comp] for comp in comps)
-
-
-def _assemble_zslabs(grid, slabs):
-    """Yield the z-slabs of [F0, F1, F2] (_polynomial) on grid, in z order:
-    one (ny, nx, 3) '<c16' array, reused for every slab, holding each node's
-    three components with x fastest, as an .rsf payload stores them.
-    slabs(l, comps) gives z-slab l of W, V and G as (ny, nx) arrays; on the
-    centred cube of _radius_keys, _gathered's slabs serve, as the radius
-    key is symmetric in the axes."""
-    x, y, z = grid.axes()
-    y = y[:, None]  # a z-slab is (ny, nx)
-    s = -(x * x + y * y)
-    out = np.empty(s.shape + (3,), dtype="<c16")
-    tmp = np.empty(s.shape, dtype=np.complex128)
-    for l, zl in enumerate(z):
-        w, v, g = slabs(l, (0, 1, 2))
-        terms = (x * zl, y, y * zl, x, s)
-        for comp in range(3):
-            _polynomial(comp, terms, w, v, g, out[..., comp], tmp)
-        yield out
-
-
-def _gathered(q, w, v, g=None):
-    """slabs(i, comps) for _assemble_grid from per-radius tables W, V and G
-    (None: no G term) on the centred cube of _radius_keys: the node
-    (i, j, l) takes table[q[i] + q[j] + q[l]]."""
-    w = np.asarray(w, dtype=np.complex128)
-    key = q[:, None] + q  # radius key of the slab nodes, before the x offset
-    # slab-sized buffers are reused: allocating them per slab costs more
-    # than the gather
-    bufs = np.empty((3,) + key.shape, dtype=np.complex128)
-
-    def slabs(i, comps):
-        # shifting a table by q[i] adds the x part of every key
-        want = (w, v if comps != (2,) else None, g if 2 in comps else None)
-        return tuple(None if tab is None else np.take(tab[q[i]:], key, out=b, mode="clip")
-                     for tab, b in zip(want, bufs))
-
-    return slabs
-
-
 def _gather_octant(tab, q, poly, out):
     """out = (re, im) planes of tab[q[i] + q[j] + q[l]] poly[i, j, l] on
     the positive octant (q = the upper half of the radius keys), one x-slab
-    at a time; poly broadcasts to an octant."""
+    at a time through one complex slab buffer; poly broadcasts to an
+    octant."""
     key = q[:, None] + q
     poly = np.broadcast_to(poly, out.shape[1:])
-    for plane, part in zip(out, (tab.real, tab.imag)):
-        part = np.ascontiguousarray(part, dtype=np.float64)
-        for i, oi in enumerate(plane):
-            np.take(part[q[i]:], key, out=oi, mode="clip")
-            oi *= poly[i]
+    slab = np.empty(key.shape, dtype=np.complex128)
+    for i, pi in enumerate(poly):
+        np.take(tab[q[i]:], key, out=slab, mode="clip")
+        np.multiply(slab.real, pi, out=out[0, i])
+        np.multiply(slab.imag, pi, out=out[1, i])
 
 
 def _add_octant_densities(d, terms, rotate, mirror):
     """For a pair of terms (a, b) held as (re, im) planes, d += |a + b|^2,
     with b first multiplied by -i if rotate, and, if mirror, also
     d += (|a - b|^2)^T (axes 0 and 1 swapped); a single term is a with
-    b = 0.  One x-slab at a time."""
+    b = 0.  One x-slab at a time, in two reused slab buffers."""
+    s, u = np.empty((2,) + d.shape[1:])
+    ops = {1: np.add, -1: np.subtract}
     for i in range(d.shape[0]):
         ar, ai = terms[0][:, i]
-        if len(terms) == 1:
-            plus = minus = ar * ar + ai * ai
-        else:
-            br, bi = terms[1][:, i]
-            if rotate:
-                br, bi = bi, -br
-            plus = (ar + br) ** 2 + (ai + bi) ** 2
-            minus = (ar - br) ** 2 + (ai - bi) ** 2
-        d[i] += plus
-        if mirror:
-            d[:, i] += minus
+        for sign, target in ((1, d[i]), (-1, d[:, i]))[:1 + mirror]:
+            if len(terms) == 1:
+                np.square(ar, out=s)
+                np.square(ai, out=u)
+            else:
+                br, bi = terms[1][:, i]
+                # a +- (-i b) = (ar +- bi) + i (ai -+ br)
+                re, im, isign = (bi, br, -sign) if rotate else (br, bi, sign)
+                np.square(ops[sign](ar, re, out=s), out=s)
+                np.square(ops[isign](ai, im, out=u), out=u)
+            s += u
+            target += s
 
 
 def _octant_densities(terms, q, source):
@@ -751,25 +702,19 @@ class _RadialParts:
     tables W = -(P + M) and V = i k (P - M) on its table of distinct radii
     k, with P = h+(k^2) e^{-ikt}/(sqrt2 k), M = conj(h-(k^2)) e^{+ikt}/
     (sqrt2 k) and t = amps.t (_time_tables), formed once by
-    _synthesis_parts.  components() assembles
+    _synthesis_parts.  They define
 
-        Ftilde = [kx kz W + ky V, ky kz W - kx V, -k_perp^2 W]
+        Ftilde = [kx kz W + ky V, ky kz W - kx V, -k_perp^2 W],
 
-    by gathering them per node (_assemble_grid with _gathered).  octants()
-    reduces the same field to the positive-octant values of its two
-    densities, with no component built, and densities() takes the
-    reports' stats from those.  Same interface as _NodeParts.
+    but no component is ever built: octants() reduces that field to the
+    positive-octant values of its two densities, and densities() takes
+    the reports' stats from those, as _NodeParts.densities does.
     """
 
     grid: Grid3D
     q: np.ndarray
     w: np.ndarray
     v: np.ndarray
-
-    def components(self, *, out=None):
-        """Yield Ftilde_comp(k, amps.t) for comp = 0, 1, 2, written into
-        out[comp] (default: one buffer reused for all three)."""
-        yield from _assemble_grid(self.grid, _gathered(self.q, self.w, self.v), out)
 
     def octants(self, *, source=True):
         """The positive-octant values D+ of the k-space density (None if
@@ -817,35 +762,30 @@ class _RadialParts:
 
 
 def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
-    """The synthesis parts of Ftilde(k, amps.t) on grid: the radial route
-    when every non-None amplitude is a RadialProfileAmplitude and the grid
-    is a centred even cube, with its radial tables formed here, and the
-    node route otherwise, after the check that needs no amplitude value
-    (no node on the kz-axis).  Both yield the same components() to
-    rounding."""
+    """The synthesis parts of Ftilde(k, amps.t) on grid whose densities()
+    the grid reports take: the radial route when every non-None amplitude
+    is a RadialProfileAmplitude and the grid is a centred even cube, with
+    its radial tables formed here, and the node route otherwise."""
     present = [a for a in (amps.f_plus, amps.f_minus) if a is not None]
     keys = _radius_keys(grid)
-    if keys is not None and all(isinstance(a, RadialProfileAmplitude) for a in present):
-        q, k = keys
-        den = np.sqrt(2.0) * k
-        plus = None if amps.f_plus is None else amps.f_plus.h(k * k) / den
-        minus = None if amps.f_minus is None else np.conj(amps.f_minus.h(k * k)) / den
-        buf = np.empty((4,) + k.shape, dtype=np.complex128)
-        return _RadialParts(grid, q, *_time_tables(plus, minus, k, amps.t, buf))
-    KX, KY, KZ = grid.meshes(sparse=True)
-    kp2 = KX * KX + KY * KY
-    # rounding is monotone, so the largest kz^2 decides for every node
-    _check_off_axis(kp2, kp2 + (KZ * KZ).max())
-    return _NodeParts(grid, amps)
+    if keys is None or not all(isinstance(a, RadialProfileAmplitude) for a in present):
+        return _NodeParts(grid, amps)
+    q, k = keys
+    den = np.sqrt(2.0) * k
+    plus = None if amps.f_plus is None else amps.f_plus.h(k * k) / den
+    minus = None if amps.f_minus is None else np.conj(amps.f_minus.h(k * k)) / den
+    # four separate tables, so that only W and V outlive this call
+    tables = [np.empty(k.shape, dtype=np.complex128) for _ in range(4)]
+    return _RadialParts(grid, q, *_time_tables(plus, minus, k, amps.t, tables))
 
 
 def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D) -> FieldGrid:
     """Sample Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt},
-    t = amps.t, on a wavevector grid: the one-time case of the synthesis
-    parts (radial or node route, see the module docstring)."""
-    parts = _synthesis_parts(amps, grid)
+    t = amps.t, on a wavevector grid, through the node route (_NodeParts)
+    for any amplitudes: each x-slab's tables are formed once and all three
+    components written."""
     vals = np.empty(grid.counts + (3,), dtype=np.complex128)
-    for _ in parts.components(out=[vals[..., comp] for comp in range(3)]):
+    for _ in _NodeParts(grid, amps).components(out=[vals[..., comp] for comp in range(3)]):
         pass  # each component is written into its slice of vals
     return FieldGrid(vals, grid, "wavevector")
 

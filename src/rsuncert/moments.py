@@ -73,8 +73,10 @@ untouched and no partner FieldGrid is built.  `verify-bound --input` puts
 an .rsf file through the same reducer, one component at a time in the
 file's order, so it holds no field either.  For an amplitude pair
 (`verify-bound --method grid`) they come from the synthesis parts'
-densities (kspace._synthesis_parts): for radial amplitudes on a centred
-even cube, from the positive octant of each density, with no component
+densities (kspace._synthesis_parts), each route with its own assembly:
+the node route streams the x-slab components it writes through
+_stream_stats, and the radial route (radial amplitudes on a centred even
+cube) reduces the positive octant of each density, with no component
 and no density of the whole cube built.
 """
 

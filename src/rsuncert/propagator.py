@@ -14,9 +14,10 @@ The grid trajectory builds the synthesis parts of amps.evolved(t) per
 time (kspace._synthesis_parts) and takes the position density's stats
 from them (densities(source=False)), and no position FieldGrid is built:
 the time's boundary ratio (kept: a cut-off box raises nothing), norm (the
-zero-norm check) and second moment.  evolve is the one-time case and
-returns the position field itself; both count time from the pair's own
-(HelicityAmplitudePair.t), the only time the synthesis takes.
+zero-norm check) and second moment.  Time counts from the pair's own
+(HelicityAmplitudePair.t), the only time the synthesis takes.  The
+position field itself at time t is
+fourier_to_position(synthesize_kspace(amps.evolved(t), grid)).
 
 The synthesis parts take one of two routes (see kspace), chosen only from
 the amplitude types and the grid, not the time.  Radial amplitudes (every
@@ -35,16 +36,16 @@ import json
 import numpy as np
 
 from .kspace import (
-    FieldGrid,
     Grid3D,
     HelicityAmplitudePair,
     _synthesis_parts,
-    fourier_to_position,
-    synthesize_kspace,
+    # not called here; kept as a binding site that bench/selftest.py checks
+    # the tracer wraps and restores
+    fourier_to_position,  # noqa: F401
 )
 from .moments import TRUNCATION_RATIO
 
-__all__ = ["Trajectory", "evolve", "spreading_trajectory"]
+__all__ = ["Trajectory", "spreading_trajectory"]
 
 
 @dataclass
@@ -107,12 +108,6 @@ class Trajectory:
         for row in zip(self.times, self.second_moments, self.norms):
             lines.append(",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
-
-
-def evolve(amps: HelicityAmplitudePair, grid: Grid3D, t) -> FieldGrid:
-    """Position-space field of amps.evolved(t), synthesized in k-space and
-    transformed back.  Exactly unitary in N."""
-    return fourier_to_position(synthesize_kspace(amps.evolved(t), grid))
 
 
 def spreading_trajectory(amps: HelicityAmplitudePair, times, grid: Grid3D) -> Trajectory:

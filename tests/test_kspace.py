@@ -133,8 +133,7 @@ class TestSynthesis:
                 pair.evolved(t)
         radial = _synthesis_parts(pair, grid)
         node = _synthesis_parts(node_route_pair(1.0, 0.0, 1.0), grid)
-        for method in (radial.components, radial.densities, radial.octants,
-                       node.components, node.densities):
+        for method in (radial.densities, radial.octants, node.components, node.densities):
             with pytest.raises(TypeError):
                 method(np.inf)
 
@@ -379,9 +378,25 @@ def test_report_carries_boundary_ratios(n, extent, cut):
 
 
 class TestRadialRoute:
-    """Radial amplitudes on a centred even cube take the radial route; the
-    same field as polynomial amplitudes takes the node route and is the
-    reference."""
+    """Radial amplitudes on a centred even cube take the radial route for
+    their densities, while synthesize_kspace takes the node route for any
+    amplitudes.  The field's reference is the explicit frame formula
+    (polarization_reference), and the radial route's report numbers
+    (_RadialParts.densities) are checked against the report of that field,
+    which streams its components through the FFT."""
+
+    @staticmethod
+    def assert_report_matches(parts, field):
+        k, r = parts.densities()
+        got, want = _density_report(r, k), uncertainty_product(field)
+        for key in ("delta_r2", "delta_k2", "norm_r", "norm_k"):
+            g, w = getattr(got, key), getattr(want, key)
+            assert abs(g - w) <= 1e-12 * abs(w), key
+        assert got.warnings == want.warnings
+
+    @staticmethod
+    def assert_field_matches(field, want):
+        assert np.abs(field.values - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("c_minus", [0.0, 0.5j])
@@ -390,28 +405,23 @@ class TestRadialRoute:
         a = 1.3
         grid = Grid3D.centered(n, 16.0 * a).fourier_dual()
         radial = saturating_amplitudes(1.0, c_minus, a)
-        node = node_route_pair(1.0, c_minus, a)
-        assert isinstance(_synthesis_parts(radial, grid), _RadialParts)
-        assert isinstance(_synthesis_parts(node, grid), _NodeParts)
-        got = synthesize_kspace(radial.evolved(t), grid)
-        want = synthesize_kspace(node.evolved(t), grid)
-        peak = np.abs(want.values).max()
-        assert np.abs(got.values - want.values).max() <= 1e-13 * peak
-        r_got, r_want = uncertainty_product(got), uncertainty_product(want)
-        for key in ("delta_r2", "delta_k2", "norm_r", "norm_k"):
-            g, w = getattr(r_got, key), getattr(r_want, key)
-            assert abs(g - w) <= 1e-12 * abs(w), key
-        assert r_got.warnings == r_want.warnings
+        parts = _synthesis_parts(radial.evolved(t), grid)
+        assert isinstance(parts, _RadialParts)
+        field = synthesize_kspace(radial.evolved(t), grid)
+        self.assert_field_matches(field, polarization_reference(radial, grid, t))
+        self.assert_report_matches(parts, field)
 
     def test_evolved_pair_keeps_the_radial_route(self):
-        # the pair carries its time: evolved twice, it is the node route's
-        # field at the sum of the two times
+        # the pair carries its time: evolved twice, it is the field at the
+        # sum of the two times
         grid = Grid3D.centered(32, 16.0).fourier_dual()
         sat = saturating_amplitudes(1.0, 0.5j, 1.0)
-        assert isinstance(_synthesis_parts(sat.evolved(0.4), grid), _RadialParts)
-        got = synthesize_kspace(sat.evolved(0.4).evolved(0.3), grid)
-        want = synthesize_kspace(node_route_pair(1.0, 0.5j, 1.0).evolved(0.7), grid)
-        assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
+        twice = sat.evolved(0.4).evolved(0.3)
+        parts = _synthesis_parts(twice, grid)
+        assert isinstance(parts, _RadialParts)
+        field = synthesize_kspace(twice, grid)
+        self.assert_field_matches(field, polarization_reference(sat, grid, 0.7))
+        self.assert_report_matches(parts, synthesize_kspace(sat.evolved(0.7), grid))
 
     def test_dilated_pair_keeps_the_radial_route(self):
         # a radial profile dilates in its own family: the field of the
@@ -420,10 +430,12 @@ class TestRadialRoute:
         sat = saturating_amplitudes(1.0, 0.5j, 1.0)
         dil = sat.dilated(1.7)
         wrapped = HelicityAmplitudePair(_Dilated(sat.f_plus, 1.7), _Dilated(sat.f_minus, 1.7))
-        assert isinstance(_synthesis_parts(dil, grid), _RadialParts)
+        parts = _synthesis_parts(dil, grid)
+        assert isinstance(parts, _RadialParts)
         assert isinstance(_synthesis_parts(wrapped, grid), _NodeParts)
-        got, want = (synthesize_kspace(pair, grid).values for pair in (dil, wrapped))
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        field = synthesize_kspace(dil, grid)
+        self.assert_field_matches(field, polarization_reference(wrapped, grid, 0.0))
+        self.assert_report_matches(parts, synthesize_kspace(wrapped, grid))
 
     def test_other_grids_take_the_frame_route(self):
         # not centred: the radius keys do not apply, so the node route runs
@@ -440,8 +452,10 @@ class TestOctantDensities:
     """_RadialParts.octants builds the positive-octant values of both
     densities (DCT-IV/DST-IV per parity term); unfolded by the
     eight-reflection rule, they are compared at every node with a reference
-    that streams the full components of the same parts through the FFT.
-    _RadialParts.densities reduces the octants to the reports' stats."""
+    that streams the full components of the same amplitudes through the
+    node route and the FFT (streamed: no radius table, gather or type-4
+    transform).  _RadialParts.densities reduces the octants to the
+    reports' stats."""
 
     @staticmethod
     def assert_close(got, want, tol=1e-13):
@@ -455,9 +469,15 @@ class TestOctantDensities:
     @staticmethod
     def radial_parts(n, c_minus, t):
         grid = Grid3D.centered(n, 16.0 * 1.3).fourier_dual()
-        parts = _synthesis_parts(saturating_amplitudes(1.0, c_minus, 1.3).evolved(t), grid)
+        amps = saturating_amplitudes(1.0, c_minus, 1.3).evolved(t)
+        parts = _synthesis_parts(amps, grid)
         assert isinstance(parts, _RadialParts)
-        return grid, parts
+        return grid, amps, parts
+
+    @staticmethod
+    def streamed(amps, grid):
+        """Both full-cube densities of amps on grid, through the node route."""
+        return _stream_densities(_NodeParts(grid, amps).components(), grid, +1)[:2]
 
     # 16^3 has the smallest octant the CLI makes (h = 8)
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -466,9 +486,9 @@ class TestOctantDensities:
     @pytest.mark.parametrize("c", [1.0, 1.7])
     def test_matches_stream(self, n, c_minus, t, c):
         # c = 1 is fixed: a speed of light c enters as the time c t
-        grid, parts = self.radial_parts(n, c_minus, c * t)
+        grid, amps, parts = self.radial_parts(n, c_minus, c * t)
         d_k, d_r = self.unfolded(parts)
-        w_k, w_r, _ = _stream_densities(parts.components(), grid, +1)
+        w_k, w_r = self.streamed(amps, grid)
         self.assert_close(d_k, w_k)
         self.assert_close(d_r, w_r)
         none_k, only_r = parts.octants(source=False)
@@ -482,7 +502,7 @@ class TestOctantDensities:
     def test_stats_match_unfolded_cube(self, n, c_minus, t, c):
         # the reports' numbers from the octant alone against those of the
         # whole cube: the boundary ratio exactly, moment and norm to rounding
-        grid, parts = self.radial_parts(n, c_minus, c * t)
+        grid, _, parts = self.radial_parts(n, c_minus, c * t)
         d_k, d_r = self.unfolded(parts)
         got = parts.densities()
         for stats, want in zip(got, (_density_stats(d_k, grid),
@@ -525,7 +545,7 @@ class TestOctantDensities:
             inputs.clear()
             got = self.unfolded(parts)
             assert inputs == [True] * count
-            want = _stream_densities(parts.components(), grid, +1)[:2]
+            want = self.streamed(pair.evolved(t), grid)
             for g, w in zip(got, want):
                 self.assert_close(g, w)
 
@@ -538,7 +558,7 @@ class TestOctantDensities:
         # and the octant route builds D- as D+^T, so both densities are
         # exactly symmetric (a plain x <-> y swap is not a symmetry: the
         # position density misses it by up to 1e-3 of the peak at 16^3)
-        _, parts = self.radial_parts(n, c_minus, t)
+        _, _, parts = self.radial_parts(n, c_minus, t)
         for d in self.unfolded(parts):
             np.testing.assert_array_equal(d, d.transpose(1, 0, 2)[:, :, ::-1])
 
@@ -547,9 +567,10 @@ class TestOctantDensities:
         # packet off, with the same boundary ratios on either route
         a = 0.7371
         grid = Grid3D.centered(16, 16.0 * a).fourier_dual()
-        parts = _synthesis_parts(SaturatingFieldSpec.simplest(C=1.0, a=a).amplitudes(), grid)
+        amps = SaturatingFieldSpec.simplest(C=1.0, a=a).amplitudes()
+        parts = _synthesis_parts(amps, grid)
         got = self.unfolded(parts)
-        want = _stream_densities(parts.components(), grid, +1)[:2]
+        want = self.streamed(amps, grid)
         for g, w in zip(got, want):
             assert abs(_boundary_ratio(g) - _boundary_ratio(w)) <= 1e-12 * _boundary_ratio(w)
         assert _boundary_ratio(got[1]) > TRUNCATION_RATIO

@@ -9,7 +9,6 @@ from rsuncert import (
     Grid3D,
     SaturatingFieldSpec,
     Trajectory,
-    evolve,
     fourier_to_kspace,
     fourier_to_position,
     saturating_amplitudes,
@@ -27,6 +26,12 @@ SPEC = SaturatingFieldSpec.simplest(C=1.0, a=1.0)
 KGRID = Grid3D.centered(64, 16.0).fourier_dual()
 
 
+def position_field(amps, grid, t):
+    """The position field of amps.evolved(t), synthesized in k-space and
+    transformed back."""
+    return fourier_to_position(synthesize_kspace(amps.evolved(t), grid))
+
+
 def amplitude_trajectory(amps, times):
     """The trajectory of the amplitude-path reports of the evolved pairs:
     quadrature-accurate, so its parabola is exact to quadrature noise."""
@@ -37,15 +42,15 @@ def amplitude_trajectory(amps, times):
 
 class TestEvolve:
     def test_t0_matches_direct_synthesis(self):
+        # evolved(0) leaves the field as it was, to the bit
         amps = SPEC.amplitudes()
-        via_evolve = evolve(amps, KGRID, 0.0)
         direct = fourier_to_position(synthesize_kspace(amps, KGRID))
-        assert np.array_equal(via_evolve.values, direct.values)
+        assert np.array_equal(position_field(amps, KGRID, 0.0).values, direct.values)
 
     def test_matches_analytic_field_at_random_nodes(self, rng):
         amps = SPEC.amplitudes()
         for t in (0.0, 0.4, -0.9):
-            fieldR = evolve(amps, KGRID, t)
+            fieldR = position_field(amps, KGRID, t)
             pts = np.stack(np.meshgrid(*fieldR.grid.axes(), indexing="ij"), axis=-1)
             want = saturating_rs_field(pts, t, SPEC)
             scale = np.abs(want).max()
@@ -65,8 +70,8 @@ class TestEvolve:
         # (F(t+d) - F(t-d)) / 2d  vs  c curl F(t), curl evaluated as ik x
         amps = SPEC.amplitudes()
         t0, d = 0.3, 1e-4
-        fp = evolve(amps, KGRID, t0 + d)
-        fm = evolve(amps, KGRID, t0 - d)
+        fp = position_field(amps, KGRID, t0 + d)
+        fm = position_field(amps, KGRID, t0 - d)
         dF = (fp.values - fm.values) / (2 * d)
         ft = synthesize_kspace(amps.evolved(t0), KGRID)
         KX, KY, KZ = ft.grid.meshes(sparse=False)
@@ -126,7 +131,7 @@ class TestSpreadingTrajectory:
         grid = Grid3D.centered(16, 12.0).fourier_dual()
         times = np.array([0.0, 0.5, 1.0, 3.0, 6.0])
         traj = spreading_trajectory(SPEC.amplitudes(), times, grid)
-        want = [evolve(SPEC.amplitudes(), grid, t).boundary_density_ratio() for t in times]
+        want = [position_field(SPEC.amplitudes(), grid, t).boundary_density_ratio() for t in times]
         np.testing.assert_allclose(traj.ratios, want, rtol=1e-6, atol=0)
         assert traj.cut.tolist() == [False, False, False, True, True]
         assert traj.to_dict()["truncated"] is True
@@ -179,7 +184,7 @@ class TestGridPathEquivalence:
         traj = spreading_trajectory(self.pair, self.times, grid=self.grid)
         moments, norms, truncated = [], [], False
         for t in self.times:
-            fieldR = evolve(self.node_pair, self.grid, t)
+            fieldR = position_field(self.node_pair, self.grid, t)
             d = self.einsum_density(fieldR)
             x, y, z = np.meshgrid(*fieldR.grid.axes(), indexing="ij", sparse=True)
             dv = fieldR.grid.cell_volume
@@ -193,7 +198,7 @@ class TestGridPathEquivalence:
         assert traj.truncated == truncated
 
     def test_density_is_einsum_density(self):
-        fieldR = evolve(self.pair, self.grid, 0.7)
+        fieldR = position_field(self.pair, self.grid, 0.7)
         np.testing.assert_allclose(fieldR.density(), self.einsum_density(fieldR),
                                    rtol=1e-15, atol=0)
 
