@@ -26,8 +26,9 @@ invalid = "raise"), so out-of-range arithmetic is an input error too.
 The file workflow streams: `field` checks everything and forms its radius
 tables before it opens its .rsf file, then evaluates and writes one z-slab
 at a time, and removes the file if anything raises after it is opened;
-`verify-bound --input` reads one component at a time in the file's order
-(_input_report), each read checked for a short payload.
+`verify-bound --input` reads its density in one pass over the payload and
+then one component at a time in the file's order (_input_report), each
+read checked for a short payload.
 Flag-syntax errors keep argparse's usage output (exit 2).
 Units: c = 1; times are given in units of a/c.
 Option precedence: command-line flags > --config JSON file > defaults.
@@ -53,7 +54,7 @@ from .eigensolver import RadialProblem, solve_radial
 from .kspace import Grid3D, _stream_stats, _synthesis_parts
 from .moments import _density_report, _truncations, uncertainty_product
 from .propagator import spreading_trajectory
-from .rsfio import _read_component, _read_header, _write_slabs
+from .rsfio import _read_component, _read_density, _read_header, _write_slabs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -256,13 +257,16 @@ def cmd_verify_bound(args) -> int:
 
 def _input_report(path):
     """The grid report of the .rsf file at path, the same report as
-    uncertainty_product(read_rsf(path)) without the field: each pass reads
-    one component at a time, in the file's order, into one buffer
-    (kspace._stream_stats with order "F")."""
+    uncertainty_product(read_rsf(path)) without the field, from four reads
+    of the payload (kspace._stream_stats with order "F"): the file's own
+    space takes its density from one read (rsfio._read_density), and the
+    transform pass reads one component at a time, in the file's order,
+    into one buffer."""
     with open(path, "rb") as fh:
         space, grid, start = _read_header(fh)
         k, r = _stream_stats(lambda buf: (_read_component(fh, start, c, buf) for c in range(3)),
-                             grid, space, order="F")
+                             grid, space, order="F",
+                             source_density=lambda: _read_density(fh, start, grid.counts))
     return _density_report(r, k)
 
 

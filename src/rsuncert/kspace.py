@@ -894,14 +894,18 @@ def _add_density(d, x):
         di += xi.imag ** 2
 
 
-def _stream_stats(components, grid: Grid3D, space, source=True, order="C"):
+def _stream_stats(components, grid: Grid3D, space, source=True, order="C",
+                  source_density=None):
     """(k-space stats, position stats) (_DensityStats) of a field on grid in
     `space` ("wavevector" or "position"), given as components(buf): an
     iterator over its three components, each either buf itself (which may
     be overwritten) or an array that is left untouched.  buf is an
     (nx, ny, nz) array in `order`: "C", or "F" for a stream in the .rsf
     file's order (x fastest, rsfio._read_component).  The k-space stats
-    are None if not source (a wavevector field only).
+    are None if not source (a wavevector field only).  source_density(),
+    if given, returns the field's own density in `order` (the per-node
+    sums of its components' re^2 + im^2, in component order), which the
+    source pass then takes in place of its pass over the components.
 
     One pass over the components per space, each adding up one real
     density in buf's order, so one component buffer and one density are
@@ -926,7 +930,8 @@ def _stream_stats(components, grid: Grid3D, space, source=True, order="C"):
         return d
 
     def source_pass():
-        return _density_stats(np.ascontiguousarray(density(None)), grid)
+        d = density(None) if source_density is None else source_density()
+        return _density_stats(np.ascontiguousarray(d), grid)
 
     def transform_pass():
         dual = grid.fourier_dual()

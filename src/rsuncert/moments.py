@@ -35,7 +35,10 @@ amplitude, by one of two means, each with an error estimate.
   (evolved and dilated ones too): every term of the by-parts integrand is a
   polynomial times e^{-2 alpha k^2}, the azimuthal one also times kz/k and
   the phase's one times 1/k, so each integral is a finite sum of
-  Gamma-function factors (_closed_form_integrals).  quad_rel_err is then
+  Gamma-function factors: a Hermitian matrix over P's monomials
+  (_closed_form_matrices, which takes the 14 shifted Gaussian moments it
+  needs in one gather per axis) and its form in P's coefficients
+  (_closed_form_integrals).  quad_rel_err is then
   a float rounding bound, a few ulps times the sum of the moduli of the
   terms over the modulus of their sum: 4.6e-15 for the saturating pair,
   4.8e-15 to 2.0e-14 over the benchmark's 80 random pairs (P of degree
@@ -263,12 +266,14 @@ def _amp_moments(amps: HelicityAmplitudePair, rule=None):
     exact = np.zeros((2, 3))  # closed-form sums and their rounding bounds
     fine = np.zeros(3)
     coarse = np.zeros(3)
+    ruled = False
     for amp, sign in ((amps.f_plus, 1.0), (amps.f_minus, -1.0)):
         if amp is None:
             continue
         if rule is None and isinstance(amp, PolynomialGaussianAmplitude):
             exact += _closed_form_integrals(amp, sign, amps.t)
         else:
+            ruled = True
             r = _rule_for_amp(amp, rule)
             coarse += _amp_integrals(amp, sign, r, amps.t)
             fine += _amp_integrals(amp, sign, r.refined(), amps.t)
@@ -278,7 +283,9 @@ def _amp_moments(amps: HelicityAmplitudePair, rule=None):
                          "the amplitudes' scale overflows")
     if n <= 0.0:
         raise DegenerateFieldError("degenerate amplitude pair: zero norm")
-    err = max(_rel_err(exact[1], exact[0]), _rel_err(np.abs(fine - coarse), fine))
+    err = _rel_err(exact[1], exact[0])
+    if ruled:  # else the rules' part is 0
+        err = max(err, _rel_err(np.abs(fine - coarse), fine))
     n_coarse = float(exact[0, 0] + coarse[0])
     return n, mk, mr, n_coarse, err
 
@@ -296,16 +303,47 @@ def _rel_err(err, sums):
 _CLOSED_FORM_ULPS = 8
 
 
+# the exponent shifts of the Gaussian moments G(m + shift) that the closed
+# form takes (_closed_form_matrices), one row each, in the order it unpacks
+_SHIFTS = np.array([
+    (0, 0, 0), (2, 0, 0), (0, 2, 0), (4, 0, 0), (0, 4, 0), (2, 2, 0), (2, 0, 2),
+    (0, 2, 2), (2, -2, 0), (2, 0, -2), (-2, 2, 0), (0, 2, -2), (1, -1, 1), (-1, 1, 1),
+], dtype=np.intp)
+
+
 def _closed_form_integrals(amp, sign, t=0.0):
     """[(N, Mk, Mr), their rounding bounds] of f = k_perp P e^{-alpha k^2}
     (a PolynomialGaussianAmplitude) of helicity sign = +-1 at time t (the
-    amplitude f e^{-ikt}), in closed form.
+    amplitude f e^{-ikt}), in closed form: the Hermitian forms c^H M c of
+    the matrices of _closed_form_matrices in the coefficients c_e of P's
+    monomials.  The rounding bound of each sum is _CLOSED_FORM_ULPS ulps
+    times the sum of the moduli of its terms, |c|^T M_abs |c| with every
+    Gaussian term of M taken positive (M_abs is M for N and Mk), so it grows
+    with the cancellation between them."""
+    terms = amp.terms
+    if not terms:
+        return np.zeros((2, 3))
+    c = np.array([complex(v) for v in terms.values()])
+    n_m, mk_m, mr_m, mr_abs = _closed_form_matrices(list(terms), amp.alpha, sign, t)
+    ac = np.abs(c)
+    out = np.empty((2, 3))
+    for q, (m, m_abs) in enumerate(((n_m, n_m), (mk_m, mk_m), (mr_m, mr_abs))):
+        out[0, q] = (np.conj(c) @ m @ c).real
+        out[1, q] = ac @ m_abs @ ac
+    out[1] *= _CLOSED_FORM_ULPS * np.finfo(float).eps
+    return out
 
-    Each integral is a Hermitian form c^H M c in the coefficients c_e of P's
-    monomials k^e.  With m = e + e', beta = 2 alpha, |e| = e_x + e_y + e_z,
-    |e_perp| = e_x + e_y, unit shifts x, y, z of the exponent and the
-    Gaussian moments G(m) = Int k^m e^{-beta k^2} d3k and Z(m), the same
-    with a factor kz/k, the weak form of the module docstring reads
+
+def _closed_form_matrices(exponents, alpha, sign, t=0.0):
+    """(N, Mk, Mr, Mr_abs): the Hermitian matrices of the three integrals
+    over the monomials k^e of `exponents` (a sequence of (e_x, e_y, e_z))
+    for k_perp P e^{-alpha k^2} of helicity sign = +-1 at time t, and the
+    rounding bound matrix of Mr, its Gaussian terms taken positive.
+
+    With m = e + e', beta = 2 alpha, |e| = e_x + e_y + e_z, |e_perp| = e_x +
+    e_y, unit shifts x, y, z of the exponent and the Gaussian moments G(m) =
+    Int k^m e^{-beta k^2} d3k and Z(m), the same with a factor kz/k, the
+    weak form of the module docstring reads
 
         N_ee'  = G(m + 2x) + G(m + 2y)
         Mk_ee' = sum_{a = x, y} sum_{b = x, y, z} G(m + 2a + 2b)
@@ -320,44 +358,31 @@ def _closed_form_integrals(amp, sign, t=0.0):
     Gamma((|m| + 3)/2) / Gamma((|m| + 4)/2), the ratio of the radial
     moments of k^{|m|} and k^{|m| + 1}; Phi_ee' = Int phi_e phi_e' / k d3k
     is N_ee' times the next such ratio (k.grad phi_e = (|e| + 1 - 2 alpha
-    k^2) phi_e, phi_e = k_perp k^e e^{-alpha k^2}).  The rounding bound of
-    each sum is _CLOSED_FORM_ULPS ulps times the sum of the moduli of its
-    terms, every product |c_e| |c_e'| times each Gaussian term of M_ee'
-    taken positive, so it grows with the cancellation between them."""
-    terms = amp.terms
-    if not terms:
-        return np.zeros((2, 3))
-    e = np.array(list(terms), dtype=np.intp)
-    c = np.array([complex(v) for v in terms.values()])
-    alpha = amp.alpha
+    k^2) phi_e, phi_e = k_perp k^e e^{-alpha k^2}).  The 14 shifted moments
+    G(m + s) (s in _SHIFTS) are taken in one gather per axis."""
+    e = np.array(exponents, dtype=np.intp)
     beta = 2.0 * alpha
     # exponent sums, offset by 2 so that shifts down to -2 index zeros
-    mx, my, mz = np.moveaxis(e[:, None, :] + e[None, :, :] + 2, -1, 0)
+    m = (e[:, None, :] + e[None, :, :] + 2).transpose(2, 0, 1)
     top = 2 * int(e.max()) + 4
     g = np.zeros(top + 3)
     g[2::2] = np.sqrt(np.pi / beta) * np.cumprod(
         np.concatenate(([1.0], np.arange(1, top, 2) / beta / 2.0)))
-
-    def G(sx, sy, sz):
-        return g[mx + sx] * g[my + sy] * g[mz + sz]
-
-    def pair_sum(v):
-        return v[:, None] + v[None, :]
-
-    perp = pair_sum(e[:, 0] + e[:, 1])
-    deg = pair_sum(e.sum(axis=1))
+    gx, gy, gz = (g[m[a] + _SHIFTS[:, a, None, None]] for a in range(3))
+    (g0, gx2, gy2, gx4, gy4, gx2y2, gx2z2, gy2z2,
+     sxy, sxz, syx, syz, zxy, zyx) = gx * gy * gz
+    perp = m[0] + m[1] - 4
+    deg = perp + m[2] - 2
     bx, by, bz = (e[:, None, a] * e[None, :, a] for a in range(3))
-    g0 = G(0, 0, 0)
-    n_m = G(2, 0, 0) + G(0, 2, 0)
-    mk_m = G(4, 0, 0) + G(0, 4, 0) + 2.0 * G(2, 2, 0) + G(2, 0, 2) + G(0, 2, 2)
-    shifted = ((bx + by) * g0 + by * G(2, -2, 0) + bz * G(2, 0, -2)
-               + bx * G(-2, 2, 0) + bz * G(0, 2, -2))
+    n_m = gx2 + gy2
+    mk_m = gx4 + gy4 + 2.0 * gx2y2 + gx2z2 + gy2z2
+    shifted = (bx + by) * g0 + by * sxy + bz * sxz + bx * syx + bz * syz
     drift = 2.0 * alpha * (2 + deg) * n_m
     mr_pos = (2 + perp) * g0 + 4.0 * alpha * alpha * mk_m + shifted
     dx, dy = (e[None, :, a] - e[:, None, a] for a in range(2))
     ratios = np.sqrt(beta) * _half_gamma_ratios(int(deg.max()) + 4)
     r = ratios[deg + 3]
-    zxy, zyx = r * G(1, -1, 1), r * G(-1, 1, 1)
+    zxy, zyx = r * zxy, r * zyx
     mr_m = mr_pos - drift + 1j * sign * (dy * zxy - dx * zyx)
     mr_abs = mr_pos + drift + np.abs(dy) * zxy + np.abs(dx) * zyx
     if t:
@@ -365,13 +390,7 @@ def _closed_form_integrals(amp, sign, t=0.0):
         phi = ratios[deg + 4] * n_m
         mr_m = mr_m + t * t * n_m + 1j * t * ddeg * phi
         mr_abs = mr_abs + t * t * n_m + abs(t) * np.abs(ddeg) * phi
-    ac = np.abs(c)
-    out = np.empty((2, 3))
-    for q, (m, m_abs) in enumerate(((n_m, n_m), (mk_m, mk_m), (mr_m, mr_abs))):
-        out[0, q] = (np.conj(c) @ m @ c).real
-        out[1, q] = ac @ m_abs @ ac
-    out[1] *= _CLOSED_FORM_ULPS * np.finfo(float).eps
-    return out
+    return n_m, mk_m, mr_m, mr_abs
 
 
 @lru_cache(maxsize=8)

@@ -11,8 +11,9 @@ and read one z-slab at a time.  write_rsf and `field` share one slab
 writer (_write_slabs), which removes the file if anything raises before
 its last slab is written, so a failed write leaves no partial file.
 read_rsf builds the whole FieldGrid; `verify-bound --input` instead reads
-one component at a time, in the file's order, into a buffer of its own
-(_read_component), so it never holds the field.  Either way the header,
+the file's own-space density in one read of the payload (_read_density),
+then one component at a time, in the file's order, into a buffer of its
+own (_read_component), so it never holds the field.  Either way the header,
 the payload size (from the file size) and the Grid3D are checked before
 anything the size of the payload is allocated (_read_header), and every
 slab read is checked for a short read.
@@ -125,6 +126,24 @@ def _read_component(fh, start, comp, out):
         _read_slab(fh, slab)
         ol[...] = slab[..., comp]
     return out
+
+
+def _read_density(fh, start, counts):
+    """The field's density |F|^2 on its grid, an (nx, ny, nz) array in
+    Fortran order, from one read of the payload that starts at offset
+    start of fh: each z-slab's three components' re^2 and im^2 are added
+    in component order, the per-node sums of kspace._add_density over the
+    components of _read_component, with no component buffer."""
+    nx, ny, _ = counts
+    d = np.zeros(counts, order="F")
+    fh.seek(start)
+    slab = np.empty((ny, nx, 3), dtype="<c16")
+    for dl in d.T:  # z-slab l of d, (ny, nx)
+        _read_slab(fh, slab)
+        for c in range(3):
+            dl += slab[..., c].real ** 2
+            dl += slab[..., c].imag ** 2
+    return d
 
 
 def _parse_header(header_line):

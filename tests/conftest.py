@@ -23,22 +23,26 @@ from rsuncert.kspace import (
 # arbitrary-precision Dawson oracles
 # ---------------------------------------------------------------------------
 
-def dawson_series_oracle(w, extra_dps=40):
-    """Maclaurin series D(w) = sum_n (-1)^n 2^n w^(2n+1)/(2n+1)!! summed in
-    arbitrary precision until the terms fall below eps * |sum|."""
-    dps = extra_dps + int(float(w) ** 2)
+def dawson_series_oracle(w, dps=40):
+    """D(w) = e^{-w^2} sum_n w^(2n+1) / (n! (2n+1)), summed in arbitrary
+    precision until a term falls to eps * |sum|.  Every term has the sign
+    of w, so no digits cancel and a fixed precision suffices, where the
+    alternating Maclaurin series sum_n (-1)^n 2^n w^(2n+1)/(2n+1)!! needs
+    about w^2 more digits."""
     with mp.workdps(dps):
         wm = mp.mpf(w)
-        term = wm
+        w2 = wm * wm
+        power = wm  # w^(2n+1) / n!
         total = wm
         n = 0
         while True:
             n += 1
-            term = term * (-2) * wm * wm / (2 * n + 1)
+            power = power * w2 / n
+            term = power / (2 * n + 1)
             total += term
-            if abs(term) < mp.eps * (abs(total) + 1):
+            if abs(term) <= mp.eps * abs(total):
                 break
-        return float(total)
+        return float(mp.exp(-w2) * total)
 
 
 def dawson_erfi_oracle(w, dps=30):
@@ -266,6 +270,62 @@ def polynomial_gaussian_moments(pair, t=0.0):
                - 2.0 * t * _gauss_integral(_poly_mul(kp2, _poly_mul(Pc, euler)), beta,
                                            inv_k=True).imag)
     return n, mk / n, mr / n
+
+
+def closed_form_reference(amp, sign, t=0.0):
+    """((N, Mk, Mr, Mr_abs), [(N, Mk, Mr), their rounding bounds]) of a
+    PolynomialGaussianAmplitude of helicity sign at time t, by the formula
+    of moments._closed_form_matrices with one three-factor gather per
+    shifted Gaussian moment G(m + s): the engine's kernel before it took
+    all 14 shifts in one gather per axis, kept as its bit-for-bit
+    reference (the same factors, products and sums in the same order)."""
+    from rsuncert.moments import _CLOSED_FORM_ULPS, _half_gamma_ratios
+
+    terms = amp.terms
+    e = np.array(list(terms), dtype=np.intp)
+    c = np.array([complex(v) for v in terms.values()])
+    alpha = amp.alpha
+    beta = 2.0 * alpha
+    mx, my, mz = np.moveaxis(e[:, None, :] + e[None, :, :] + 2, -1, 0)
+    top = 2 * int(e.max()) + 4
+    g = np.zeros(top + 3)
+    g[2::2] = np.sqrt(np.pi / beta) * np.cumprod(
+        np.concatenate(([1.0], np.arange(1, top, 2) / beta / 2.0)))
+
+    def G(sx, sy, sz):
+        return g[mx + sx] * g[my + sy] * g[mz + sz]
+
+    def pair_sum(v):
+        return v[:, None] + v[None, :]
+
+    perp = pair_sum(e[:, 0] + e[:, 1])
+    deg = pair_sum(e.sum(axis=1))
+    bx, by, bz = (e[:, None, a] * e[None, :, a] for a in range(3))
+    g0 = G(0, 0, 0)
+    n_m = G(2, 0, 0) + G(0, 2, 0)
+    mk_m = G(4, 0, 0) + G(0, 4, 0) + 2.0 * G(2, 2, 0) + G(2, 0, 2) + G(0, 2, 2)
+    shifted = ((bx + by) * g0 + by * G(2, -2, 0) + bz * G(2, 0, -2)
+               + bx * G(-2, 2, 0) + bz * G(0, 2, -2))
+    drift = 2.0 * alpha * (2 + deg) * n_m
+    mr_pos = (2 + perp) * g0 + 4.0 * alpha * alpha * mk_m + shifted
+    dx, dy = (e[None, :, a] - e[:, None, a] for a in range(2))
+    ratios = np.sqrt(beta) * _half_gamma_ratios(int(deg.max()) + 4)
+    r = ratios[deg + 3]
+    zxy, zyx = r * G(1, -1, 1), r * G(-1, 1, 1)
+    mr_m = mr_pos - drift + 1j * sign * (dy * zxy - dx * zyx)
+    mr_abs = mr_pos + drift + np.abs(dy) * zxy + np.abs(dx) * zyx
+    if t:
+        ddeg = dx + dy + e[None, :, 2] - e[:, None, 2]  # |e'| - |e|
+        phi = ratios[deg + 4] * n_m
+        mr_m = mr_m + t * t * n_m + 1j * t * ddeg * phi
+        mr_abs = mr_abs + t * t * n_m + abs(t) * np.abs(ddeg) * phi
+    ac = np.abs(c)
+    out = np.empty((2, 3))
+    for q, (m, m_abs) in enumerate(((n_m, n_m), (mk_m, mk_m), (mr_m, mr_abs))):
+        out[0, q] = (np.conj(c) @ m @ c).real
+        out[1, q] = ac @ m_abs @ ac
+    out[1] *= _CLOSED_FORM_ULPS * np.finfo(float).eps
+    return (n_m, mk_m, mr_m, mr_abs), out
 
 
 # ---------------------------------------------------------------------------

@@ -85,27 +85,54 @@ class TestVerifyBound:
         run(["verify-bound", "--input", path])
         assert capsys.readouterr().out == want.to_json() + "\n"
 
+    @pytest.mark.parametrize("space, want", [
+        ("position", ["density", 0, 1, 2]),
+        ("wavevector", [0, 1, 2, "density"]),
+    ])
+    def test_input_reads_payload_four_times(self, tmp_path, monkeypatch, space, want):
+        # the file's own space takes its density from one read, the other
+        # space one read per component, position space reduced first
+        grid = Grid3D.centered(8, 4.0)
+        field = FieldGrid(np.ones(grid.counts + (3,), complex), grid, space)
+        path = tmp_path / "f.rsf"
+        write_rsf(path, field)
+        calls = []
+        real_density, real_component = cli._read_density, cli._read_component
+        monkeypatch.setattr(cli, "_read_density", lambda *a: calls.append("density")
+                            or real_density(*a))
+        monkeypatch.setattr(cli, "_read_component", lambda fh, start, comp, out:
+                            calls.append(comp) or real_component(fh, start, comp, out))
+        cli._input_report(path)
+        assert calls == want
+
     def test_input_truncated_between_passes_exit2(self, tmp_path, capsys, monkeypatch):
         # each pass reads the file again: one that shrinks after its size
-        # was checked is an input error, not a short or stale report
+        # was checked is an input error, not a short or stale report.  A
+        # position file's first pass is one read of its density, the
+        # second one read per component
         path = tmp_path / "f.rsf"
         assert run(["field", "--grid", 16, "--out-field", path]) == 0
         calls = []
 
+        def density(fh, start, counts):
+            calls.append("density")
+            return real_density(fh, start, counts)
+
         def shrinking(fh, start, comp, out):
             calls.append(comp)
-            if len(calls) == 4:  # the first component of the second pass
+            if calls == ["density", 0]:  # the first component of the second pass
                 os.truncate(path, path.stat().st_size - 48)
-            return real(fh, start, comp, out)
+            return real_component(fh, start, comp, out)
 
-        real = cli._read_component
+        real_density, real_component = cli._read_density, cli._read_component
+        monkeypatch.setattr(cli, "_read_density", density)
         monkeypatch.setattr(cli, "_read_component", shrinking)
         code = run(["verify-bound", "--input", path])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
         assert err == "error: payload ended early\n"
-        assert len(calls) == 4
+        assert calls == ["density", 0]
 
     def test_malformed_input_exit2(self, tmp_path):
         path = tmp_path / "junk.rsf"

@@ -31,9 +31,15 @@ from rsuncert import (
     uncertainty_product,
 )
 from rsuncert.kspace import _Dilated
-from rsuncert.moments import _amp_integrals, _SphericalRule
+from rsuncert.moments import (
+    _amp_integrals,
+    _closed_form_integrals,
+    _closed_form_matrices,
+    _SphericalRule,
+)
 from rsuncert.specfun import laguerre_general
 from conftest import (
+    closed_form_reference,
     node_route_pair,
     phase_evolved_pair,
     polynomial_gaussian_moments,
@@ -628,6 +634,28 @@ class TestClosedFormEngine:
         alone = uncertainty_product(HelicityAmplitudePair(radial, None)).quad_rel_err
         rep = uncertainty_product(HelicityAmplitudePair(radial, PolynomialGaussianAmplitude(terms, 0.5)))
         assert rep.quad_rel_err == alone
+
+    def test_matches_per_shift_reference_bit_for_bit(self):
+        # the one-gather kernel against conftest.closed_form_reference, one
+        # gather per shifted moment: the same matrices and forms, to the
+        # bit, over P of degree <= 3 with 1-6 terms, both signs, three
+        # times and dilations (a dilated polynomial amplitude stays one)
+        rng = np.random.default_rng(31)
+        monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+        for i in range(108):
+            picks = rng.choice(len(monomials), size=rng.integers(1, 7), replace=False)
+            terms = {monomials[j]: complex(*rng.normal(size=2)) for j in picks}
+            amp = PolynomialGaussianAmplitude(terms, rng.uniform(0.35, 1.8))
+            lam = (1.0, 0.5, 2.0)[i % 3]
+            if lam != 1.0:
+                amp = HelicityAmplitudePair(amp, None).dilated(lam).f_plus
+            sign = (1.0, -1.0)[(i // 3) % 2]
+            t = (0.0, 0.7, -1.3)[(i // 6) % 3]
+            want_matrices, want = closed_form_reference(amp, sign, t)
+            got = _closed_form_matrices(list(amp.terms), amp.alpha, sign, t)
+            for g, w in zip(got, want_matrices):
+                assert np.array_equal(g, w), (i, terms)
+            assert np.array_equal(_closed_form_integrals(amp, sign, t), want), (i, terms)
 
     def test_explicit_rule_integrates_polynomials(self):
         # rule= still selects the spherical-rule pair: its error is the
