@@ -48,12 +48,15 @@ two properties of its input:
   at 128^3) when the parts are built, with no per-node exponential.  No
   component is ever assembled: every term of a component has a definite
   parity in each axis, so both densities come from the positive octant,
-  through one DCT-IV or DST-IV per axis and term (_RadialParts.octants).
-  F1 is the x <-> y mirror of F0, so only the three terms x z W, y V =
-  i y T (of F0) and F2 are gathered from the tables and transformed, and one
-  octant density per space, D+, stands for the whole cube: every number
-  a report takes of a density comes from D+ (_octant_stats), and no
-  density of the whole cube is ever formed.
+  through one DCT-IV or DST-IV per axis of each real plane of a term
+  (_RadialParts.octants).  F1 is the x <-> y mirror of F0, so only the
+  three terms x z W, y V = i y T (of F0) and F2 are gathered from the
+  tables and transformed, and of each only the real and imaginary planes
+  whose part of its table is nonzero: for C- = -C+ real (the CLI's default
+  packet) W and V are imaginary at every time, so each term is one plane.
+  One octant density per space, D+, stands for the whole cube: every
+  number a report takes of a density comes from D+ (_octant_stats), and
+  no density of the whole cube is ever formed.
 
 The closed-form position field of analytic_fields gathers its radial
 blocks by the same radius keys and writes the same polynomial, one
@@ -70,8 +73,10 @@ second moment and norm) in one pass over the components per space,
 position space first: one component buffer and one density are held at a
 time (the output-side DFT phases are unimodular and drop out).  Its
 buffers follow the stream's memory order, C or the .rsf file's (x
-fastest), to the same bits.  _NodeParts.densities, the FieldGrid reports
-of moments and `verify-bound --input` call it.  Both
+fastest), to the same bits.  A FieldGrid's or .rsf file's own-space
+density is read in one pass over its interleaved values
+(_add_node_density).  _NodeParts.densities, the
+FieldGrid reports of moments and `verify-bound --input` call it.  Both
 routes' parts have densities(source=...), which give those numbers per
 space, and the spreading trajectory and `verify-bound --method grid` take
 them from there.
@@ -618,79 +623,129 @@ def _polynomial(comp, terms, w, v, g, out, tmp):
             out -= g
 
 
-def _gather_octant(tab, q, poly, out):
-    """out = (re, im) planes of tab[q[i] + q[j] + q[l]] poly[i, j, l] on
-    the positive octant (q = the upper half of the radius keys), one x-slab
-    at a time through one complex slab buffer; poly broadcasts to an
-    octant."""
-    key = q[:, None] + q
-    poly = np.broadcast_to(poly, out.shape[1:])
-    slab = np.empty(key.shape, dtype=np.complex128)
+def _gather_octant(tab, q, key, poly, buf):
+    """The term tab[q[i] + q[j] + q[l]] poly[i, j, l] on the positive
+    octant (q = the upper half of the radius keys, key[j, l] =
+    2 (q[j] + q[l]); poly broadcasts to an octant) as (planes, nonzero):
+    those of its real and imaginary planes whose part of tab is nonzero,
+    gathered into buf[:len(planes)], and which of the two they are (None
+    if tab is zero).
+
+    One x-slab at a time: each slab is taken from the real view of tab (re
+    and im interleaved) straight into its plane and multiplied by poly's
+    x-slab, copied into one slab buffer, so that no product has a strided
+    or broadcast operand (numpy would allocate an iterator buffer for
+    it)."""
+    nonzero = [bool(np.any(part)) for part in (tab.real, tab.imag)]
+    if not any(nonzero):
+        return None
+    planes = buf[:sum(nonzero)]
+    parts = [p for p, nz in enumerate(nonzero) if nz]  # 0: re, 1: im
+    flat = tab.view(np.float64)
+    poly = np.broadcast_to(poly, planes.shape[1:])
+    pslab = np.empty(key.shape)
     for i, pi in enumerate(poly):
-        np.take(tab[q[i]:], key, out=slab, mode="clip")
-        np.multiply(slab.real, pi, out=out[0, i])
-        np.multiply(slab.imag, pi, out=out[1, i])
+        np.copyto(pslab, pi)
+        for p, plane in zip(parts, planes):
+            np.take(flat[2 * q[i] + p:], key, out=plane[i], mode="clip")
+            plane[i] *= pslab
+    return planes, nonzero
 
 
 def _add_octant_densities(d, terms, rotate, mirror):
-    """For a pair of terms (a, b) held as (re, im) planes, d += |a + b|^2,
-    with b first multiplied by -i if rotate, and, if mirror, also
-    d += (|a - b|^2)^T (axes 0 and 1 swapped); a single term is a with
-    b = 0.  One x-slab at a time, in two reused slab buffers."""
-    s, u = np.empty((2,) + d.shape[1:])
+    """For a pair of terms (a, b), each held as its (re, im) planes (None
+    for a zero plane, _term_planes), d += |a + b|^2, with b first
+    multiplied by -i if rotate, and, if mirror, also d += (|a - b|^2)^T
+    (axes 0 and 1 swapped); a single term is a with b = 0.  A zero plane
+    is neither squared nor added: 0 +- x is exactly x.
+
+    One x-slab of d at a time, in three reused slab buffers: the term of
+    d's own x-slab i is x-slab i of the planes, and its mirrored term y-slab
+    i, copied into the buffers, so that no ufunc has a strided operand
+    (numpy would allocate an iterator buffer for it).  d starts the pair
+    at zero, so the order of the two adds does not change a bit."""
+    planes = (*terms[0], *(terms[1] if len(terms) > 1 else (None, None)))
+    # (a's plane, b's plane, b's sign) of the real and imaginary parts of
+    # a + b, or of a + (-i b) = (ar + bi) + i (ai - br) if rotate
+    parts = ((0, 3, 1), (1, 2, -1)) if rotate else ((0, 2, 1), (1, 3, 1))
+    s, u, c = np.empty((3,) + d.shape[1:])
     ops = {1: np.add, -1: np.subtract}
-    for i in range(d.shape[0]):
-        ar, ai = terms[0][:, i]
-        for sign, target in ((1, d[i]), (-1, d[:, i]))[:1 + mirror]:
-            if len(terms) == 1:
-                np.square(ar, out=s)
-                np.square(ai, out=u)
-            else:
-                br, bi = terms[1][:, i]
-                # a +- (-i b) = (ar +- bi) + i (ai -+ br)
-                re, im, isign = (bi, br, -sign) if rotate else (br, bi, sign)
-                np.square(ops[sign](ar, re, out=s), out=s)
-                np.square(ops[isign](ai, im, out=u), out=u)
-            s += u
-            target += s
+    for i, di in enumerate(d):
+        for sign in (1, -1)[:1 + mirror]:
+            acc = None
+            for (ja, jb, bsign), out in zip(parts, (s, u)):
+                x = _octant_slab(planes[ja], i, sign < 0, out)
+                y = _octant_slab(planes[jb], i, sign < 0, c)
+                if x is None and y is None:
+                    continue
+                if x is None or y is None:
+                    np.square(y if x is None else x, out=out)
+                else:
+                    np.square(ops[sign * bsign](x, y, out=out), out=out)
+                acc = out if acc is None else np.add(acc, out, out=acc)
+            if acc is not None:
+                di += acc
+
+
+def _octant_slab(plane, i, mirrored, out):
+    """x-slab i of an octant plane, or if mirrored its y-slab i copied into
+    out (None for a zero plane)."""
+    if plane is None or not mirrored:
+        return None if plane is None else plane[i]
+    np.copyto(out, plane[:, i])
+    return out
 
 
 def _octant_densities(terms, q, source):
     """The octant density D+ of k space (None if not source) and, unscaled,
     of position space, from the terms (table, polynomial, odd axes) of
-    F0 = A0 + B0 and of F2, a pair at a time: each term is gathered, its
-    k-space density added, transformed in place (a DCT-IV per even axis, a
-    DST-IV per odd one) and its position-space density added.
+    F0 = A0 + B0 and of F2, a pair at a time: each term's nonzero planes
+    are gathered, its k-space density added, the planes transformed (a
+    DCT-IV per even axis, a DST-IV per odd one) and its position-space
+    density added.
+
+    A term is held as its real and imaginary planes, and a plane whose part
+    of the radial table is zero is never gathered, transformed or added:
+    for C- = -C+ real, W and V are imaginary at every time (and W is zero
+    at t = 0), so every term of the CLI's default packet is one plane.
 
     F1 = A1 + B1 needs no terms of its own: A1 = A0^T and B1 = -B0^T
     (x <-> y) in both spaces, so it adds (|A0 - B0|^2)^T to D+ (and
     (|A0 + B0|^2)^T to D-).  F2 is x <-> y symmetric, so D- = D+^T is
     never formed."""
     shape = (q.size,) * 3
+    key = 2 * (q[:, None] + q)
     src = np.zeros(shape) if source else None
     dual = np.zeros(shape)
-    # a term is held as contiguous (re, im) planes: a type-4 transform
-    # along a plane's axis is twice as fast as along a complex array's
+    # a term's planes are contiguous real arrays: a type-4 transform along
+    # a plane's axis is twice as fast as along a complex array's
     bufs = [np.empty((2,) + shape) for _ in range(2)]
     for pair, mirror in ((terms[:2], True), (terms[2:], False)):
-        # a term with a zero table adds nothing (|a +- 0|^2 = |a|^2): at
-        # t = 0 W is zero for the simplest packet
-        pair = [term for term in pair if np.any(term[0])]
-        if not pair:
+        held = [(_gather_octant(tab, q, key, poly, buf), odd)
+                for (tab, poly, odd), buf in zip(pair, bufs)]
+        held = [(*term, odd) for term, odd in held if term is not None]
+        if not held:
             continue
-        held = bufs[:len(pair)]
-        for (tab, poly, _), buf in zip(pair, held):
-            _gather_octant(tab, q, poly, buf)
         if source:
-            _add_octant_densities(src, held, rotate=False, mirror=mirror)
-        for j, (_, _, odd) in enumerate(pair):
+            _add_octant_densities(src, [_term_planes(p, nz) for p, nz, _ in held],
+                                  rotate=False, mirror=mirror)
+        for j, (planes, nonzero, odd) in enumerate(held):
             for axis in range(3):
                 dcst = dst if axis in odd else dct
-                held[j] = dcst(held[j], type=4, axis=axis + 1, overwrite_x=True, workers=-1)
+                planes = dcst(planes, type=4, axis=axis + 1, overwrite_x=True, workers=-1)
+            held[j] = (planes, nonzero, odd)
         # A gains i^2 and B i^1 from their odd axes: the transformed pair
         # is -(A - i B)
-        _add_octant_densities(dual, held, rotate=True, mirror=mirror)
+        _add_octant_densities(dual, [_term_planes(p, nz) for p, nz, _ in held],
+                              rotate=True, mirror=mirror)
     return src, dual
+
+
+def _term_planes(planes, nonzero):
+    """(re, im) of a term held as its nonzero planes (_gather_octant),
+    None for a zero plane."""
+    it = iter(planes)
+    return tuple(next(it) if nz else None for nz in nonzero)
 
 
 @dataclass(frozen=True, eq=False)
@@ -736,9 +791,11 @@ class _RadialParts:
         subtracted, squared, plus |F2|^2.  The radius key is symmetric in
         the axes, so F1 is F0 mirrored in x <-> y with its T term negated
         and D- = D+^T: only A0 = x z W, B0 = i y T and F2 are gathered and
-        transformed (_octant_densities).  The terms are gathered one at a
-        time from the radius table, so two complex octants and one real
-        octant density per space are held, never a component.
+        transformed (_octant_densities), each as its real and imaginary
+        planes, and only the planes whose part of the radius table is
+        nonzero.  The terms are gathered a pair at a time, so at most two
+        complex octants (four real planes) and one real octant density per
+        space are held, never a component.
         """
         h = self.grid.counts[0] // 2
         q = self.q[h:]
@@ -892,6 +949,17 @@ def _add_density(d, x):
     for di, xi in zip(d, x):
         di += xi.real ** 2
         di += xi.imag ** 2
+
+
+def _add_node_density(d, f):
+    """d += the density of f, a slab of per-node components (..., 3): each
+    component's re^2, then im^2, in component order, so the per-node sums
+    are those of _add_density over the three components, to the bit.  The
+    own-space density of a FieldGrid report (x-slabs) and of an .rsf file
+    (z-slabs, rsfio._read_density) is added here, in one read."""
+    for c in range(3):
+        d += f[..., c].real ** 2
+        d += f[..., c].imag ** 2
 
 
 def _stream_stats(components, grid: Grid3D, space, source=True, order="C",

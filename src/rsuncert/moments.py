@@ -67,10 +67,11 @@ Grid path.  A grid report is made from three numbers per space, its
 density's boundary ratio, second moment and norm (_density_report of two
 kspace._DensityStats).  For a FieldGrid (uncertainty_product) they come
 from the one reducer of a component stream, kspace._stream_stats, which
-the node route's densities also use: one pass over the field's components
-per space, position space first, reads each component in place (a view of
-the field) or transforms it into one reused buffer, and adds up that
-space's density, which is reduced and freed before the next pass.  So one
+the node route's densities also use: one pass over the field per space,
+position space first, reads its own-space density in one read of the
+values (kspace._add_node_density, one x-slab at a time) and transforms each
+component into one reused buffer, and adds up that space's density, which
+is reduced and freed before the next pass.  So one
 component buffer and one density array are held, the field is left
 untouched and no partner FieldGrid is built.  `verify-bound --input` puts
 an .rsf file through the same reducer, one component at a time in the
@@ -97,6 +98,7 @@ from .kspace import (
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
+    _add_node_density,
     _stream_stats,
     # not called here since grid reports stream; kept as a binding site that
     # bench/selftest.py checks the tracer wraps and restores
@@ -519,9 +521,17 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
         return rep
     if not isinstance(source, FieldGrid):
         raise TypeError("uncertainty_product: unsupported source type")
+
+    def own_density():
+        # the field's own-space density in one read of its values
+        d = np.zeros(source.grid.counts)
+        for di, fi in zip(d, source.values):
+            _add_node_density(di, fi)
+        return d
+
     # the components are views of the caller's field, left untouched
     k, r = _stream_stats(lambda buf: (source.values[..., c] for c in range(3)),
-                         source.grid, source.space)
+                         source.grid, source.space, source_density=own_density)
     return _density_report(r, k)
 
 

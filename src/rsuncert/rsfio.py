@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from .errors import RsfFormatError
-from .kspace import FieldGrid, Grid3D
+from .kspace import FieldGrid, Grid3D, _add_node_density
 
 __all__ = ["write_rsf", "read_rsf", "LAYOUT"]
 
@@ -132,17 +132,16 @@ def _read_density(fh, start, counts):
     """The field's density |F|^2 on its grid, an (nx, ny, nz) array in
     Fortran order, from one read of the payload that starts at offset
     start of fh: each z-slab's three components' re^2 and im^2 are added
-    in component order, the per-node sums of kspace._add_density over the
-    components of _read_component, with no component buffer."""
+    in component order (kspace._add_node_density), the per-node sums of
+    kspace._add_density over the components of _read_component, with no
+    component buffer."""
     nx, ny, _ = counts
     d = np.zeros(counts, order="F")
     fh.seek(start)
     slab = np.empty((ny, nx, 3), dtype="<c16")
     for dl in d.T:  # z-slab l of d, (ny, nx)
         _read_slab(fh, slab)
-        for c in range(3):
-            dl += slab[..., c].real ** 2
-            dl += slab[..., c].imag ** 2
+        _add_node_density(dl, slab)
     return d
 
 

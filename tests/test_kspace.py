@@ -530,21 +530,32 @@ class TestOctantDensities:
 
     def test_zero_terms_skipped(self, monkeypatch):
         # A0 = x z W, B0 = i y T and F2 take one DCT-IV/DST-IV per axis
-        # each, and F1 (the x <-> y mirror of F0) none; at t = 0 W is zero
-        # for the simplest packet, so only B0 is transformed
-        inputs = []
+        # each, and F1 (the x <-> y mirror of F0) none; each transform takes
+        # only the term's nonzero planes, real and imaginary, held as one
+        # (planes, h, h, h) array, and a zero term takes none
+        shapes = []
         for name in ("dct", "dst"):
             def counted(x, *args, _f=getattr(kspace, name), **kwargs):
-                inputs.append(bool(np.any(x)))
+                assert np.all(np.any(x, axis=(1, 2, 3)))  # no zero plane
+                shapes.append(x.shape)
                 return _f(x, *args, **kwargs)
             monkeypatch.setattr(kspace, name, counted)
         grid = Grid3D.centered(16, 16.0).fourier_dual()
-        pair = SaturatingFieldSpec.simplest(-1.0, 1.0).amplitudes()
-        for t, count in ((0.0, 3), (0.3, 9)):
+        simplest = SaturatingFieldSpec.simplest(-1.0, 1.0).amplitudes()
+        photon = saturating_amplitudes(1.0, 0.0, 1.0)
+        for pair, t, planes in (
+                # the simplest packet (C- = -C+ real): W = 2i p sin kt and
+                # V = 2ik p cos kt are imaginary, and W is zero at t = 0, so
+                # only B0's imaginary plane is transformed then
+                (simplest, 0.0, [1] * 3), (simplest, 0.3, [1] * 9),
+                # the photon (C- = 0): W = -p real and V = ik p imaginary at
+                # t = 0, both complex later
+                (photon, 0.0, [1] * 9), (photon, 0.3, [2] * 9),
+                (saturating_amplitudes(1.0, 0.5j, 1.0), 0.3, [2] * 9)):
             parts = _synthesis_parts(pair.evolved(t), grid)
-            inputs.clear()
+            shapes.clear()
             got = self.unfolded(parts)
-            assert inputs == [True] * count
+            assert shapes == [(p, 8, 8, 8) for p in planes], t
             want = self.streamed(pair.evolved(t), grid)
             for g, w in zip(got, want):
                 self.assert_close(g, w)

@@ -30,7 +30,8 @@ from rsuncert import (
     synthesize_kspace,
     uncertainty_product,
 )
-from rsuncert.kspace import _Dilated
+from rsuncert import moments
+from rsuncert.kspace import _Dilated, _add_density
 from rsuncert.moments import (
     _amp_integrals,
     _closed_form_integrals,
@@ -445,6 +446,26 @@ class TestGridReportSpaces:
 
     def assert_both_sides(self, field, partner):
         self.assert_same(uncertainty_product(field), uncertainty_product(partner))
+
+    @pytest.mark.parametrize("space", ["position", "wavevector"])
+    def test_one_read_density_is_the_component_sum(self, monkeypatch, rng, space):
+        # the own-space density of one read of the values, x-slab by x-slab
+        # (kspace._add_node_density), is the three components' densities
+        # added in order, node by node to the bit, on non-cubic counts
+        grid = Grid3D((6, 7, 5), (0.5, 0.25, 0.2), (-1.0, 0.0, 2.0))
+        vals = rng.normal(size=(6, 7, 5, 3)) + 1j * rng.normal(size=(6, 7, 5, 3))
+        want = np.zeros(grid.counts)
+        for c in range(3):
+            _add_density(want, vals[..., c])
+        got = []
+
+        def spy(*args, source_density, _real=moments._stream_stats, **kwargs):
+            got.append(source_density())
+            return _real(*args, source_density=source_density, **kwargs)
+
+        monkeypatch.setattr(moments, "_stream_stats", spy)
+        uncertainty_product(FieldGrid(vals, grid, space))
+        assert len(got) == 1 and got[0].flags.c_contiguous and np.array_equal(got[0], want)
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("C", [1.0, 0.3 + 0.7j])
