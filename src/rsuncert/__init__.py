@@ -15,6 +15,7 @@ from .analytic_fields import (
     saturating_rs_field,
     scalar_generator,
     simplest_field,
+    write_field,
 )
 from .eigensolver import (
     RadialProblem,

@@ -36,13 +36,13 @@ of d/2, so r^2 = (d/2)^2 m with m = 3 (mod 8), and an n^3 grid has at most
 are evaluated once per radius and gathered per node by the integer key
 (m - 3)/8 (kspace._radius_keys), one z-slab at a time, in the .rsf
 payload's layout (_field_slabs), and each slab writes the polynomial of
-kspace._polynomial, which the k-space node route writes too.  The CLI's
-`field` writes each slab to the file as it is made, so it holds no array
-of the whole grid.  saturating_rs_field and photon_wavefunctions accept
-such a Grid3D in place of points and fill their result from the same
-z-slabs, so the file's bytes are those of the whole-grid result written
-by rsfio.write_rsf.  Each helicity of photon_wavefunctions is evaluated
-on its own (_field), so a caller that needs one pays for one.
+kspace._polynomial, which the k-space node route writes too.  write_field
+(the CLI's `field`) writes each slab to the file as it is made, so it
+holds no array of the whole grid, and evaluates only the helicity it is
+asked for.  saturating_rs_field and photon_wavefunctions accept such a
+Grid3D in place of points and fill their result from the same z-slabs,
+so the file's bytes are those of the whole-grid result written by
+rsfio.write_rsf.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .kspace import (
     _radius_keys,
     saturating_amplitudes,
 )
+from .rsfio import _write_slabs
 
 __all__ = [
     "SaturatingFieldSpec",
@@ -69,6 +70,7 @@ __all__ = [
     "scalar_generator",
     "saturating_rs_field",
     "photon_wavefunctions",
+    "write_field",
     "saturating_field_t0",
     "rotate",
     "boost",
@@ -326,6 +328,16 @@ def photon_wavefunctions(points, t, spec: SaturatingFieldSpec):
     in saturating_rs_field.
     """
     return _field(points, t, spec, +1), _field(points, t, spec, -1)
+
+
+def write_field(path, grid, t, spec: SaturatingFieldSpec, helicity=None) -> None:
+    """Write the closed-form field of spec (helicity None) or the photon
+    wave function F+- (helicity +-1) at time t on grid, a Grid3D.centered
+    cube with an even node count (else ValueError, before the file is
+    opened), to the .rsf file at path: the bytes of rsfio.write_rsf, one
+    z-slab at a time as it is made.  If anything raises once the file is
+    open, the file is removed."""
+    _write_slabs(path, "position", grid, _field_slabs(grid, t, spec, helicity))
 
 
 def _field_slabs(grid, t, spec: SaturatingFieldSpec, helicity=None):

@@ -23,12 +23,9 @@ rsfio._read_header, spreading_trajectory), output paths before any
 command runs (an existing directory, none that names an input or another
 output), and each command runs under np.errstate(over, divide,
 invalid = "raise"), so out-of-range arithmetic is an input error too.
-The file workflow streams: `field` checks everything and forms its radius
-tables before it opens its .rsf file, then evaluates and writes one z-slab
-at a time, and removes the file if anything raises after it is opened;
-`verify-bound --input` reads its density in one pass over the payload and
-then one component at a time in the file's order (_input_report), each
-read checked for a short payload.
+Every report is one call of moments.uncertainty_product and every .rsf
+file one of analytic_fields.write_field, each streamed in bounded memory
+(a failed write leaves no file); this module imports only public names.
 Flag-syntax errors keep argparse's usage output (exit 2).
 Units: c = 1; times are given in units of a/c.
 Option precedence: command-line flags > --config JSON file > defaults.
@@ -45,16 +42,15 @@ import numpy as np
 
 from .analytic_fields import (
     SaturatingFieldSpec,
-    _field,
-    _field_slabs,
+    photon_wavefunctions,
     saturating_rs_field,
+    write_field,
 )
 from .errors import DegenerateFieldError, ResolutionError, RsUncertError, TruncationError
 from .eigensolver import RadialProblem, solve_radial
-from .kspace import Grid3D, _stream_stats, _synthesis_parts
-from .moments import _density_report, _truncations, uncertainty_product
+from .kspace import Grid3D
+from .moments import uncertainty_product
 from .propagator import spreading_trajectory
-from .rsfio import _read_component, _read_density, _read_header, _write_slabs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -230,16 +226,13 @@ def cmd_verify_bound(args) -> int:
         if args.saturating or args.method == "grid":
             flag = "--saturating" if args.saturating else "--method grid"
             raise ValueError(f"{flag} applies to the built-in field, not to --input")
-        report = _input_report(args.input)
+        report = uncertainty_product(args.input)
     elif args.method == "analytic":
         report = uncertainty_product(_field_spec(args).amplitudes())
     else:
         spec = _field_spec(args)
         grid = Grid3D.centered(args.grid, args.extent * spec.a).fourier_dual()
-        # the two densities' stats straight from the synthesis parts: no
-        # FieldGrid is built
-        k, r = _synthesis_parts(spec.amplitudes(), grid).densities()
-        report = _density_report(r, k)
+        report = uncertainty_product(spec.amplitudes(), grid)  # builds no field
 
     _emit(_report_text(report, args.format), args.out)
     ok = report.product >= report.bound - args.tolerance
@@ -248,26 +241,11 @@ def cmd_verify_bound(args) -> int:
     if not ok:
         # a packet cut off by the box has the wrong variance: that is a
         # truncation, not a violated bound or a missed saturation
-        cut = _truncations(report)
+        cut = report.truncations()
         if cut:
             raise TruncationError(cut[0])
         return 1
     return EXIT_OK
-
-
-def _input_report(path):
-    """The grid report of the .rsf file at path, the same report as
-    uncertainty_product(read_rsf(path)) without the field, from four reads
-    of the payload (kspace._stream_stats with order "F"): the file's own
-    space takes its density from one read (rsfio._read_density), and the
-    transform pass reads one component at a time, in the file's order,
-    into one buffer."""
-    with open(path, "rb") as fh:
-        space, grid, start = _read_header(fh)
-        k, r = _stream_stats(lambda buf: (_read_component(fh, start, c, buf) for c in range(3)),
-                             grid, space, order="F",
-                             source_density=lambda: _read_density(fh, start, grid.counts))
-    return _density_report(r, k)
 
 
 def cmd_spectrum(args) -> int:
@@ -296,9 +274,7 @@ def cmd_field(args) -> int:
     helicity = {None: None, "plus": +1, "minus": -1}[args.photon]
 
     grid = Grid3D.centered(args.grid, args.extent * spec.a)
-    # every check, and the radius tables, come before the file is opened;
-    # each z-slab is evaluated as it is written
-    _write_slabs(args.out_field, "position", grid, _field_slabs(grid, t, spec, helicity))
+    write_field(args.out_field, grid, t, spec, helicity)
     if args.profile_out:
         axis = {"x": 0, "y": 1, "z": 2}[args.profile_axis]
         coords = np.linspace(-args.extent * spec.a / 2, args.extent * spec.a / 2, 257)
@@ -307,7 +283,7 @@ def cmd_field(args) -> int:
         if helicity is None:
             vals = saturating_rs_field(pts, t, spec)
         else:
-            vals = _field(pts, t, spec, helicity)
+            vals = photon_wavefunctions(pts, t, spec)[helicity < 0]
         lines = [f"{args.profile_axis},ReFx,ImFx,ReFy,ImFy,ReFz,ImFz"]
         for i, cvt in enumerate(coords):
             row = [_fmt(cvt)]

@@ -66,20 +66,20 @@ frame and report that FieldGrid (see the README).
 
 The Fourier bridge transforms one component at a time: per-axis phases are
 applied one slab at a time, in place, around an overwriting scipy FFT.  A
-density is computed once per field as re^2 + im^2 (FieldGrid.density).
+field's own density is re^2 + im^2 of its components, read in one pass over
+its interleaved values (_add_node_density: FieldGrid.density, and an .rsf
+file's rsfio._read_density).
 _stream_stats, the one reducer of a component stream, takes the three
 numbers a report takes of a density (_DensityStats: its boundary ratio,
 second moment and norm) in one pass over the components per space,
 position space first: one component buffer and one density are held at a
 time (the output-side DFT phases are unimodular and drop out).  Its
 buffers follow the stream's memory order, C or the .rsf file's (x
-fastest), to the same bits.  A FieldGrid's or .rsf file's own-space
-density is read in one pass over its interleaved values
-(_add_node_density).  _NodeParts.densities, the
-FieldGrid reports of moments and `verify-bound --input` call it.  Both
-routes' parts have densities(source=...), which give those numbers per
-space, and the spreading trajectory and `verify-bound --method grid` take
-them from there.
+fastest), to the same bits.  _NodeParts.densities and the FieldGrid and
+.rsf reports of moments.uncertainty_product call it.  Both routes' parts
+have densities(source=...), which give those numbers per space, and the
+spreading trajectory and uncertainty_product(pair, grid) take them from
+there.
 """
 
 from __future__ import annotations
@@ -193,10 +193,12 @@ class FieldGrid:
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
 
     def density(self) -> np.ndarray:
-        """Energy-like density F*.F at every node (real array)."""
-        # re^2 + im^2 summed over components, in one pass over a float view
-        f = self.values.view(np.float64)
-        return np.einsum("...i,...i->...", f, f)
+        """Energy-like density F*.F at every node (real array), one x-slab
+        at a time (_add_node_density): the density a report takes."""
+        d = np.zeros(self.grid.counts)
+        for di, fi in zip(d, self.values):
+            _add_node_density(di, fi)
+        return d
 
     def boundary_density_ratio(self) -> float:
         """max boundary-face density / max density (truncation diagnostic)."""
@@ -955,8 +957,8 @@ def _add_node_density(d, f):
     """d += the density of f, a slab of per-node components (..., 3): each
     component's re^2, then im^2, in component order, so the per-node sums
     are those of _add_density over the three components, to the bit.  The
-    own-space density of a FieldGrid report (x-slabs) and of an .rsf file
-    (z-slabs, rsfio._read_density) is added here, in one read."""
+    own-space density of a FieldGrid (x-slabs, FieldGrid.density) and of an
+    .rsf file (z-slabs, rsfio._read_density) is added here, in one read."""
     for c in range(3):
         d += f[..., c].real ** 2
         d += f[..., c].imag ** 2

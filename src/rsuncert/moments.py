@@ -64,24 +64,16 @@ Dr^2, Dk^2 and the norms of both spaces are public only as fields of the
 report that uncertainty_product returns.
 
 Grid path.  A grid report is made from three numbers per space, its
-density's boundary ratio, second moment and norm (_density_report of two
-kspace._DensityStats).  For a FieldGrid (uncertainty_product) they come
-from the one reducer of a component stream, kspace._stream_stats, which
-the node route's densities also use: one pass over the field per space,
-position space first, reads its own-space density in one read of the
-values (kspace._add_node_density, one x-slab at a time) and transforms each
-component into one reused buffer, and adds up that space's density, which
-is reduced and freed before the next pass.  So one
-component buffer and one density array are held, the field is left
-untouched and no partner FieldGrid is built.  `verify-bound --input` puts
-an .rsf file through the same reducer, one component at a time in the
-file's order, so it holds no field either.  For an amplitude pair
-(`verify-bound --method grid`) they come from the synthesis parts'
-densities (kspace._synthesis_parts), each route with its own assembly:
-the node route streams the x-slab components it writes through
-_stream_stats, and the radial route (radial amplitudes on a centred even
-cube) reduces the positive octant of each density, with no component
-and no density of the whole cube built.
+density's boundary ratio, second moment and norm (two
+kspace._DensityStats).  uncertainty_product takes them, streamed, from
+each grid source: a FieldGrid, and an .rsf path (rsfio._file_stats),
+through the one reducer of a component stream, kspace._stream_stats (one
+pass per space, position space first, holding one component buffer and
+one density), and an amplitude pair on a wavevector grid from its
+synthesis parts' densities (kspace._synthesis_parts; its module docstring
+gives both routes).  No partner FieldGrid is built, and no field at all
+for a path or a pair.  The report's truncations() decide `verify-bound`'s
+exit 5.
 """
 
 from __future__ import annotations
@@ -89,21 +81,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 import json
+import os
 
 import numpy as np
 
 from .errors import DegenerateFieldError, SingularAmplitudeError
 from .kspace import (
     FieldGrid,
+    Grid3D,
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
-    _add_node_density,
     _stream_stats,
+    _synthesis_parts,
     # not called here since grid reports stream; kept as a binding site that
     # bench/selftest.py checks the tracer wraps and restores
     fourier_to_position,  # noqa: F401
 )
+from .rsfio import _file_stats
 
 __all__ = [
     "BOUND_EM",
@@ -481,6 +476,15 @@ class VarianceReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
+    def truncations(self) -> list:
+        """One line per space whose boundary ratio exceeds TRUNCATION_RATIO,
+        position space first; none for an amplitude report (no ratios).  Any
+        line means the box cut the packet off: no verdict on the bound."""
+        return [f"{space}-space density at boundary exceeds {TRUNCATION_RATIO:g} of peak"
+                for ratio, space in ((self.boundary_ratio_r, "position"),
+                                     (self.boundary_ratio_k, "wavevector"))
+                if ratio is not None and ratio > TRUNCATION_RATIO]
+
 
 def _report(dr2, dk2, nr, nk, warnings, **extra):
     product = float(np.sqrt(dr2 * dk2))
@@ -498,15 +502,20 @@ def _report(dr2, dk2, nr, nk, warnings, **extra):
 
 
 def uncertainty_product(source, rule=None) -> VarianceReport:
-    """Build a VarianceReport (bound BOUND_EM = 5/2) from either of:
+    """Build a VarianceReport (bound BOUND_EM = 5/2) from any of:
 
-    * HelicityAmplitudePair     analytic amplitude path
+    * HelicityAmplitudePair     analytic amplitude path, on the quadrature
+                                `rule` if one is given
+    * HelicityAmplitudePair,    grid path of the pair on that wavevector
+      Grid3D rule               grid, streamed (kspace._synthesis_parts)
     * FieldGrid                 grid path (partner obtained by FFT, streamed
                                 one component at a time: kspace._stream_stats)
+    * str or os.PathLike        grid path of that .rsf file, streamed from
+                                the file (rsfio._file_stats)
 
-    Any other source raises TypeError.
+    Any other source, or a rule with a FieldGrid or a path, raises TypeError.
     """
-    if isinstance(source, HelicityAmplitudePair):
+    if isinstance(source, HelicityAmplitudePair) and not isinstance(rule, Grid3D):
         # norm_r takes the coarser rule's norm, so its agreement with norm_k
         # is the Plancherel line of the report; closed forms give both
         # exactly.  A time so large that a moment overflows is refused
@@ -519,38 +528,22 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
             raise ValueError(f"uncertainty_product: the pair at t = {source.t} has "
                              "moments that are not finite")
         return rep
-    if not isinstance(source, FieldGrid):
+    if isinstance(source, HelicityAmplitudePair):
+        k, r = _synthesis_parts(source, rule).densities()
+    elif rule is not None:
+        raise TypeError("uncertainty_product: a rule applies to a HelicityAmplitudePair only")
+    elif isinstance(source, FieldGrid):
+        # the components are views of the caller's field, left untouched
+        k, r = _stream_stats(lambda buf: (source.values[..., c] for c in range(3)),
+                             source.grid, source.space, source_density=source.density)
+    elif isinstance(source, (str, os.PathLike)):
+        k, r = _file_stats(source)
+    else:
         raise TypeError("uncertainty_product: unsupported source type")
-
-    def own_density():
-        # the field's own-space density in one read of its values
-        d = np.zeros(source.grid.counts)
-        for di, fi in zip(d, source.values):
-            _add_node_density(di, fi)
-        return d
-
-    # the components are views of the caller's field, left untouched
-    k, r = _stream_stats(lambda buf: (source.values[..., c] for c in range(3)),
-                         source.grid, source.space, source_density=own_density)
-    return _density_report(r, k)
-
-
-def _density_report(r, k) -> VarianceReport:
-    """Report from the position and wavevector stats (kspace._DensityStats):
-    each space's boundary ratio, second moment and norm."""
     rep = _report(r.moment, k.moment, r.norm, k.norm, [],
                   boundary_ratio_r=float(r.ratio), boundary_ratio_k=float(k.ratio))
-    rep.warnings = [f"truncation: {cut}" for cut in _truncations(rep)]
+    rep.warnings = [f"truncation: {cut}" for cut in rep.truncations()]
     return rep
-
-
-def _truncations(report) -> list:
-    """One line per space whose boundary ratio exceeds TRUNCATION_RATIO,
-    position space first; none for an amplitude report (no ratios)."""
-    return [f"{space}-space density at boundary exceeds {TRUNCATION_RATIO:g} of peak"
-            for ratio, space in ((report.boundary_ratio_r, "position"),
-                                 (report.boundary_ratio_k, "wavevector"))
-            if ratio is not None and ratio > TRUNCATION_RATIO]
 
 
 def massless_bound(h) -> float:

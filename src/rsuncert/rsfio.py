@@ -10,10 +10,11 @@ The payload is a sequence of z-slabs of nx * ny nodes, and it is written
 and read one z-slab at a time.  write_rsf and `field` share one slab
 writer (_write_slabs), which removes the file if anything raises before
 its last slab is written, so a failed write leaves no partial file.
-read_rsf builds the whole FieldGrid; `verify-bound --input` instead reads
-the file's own-space density in one read of the payload (_read_density),
-then one component at a time, in the file's order, into a buffer of its
-own (_read_component), so it never holds the field.  Either way the header,
+read_rsf builds the whole FieldGrid; the report of the file,
+moments.uncertainty_product(path), instead streams it (_file_stats): the
+file's own-space density in one read of the payload (_read_density), then
+one component at a time, in the file's order, into a buffer of its own
+(_read_component), so it never holds the field.  Either way the header,
 the payload size (from the file size) and the Grid3D are checked before
 anything the size of the payload is allocated (_read_header), and every
 slab read is checked for a short read.
@@ -27,7 +28,7 @@ import os
 import numpy as np
 
 from .errors import RsfFormatError
-from .kspace import FieldGrid, Grid3D, _add_node_density
+from .kspace import FieldGrid, Grid3D, _add_node_density, _stream_stats
 
 __all__ = ["write_rsf", "read_rsf", "LAYOUT"]
 
@@ -143,6 +144,17 @@ def _read_density(fh, start, counts):
         _read_slab(fh, slab)
         _add_node_density(dl, slab)
     return d
+
+
+def _file_stats(path):
+    """(k-space stats, position stats) (kspace._DensityStats) of the .rsf
+    file at path, those of read_rsf(path) to the bit, from four reads of
+    the payload (kspace._stream_stats with order "F")."""
+    with open(path, "rb") as fh:
+        space, grid, start = _read_header(fh)
+        return _stream_stats(lambda buf: (_read_component(fh, start, c, buf) for c in range(3)),
+                             grid, space, order="F",
+                             source_density=lambda: _read_density(fh, start, grid.counts))
 
 
 def _parse_header(header_line):

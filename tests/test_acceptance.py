@@ -46,7 +46,7 @@ from rsuncert import (
     uncertainty_product,
 )
 from rsuncert.kspace import _RadialParts, _density_stats, _synthesis_parts
-from rsuncert.moments import _density_report
+from rsuncert.moments import TRUNCATION_RATIO
 from conftest import dawson_erfi_oracle, dawson_series_oracle, random_pair, unfold_octant
 
 SQ2PI = np.sqrt(2.0 * np.pi)
@@ -284,18 +284,18 @@ def test_criterion_9_radial_spectrum_oracle(n, spectrum_4):
     # the whole cubes, unfolded from the octants, and the octant stats
     # that `verify-bound --method grid` reports
     src, dual = (unfold_octant(d) for d in parts.octants())
-    rep_g = _density_report(_density_stats(dual, grid.fourier_dual()), _density_stats(src, grid))
-    k, r = parts.densities()
-    rep_o = _density_report(r, k)
-    errs = [abs(v / want - 1.0) for rep in (rep_a, rep_g, rep_o)
-            for v in (rep.delta_r2, rep.delta_k2)]
+    cubes = (_density_stats(dual, grid.fourier_dual()), _density_stats(src, grid))
+    rep_o = uncertainty_product(pair, grid)
+    errs = [abs(v / want - 1.0) for v in (rep_a.delta_r2, rep_a.delta_k2, cubes[0].moment,
+                                          cubes[1].moment, rep_o.delta_r2, rep_o.delta_k2)]
     gamma = spectrum_4.eigenvalues[n]
     kappa = np.linspace(1e-3, 12.0, 4001)
     g = kappa * laguerre_general(n, 1.5, kappa ** 2) * np.exp(-kappa ** 2 / 2.0)
     rq_err = abs(rayleigh_quotient(g, kappa) / want - 1.0)
     report(
         f"criterion 9 (radial oracle, n={n})",
-        max(errs) <= 1e-12 and not rep_g.warnings + rep_o.warnings and abs(gamma - want) < 1e-3
+        max(errs) <= 1e-12 and max(c.ratio for c in cubes) <= TRUNCATION_RATIO
+        and not rep_o.warnings and abs(gamma - want) < 1e-3
         and rq_err <= 1e-8,
         f"worst rel err={max(errs):.1e}, gamma_{n}={gamma:.6f}, "
         f"rayleigh rel err={rq_err:.1e}",

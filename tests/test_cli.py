@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, report formats."""
 
+import ast
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ from rsuncert import (
     fourier_to_position,
     write_rsf,
 )
-from rsuncert import cli
+from rsuncert import analytic_fields, cli, rsfio
 from rsuncert.analytic_fields import saturating_rs_field
 from rsuncert.cli import main
 from rsuncert.eigensolver import N_POINTS_MAX
@@ -78,7 +79,7 @@ class TestVerifyBound:
         path = tmp_path / "f.rsf"
         write_rsf(path, FieldGrid(vals, grid, space))
         want = uncertainty_product(read_rsf(path))
-        got = cli._input_report(path)
+        got = uncertainty_product(path)
         assert got.to_dict() == want.to_dict()
         assert (got.boundary_ratio_r, got.boundary_ratio_k) == (
             want.boundary_ratio_r, want.boundary_ratio_k)
@@ -97,12 +98,12 @@ class TestVerifyBound:
         path = tmp_path / "f.rsf"
         write_rsf(path, field)
         calls = []
-        real_density, real_component = cli._read_density, cli._read_component
-        monkeypatch.setattr(cli, "_read_density", lambda *a: calls.append("density")
+        real_density, real_component = rsfio._read_density, rsfio._read_component
+        monkeypatch.setattr(rsfio, "_read_density", lambda *a: calls.append("density")
                             or real_density(*a))
-        monkeypatch.setattr(cli, "_read_component", lambda fh, start, comp, out:
+        monkeypatch.setattr(rsfio, "_read_component", lambda fh, start, comp, out:
                             calls.append(comp) or real_component(fh, start, comp, out))
-        cli._input_report(path)
+        uncertainty_product(path)
         assert calls == want
 
     def test_input_truncated_between_passes_exit2(self, tmp_path, capsys, monkeypatch):
@@ -124,9 +125,9 @@ class TestVerifyBound:
                 os.truncate(path, path.stat().st_size - 48)
             return real_component(fh, start, comp, out)
 
-        real_density, real_component = cli._read_density, cli._read_component
-        monkeypatch.setattr(cli, "_read_density", density)
-        monkeypatch.setattr(cli, "_read_component", shrinking)
+        real_density, real_component = rsfio._read_density, rsfio._read_component
+        monkeypatch.setattr(rsfio, "_read_density", density)
+        monkeypatch.setattr(rsfio, "_read_component", shrinking)
         code = run(["verify-bound", "--input", path])
         out, err = capsys.readouterr()
         assert code == 2
@@ -411,8 +412,8 @@ class TestField:
                     yield slab
             return gen()
 
-        real = cli._field_slabs
-        monkeypatch.setattr(cli, "_field_slabs", failing)
+        real = analytic_fields._field_slabs
+        monkeypatch.setattr(analytic_fields, "_field_slabs", failing)
         rsf = tmp_path / "f.rsf"
         code = run(["field", "--grid", 16, "--out-field", rsf])
         out, err = capsys.readouterr()
@@ -675,6 +676,29 @@ def test_spread_truncation_one_line(capsys):
     err = capsys.readouterr().err
     assert code == 5
     assert err.startswith("error: truncation:") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_imports_no_private_name():
+    # every report and writer the CLI runs is a public call of the package
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("rsuncert"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+@pytest.mark.parametrize("args, spec, extent", [
+    ([], SaturatingFieldSpec.simplest(C=1.0, a=1.0), 16.0),
+    (["--c-plus", "0.8+0.3j", "--c-minus", "-0.2", "--extent", 20],
+     SaturatingFieldSpec(a=1.0, c_plus=0.8 + 0.3j, c_minus=-0.2), 20.0),
+])
+def test_grid_method_is_the_pair_grid_report(capsys, args, spec, extent):
+    # `verify-bound --method grid` prints the library's report of the pair
+    # on the wavevector grid, to the bit
+    run(["verify-bound", "--method", "grid", "--grid", 32] + args)
+    want = uncertainty_product(spec.amplitudes(), Grid3D.centered(32, extent).fourier_dual())
+    assert capsys.readouterr().out == want.to_json() + "\n"
 
 
 def test_overflow_one_line_outside_pytest(tmp_path):

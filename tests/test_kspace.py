@@ -33,7 +33,7 @@ from rsuncert.kspace import (
     _phased,
     _synthesis_parts,
 )
-from rsuncert.moments import TRUNCATION_RATIO, _SphericalRule, _density_report
+from rsuncert.moments import TRUNCATION_RATIO, _SphericalRule
 from conftest import _stream_densities, node_route_pair, second_moment_oracle, unfold_octant
 
 
@@ -346,8 +346,7 @@ class TestNodeRoute:
         pair = self.random_pair([seed, round(10 * t), grid.counts[1]])
         parts = _synthesis_parts(pair.evolved(t), grid)
         assert isinstance(parts, _NodeParts)
-        k, r = parts.densities()
-        want = _density_report(r, k).to_dict()
+        want = uncertainty_product(pair.evolved(t), grid).to_dict()
         assert uncertainty_product(synthesize_kspace(pair.evolved(t), grid)).to_dict() == want
 
 
@@ -363,7 +362,7 @@ def test_report_carries_boundary_ratios(n, extent, cut):
     amps = SaturatingFieldSpec.simplest(C=1.0, a=1.0).amplitudes()
     grid = Grid3D.centered(n, extent).fourier_dual()
     k, r = _synthesis_parts(amps, grid).densities()
-    rep = _density_report(r, k)
+    rep = uncertainty_product(amps, grid)
     assert (rep.boundary_ratio_r, rep.boundary_ratio_k) == (r.ratio, k.ratio)
     assert list(rep.to_dict()) == ["delta_r2", "delta_k2", "product", "bound",
                                    "saturation_ratio", "norm_r", "norm_k", "warnings"]
@@ -386,9 +385,8 @@ class TestRadialRoute:
     which streams its components through the FFT."""
 
     @staticmethod
-    def assert_report_matches(parts, field):
-        k, r = parts.densities()
-        got, want = _density_report(r, k), uncertainty_product(field)
+    def assert_report_matches(pair, grid, field):
+        got, want = uncertainty_product(pair, grid), uncertainty_product(field)
         for key in ("delta_r2", "delta_k2", "norm_r", "norm_k"):
             g, w = getattr(got, key), getattr(want, key)
             assert abs(g - w) <= 1e-12 * abs(w), key
@@ -409,7 +407,7 @@ class TestRadialRoute:
         assert isinstance(parts, _RadialParts)
         field = synthesize_kspace(radial.evolved(t), grid)
         self.assert_field_matches(field, polarization_reference(radial, grid, t))
-        self.assert_report_matches(parts, field)
+        self.assert_report_matches(radial.evolved(t), grid, field)
 
     def test_evolved_pair_keeps_the_radial_route(self):
         # the pair carries its time: evolved twice, it is the field at the
@@ -421,7 +419,7 @@ class TestRadialRoute:
         assert isinstance(parts, _RadialParts)
         field = synthesize_kspace(twice, grid)
         self.assert_field_matches(field, polarization_reference(sat, grid, 0.7))
-        self.assert_report_matches(parts, synthesize_kspace(sat.evolved(0.7), grid))
+        self.assert_report_matches(twice, grid, synthesize_kspace(sat.evolved(0.7), grid))
 
     def test_dilated_pair_keeps_the_radial_route(self):
         # a radial profile dilates in its own family: the field of the
@@ -435,7 +433,7 @@ class TestRadialRoute:
         assert isinstance(_synthesis_parts(wrapped, grid), _NodeParts)
         field = synthesize_kspace(dil, grid)
         self.assert_field_matches(field, polarization_reference(wrapped, grid, 0.0))
-        self.assert_report_matches(parts, synthesize_kspace(wrapped, grid))
+        self.assert_report_matches(dil, grid, synthesize_kspace(wrapped, grid))
 
     def test_other_grids_take_the_frame_route(self):
         # not centred: the radius keys do not apply, so the node route runs

@@ -29,6 +29,7 @@ from rsuncert import (
     simplest_field,
     synthesize_kspace,
     uncertainty_product,
+    write_rsf,
 )
 from rsuncert import moments
 from rsuncert.kspace import _Dilated, _add_density
@@ -413,6 +414,18 @@ class TestUncertaintyProduct:
         with pytest.raises(TypeError):
             uncertainty_product((fieldR, fourier_to_kspace(fieldR)))
 
+    def test_rule_that_does_not_apply_rejected(self, tmp_path):
+        # a rule is a pair's quadrature rule or its wavevector grid: given
+        # with a field or a path it would be ignored, and a grid with a
+        # field would read as a grid request, so both are refused
+        fieldR = simplest_field_grid(n=16, extent=8.0)
+        path = tmp_path / "f.rsf"
+        write_rsf(path, fieldR)
+        for source in (fieldR, path, str(path)):
+            for rule in (fieldR.grid, fieldR.grid.fourier_dual(), _SphericalRule(9.0)):
+                with pytest.raises(TypeError, match="rule"):
+                    uncertainty_product(source, rule)
+
     def test_truncation_warning(self):
         rep = uncertainty_product(simplest_field_grid(a=1.0, n=16, extent=4.0))
         assert any("truncation" in w for w in rep.warnings)
@@ -466,6 +479,25 @@ class TestGridReportSpaces:
         monkeypatch.setattr(moments, "_stream_stats", spy)
         uncertainty_product(FieldGrid(vals, grid, space))
         assert len(got) == 1 and got[0].flags.c_contiguous and np.array_equal(got[0], want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_density_per_field(self, monkeypatch, seed):
+        # FieldGrid.density is the own-space density the report takes, to
+        # the bit, so the field's boundary ratio is the report's
+        rng = np.random.default_rng(seed)
+        grid = Grid3D.centered(32, 8.0)
+        field = FieldGrid(rng.normal(size=grid.counts + (3,))
+                          + 1j * rng.normal(size=grid.counts + (3,)), grid, "position")
+        got = []
+
+        def spy(*args, source_density, _real=moments._stream_stats, **kwargs):
+            got.append(source_density())
+            return _real(*args, source_density=source_density, **kwargs)
+
+        monkeypatch.setattr(moments, "_stream_stats", spy)
+        rep = uncertainty_product(field)
+        assert len(got) == 1 and np.array_equal(field.density(), got[0])
+        assert field.boundary_density_ratio() == rep.boundary_ratio_r
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("C", [1.0, 0.3 + 0.7j])
