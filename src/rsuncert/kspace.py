@@ -69,15 +69,27 @@ applied one slab at a time, in place, around an overwriting scipy FFT.  A
 field's own density is re^2 + im^2 of its components, read in one pass over
 its interleaved values (_add_node_density: FieldGrid.density, and an .rsf
 file's rsfio._read_density).
-_stream_stats, the one reducer of a component stream, takes the three
+_stream_stats, the one reducer of a field's stream, takes the three
 numbers a report takes of a density (_DensityStats: its boundary ratio,
-second moment and norm) in one pass over the components per space,
-position space first: one component buffer and one density are held at a
-time (the output-side DFT phases are unimodular and drop out).  Its
-buffers follow the stream's memory order, C or the .rsf file's (x
-fastest), to the same bits.  _NodeParts.densities and the FieldGrid and
-.rsf reports of moments.uncertainty_product call it.  Both routes' parts
-have densities(source=...), which give those numbers per space, and the
+second moment and norm) in one pass per space, position space first: one
+buffer and one density are held at a time (the output-side DFT phases are
+unimodular and drop out).  The transform pass takes the field's six real
+planes, not its three components (_transform_plan): a zero component is
+neither read nor transformed, and the planes of components with one
+nonzero plane (a real or an imaginary one) are transformed two to an FFT,
+as Z = p + i q, whose density on the symmetric dual grid gives both,
+(|Z(k)|^2 + |Z(-k)|^2) / 2 (_add_pair_density).  Every other component,
+so every component of a complex field, is transformed whole, as it always
+was.  Which planes are zero is an exact property of the input: an .rsf
+position file notes it as its density is read, and a FieldGrid or a
+wavevector file is probed slab by slab until every plane has shown a
+nonzero value (_nonzero_planes).  The default packet at t = 0 (Fz = 0, Fx
+and Fy real) takes one FFT instead of three.  Its buffers follow the
+stream's memory order, C or the .rsf file's (x fastest), to the same bits.
+_NodeParts.densities and the FieldGrid and .rsf reports of
+moments.uncertainty_product call it; the node route streams its three
+components, with no plane table.  Both routes' parts have
+densities(source=...), which give those numbers per space, and the
 spreading trajectory and uncertainty_product(pair, grid) take them from
 there.
 """
@@ -220,7 +232,10 @@ def _grid_moment(d, axes, cell_volume):
     x, y, z = axes
     dxy = d.sum(axis=2)
     n = dxy.sum() * cell_volume
-    if not np.isfinite(n) or n <= 0.0:
+    if not np.isfinite(n):
+        # a NaN or inf sample is bad input, not a field of zero norm
+        raise ValueError(f"variance: the field norm is not finite (N = {n})")
+    if n <= 0.0:
         raise DegenerateFieldError("variance: zero field norm")
     m = (x ** 2 @ dxy.sum(axis=1) + y ** 2 @ dxy.sum(axis=0)
          + z ** 2 @ d.sum(axis=(0, 1))) * cell_volume
@@ -237,8 +252,10 @@ class _DensityStats(NamedTuple):
 
 
 def _density_stats(d, grid) -> _DensityStats:
-    """The stats of the density array d on grid."""
-    return _DensityStats(_boundary_ratio(d), *_grid_moment(d, grid.axes(), grid.cell_volume))
+    """The stats of the density array d on grid; the norm is checked
+    (_grid_moment) before the boundary ratio divides by the peak."""
+    moment, norm = _grid_moment(d, grid.axes(), grid.cell_volume)
+    return _DensityStats(_boundary_ratio(d), moment, norm)
 
 
 def _octant_stats(dp, grid) -> _DensityStats:
@@ -576,7 +593,7 @@ class _NodeParts:
         """(k-space stats or None if not source, position stats) of
         Ftilde(k, amps.t) (_DensityStats), from its components
         (_stream_stats)."""
-        return _stream_stats(lambda buf: self.components(out=(buf,) * 3),
+        return _stream_stats(lambda buf, pairs: self.components(out=(buf,) * 3),
                              self.grid, "wavevector", source)
 
 
@@ -953,6 +970,32 @@ def _add_density(d, x):
         di += xi.imag ** 2
 
 
+def _add_pair_density(d, z):
+    """d += (|z|^2 + |z'|^2) / 2, z' being z with all three indices
+    reversed: the summed density of two real planes p and q, given z, the
+    transform of p + i q up to unimodular phases, on a grid symmetric about
+    0 (every fourier_dual grid).  There z' holds the transform at -k, and
+    a real plane's transform takes conjugate values at k and -k, so
+    |Z(k)|^2 + |Z(-k)|^2 = 2 (|P(k)|^2 + |Q(k)|^2).
+
+    Slab i of d's outer memory axis is taken with its mirror slab, so each
+    |z|^2 is formed once; node and mirror add the same two terms, so the
+    result does not depend on d's order."""
+    if d.flags.f_contiguous:
+        d, z = d.T, z.T
+    n = d.shape[0]
+    s, t, u = np.empty((3,) + d.shape[1:])
+    for i in range((n + 1) // 2):
+        j = n - 1 - i
+        for zk, out in ((z[i], s), (z[j], t)):
+            np.square(zk.real, out=out)
+            out += np.square(zk.imag, out=u)
+        for di, own, other in ((d[i], s, t), (d[j], t, s))[:1 + (j > i)]:
+            np.add(own, other[::-1, ::-1], out=u)
+            u *= 0.5
+            di += u
+
+
 def _add_node_density(d, f):
     """d += the density of f, a slab of per-node components (..., 3): each
     component's re^2, then im^2, in component order, so the per-node sums
@@ -964,48 +1007,131 @@ def _add_node_density(d, f):
         d += f[..., c].imag ** 2
 
 
-def _stream_stats(components, grid: Grid3D, space, source=True, order="C",
-                  source_density=None):
-    """(k-space stats, position stats) (_DensityStats) of a field on grid in
-    `space` ("wavevector" or "position"), given as components(buf): an
-    iterator over its three components, each either buf itself (which may
-    be overwritten) or an array that is left untouched.  buf is an
-    (nx, ny, nz) array in `order`: "C", or "F" for a stream in the .rsf
-    file's order (x fastest, rsfio._read_component).  The k-space stats
-    are None if not source (a wavevector field only).  source_density(),
-    if given, returns the field's own density in `order` (the per-node
-    sums of its components' re^2 + im^2, in component order), which the
-    source pass then takes in place of its pass over the components.
+# A field's six real planes: plane 2c + p is the real (p = 0) or imaginary
+# (p = 1) part of component c, in the order of its interleaved values.
+_COMPONENTS = ((0, 1), (2, 3), (4, 5))
 
-    One pass over the components per space, each adding up one real
-    density in buf's order, so one component buffer and one density are
-    held.  The buffer is freed before the density is made C-contiguous (a
-    copy for order "F") and reduced, and the density before the next pass.
-    Position space is reduced first, so its checks raise first.  The
-    transform pass phases each component into buf, transforms it in place
-    and adds the density of the result; the output-side DFT phases are
-    unimodular and never applied.  Either order gives the same bits: the
-    phases and densities are the same products node by node, and fftn
+
+def _note_planes(nonzero, f):
+    """Set nonzero[p] (six bools, one per plane) for each plane p that
+    holds a nonzero value in f, a contiguous slab of per-node components
+    (..., 3); return whether every plane now has one.  A plane already
+    marked is not looked at again, and NaN counts as nonzero."""
+    flat = f.view(f.real.dtype).reshape(-1, 6)
+    for p in np.flatnonzero(~nonzero):
+        nonzero[p] = np.count_nonzero(flat[:, p]) > 0
+    return bool(nonzero.all())
+
+
+def _nonzero_planes(slabs):
+    """Which planes of a field, given as its slabs of per-node components,
+    hold a nonzero value (_note_planes), taken slab by slab until every
+    plane has shown one: one slab for a complex field."""
+    nonzero = np.zeros(6, dtype=bool)
+    for f in slabs:
+        if _note_planes(nonzero, f):
+            break
+    return nonzero
+
+
+def _field_planes(values, pairs, buf):
+    """The read of _stream_stats for the values of a FieldGrid: for each
+    pair (a, b) of planes, component c's own storage (a view, untouched)
+    for its pair (2c, 2c + 1), and otherwise plane a + i plane b written
+    into buf."""
+    flat = values.view(np.float64)
+    for a, b in pairs:
+        if (a, b) in _COMPONENTS:
+            yield values[..., a // 2]
+        else:
+            np.copyto(buf.real, flat[..., a])
+            np.copyto(buf.imag, flat[..., b])
+            yield buf
+
+
+def _transform_plan(nonzero):
+    """(the components transformed whole, each as its (re, im) planes,
+    in component order, and the pairs of real planes transformed two to
+    an FFT) of a field whose planes with a nonzero value are marked in
+    nonzero (None: all three components whole).
+
+    A component with both planes nonzero is transformed whole and a zero
+    one not at all.  The planes of components with one nonzero plane are
+    paired in order; the last, if their count is odd, goes whole with its
+    component, as every complex field's components do."""
+    if nonzero is None:
+        return _COMPONENTS, ()
+    whole, single = [], []
+    for planes in _COMPONENTS:
+        held = [p for p in planes if nonzero[p]]
+        if len(held) == 2:
+            whole.append(planes)
+        elif held:
+            single.append(held[0])
+    if len(single) % 2:
+        whole = sorted(whole + [_COMPONENTS[single.pop() // 2]])
+    return tuple(whole), tuple(zip(single[::2], single[1::2]))
+
+
+def _stream_stats(read, grid: Grid3D, space, source=True, order="C",
+                  source_density=None, nonzero=None):
+    """(k-space stats, position stats) (_DensityStats) of a field on grid in
+    `space` ("wavevector" or "position"), given as read(buf, pairs): an
+    iterator over plane a + i plane b of each pair (a, b) of the field's
+    six real planes (plane 2c + p: the real, p = 0, or imaginary, p = 1,
+    part of component c, so (2c, 2c + 1) is component c), each either buf
+    itself (which may be overwritten) or an array that is left untouched.
+    buf is an (nx, ny, nz) array in `order`: "C", or "F" for a stream in
+    the .rsf file's order (x fastest, rsfio._read_planes).  The k-space
+    stats are None if not source (a wavevector field only).
+    source_density(), if given, returns the field's own density in `order`
+    (the per-node sums of its components' re^2 + im^2, in component
+    order), which the source pass then takes in place of its pass over the
+    components.  nonzero(), if given, returns which planes hold a nonzero
+    value (_nonzero_planes); without it read is only ever asked for the
+    three components in order, so a stream (the node route's) may yield
+    them without looking at pairs.
+
+    One pass per space, each adding up one real density in buf's order, so
+    one buffer and one density are held.  The buffer is freed before the
+    density is made C-contiguous (a copy for order "F") and reduced, and
+    the density before the next pass.  Position space is reduced first, so
+    its checks raise first.  The transform pass reads and transforms what
+    _transform_plan takes of the planes: each is phased into buf (from a
+    component's own storage where read gives it), transformed in place,
+    and its density added, a component's as re^2 + im^2 and a pair's
+    mirrored (_add_pair_density), so a zero component costs nothing, two
+    real or imaginary components one FFT, and a complex field's report is
+    that of a transform per component.  A field with no nonzero plane still
+    has its zero density formed and reduced.  The output-side DFT phases
+    are unimodular and never applied.  Either order gives the same bits:
+    the phases and densities are the same products node by node, and fftn
     applies the same 1-D transforms in the same axis order (x, y, z).
     """
     sign = +1 if space == "wavevector" else -1
 
-    def density(pins):
-        # the components' density, transformed (pins: input-side phases)
-        # or as given (None); the buffer dies with this frame
+    def density(pins, whole, pairs=()):
+        # the density of the components `whole` and plane pairs `pairs`,
+        # transformed (pins: input-side phases) or as given (None); the
+        # buffer dies with this frame
         buf = np.empty(grid.counts, dtype=np.complex128, order=order)
         d = np.zeros(grid.counts, order=order)
-        for comp in components(buf):
-            _add_density(d, comp if pins is None else _fft(comp, pins, sign, out=buf))
+        for j, x in enumerate(read(buf, whole + pairs)):
+            add = _add_density if j < len(whole) else _add_pair_density
+            add(d, x if pins is None else _fft(x, pins, sign, out=buf))
         return d
 
     def source_pass():
-        d = density(None) if source_density is None else source_density()
+        d = density(None, _COMPONENTS) if source_density is None else source_density()
         return _density_stats(np.ascontiguousarray(d), grid)
 
     def transform_pass():
         dual = grid.fourier_dual()
-        d = density(_dft_phases(grid, dual, sign)[0])
+        plan = _transform_plan(None if nonzero is None else nonzero())
+        # an inf sample times the exact zero part of a phase is NaN: the
+        # norm check (_grid_moment) names it, as it does a NaN sample
+        with np.errstate(invalid="ignore"):
+            d = density(_dft_phases(grid, dual, sign)[0], *plan)
         d *= _dft_scale(grid, sign) ** 2
         return _density_stats(np.ascontiguousarray(d), dual)
 

@@ -67,9 +67,10 @@ Grid path.  A grid report is made from three numbers per space, its
 density's boundary ratio, second moment and norm (two
 kspace._DensityStats).  uncertainty_product takes them, streamed, from
 each grid source: a FieldGrid, and an .rsf path (rsfio._file_stats),
-through the one reducer of a component stream, kspace._stream_stats (one
-pass per space, position space first, holding one component buffer and
-one density), and an amplitude pair on a wavevector grid from its
+through the one reducer of a field's stream, kspace._stream_stats (one
+pass per space, position space first, holding one buffer and one density,
+and transforming only the field's nonzero planes, two real ones to an
+FFT), and an amplitude pair on a wavevector grid from its
 synthesis parts' densities (kspace._synthesis_parts; its module docstring
 gives both routes).  No partner FieldGrid is built, and no field at all
 for a path or a pair.  The report's truncations() decide `verify-bound`'s
@@ -92,6 +93,8 @@ from .kspace import (
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
+    _field_planes,
+    _nonzero_planes,
     _stream_stats,
     _synthesis_parts,
     # not called here since grid reports stream; kept as a binding site that
@@ -509,7 +512,7 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
     * HelicityAmplitudePair,    grid path of the pair on that wavevector
       Grid3D rule               grid, streamed (kspace._synthesis_parts)
     * FieldGrid                 grid path (partner obtained by FFT, streamed
-                                one component at a time: kspace._stream_stats)
+                                from its nonzero planes: kspace._stream_stats)
     * str or os.PathLike        grid path of that .rsf file, streamed from
                                 the file (rsfio._file_stats)
 
@@ -534,8 +537,9 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
         raise TypeError("uncertainty_product: a rule applies to a HelicityAmplitudePair only")
     elif isinstance(source, FieldGrid):
         # the components are views of the caller's field, left untouched
-        k, r = _stream_stats(lambda buf: (source.values[..., c] for c in range(3)),
-                             source.grid, source.space, source_density=source.density)
+        k, r = _stream_stats(lambda buf, pairs: _field_planes(source.values, pairs, buf),
+                             source.grid, source.space, source_density=source.density,
+                             nonzero=lambda: _nonzero_planes(source.values))
     elif isinstance(source, (str, os.PathLike)):
         k, r = _file_stats(source)
     else:

@@ -12,12 +12,14 @@ writer (_write_slabs), which removes the file if anything raises before
 its last slab is written, so a failed write leaves no partial file.
 read_rsf builds the whole FieldGrid; the report of the file,
 moments.uncertainty_product(path), instead streams it (_file_stats): the
-file's own-space density in one read of the payload (_read_density), then
-one component at a time, in the file's order, into a buffer of its own
-(_read_component), so it never holds the field.  Either way the header,
-the payload size (from the file size) and the Grid3D are checked before
-anything the size of the payload is allocated (_read_header), and every
-slab read is checked for a short read.
+file's own-space density and its nonzero planes in one read of the
+payload (_read_density), then, in the file's order and into a buffer of
+its own, each component the transform takes whole or each pair of real
+planes it takes in one FFT (_read_planes), so it never holds the field.
+Either way the header, the payload size (from the file size) and the
+Grid3D are checked before anything the size of the payload is allocated
+(_read_header), and every slab read is checked for a short read
+(_zslabs).
 """
 
 from __future__ import annotations
@@ -28,7 +30,15 @@ import os
 import numpy as np
 
 from .errors import RsfFormatError
-from .kspace import FieldGrid, Grid3D, _add_node_density, _stream_stats
+from .kspace import (
+    _COMPONENTS,
+    FieldGrid,
+    Grid3D,
+    _add_node_density,
+    _nonzero_planes,
+    _note_planes,
+    _stream_stats,
+)
 
 __all__ = ["write_rsf", "read_rsf", "LAYOUT"]
 
@@ -75,12 +85,9 @@ def _write_slabs(path, space, grid: Grid3D, slabs) -> None:
 
 def read_rsf(path) -> FieldGrid:
     with open(path, "rb") as fh:
-        space, grid, _ = _read_header(fh)
-        nx, ny, nz = grid.counts
+        space, grid, start = _read_header(fh)
         vals = np.empty(grid.counts + (3,), dtype=np.complex128)
-        slab = np.empty((ny, nx, 3), dtype="<c16")
-        for k in range(nz):
-            _read_slab(fh, slab)
+        for k, slab in enumerate(_zslabs(fh, start, grid.counts)):
             vals[:, :, k] = slab.transpose(1, 0, 2)
     return FieldGrid(vals, grid, space)
 
@@ -108,53 +115,80 @@ def _read_header(fh):
     return space, grid, len(header_line)
 
 
-def _read_slab(fh, slab):
-    """Fill slab from fh; RsfFormatError if the payload ends first (the
-    file shrank after its size was checked)."""
-    if fh.readinto(slab) != slab.nbytes:
-        raise RsfFormatError("payload ended early")
-
-
-def _read_component(fh, start, comp, out):
-    """Fill out, an (nx, ny, nz) array in Fortran order (so its memory is
-    in the file's order, x fastest), with component comp of the payload
-    that starts at offset start of fh (_read_header), one z-slab at a
-    time; return out."""
-    nx, ny, _ = out.shape
+def _zslabs(fh, start, counts):
+    """The z-slabs of the payload that starts at offset start of fh
+    (_read_header), in z order, each read into one reused (ny, nx, 3)
+    '<c16' buffer; RsfFormatError if the payload ends first (the file
+    shrank after its size was checked)."""
+    nx, ny, nz = counts
     fh.seek(start)
     slab = np.empty((ny, nx, 3), dtype="<c16")
-    for ol in out.T:  # z-slab l of out, (ny, nx)
-        _read_slab(fh, slab)
-        ol[...] = slab[..., comp]
+    for _ in range(nz):
+        if fh.readinto(slab) != slab.nbytes:
+            raise RsfFormatError("payload ended early")
+        yield slab
+
+
+def _read_planes(fh, start, a, b, out):
+    """Fill out, an (nx, ny, nz) array in Fortran order (so its memory is
+    in the file's order, x fastest), with plane a + i plane b of the
+    payload that starts at offset start of fh (plane 2c + p: the real,
+    p = 0, or imaginary, p = 1, part of component c), in one read; return
+    out.  Component c, the pair (2c, 2c + 1), is copied whole."""
+    whole = (a, b) in _COMPONENTS
+    for ol, slab in zip(out.T, _zslabs(fh, start, out.shape)):  # z-slab l of out, (ny, nx)
+        if whole:
+            ol[...] = slab[..., a // 2]
+        else:
+            planes = slab.view("<f8")
+            ol.real = planes[..., a]
+            ol.imag = planes[..., b]
     return out
 
 
 def _read_density(fh, start, counts):
-    """The field's density |F|^2 on its grid, an (nx, ny, nz) array in
-    Fortran order, from one read of the payload that starts at offset
-    start of fh: each z-slab's three components' re^2 and im^2 are added
-    in component order (kspace._add_node_density), the per-node sums of
-    kspace._add_density over the components of _read_component, with no
-    component buffer."""
-    nx, ny, _ = counts
+    """(density, nonzero planes) of the field in the payload that starts
+    at offset start of fh, from one read: its density |F|^2 on its grid,
+    an (nx, ny, nz) array in Fortran order, each z-slab's three
+    components' re^2 and im^2 added in component order
+    (kspace._add_node_density, the per-node sums of kspace._add_density
+    over its components, with no component buffer), and which of its six
+    real planes hold a nonzero value, noted as each slab is added
+    (kspace._note_planes)."""
     d = np.zeros(counts, order="F")
-    fh.seek(start)
-    slab = np.empty((ny, nx, 3), dtype="<c16")
-    for dl in d.T:  # z-slab l of d, (ny, nx)
-        _read_slab(fh, slab)
+    nonzero = np.zeros(6, dtype=bool)
+    for dl, slab in zip(d.T, _zslabs(fh, start, counts)):  # z-slab l of d, (ny, nx)
         _add_node_density(dl, slab)
-    return d
+        _note_planes(nonzero, slab)
+    return d, nonzero
 
 
 def _file_stats(path):
     """(k-space stats, position stats) (kspace._DensityStats) of the .rsf
-    file at path, those of read_rsf(path) to the bit, from four reads of
-    the payload (kspace._stream_stats with order "F")."""
+    file at path, those of read_rsf(path) to the bit (kspace._stream_stats
+    with order "F"): its own-space density and nonzero planes from one
+    read of the payload (_read_density), and one read per pair of planes
+    the other space transforms (kspace._transform_plan).  A position
+    file's density pass, which runs first, notes its nonzero planes; a
+    wavevector file's are probed first, z-slab by z-slab, until every plane
+    has shown a nonzero value (one slab for a complex field).  The default
+    packet at t = 0 (Fz = 0, Fx and Fy real) takes two reads and one FFT,
+    a complex field four reads and three FFTs."""
     with open(path, "rb") as fh:
         space, grid, start = _read_header(fh)
-        return _stream_stats(lambda buf: (_read_component(fh, start, c, buf) for c in range(3)),
-                             grid, space, order="F",
-                             source_density=lambda: _read_density(fh, start, grid.counts))
+        noted = []
+
+        def density():
+            d, nonzero = _read_density(fh, start, grid.counts)
+            noted.append(nonzero)
+            return d
+
+        def nonzero():
+            return noted[0] if noted else _nonzero_planes(_zslabs(fh, start, grid.counts))
+
+        return _stream_stats(lambda buf, pairs: (_read_planes(fh, start, a, b, buf)
+                                                 for a, b in pairs),
+                             grid, space, order="F", source_density=density, nonzero=nonzero)
 
 
 def _parse_header(header_line):

@@ -23,7 +23,7 @@ from rsuncert import (
     fourier_to_position,
     write_rsf,
 )
-from rsuncert import analytic_fields, cli, rsfio
+from rsuncert import analytic_fields, cli, kspace, rsfio
 from rsuncert.analytic_fields import saturating_rs_field
 from rsuncert.cli import main
 from rsuncert.eigensolver import N_POINTS_MAX
@@ -68,49 +68,130 @@ class TestVerifyBound:
         write_rsf(path, field)
         assert run(["verify-bound", "--input", path]) == 3
 
+    def test_zero_wavevector_field_degenerate_exit3(self, tmp_path, capsys):
+        # every plane is zero, so nothing is transformed: the zero density
+        # of the position pass, which runs first, is still formed and reduced
+        grid = Grid3D.centered(16, 8.0)
+        path = tmp_path / "zeros.rsf"
+        write_rsf(path, FieldGrid(np.zeros(grid.counts + (3,), complex), grid, "wavevector"))
+        assert run(["verify-bound", "--input", path]) == 3
+        assert capsys.readouterr().err == "error: degenerate field: variance: zero field norm\n"
+
+    @pytest.mark.parametrize("space", ["position", "wavevector"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("node", [(5, 7, 9, 1), (0, 3, 15, 0), (0, 0, 0, 0)],
+                             ids=["interior", "face", "corner"])
+    def test_nonfinite_sample_exit2(self, tmp_path, capsys, space, bad, node):
+        # a NaN or inf sample is an input error, not a field of zero norm:
+        # in the interior, on a boundary face, and at the corner node, where
+        # every input-side phase is exactly 1 (inf times its zero part is NaN)
+        grid = Grid3D.centered(16, 8.0)
+        vals = np.zeros(grid.counts + (3,), complex)
+        x, y, z = grid.meshes()
+        vals[..., 0] = np.exp(-(x * x + y * y + z * z))
+        vals.real[node] = bad
+        path = tmp_path / "bad.rsf"
+        write_rsf(path, FieldGrid(vals, grid, space))
+        code = run(["verify-bound", "--input", path])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("space", ["position", "wavevector"])
     def test_input_report_is_the_field_grid_report(self, tmp_path, rng, capsys, space):
-        # read one component at a time in the file's order, the report is
+        # read one plane pair at a time in the file's order, the report is
         # uncertainty_product's of the whole FieldGrid, to the bit, on an
-        # off-centre grid with unequal counts and spacings
+        # off-centre grid with unequal counts and spacings: for a complex
+        # field (a transform per component), and for a real and a purely
+        # imaginary one (Fx and Fy in one transform, Fz in another)
         grid = Grid3D((32, 48, 40), (0.3, 0.25, 0.35), (-4.1, -6.3, -7.2))
         shape = grid.counts + (3,)
-        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         path = tmp_path / "f.rsf"
-        write_rsf(path, FieldGrid(vals, grid, space))
-        want = uncertainty_product(read_rsf(path))
-        got = uncertainty_product(path)
-        assert got.to_dict() == want.to_dict()
-        assert (got.boundary_ratio_r, got.boundary_ratio_k) == (
-            want.boundary_ratio_r, want.boundary_ratio_k)
-        run(["verify-bound", "--input", path])
-        assert capsys.readouterr().out == want.to_json() + "\n"
+        for vals in (rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                     rng.normal(size=shape), 1j * rng.normal(size=shape)):
+            write_rsf(path, FieldGrid(vals, grid, space))
+            want = uncertainty_product(read_rsf(path))
+            got = uncertainty_product(path)
+            assert got.to_dict() == want.to_dict()
+            assert (got.boundary_ratio_r, got.boundary_ratio_k) == (
+                want.boundary_ratio_r, want.boundary_ratio_k)
+            run(["verify-bound", "--input", path])
+            assert capsys.readouterr().out == want.to_json() + "\n"
 
-    @pytest.mark.parametrize("space, want", [
-        ("position", ["density", 0, 1, 2]),
-        ("wavevector", [0, 1, 2, "density"]),
-    ])
-    def test_input_reads_payload_four_times(self, tmp_path, monkeypatch, space, want):
-        # the file's own space takes its density from one read, the other
-        # space one read per component, position space reduced first
-        grid = Grid3D.centered(8, 4.0)
-        field = FieldGrid(np.ones(grid.counts + (3,), complex), grid, space)
-        path = tmp_path / "f.rsf"
-        write_rsf(path, field)
+    @staticmethod
+    def spy_reads(monkeypatch):
+        """The payload reads of a file report, in order: "density" (one
+        read), a plane pair (a, b) (one read each) and "probe" (the
+        wavevector file's scan for its nonzero planes)."""
         calls = []
-        real_density, real_component = rsfio._read_density, rsfio._read_component
+        real_density, real_planes = rsfio._read_density, rsfio._read_planes
+        real_probe = rsfio._nonzero_planes
         monkeypatch.setattr(rsfio, "_read_density", lambda *a: calls.append("density")
                             or real_density(*a))
-        monkeypatch.setattr(rsfio, "_read_component", lambda fh, start, comp, out:
-                            calls.append(comp) or real_component(fh, start, comp, out))
+        monkeypatch.setattr(rsfio, "_read_planes", lambda fh, start, a, b, out:
+                            calls.append((a, b)) or real_planes(fh, start, a, b, out))
+        monkeypatch.setattr(rsfio, "_nonzero_planes", lambda slabs: calls.append("probe")
+                            or real_probe(slabs))
+        return calls
+
+    @pytest.mark.parametrize("space, want", [
+        ("position", ["density", (0, 1), (2, 3), (4, 5)]),
+        ("wavevector", ["probe", (0, 1), (2, 3), (4, 5), "density"]),
+    ])
+    def test_input_reads_payload_four_times(self, tmp_path, monkeypatch, space, want):
+        # a complex field: the file's own space takes its density from one
+        # read, the other space one read per component, position space
+        # reduced first (a wavevector file's probe stops at its first slab)
+        grid = Grid3D.centered(8, 4.0)
+        field = FieldGrid(np.full(grid.counts + (3,), 1 + 1j), grid, space)
+        path = tmp_path / "f.rsf"
+        write_rsf(path, field)
+        calls = self.spy_reads(monkeypatch)
         uncertainty_product(path)
         assert calls == want
+
+    @pytest.mark.parametrize("space, want", [
+        ("position", ["density", (0, 2)]),
+        ("wavevector", ["probe", (0, 2), "density"]),
+    ])
+    def test_real_input_reads_payload_twice(self, tmp_path, monkeypatch, space, want):
+        # a real field with Fz = 0, as the default packet at t = 0: its
+        # density, then one read of Fx.re + i Fy.re (and the wavevector
+        # file's probe, which scans the whole payload for the zero planes)
+        grid = Grid3D.centered(8, 4.0)
+        vals = np.zeros(grid.counts + (3,), complex)
+        vals[..., 0], vals[..., 1] = 1.0, 2.0
+        path = tmp_path / "f.rsf"
+        write_rsf(path, FieldGrid(vals, grid, space))
+        calls = self.spy_reads(monkeypatch)
+        uncertainty_product(path)
+        assert calls == want
+
+    @pytest.mark.parametrize("field, ffts", [("default", 1), ("complex", 3)])
+    def test_input_fft_count(self, tmp_path, monkeypatch, rng, field, ffts):
+        # the default packet's two real planes take one 3-D FFT; a complex
+        # field one per component
+        path = tmp_path / "f.rsf"
+        if field == "default":
+            assert run(["field", "--grid", 32, "--out-field", path]) == 0
+        else:
+            grid = Grid3D.centered(32, 16.0)
+            shape = grid.counts + (3,)
+            write_rsf(path, FieldGrid(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                                      grid, "position"))
+        calls = []
+        real_fftn = kspace.fftn
+        monkeypatch.setattr(kspace, "fftn", lambda *a, **kw: calls.append(1)
+                            or real_fftn(*a, **kw))
+        assert run(["verify-bound", "--input", path]) == 0
+        assert len(calls) == ffts
 
     def test_input_truncated_between_passes_exit2(self, tmp_path, capsys, monkeypatch):
         # each pass reads the file again: one that shrinks after its size
         # was checked is an input error, not a short or stale report.  A
         # position file's first pass is one read of its density, the
-        # second one read per component
+        # second, for the default packet, one read of Fx.re + i Fy.re
         path = tmp_path / "f.rsf"
         assert run(["field", "--grid", 16, "--out-field", path]) == 0
         calls = []
@@ -119,21 +200,21 @@ class TestVerifyBound:
             calls.append("density")
             return real_density(fh, start, counts)
 
-        def shrinking(fh, start, comp, out):
-            calls.append(comp)
-            if calls == ["density", 0]:  # the first component of the second pass
+        def shrinking(fh, start, a, b, out):
+            calls.append((a, b))
+            if calls == ["density", (0, 2)]:  # the first read of the second pass
                 os.truncate(path, path.stat().st_size - 48)
-            return real_component(fh, start, comp, out)
+            return real_planes(fh, start, a, b, out)
 
-        real_density, real_component = rsfio._read_density, rsfio._read_component
+        real_density, real_planes = rsfio._read_density, rsfio._read_planes
         monkeypatch.setattr(rsfio, "_read_density", density)
-        monkeypatch.setattr(rsfio, "_read_component", shrinking)
+        monkeypatch.setattr(rsfio, "_read_planes", shrinking)
         code = run(["verify-bound", "--input", path])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
         assert err == "error: payload ended early\n"
-        assert calls == ["density", 0]
+        assert calls == ["density", (0, 2)]
 
     def test_malformed_input_exit2(self, tmp_path):
         path = tmp_path / "junk.rsf"

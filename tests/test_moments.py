@@ -32,7 +32,7 @@ from rsuncert import (
     write_rsf,
 )
 from rsuncert import moments
-from rsuncert.kspace import _Dilated, _add_density
+from rsuncert.kspace import _Dilated, _add_density, _nonzero_planes, _transform_plan
 from rsuncert.moments import (
     _amp_integrals,
     _closed_form_integrals,
@@ -527,6 +527,56 @@ class TestGridReportSpaces:
             before = field.values.copy()
             uncertainty_product(field)
             assert np.array_equal(field.values, before)
+
+
+
+class TestPlanePairs:
+    """A report does not change under a global phase, F -> e^{i pi/3} F,
+    after which every nonzero component has both planes nonzero and is
+    transformed whole, one FFT per component (kspace._transform_plan).  So
+    the rotated field's report is the oracle for the reports that skip
+    zero components and transform two real planes in one FFT."""
+
+    GRIDS = {"off-centre": Grid3D((31, 48, 40), (0.35, 0.3, 0.32), (-5.6, -7.3, -6.1)),
+             "centred": Grid3D.centered(32, 12.0)}
+
+    @staticmethod
+    def values(kind, grid, rng):
+        if kind == "default-packet":
+            pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
+            vals = simplest_field(pts, 1.0, 1.0)
+            assert not vals[..., 2].any() and not vals[..., :2].imag.any()
+            return vals
+        x, y, z = grid.meshes()
+        env = np.exp(-((x - 0.3) ** 2 + (y + 0.2) ** 2 + (z - 0.1) ** 2) / 2.0)
+        shape = grid.counts + (3,)
+        re, im = (rng.normal(size=shape) * env[..., None] for _ in range(2))
+        units = {"real": (1, 1, 1), "imaginary": (1j, 1j, 1j),
+                 "real-imaginary-zero": (1, 1j, 0), "real-pair-complex": (1, 1, None),
+                 "single-real": (1, 0, 0)}[kind]
+        vals = np.empty(shape, complex)
+        for c, unit in enumerate(units):
+            vals[..., c] = re[..., c] + 1j * im[..., c] if unit is None else unit * re[..., c]
+        return vals
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("space", ["position", "wavevector"])
+    @pytest.mark.parametrize("kind", ["real", "imaginary", "real-imaginary-zero",
+                                      "real-pair-complex", "single-real", "default-packet"])
+    def test_global_phase_oracle(self, rng, grid, space, kind):
+        grid = self.GRIDS[grid]
+        vals = self.values(kind, grid, rng)
+        rotated = FieldGrid(vals * cmath.exp(1j * math.pi / 3), grid, space)
+        assert _transform_plan(_nonzero_planes(rotated.values))[1] == ()
+        pairs = _transform_plan(_nonzero_planes(vals))[1]
+        assert len(pairs) == (0 if kind == "single-real" else 1)
+        got = uncertainty_product(FieldGrid(vals, grid, space))
+        want = uncertainty_product(rotated)
+        for key in ("delta_r2", "delta_k2", "norm_r", "norm_k"):
+            g, w = getattr(got, key), getattr(want, key)
+            assert abs(g - w) <= 1e-13 * abs(w), key
+        for key in ("boundary_ratio_r", "boundary_ratio_k"):
+            assert abs(getattr(got, key) - getattr(want, key)) <= 1e-14, key
 
 
 class TestHelicitySign:

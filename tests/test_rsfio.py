@@ -9,7 +9,7 @@ import pytest
 from rsuncert import FieldGrid, Grid3D, RsfFormatError, read_rsf, write_rsf
 from rsuncert.cli import main
 from rsuncert.kspace import _add_density
-from rsuncert.rsfio import _read_component, _read_density, _read_header
+from rsuncert.rsfio import _read_density, _read_header, _read_planes
 
 
 def sample_field(rng, n=8):
@@ -176,9 +176,10 @@ def test_one_read_density_is_the_component_sum(tmp_path, rng):
         _, _, start = _read_header(fh)
         buf = np.empty(grid.counts, complex, order="F")
         for c in range(3):
-            _add_density(want, _read_component(fh, start, c, buf))
-        got = _read_density(fh, start, grid.counts)
+            _add_density(want, _read_planes(fh, start, 2 * c, 2 * c + 1, buf))
+        got, nonzero = _read_density(fh, start, grid.counts)
     assert got.flags.f_contiguous and np.array_equal(got, want)
+    assert nonzero.tolist() == [True] * 6
 
 
 @pytest.mark.parametrize("delta", [-16, 16])
