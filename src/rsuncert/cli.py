@@ -28,7 +28,10 @@ file one of analytic_fields.write_field, each streamed in bounded memory
 (a failed write leaves no file); this module imports only public names.
 Flag-syntax errors keep argparse's usage output (exit 2).
 Units: c = 1; times are given in units of a/c.
-Option precedence: command-line flags > --config JSON file > defaults.
+Option precedence: command-line flags > --config JSON file > defaults; a
+flag counts however it is spelt (--flag=value, or an abbreviation), and
+every config value for an option of the command is checked like its flag,
+a path flag's as a JSON string, also where a flag overrides it (exit 2).
 """
 
 from __future__ import annotations
@@ -132,9 +135,11 @@ def _times(value):
 def _apply_config(args, parser, argv):
     """Merge --config JSON under explicitly given flags (flags win).
 
-    The file must hold a JSON object.  Each value goes through its flag's
-    own type and choices, as if it had been given on the command line; a
-    bad file or value raises ValueError.
+    The file must hold a JSON object.  Each value whose key names an option
+    of the command goes through its flag's own type and choices, as if it
+    had been given on the command line, also where a flag overrides it; a
+    bad file or value raises ValueError.  A flag counts as given however it
+    is spelt (--flag=value, or an abbreviation argparse accepts).
     """
     if not getattr(args, "config", None):
         return
@@ -145,23 +150,30 @@ def _apply_config(args, parser, argv):
         raise ValueError(f"cannot read config file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"config file must hold a JSON object, got {type(cfg).__name__}")
-    given = {tok.split("=")[0].lstrip("-").replace("-", "_")
-             for tok in argv if tok.startswith("--")}
     # argparse has no public list of a parser's actions
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {act.dest: act for act in sub.choices[args.command]._actions}
+    # parsed again with no defaults, argv sets exactly the options it gives
+    for act in actions.values():
+        act.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if attr in actions and attr not in given:
-            setattr(args, attr, _config_value(actions[attr], key, val))
+        if attr in actions:
+            val = _config_value(actions[attr], key, val)
+            if attr not in given:
+                setattr(args, attr, val)
 
 
 def _config_value(action, key, val):
-    """A config value converted and checked like the flag it stands for."""
+    """A config value converted and checked like the flag it stands for; a
+    flag with no type (a path or a choice) takes only a JSON string."""
     if action.nargs == 0:  # on/off flags take a JSON boolean
         if not isinstance(val, bool):
             raise ValueError(f"config {key!r}: expected true or false, got {val!r}")
         return val
+    if action.type is None and not isinstance(val, str):
+        raise ValueError(f"config {key!r}: expected a string, got {val!r}")
     if isinstance(val, bool) or not isinstance(val, (str, int, float)):
         raise ValueError(f"config {key!r}: expected a string or a number, got {val!r}")
     if action.type is not None:

@@ -36,10 +36,10 @@ two properties of its input:
 
 * Node route (_NodeParts), for any amplitude on any grid with no node on
   the kz-axis.  It keeps only the grid and the amplitudes, builds no
-  polarization frame, and its components() form P, M, W and V one x-slab
-  at a time and write that slab of each component.  synthesize_kspace
-  always takes this route: with three distinct output arrays each
-  x-slab's tables are formed once and all three components written.
+  polarization frame, and its slabs() form P, M, W and V one x-slab at a
+  time and write that slab's per-node components, only those asked for.
+  synthesize_kspace always takes this route, each x-slab written straight
+  into its field.
 * Radial route (_RadialParts), taken for the densities when every
   non-None amplitude is a RadialProfileAmplitude and the grid is a
   centred cube with an even node count (the one _radius_keys accepts,
@@ -65,31 +65,35 @@ have no amplitude class: build Ftilde from them with the polarization
 frame and report that FieldGrid (see the README).
 
 The Fourier bridge transforms one component at a time: per-axis phases are
-applied one slab at a time, in place, around an overwriting scipy FFT.  A
-field's own density is re^2 + im^2 of its components, read in one pass over
-its interleaved values (_add_node_density: FieldGrid.density, and an .rsf
-file's rsfio._read_density).
-_stream_stats, the one reducer of a field's stream, takes the three
-numbers a report takes of a density (_DensityStats: its boundary ratio,
-second moment and norm) in one pass per space, position space first: one
-buffer and one density are held at a time (the output-side DFT phases are
-unimodular and drop out).  The transform pass takes the field's six real
-planes, not its three components (_transform_plan): a zero component is
-neither read nor transformed, and the planes of components with one
-nonzero plane (a real or an imaginary one) are transformed two to an FFT,
-as Z = p + i q, whose density on the symmetric dual grid gives both,
-(|Z(k)|^2 + |Z(-k)|^2) / 2 (_add_pair_density).  Every other component,
-so every component of a complex field, is transformed whole, as it always
-was.  Which planes are zero is an exact property of the input: an .rsf
-position file notes it as its density is read, and a FieldGrid or a
-wavevector file is probed slab by slab until every plane has shown a
-nonzero value (_nonzero_planes).  The default packet at t = 0 (Fz = 0, Fx
-and Fy real) takes one FFT instead of three.  Its buffers follow the
-stream's memory order, C or the .rsf file's (x fastest), to the same bits.
-_NodeParts.densities and the FieldGrid and .rsf reports of
-moments.uncertainty_product call it; the node route streams its three
-components, with no plane table.  Both routes' parts have
-densities(source=...), which give those numbers per space, and the
+applied one slab at a time, in place, around an overwriting scipy FFT.
+
+Every streamed grid report has one reducer, _stream_stats, and one input,
+a slab stream: slabs(comps) gives a fresh iterator over the field's
+per-node components (..., 3), one slab along the outer memory axis at a
+time.  A FieldGrid gives its x-slabs (iter(values)), an .rsf file its
+payload's z-slabs (rsfio._zslabs, in the file's order, x fastest), and the
+node route the x-slabs it forms (_NodeParts.slabs).  The reducer takes the
+three numbers a report takes of a density (_DensityStats: its boundary
+ratio, second moment and norm) in one pass per space, position space
+first, holding one buffer and one density (the output-side DFT phases are
+unimodular and drop out).  The own-space pass adds each slab's
+re^2 + im^2 of its components (_add_node_density, as FieldGrid.density
+does).  The transform pass takes the field's six real planes, not its
+three components (_transform_plan): a zero component is neither read nor
+transformed, and the planes of components with one nonzero plane (a real
+or an imaginary one) are transformed two to an FFT, as Z = p + i q, whose
+density on the symmetric dual grid gives both, (|Z(k)|^2 + |Z(-k)|^2) / 2
+(_add_pair_density).  Every other component, so every component of a
+complex field, is transformed whole.  Which planes are zero is an exact
+property of the input: a position field's own-space pass notes it, and a
+wavevector field is probed slab by slab until no further nonzero plane
+can change the plan (_nonzero_planes).  Each component or pair is phased
+slab by slab into the buffer as it is read, so the default packet at t = 0
+(Fz = 0, Fx and Fy real) takes one FFT instead of three, and the node
+route forms only the components a sweep reads: four sweeps and the probe's
+slabs per report, three without the k-space density.  Buffers follow the
+stream's memory order, to the same bits in either.  Both routes' parts
+have densities(source=...), which give those numbers per space, and the
 spreading trajectory and uncertainty_product(pair, grid) take them from
 there.
 """
@@ -537,11 +541,11 @@ class _NodeParts:
     docstring), so Ftilde is the polynomial of _polynomial with per-node
     tables plus = f+(k) / (sqrt2 k k_perp) and minus = conj(f-)(-k) /
     (sqrt2 k k_perp) (None for a zero amplitude) and k = |k|.  Only the
-    grid and the amplitudes are kept: components() forms the tables of
-    each x-slab from the sparse meshes, then W and V at self.amps.t
+    grid and the amplitudes are kept: slabs() forms the tables of each
+    x-slab from the sparse meshes, then W and V at self.amps.t
     (_time_tables), and writes the slab's components, so no table of the
-    whole grid and no polarization frame is ever held.  A component sweep
-    evaluates the amplitudes once.
+    whole grid and no polarization frame is ever held.  A sweep evaluates
+    the amplitudes once.
     """
 
     grid: Grid3D
@@ -553,19 +557,17 @@ class _NodeParts:
         # rounding is monotone, so the largest kz^2 decides for every node
         _check_off_axis(kp2, kp2 + (KZ * KZ).max())
 
-    def components(self, *, out=None):
-        """Yield Ftilde_comp(k, amps.t) for comp = 0, 1, 2, written into
-        out[comp] (default: one buffer reused for all three, so consume
-        each component before taking the next), one x-slab at a time."""
+    def slabs(self, comps=(0, 1, 2), out=None):
+        """Yield Ftilde(k, amps.t) one x-slab at a time, as its per-node
+        components (ny, nz, 3), of which only the components comps are
+        written: into out[i] (default: one reused slab, so consume each
+        before taking the next, whose components are contiguous planes).
+        Each slab's tables are formed once, and V only if comps take it."""
         KX, KY, KZ = self.grid.meshes(sparse=True)
         ky, kz = KY[0], KZ[0]  # an x-slab is (ny, nz)
         kyz = ky * kz
         if out is None:
-            buf = np.empty(self.grid.counts, dtype=np.complex128)
-            out = (buf, buf, buf)
-        # three distinct outputs are written in one sweep, so each slab's
-        # tables are formed once; a shared buffer takes one component a sweep
-        sweeps = [(0, 1, 2)] if len({id(o) for o in out}) == 3 else [(0,), (1,), (2,)]
+            buf = np.empty((3,) + kyz.shape, dtype=np.complex128).transpose(1, 2, 0)
         tables = np.empty((4,) + kyz.shape, dtype=np.complex128)
         tmp = np.empty(kyz.shape, dtype=np.complex128)
 
@@ -575,26 +577,24 @@ class _NodeParts:
             f = np.conj(amp.value(-kx, -ky, -kz)) if negk else amp.value(kx, ky, kz)
             return f / den / k  # k_perp(-k) = k_perp(k)
 
-        for comps in sweeps:
-            for i, kx in enumerate(KX):
-                # the slab's tables, W and V, formed per sweep: nothing full-size
-                kp2 = kx * kx + ky * ky
-                k = np.sqrt(kp2 + kz * kz)
-                den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
-                w, v = _time_tables(table(self.amps.f_plus, kx, den, k, False),
-                                    table(self.amps.f_minus, kx, den, k, True),
-                                    k, self.amps.t, tables, with_v=comps != (2,))
-                terms = (kx * kz, ky, kyz, kx, -kp2)
-                for comp in comps:
-                    _polynomial(comp, terms, w, v, None, out[comp][i], tmp)
-            yield from (out[comp] for comp in comps)
+        for i, kx in enumerate(KX):
+            # the slab's tables, W and V: nothing full-size
+            kp2 = kx * kx + ky * ky
+            k = np.sqrt(kp2 + kz * kz)
+            den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
+            w, v = _time_tables(table(self.amps.f_plus, kx, den, k, False),
+                                table(self.amps.f_minus, kx, den, k, True),
+                                k, self.amps.t, tables, with_v=comps != (2,))
+            terms = (kx * kz, ky, kyz, kx, -kp2)
+            slab = buf if out is None else out[i]
+            for comp in comps:
+                _polynomial(comp, terms, w, v, None, slab[..., comp], tmp)
+            yield slab
 
     def densities(self, *, source=True):
         """(k-space stats or None if not source, position stats) of
-        Ftilde(k, amps.t) (_DensityStats), from its components
-        (_stream_stats)."""
-        return _stream_stats(lambda buf, pairs: self.components(out=(buf,) * 3),
-                             self.grid, "wavevector", source)
+        Ftilde(k, amps.t) (_DensityStats), from its slabs (_stream_stats)."""
+        return _stream_stats(self.slabs, self.grid, "wavevector", source)
 
 
 def _radius_keys(grid):
@@ -627,7 +627,7 @@ def _polynomial(comp, terms, w, v, g, out, tmp):
     on one slab into out (tmp: complex scratch of its shape), from
     terms = (x z, y, y z, x, -(x^2 + y^2)) broadcast to the slab and the
     slab's W, V and G (None: no G term).  The node route's x-slabs
-    (_NodeParts.components) and the closed-form field's z-slabs
+    (_NodeParts.slabs) and the closed-form field's z-slabs
     (analytic_fields._gathered_zslabs) are written here."""
     xz, y, yz, x, s = terms
     if comp == 0:
@@ -858,11 +858,11 @@ def _synthesis_parts(amps: HelicityAmplitudePair, grid: Grid3D):
 def synthesize_kspace(amps: HelicityAmplitudePair, grid: Grid3D) -> FieldGrid:
     """Sample Ftilde(k,t) = e(k) f+(k) e^{-ikt} + e*(k) conj(f-)(-k) e^{+ikt},
     t = amps.t, on a wavevector grid, through the node route (_NodeParts)
-    for any amplitudes: each x-slab's tables are formed once and all three
-    components written."""
+    for any amplitudes: each x-slab's tables are formed once and its three
+    components written into the field."""
     vals = np.empty(grid.counts + (3,), dtype=np.complex128)
-    for _ in _NodeParts(grid, amps).components(out=[vals[..., comp] for comp in range(3)]):
-        pass  # each component is written into its slice of vals
+    for _ in _NodeParts(grid, amps).slabs(out=vals):
+        pass  # each x-slab is written into vals[i]
     return FieldGrid(vals, grid, "wavevector")
 
 
@@ -888,33 +888,37 @@ def _dft_scale(src: Grid3D, sign):
     return scale * np.prod(src.counts) if sign > 0 else scale
 
 
+def _phase_planes(p, order="C"):
+    """The products p[0][i] p[1][j] p[2][l] of each slab along the outer
+    memory axis of an (nx, ny, nz) array in `order`, yielded into one
+    reused plane: x-slab i's (y, z) plane yz p[0][i] for "C", z-slab l's
+    (y, x) plane yz[:, l] p[0] for "F", with yz = p[1][j] p[2][l], so both
+    orders give the same products."""
+    yz = p[1][:, None] * p[2]
+    if order == "C":
+        plane = np.empty_like(yz)
+        for px in p[0]:
+            yield np.multiply(yz, px, out=plane)
+    else:
+        plane = np.empty((yz.shape[0], p[0].size), dtype=yz.dtype)
+        for pyz in yz.T:
+            yield np.multiply(pyz[:, None], p[0], out=plane)
+
+
 def _phased(a, p, out=None):
     """a[i, j, l] p[0][i] p[1][j] p[2][l], written into out (which may be
-    a itself) or a new array in one pass, slab by slab along out's outer
-    memory axis: each x-slab is multiplied by p[0][i] times the (y, z)
-    phase plane yz, or, for an F-ordered out (the .rsf file's order), each
-    z-slab by the (y, x) plane yz[:, l] p[0], the same products."""
-    yz = p[1][:, None] * p[2]
+    a itself) or a new array in one pass, one x-slab at a time."""
     if out is None:
-        out = np.empty(a.shape, dtype=np.result_type(a, yz))
-    if out.flags.f_contiguous:
-        plane = np.empty((yz.shape[0], p[0].size), dtype=yz.dtype)
-        for al, ol, pyz in zip(a.T, out.T, yz.T):
-            np.multiply(al, np.multiply(pyz[:, None], p[0], out=plane), out=ol)
-        return out
-    plane = np.empty_like(yz)
-    for ai, oi, px in zip(a, out, p[0]):
-        np.multiply(ai, np.multiply(yz, px, out=plane), out=oi)
+        out = np.empty(a.shape, dtype=np.complex128)
+    for ai, oi, plane in zip(a, out, _phase_planes(p)):
+        np.multiply(ai, plane, out=oi)
     return out
 
 
-def _fft(vals, pins, sign, out=None):
-    """Inverse FFT (sign > 0) or FFT (sign < 0) of vals times the input-side
-    phases pins: the transform up to its output-side phases (unimodular)
-    and scale.  out=vals does the work in place; otherwise vals is left
-    untouched."""
+def _fft(x, sign):
+    """Inverse FFT (sign > 0) or FFT (sign < 0) of x, which it may
+    overwrite."""
     fft = ifftn if sign > 0 else fftn
-    x = _phased(vals, pins, out=out)
     if x.flags.f_contiguous:
         # its C-contiguous transpose, x axis still first: pocketfft walks
         # the lines in memory order, twice as fast, to the same bits
@@ -928,7 +932,7 @@ def _dft(vals, src: Grid3D, dst: Grid3D, sign, out=None):
     array); vals is left untouched."""
     pins, pouts = _dft_phases(src, dst, sign)
     pouts[2] = pouts[2] * _dft_scale(src, sign)
-    x = _fft(vals, pins, sign)
+    x = _fft(_phased(vals, pins), sign)
     return _phased(x, pouts, out=x if out is None else out)
 
 
@@ -1000,8 +1004,8 @@ def _add_node_density(d, f):
     """d += the density of f, a slab of per-node components (..., 3): each
     component's re^2, then im^2, in component order, so the per-node sums
     are those of _add_density over the three components, to the bit.  The
-    own-space density of a FieldGrid (x-slabs, FieldGrid.density) and of an
-    .rsf file (z-slabs, rsfio._read_density) is added here, in one read."""
+    own-space density of every stream (_stream_stats) and FieldGrid.density
+    are added here, one slab at a time."""
     for c in range(3):
         d += f[..., c].real ** 2
         d += f[..., c].imag ** 2
@@ -1012,55 +1016,43 @@ def _add_node_density(d, f):
 _COMPONENTS = ((0, 1), (2, 3), (4, 5))
 
 
+def _plane(f, p):
+    """Plane p of f, a slab of per-node components (..., 3)."""
+    return f[..., p // 2].imag if p % 2 else f[..., p // 2].real
+
+
 def _note_planes(nonzero, f):
     """Set nonzero[p] (six bools, one per plane) for each plane p that
-    holds a nonzero value in f, a contiguous slab of per-node components
-    (..., 3); return whether every plane now has one.  A plane already
-    marked is not looked at again, and NaN counts as nonzero."""
-    flat = f.view(f.real.dtype).reshape(-1, 6)
+    holds a nonzero value in f, a slab of per-node components (..., 3).  A
+    plane already marked is not looked at again, and NaN counts as
+    nonzero."""
     for p in np.flatnonzero(~nonzero):
-        nonzero[p] = np.count_nonzero(flat[:, p]) > 0
-    return bool(nonzero.all())
+        nonzero[p] = np.count_nonzero(_plane(f, p)) > 0
 
 
 def _nonzero_planes(slabs):
     """Which planes of a field, given as its slabs of per-node components,
-    hold a nonzero value (_note_planes), taken slab by slab until every
-    plane has shown one: one slab for a complex field."""
+    hold a nonzero value (_note_planes), taken slab by slab until
+    _transform_plan takes all three components whole, which no further
+    nonzero plane changes: one slab for a complex field."""
     nonzero = np.zeros(6, dtype=bool)
     for f in slabs:
-        if _note_planes(nonzero, f):
+        _note_planes(nonzero, f)
+        if _transform_plan(nonzero) == (_COMPONENTS, ()):
             break
     return nonzero
-
-
-def _field_planes(values, pairs, buf):
-    """The read of _stream_stats for the values of a FieldGrid: for each
-    pair (a, b) of planes, component c's own storage (a view, untouched)
-    for its pair (2c, 2c + 1), and otherwise plane a + i plane b written
-    into buf."""
-    flat = values.view(np.float64)
-    for a, b in pairs:
-        if (a, b) in _COMPONENTS:
-            yield values[..., a // 2]
-        else:
-            np.copyto(buf.real, flat[..., a])
-            np.copyto(buf.imag, flat[..., b])
-            yield buf
 
 
 def _transform_plan(nonzero):
     """(the components transformed whole, each as its (re, im) planes,
     in component order, and the pairs of real planes transformed two to
     an FFT) of a field whose planes with a nonzero value are marked in
-    nonzero (None: all three components whole).
+    nonzero.
 
     A component with both planes nonzero is transformed whole and a zero
     one not at all.  The planes of components with one nonzero plane are
     paired in order; the last, if their count is odd, goes whole with its
     component, as every complex field's components do."""
-    if nonzero is None:
-        return _COMPONENTS, ()
     whole, single = [], []
     for planes in _COMPONENTS:
         held = [p for p in planes if nonzero[p]]
@@ -1073,70 +1065,85 @@ def _transform_plan(nonzero):
     return tuple(whole), tuple(zip(single[::2], single[1::2]))
 
 
-def _stream_stats(read, grid: Grid3D, space, source=True, order="C",
-                  source_density=None, nonzero=None):
+def _stream_stats(slabs, grid: Grid3D, space, source=True, order="C"):
     """(k-space stats, position stats) (_DensityStats) of a field on grid in
-    `space` ("wavevector" or "position"), given as read(buf, pairs): an
-    iterator over plane a + i plane b of each pair (a, b) of the field's
-    six real planes (plane 2c + p: the real, p = 0, or imaginary, p = 1,
-    part of component c, so (2c, 2c + 1) is component c), each either buf
-    itself (which may be overwritten) or an array that is left untouched.
-    buf is an (nx, ny, nz) array in `order`: "C", or "F" for a stream in
-    the .rsf file's order (x fastest, rsfio._read_planes).  The k-space
-    stats are None if not source (a wavevector field only).
-    source_density(), if given, returns the field's own density in `order`
-    (the per-node sums of its components' re^2 + im^2, in component
-    order), which the source pass then takes in place of its pass over the
-    components.  nonzero(), if given, returns which planes hold a nonzero
-    value (_nonzero_planes); without it read is only ever asked for the
-    three components in order, so a stream (the node route's) may yield
-    them without looking at pairs.
+    `space` ("wavevector" or "position"), given as its slab stream:
+    slabs(comps) returns a fresh iterator over the field's per-node
+    components, one slab (..., 3) at a time along the outer memory axis of
+    an (nx, ny, nz) array in `order` -- x-slabs (ny, nz, 3) for "C",
+    z-slabs (ny, nx, 3) for "F", the .rsf payload's order -- of which only
+    the components comps are read, so a source may write no other.  A slab
+    is read before the next is taken.  The k-space stats are None if not
+    source (a wavevector field only).
 
-    One pass per space, each adding up one real density in buf's order, so
-    one buffer and one density are held.  The buffer is freed before the
-    density is made C-contiguous (a copy for order "F") and reduced, and
-    the density before the next pass.  Position space is reduced first, so
-    its checks raise first.  The transform pass reads and transforms what
-    _transform_plan takes of the planes: each is phased into buf (from a
-    component's own storage where read gives it), transformed in place,
-    and its density added, a component's as re^2 + im^2 and a pair's
-    mirrored (_add_pair_density), so a zero component costs nothing, two
-    real or imaginary components one FFT, and a complex field's report is
-    that of a transform per component.  A field with no nonzero plane still
-    has its zero density formed and reduced.  The output-side DFT phases
-    are unimodular and never applied.  Either order gives the same bits:
-    the phases and densities are the same products node by node, and fftn
-    applies the same 1-D transforms in the same axis order (x, y, z).
+    One pass per space, position space first, so its checks raise first;
+    each adds up one real density in `order`:
+    * the own-space pass, one iteration of the stream: each slab's density
+      is added (_add_node_density), and, when the transform pass comes next
+      (a position field), its nonzero planes are noted (_note_planes);
+    * a wavevector field's probe, before its transform pass: slabs until
+      the plan can no longer change (_nonzero_planes), one for a complex
+      field;
+    * the transform pass, one iteration per item of _transform_plan: each
+      slab's component, or its plane pair as p + i q, is multiplied by the
+      slab's input-side phase plane (_phase_planes) straight into that slab
+      of one buffer, which is transformed in place and its density added,
+      a component's as re^2 + im^2 and a pair's mirrored
+      (_add_pair_density).  A zero component costs nothing, two real or
+      imaginary components one FFT, and a complex field's report is that of
+      a transform per component.  The output-side DFT phases are unimodular
+      and never applied.
+
+    A field with no nonzero plane still has its zero density formed and
+    reduced.  The buffer is freed before the density is made C-contiguous
+    (a copy for order "F") and reduced, and each density before the next
+    pass, so one buffer and one density are held.  Either order gives the
+    same bits: the phases and densities are the same products node by
+    node, and fftn applies the same 1-D transforms in the same axis order.
     """
     sign = +1 if space == "wavevector" else -1
+    outer = (lambda a: a) if order == "C" else np.transpose
 
-    def density(pins, whole, pairs=()):
-        # the density of the components `whole` and plane pairs `pairs`,
-        # transformed (pins: input-side phases) or as given (None); the
-        # buffer dies with this frame
-        buf = np.empty(grid.counts, dtype=np.complex128, order=order)
+    def own_pass(nonzero=None):
         d = np.zeros(grid.counts, order=order)
-        for j, x in enumerate(read(buf, whole + pairs)):
-            add = _add_density if j < len(whole) else _add_pair_density
-            add(d, x if pins is None else _fft(x, pins, sign, out=buf))
-        return d
-
-    def source_pass():
-        d = density(None, _COMPONENTS) if source_density is None else source_density()
+        for dl, f in zip(outer(d), slabs((0, 1, 2))):
+            _add_node_density(dl, f)
+            if nonzero is not None:
+                _note_planes(nonzero, f)
+        f = None  # the last slab's buffer is freed before the copy below
         return _density_stats(np.ascontiguousarray(d), grid)
 
-    def transform_pass():
+    def transformed(pins, nonzero):
+        # the buffer and its slab views die with this frame
+        buf = np.empty(grid.counts, dtype=np.complex128, order=order)
+        d = np.zeros(grid.counts, order=order)
+        whole, pairs = _transform_plan(nonzero)
+        for a, b in whole + pairs:
+            pair = (a, b) not in whole
+            for bl, f, phase in zip(outer(buf), slabs((a // 2, b // 2) if pair else (a // 2,)),
+                                    _phase_planes(pins, order)):
+                if pair:
+                    np.copyto(bl.real, _plane(f, a))
+                    np.copyto(bl.imag, _plane(f, b))
+                    bl *= phase
+                else:
+                    np.multiply(f[..., a // 2], phase, out=bl)
+            f = phase = None  # the last slab's buffer and phase plane, before the FFT
+            (_add_pair_density if pair else _add_density)(d, _fft(buf, sign))
+        return d
+
+    def transform_pass(nonzero):
         dual = grid.fourier_dual()
-        plan = _transform_plan(None if nonzero is None else nonzero())
         # an inf sample times the exact zero part of a phase is NaN: the
         # norm check (_grid_moment) names it, as it does a NaN sample
         with np.errstate(invalid="ignore"):
-            d = density(_dft_phases(grid, dual, sign)[0], *plan)
+            d = transformed(_dft_phases(grid, dual, sign)[0], nonzero)
         d *= _dft_scale(grid, sign) ** 2
         return _density_stats(np.ascontiguousarray(d), dual)
 
     if sign < 0:
-        r = source_pass()
-        return transform_pass(), r
-    r = transform_pass()
-    return source_pass() if source else None, r
+        nonzero = np.zeros(6, dtype=bool)
+        r = own_pass(nonzero)
+        return transform_pass(nonzero), r
+    r = transform_pass(_nonzero_planes(slabs((0, 1, 2))))
+    return own_pass() if source else None, r

@@ -15,6 +15,7 @@ from rsuncert.kspace import (
     _dft_phases,
     _dft_scale,
     _fft,
+    _phased,
     polarization,
 )
 
@@ -464,29 +465,46 @@ def unfold_octant(dp):
     return d
 
 
+def spy_densities(monkeypatch):
+    """The densities a grid report reduces (kspace._density_stats), each
+    copied as given, in order: position space first."""
+    from rsuncert import kspace
+
+    got = []
+    real = kspace._density_stats
+
+    def spy(d, grid):
+        got.append(d.copy(order="K"))
+        return real(d, grid)
+
+    monkeypatch.setattr(kspace, "_density_stats", spy)
+    return got
+
+
 # ---------------------------------------------------------------------------
-# full-cube density arrays of a component stream (octant-route reference)
+# full-cube density arrays of a field (octant-route reference)
 # ---------------------------------------------------------------------------
 
-def _stream_densities(components, grid: Grid3D, sign, source=True):
-    """Reduce a stream of field components sampled on grid to densities:
-    (density on grid or None if not source, density of the unitary
-    transform on the dual grid, the dual grid).  sign = +1 transforms
-    k-space to position space, -1 the reverse.
+def _stream_densities(field: FieldGrid, source=True):
+    """Reduce a FieldGrid to densities, one component at a time: (density
+    on its grid or None if not source, density of the unitary transform on
+    the dual grid, the dual grid).
 
-    Each component must be a contiguous array that may be overwritten (the
-    components() buffers of the synthesis parts qualify): its density is
-    added, it is transformed in place and the density of the result is
-    added.  The output-side DFT phases are unimodular and never applied,
-    so only the component and the two densities are held.
+    Each component is copied into one buffer: its density is added, it is
+    transformed in place and the density of the result is added.  The
+    output-side DFT phases are unimodular and never applied.
     """
+    grid = field.grid
+    sign = +1 if field.space == "wavevector" else -1
     dual = grid.fourier_dual()
     pins, _ = _dft_phases(grid, dual, sign)
     d_src = np.zeros(grid.counts) if source else None
     d_dual = np.zeros(dual.counts)
-    for comp in components:
+    comp = np.empty(grid.counts, dtype=complex)
+    for c in range(3):
+        np.copyto(comp, field.values[..., c])
         if source:
             _add_density(d_src, comp)
-        _add_density(d_dual, _fft(comp, pins, sign, out=comp))
+        _add_density(d_dual, _fft(_phased(comp, pins, out=comp), sign))
     d_dual *= _dft_scale(grid, sign) ** 2
     return d_src, d_dual, dual

@@ -121,28 +121,30 @@ class TestVerifyBound:
 
     @staticmethod
     def spy_reads(monkeypatch):
-        """The payload reads of a file report, in order: "density" (one
-        read), a plane pair (a, b) (one read each) and "probe" (the
-        wavevector file's scan for its nonzero planes)."""
+        """The payload reads of a file report, in order, each as the number
+        of z-slabs it took (one rsfio._zslabs call each)."""
         calls = []
-        real_density, real_planes = rsfio._read_density, rsfio._read_planes
-        real_probe = rsfio._nonzero_planes
-        monkeypatch.setattr(rsfio, "_read_density", lambda *a: calls.append("density")
-                            or real_density(*a))
-        monkeypatch.setattr(rsfio, "_read_planes", lambda fh, start, a, b, out:
-                            calls.append((a, b)) or real_planes(fh, start, a, b, out))
-        monkeypatch.setattr(rsfio, "_nonzero_planes", lambda slabs: calls.append("probe")
-                            or real_probe(slabs))
+        real = rsfio._zslabs
+
+        def counted(*args):
+            i = len(calls)
+            calls.append(0)
+            for slab in real(*args):
+                calls[i] += 1
+                yield slab
+
+        monkeypatch.setattr(rsfio, "_zslabs", counted)
         return calls
 
     @pytest.mark.parametrize("space, want", [
-        ("position", ["density", (0, 1), (2, 3), (4, 5)]),
-        ("wavevector", ["probe", (0, 1), (2, 3), (4, 5), "density"]),
+        ("position", [8, 8, 8, 8]),
+        ("wavevector", [1, 8, 8, 8, 8]),
     ])
     def test_input_reads_payload_four_times(self, tmp_path, monkeypatch, space, want):
         # a complex field: the file's own space takes its density from one
         # read, the other space one read per component, position space
-        # reduced first (a wavevector file's probe stops at its first slab)
+        # reduced first; a wavevector file's probe for its zero planes stops
+        # at its first slab
         grid = Grid3D.centered(8, 4.0)
         field = FieldGrid(np.full(grid.counts + (3,), 1 + 1j), grid, space)
         path = tmp_path / "f.rsf"
@@ -152,8 +154,8 @@ class TestVerifyBound:
         assert calls == want
 
     @pytest.mark.parametrize("space, want", [
-        ("position", ["density", (0, 2)]),
-        ("wavevector", ["probe", (0, 2), "density"]),
+        ("position", [8, 8]),
+        ("wavevector", [8, 8, 8]),
     ])
     def test_real_input_reads_payload_twice(self, tmp_path, monkeypatch, space, want):
         # a real field with Fz = 0, as the default packet at t = 0: its
@@ -196,25 +198,20 @@ class TestVerifyBound:
         assert run(["field", "--grid", 16, "--out-field", path]) == 0
         calls = []
 
-        def density(fh, start, counts):
-            calls.append("density")
-            return real_density(fh, start, counts)
-
-        def shrinking(fh, start, a, b, out):
-            calls.append((a, b))
-            if calls == ["density", (0, 2)]:  # the first read of the second pass
+        def shrinking(*args):
+            calls.append(len(calls))
+            if len(calls) == 2:  # the first read of the second pass
                 os.truncate(path, path.stat().st_size - 48)
-            return real_planes(fh, start, a, b, out)
+            return real(*args)
 
-        real_density, real_planes = rsfio._read_density, rsfio._read_planes
-        monkeypatch.setattr(rsfio, "_read_density", density)
-        monkeypatch.setattr(rsfio, "_read_planes", shrinking)
+        real = rsfio._zslabs
+        monkeypatch.setattr(rsfio, "_zslabs", shrinking)
         code = run(["verify-bound", "--input", path])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
         assert err == "error: payload ended early\n"
-        assert calls == ["density", (0, 2)]
+        assert len(calls) == 2
 
     def test_malformed_input_exit2(self, tmp_path):
         path = tmp_path / "junk.rsf"
@@ -592,6 +589,47 @@ class TestConfigPrecedence:
         from_config = capsys.readouterr().out
         assert run(base + ["--grid", 64]) == 0
         assert from_config == capsys.readouterr().out
+
+    @pytest.mark.parametrize("base, short, full", [
+        (["spectrum"], ["--tol", "1e-12"], ["--tolerance", "1e-12"]),
+        (["spectrum"], ["--tol=1e-12"], ["--tolerance=1e-12"]),
+        (["verify-bound", "--method", "grid", "--grid", "32"], ["--tol", "0"],
+         ["--tolerance", "0"]),
+        (["verify-bound"], ["--form", "csv"], ["--format", "csv"]),
+    ])
+    def test_abbreviated_flag_wins(self, tmp_path, capsys, base, short, full):
+        # argparse accepts an unambiguous prefix of a flag: it wins over
+        # --config as the full flag does, where the config alone would
+        # give another verdict or output
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerance": 0.25, "format": "json"}))
+        results = []
+        for flags in (short, full, []):
+            code = run(base + flags + ["--config", cfg])
+            results.append((code, capsys.readouterr().out))
+        assert results[0] == results[1]
+        assert results[0] != results[2]
+
+    @pytest.mark.parametrize("base, key", [
+        (["verify-bound"], "input"),
+        (["verify-bound"], "out"),
+        (["field", "--grid", 16, "--out-field", "f.rsf"], "out_field"),
+        (["spectrum"], "dump_eigenfunctions"),
+    ])
+    @pytest.mark.parametrize("value", [7, 2.5])
+    def test_number_for_path_exit2(self, tmp_path, monkeypatch, capsys, base, key, value):
+        # a path flag takes a JSON string only: a number is an input error
+        # in one line naming the key, before any work, also where a flag
+        # gives the path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({key: value}))
+        code = run(base + ["--config", "c.json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config") and len(err.strip().splitlines()) == 1
+        assert repr(key) in err
+        assert os.listdir(tmp_path) == ["c.json"]
 
     @pytest.mark.parametrize("cfg", [{"grid": 100}, {"a": "x"}, {"method": "fft"}, [1, 2]])
     def test_bad_config_value_exit2(self, tmp_path, capsys, cfg):

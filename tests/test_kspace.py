@@ -1,6 +1,8 @@
 """Polarization frame, synthesis (radial and node routes), Fourier bridge and
 the norms of its reports."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from rsuncert.kspace import (
     _boundary_ratio,
     _density_stats,
     _dft_phases,
+    _nonzero_planes,
     _phased,
     _synthesis_parts,
 )
@@ -133,9 +136,9 @@ class TestSynthesis:
                 pair.evolved(t)
         radial = _synthesis_parts(pair, grid)
         node = _synthesis_parts(node_route_pair(1.0, 0.0, 1.0), grid)
-        for method in (radial.densities, radial.octants, node.components, node.densities):
+        for method in (radial.densities, radial.octants, node.slabs, node.densities):
             with pytest.raises(TypeError):
-                method(np.inf)
+                method(t=np.inf)
 
     def test_on_axis_grid_propagates_singularity(self):
         # a custom grid with nodes at kx = ky = 0 hits the k_perp = 0
@@ -339,15 +342,53 @@ class TestNodeRoute:
         Grid3D((24, 20, 16), (0.7, 0.75, 0.8), (-8.3, -7.2, -6.1)),
     ], ids=["centred", "offset"])
     @pytest.mark.parametrize("t", [0.0, 0.3])
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", [*range(6), "default-packet"])
     def test_one_reducer(self, grid, t, seed):
         # a FieldGrid report and the node route's densities reduce the same
-        # component stream through the same function: equal to the last bit
-        pair = self.random_pair([seed, round(10 * t), grid.counts[1]])
+        # slab stream through the same function: equal to the last bit.  The
+        # default packet as polynomial amplitudes has Fx and Fy imaginary and
+        # Fz zero at t = 0, so both reports transform Fx.im + i Fy.im in one
+        # FFT
+        if seed == "default-packet":
+            s = 1.0 / math.sqrt(2.0)
+            pair = node_route_pair(-s, s, 1.0)
+        else:
+            pair = self.random_pair([seed, round(10 * t), grid.counts[1]])
         parts = _synthesis_parts(pair.evolved(t), grid)
         assert isinstance(parts, _NodeParts)
+        if seed == "default-packet" and t == 0.0:
+            assert _nonzero_planes(parts.slabs()).tolist() == [False, True, False, True,
+                                                               False, False]
         want = uncertainty_product(pair.evolved(t), grid).to_dict()
         assert uncertainty_product(synthesize_kspace(pair.evolved(t), grid)).to_dict() == want
+
+    @pytest.mark.parametrize("c_minus, t, probe", [
+        (0.5j, 0.3, 1),  # complex: the probe stops at the first slab
+        (0.0, 0.0, 1),   # Fz real, Fx and Fy complex: all three whole
+        # the default packet at t = 0: Fx and Fy imaginary, Fz zero, so the
+        # probe reads every slab and one sweep forms Fx and Fy for one FFT
+        ("default", 0.0, 16),
+    ])
+    def test_sweeps_per_report(self, monkeypatch, c_minus, t, probe):
+        # each sweep evaluates each amplitude once per x-slab: the position
+        # pass one sweep per transformed component or plane pair, after the
+        # probe's slabs, and the k-space density one sweep of all three
+        calls = []
+        real = PolynomialGaussianAmplitude.value
+        monkeypatch.setattr(PolynomialGaussianAmplitude, "value",
+                            lambda self, *k: calls.append(1) or real(self, *k))
+        grid = Grid3D.centered(16, 16.0).fourier_dual()
+        if c_minus == "default":
+            s = 1.0 / math.sqrt(2.0)
+            pair, sweeps = node_route_pair(-s, s, 1.0), 1
+        else:
+            pair, sweeps = node_route_pair(1.0, c_minus, 1.0), 3
+        parts = _synthesis_parts(pair.evolved(t), grid)
+        amps = sum(a is not None for a in (pair.f_plus, pair.f_minus))
+        for source, own in ((True, 1), (False, 0)):
+            calls.clear()
+            parts.densities(source=source)
+            assert len(calls) == amps * (probe + 16 * (sweeps + own)), source
 
 
 @pytest.mark.parametrize("n, extent, cut", [
@@ -475,7 +516,7 @@ class TestOctantDensities:
     @staticmethod
     def streamed(amps, grid):
         """Both full-cube densities of amps on grid, through the node route."""
-        return _stream_densities(_NodeParts(grid, amps).components(), grid, +1)[:2]
+        return _stream_densities(synthesize_kspace(amps, grid))[:2]
 
     # 16^3 has the smallest octant the CLI makes (h = 8)
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -519,7 +560,7 @@ class TestOctantDensities:
         radial = _synthesis_parts(saturating_amplitudes(1.0, 0.5j, 1.0).evolved(t), grid)
         node = _synthesis_parts(node_route_pair(1.0, 0.5j, 1.0).evolved(t), grid)
         assert isinstance(node, _NodeParts)
-        want = _stream_densities(node.components(), grid, +1)[:2]
+        want = _stream_densities(synthesize_kspace(node.amps, grid))[:2]
         for got, w in zip(self.unfolded(radial), want):
             self.assert_close(got, w)
         for got, w in zip(radial.densities(), node.densities()):

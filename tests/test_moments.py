@@ -31,7 +31,6 @@ from rsuncert import (
     uncertainty_product,
     write_rsf,
 )
-from rsuncert import moments
 from rsuncert.kspace import _Dilated, _add_density, _nonzero_planes, _transform_plan
 from rsuncert.moments import (
     _amp_integrals,
@@ -48,6 +47,7 @@ from conftest import (
     random_pair,
     sampled_kspace_field,
     second_moment_oracle,
+    spy_densities,
     strong_form_moment,
 )
 
@@ -470,15 +470,11 @@ class TestGridReportSpaces:
         want = np.zeros(grid.counts)
         for c in range(3):
             _add_density(want, vals[..., c])
-        got = []
-
-        def spy(*args, source_density, _real=moments._stream_stats, **kwargs):
-            got.append(source_density())
-            return _real(*args, source_density=source_density, **kwargs)
-
-        monkeypatch.setattr(moments, "_stream_stats", spy)
+        got = spy_densities(monkeypatch)
         uncertainty_product(FieldGrid(vals, grid, space))
-        assert len(got) == 1 and got[0].flags.c_contiguous and np.array_equal(got[0], want)
+        # position space is reduced first
+        own = got[0 if space == "position" else 1]
+        assert len(got) == 2 and own.flags.c_contiguous and np.array_equal(own, want)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_one_density_per_field(self, monkeypatch, seed):
@@ -488,15 +484,9 @@ class TestGridReportSpaces:
         grid = Grid3D.centered(32, 8.0)
         field = FieldGrid(rng.normal(size=grid.counts + (3,))
                           + 1j * rng.normal(size=grid.counts + (3,)), grid, "position")
-        got = []
-
-        def spy(*args, source_density, _real=moments._stream_stats, **kwargs):
-            got.append(source_density())
-            return _real(*args, source_density=source_density, **kwargs)
-
-        monkeypatch.setattr(moments, "_stream_stats", spy)
+        got = spy_densities(monkeypatch)
         rep = uncertainty_product(field)
-        assert len(got) == 1 and np.array_equal(field.density(), got[0])
+        assert len(got) == 2 and np.array_equal(field.density(), got[0])
         assert field.boundary_density_ratio() == rep.boundary_ratio_r
 
     @pytest.mark.parametrize("n", [32, 64])

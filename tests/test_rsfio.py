@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rsuncert import FieldGrid, Grid3D, RsfFormatError, read_rsf, write_rsf
+from rsuncert import FieldGrid, Grid3D, RsfFormatError, read_rsf, uncertainty_product, write_rsf
 from rsuncert.cli import main
 from rsuncert.kspace import _add_density
-from rsuncert.rsfio import _read_density, _read_header, _read_planes
+from conftest import spy_densities
 
 
 def sample_field(rng, n=8):
@@ -163,23 +163,22 @@ def test_slab_payload_is_the_transposed_field(tmp_path, rng):
     assert np.array_equal(back.values, field.values) and back.grid == grid
 
 
-def test_one_read_density_is_the_component_sum(tmp_path, rng):
-    # the density of one read is the three components' densities added in
-    # order, node by node to the bit (a report's sums can hide a reordered
-    # add), on non-cubic counts
+def test_one_read_density_is_the_component_sum(tmp_path, rng, monkeypatch):
+    # the own-space density a file report takes from one read of the
+    # payload is the three components' densities added in order, node by
+    # node to the bit (a report's sums can hide a reordered add), on
+    # non-cubic counts
     grid = Grid3D((6, 7, 5), (0.5, 0.25, 0.2), (-1.0, 0.0, 2.0))
     vals = rng.normal(size=(6, 7, 5, 3)) + 1j * rng.normal(size=(6, 7, 5, 3))
     path = tmp_path / "f.rsf"
     write_rsf(path, FieldGrid(vals, grid, "position"))
-    want = np.zeros(grid.counts, order="F")
-    with open(path, "rb") as fh:
-        _, _, start = _read_header(fh)
-        buf = np.empty(grid.counts, complex, order="F")
-        for c in range(3):
-            _add_density(want, _read_planes(fh, start, 2 * c, 2 * c + 1, buf))
-        got, nonzero = _read_density(fh, start, grid.counts)
-    assert got.flags.f_contiguous and np.array_equal(got, want)
-    assert nonzero.tolist() == [True] * 6
+    want = np.zeros(grid.counts)
+    for c in range(3):
+        _add_density(want, vals[..., c])
+    got = spy_densities(monkeypatch)
+    uncertainty_product(path)
+    assert len(got) == 2  # position space first: the file's own density
+    assert got[0].flags.c_contiguous and np.array_equal(got[0], want)
 
 
 @pytest.mark.parametrize("delta", [-16, 16])
