@@ -7,13 +7,8 @@ normalization are documented in rsuncert.kspace and rsuncert.moments.
 
 from .analytic_fields import (
     SaturatingFieldSpec,
-    boost,
-    light_cone_vars,
     photon_wavefunctions,
-    rotate,
-    saturating_field_t0,
     saturating_rs_field,
-    scalar_generator,
     simplest_field,
     write_field,
 )
@@ -39,7 +34,6 @@ from .kspace import (
     HelicityAmplitudePair,
     PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
-    fourier_to_kspace,
     fourier_to_position,
     polarization,
     saturating_amplitudes,

@@ -7,7 +7,8 @@ per-helicity scalar generators are
 
     Fgen_{+-}(r,t) = 1/(2 a r) [ D(l+) + D(l-) -+ i sqrt(pi)/2 (e^{-l+^2} - e^{-l-^2}) ]
 
-with D the Dawson function (scalar_generator below).  The full RS vector is
+with D the Dawson function: the scalar G of _scalar_blocks with
+A = sqrt(2 pi)/2 and B = -+ i sqrt(pi)/2 A.  The full RS vector is
 obtained by applying the derivative matrix
 
     [ dx dz + i dy dt ]
@@ -65,15 +66,10 @@ from .rsfio import _write_slabs
 
 __all__ = [
     "SaturatingFieldSpec",
-    "light_cone_vars",
     "simplest_field",
-    "scalar_generator",
     "saturating_rs_field",
     "photon_wavefunctions",
     "write_field",
-    "saturating_field_t0",
-    "rotate",
-    "boost",
 ]
 
 _SQPI = np.sqrt(np.pi)
@@ -122,14 +118,8 @@ class SaturatingFieldSpec:
         return saturating_amplitudes(self.c_plus, self.c_minus, self.a)
 
 
-def light_cone_vars(r, t, a):
-    """Light-cone variables l+- = (r +- t)/(sqrt(2) a)."""
-    b = 1.0 / (np.sqrt(2.0) * a)
-    return (r + t) * b, (r - t) * b
-
-
 # ---------------------------------------------------------------------------
-# scalar generator and its derivative ladder
+# the scalar's derivative ladder
 # ---------------------------------------------------------------------------
 
 def _deriv_ladder(w, nmax):
@@ -147,23 +137,6 @@ def _deriv_ladder(w, nmax):
         Ds.append(-2.0 * n * Ds[n - 1] - 2.0 * w * Ds[n])
         gs.append(-2.0 * n * gs[n - 1] - 2.0 * w * gs[n])
     return Ds, gs
-
-
-def scalar_generator(r, t, spec: SaturatingFieldSpec, helicity=+1):
-    """Per-helicity closed-form scalar
-
-        Fgen_{+-}(r,t) = 1/(2ar) [D(l+) + D(l-) -+ i sqrt(pi)/2 (e^{-l+^2}-e^{-l-^2})]
-
-    with the upper sign for helicity=+1: the scalar G of _scalar_blocks
-    with A = sqrt(2 pi)/2 (so nu A = 1/(2a)) and B = -+ i sqrt(pi)/2 A.
-    At r = 0 the removable singularity is evaluated by its series limit;
-    at t = 0 the result is real.
-    """
-    if helicity not in (+1, -1):
-        raise ValueError("scalar_generator: helicity must be +1 or -1")
-    A = np.sqrt(2.0 * np.pi) / 2.0
-    G = _scalar_blocks(r, t, spec.a, A, -helicity * 1j * _SQPI / 2.0 * A)[3]
-    return complex(G) if G.ndim == 0 else G
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +171,7 @@ def _scalar_blocks(r, t, a, A, B):
     far = r_b >= R_SWITCH * a
     if np.any(far):
         rr, tt = r_b[far], t_b[far]
-        lp, lm = light_cone_vars(rr, tt, a)
+        lp, lm = (rr + tt) * b, (rr - tt) * b  # light-cone variables l+-
         Dp, Dm = dawson(lp), dawson(lm)
         Ep, Em = np.exp(-lp * lp), np.exp(-lm * lm)
         D1p, D1m = 1.0 - 2.0 * lp * Dp, 1.0 - 2.0 * lm * Dm
@@ -403,78 +376,3 @@ def simplest_field(points, C=1.0, a=1.0):
     out[..., 0] = env * points[..., 1]
     out[..., 1] = -env * points[..., 0]
     return out
-
-
-def saturating_field_t0(points, a=1.0):
-    """Explicit t = 0 components of the minimal-uncertainty wave function
-    (normalization: saturating_rs_field with C+ = 0, C- = sqrt(2 pi)).
-
-    With l = r/(sqrt(2) a), s = x^2 + y^2 and the shared bracket
-    Q = sqrt(2) a r (3a^2 + r^2) - 2 (2a^4 + (a^2+r^2)^2) D(l):
-
-        Fx = [ sqrt(pi) y r^5 e^{-r^2/2a^2} - x z Q ] / (a^5 r^5)
-        Fy = [ -sqrt(pi) x r^5 e^{-r^2/2a^2} - y z Q ] / (a^5 r^5)
-        Fz = [ sqrt(2) a r (s (a^2+r^2) - 2 a^2 z^2)
-               - 2 ((a^4+r^4) s - 2 a^2 z^2 (a^2+r^2)) D(l) ] / (a^5 r^5)
-
-    Direct evaluation; cancellation degrades accuracy for r << 0.1 a (use
-    saturating_rs_field, which switches to a series branch, in that regime).
-    The 1/r^4 far tail of Fx, Fy, Fz reflects the conical k = 0 point of the
-    single-helicity spectrum; all second moments remain finite.
-    """
-    points = np.asarray(points, dtype=float)
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    s = x * x + y * y
-    r2 = s + z * z
-    r = np.sqrt(r2)
-    l = r / (np.sqrt(2.0) * a)
-    Dl = dawson(l)
-    gauss = np.exp(-r2 / (2.0 * a * a))
-    pref = 1.0 / (a ** 5 * r ** 5)
-    Q = np.sqrt(2.0) * a * r * (3.0 * a * a + r2) - 2.0 * (
-        2.0 * a ** 4 + (a * a + r2) ** 2
-    ) * Dl
-    out = np.empty(points.shape, dtype=np.complex128)
-    out[..., 0] = pref * (_SQPI * y * r ** 5 * gauss - x * z * Q)
-    out[..., 1] = pref * (-_SQPI * x * r ** 5 * gauss - y * z * Q)
-    out[..., 2] = pref * (
-        np.sqrt(2.0) * a * r * (s * (a * a + r2) - 2.0 * a * a * z * z)
-        - 2.0 * ((a ** 4 + r2 * r2) * s - 2.0 * a * a * z * z * (a * a + r2)) * Dl
-    )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# rotations and boosts
-# ---------------------------------------------------------------------------
-
-def _check_unit_axis(n):
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise ValueError("axis must be a unit vector")
-    return n
-
-
-def rotate(F, n, phi):
-    """Rotate a (generally complex) 3-vector field about the unit axis n:
-    F' = F cos(phi) + n x F sin(phi) + n (n.F) (1 - cos(phi))."""
-    n = _check_unit_axis(n)
-    F = np.asarray(F, dtype=np.complex128)
-    nxF = np.cross(np.broadcast_to(n, F.shape), F)
-    ndF = F @ n
-    return F * np.cos(phi) + nxF * np.sin(phi) + np.multiply.outer(ndF, n) * (1.0 - np.cos(phi))
-
-
-def boost(F, helicity, n, psi):
-    """Lorentz boost of a helicity eigen-wavefunction along the unit vector n
-    with rapidity psi:
-    F' = F cosh(psi) -+ i n x F sinh(psi) + n (n.F) (1 - cosh(psi)),
-    upper sign for helicity +1.  That is the rotation about n by the
-    imaginary angle -i h psi, since cos(-i h psi) = cosh(psi) and
-    sin(-i h psi) = -i h sinh(psi).  Does not preserve F*.F (energy density
-    is not a Lorentz scalar)."""
-    if helicity not in (+1, -1):
-        raise ValueError("boost: helicity must be +1 or -1")
-    return rotate(F, n, -1j * helicity * psi)

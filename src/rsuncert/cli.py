@@ -29,9 +29,10 @@ file one of analytic_fields.write_field, each streamed in bounded memory
 Flag-syntax errors keep argparse's usage output (exit 2).
 Units: c = 1; times are given in units of a/c.
 Option precedence: command-line flags > --config JSON file > defaults; a
-flag counts however it is spelt (--flag=value, or an abbreviation), and
-every config value for an option of the command is checked like its flag,
-a path flag's as a JSON string, also where a flag overrides it (exit 2).
+flag counts however it is spelt (--flag=value, or an abbreviation), every
+config key must name an option of the command, and every config value is
+checked like its flag, a path flag's as a JSON string, also where a flag
+overrides it (exit 2).
 """
 
 from __future__ import annotations
@@ -135,11 +136,12 @@ def _times(value):
 def _apply_config(args, parser, argv):
     """Merge --config JSON under explicitly given flags (flags win).
 
-    The file must hold a JSON object.  Each value whose key names an option
-    of the command goes through its flag's own type and choices, as if it
-    had been given on the command line, also where a flag overrides it; a
-    bad file or value raises ValueError.  A flag counts as given however it
-    is spelt (--flag=value, or an abbreviation argparse accepts).
+    The file must hold a JSON object whose every key names an option of
+    the command.  Each value goes through its flag's own type and choices,
+    as if it had been given on the command line, also where a flag
+    overrides it; a bad file, key or value raises ValueError.  A flag
+    counts as given however it is spelt (--flag=value, or an abbreviation
+    argparse accepts).
     """
     if not getattr(args, "config", None):
         return
@@ -159,10 +161,11 @@ def _apply_config(args, parser, argv):
     given = vars(parser.parse_args(argv))
     for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if attr in actions:
-            val = _config_value(actions[attr], key, val)
-            if attr not in given:
-                setattr(args, attr, val)
+        if attr not in actions:
+            raise ValueError(f"config {key!r}: not an option of {args.command}")
+        val = _config_value(actions[attr], key, val)
+        if attr not in given:
+            setattr(args, attr, val)
 
 
 def _config_value(action, key, val):
@@ -235,8 +238,11 @@ def cmd_verify_bound(args) -> int:
     """Uncertainty product of a saturating or stored field vs the 5/2 bound."""
     saturating = args.input is None
     if not saturating:
-        if args.saturating or args.method == "grid":
-            flag = "--saturating" if args.saturating else "--method grid"
+        builtin = {"--saturating": args.saturating, "--method grid": args.method == "grid"}
+        for dest, default in _FIELD_DEFAULTS.items():
+            builtin[f"--{dest.replace('_', '-')}"] = getattr(args, dest) != default
+        flag = next((flag for flag, given in builtin.items() if given), None)
+        if flag:
             raise ValueError(f"{flag} applies to the built-in field, not to --input")
         report = uncertainty_product(args.input)
     elif args.method == "analytic":
@@ -331,15 +337,21 @@ def cmd_spread(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# the built-in field's options and their defaults; verify-bound --input
+# takes none of them at another value
+_FIELD_DEFAULTS = {"a": 1.0, "c_plus": None, "c_minus": None, "grid": 64, "extent": 16.0}
+
+
 def _add_field_opts(p):
-    p.add_argument("--a", type=float, default=1.0, help="packet scale a")
-    p.add_argument("--c-plus", type=_complex, default=None,
+    d = _FIELD_DEFAULTS
+    p.add_argument("--a", type=float, default=d["a"], help="packet scale a")
+    p.add_argument("--c-plus", type=_complex, default=d["c_plus"],
                    help="positive-helicity coefficient (complex literal)")
-    p.add_argument("--c-minus", type=_complex, default=None,
+    p.add_argument("--c-minus", type=_complex, default=d["c_minus"],
                    help="negative-helicity coefficient")
-    p.add_argument("--grid", type=_grid_size, default=64,
+    p.add_argument("--grid", type=_grid_size, default=d["grid"],
                    help="grid nodes per axis (power of two, 16..256)")
-    p.add_argument("--extent", type=float, default=16.0,
+    p.add_argument("--extent", type=float, default=d["extent"],
                    help="box edge length in units of a")
 
 

@@ -15,7 +15,8 @@ class DegenerateFieldError(RsUncertError):
 
 
 class GridMismatchError(RsUncertError):
-    """Grids passed to a Fourier bridge are not a consistent transform pair."""
+    """A field is not in the space a transform takes (fourier_to_position
+    takes a wavevector field)."""
 
 
 class ResolutionError(RsUncertError):

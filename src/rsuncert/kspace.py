@@ -1,6 +1,6 @@
 """Wavevector-space core: uniform grids, the helicity polarization frame
-e(k), helicity amplitude pairs, field synthesis and the unitary Fourier
-bridge.
+e(k), helicity amplitude pairs, field synthesis and the unitary position
+synthesis of a sampled wavevector field.
 
 Conventions (used everywhere in this package):
 
@@ -64,8 +64,9 @@ z-slab at a time.  Amplitudes known only as samples on a wavevector grid
 have no amplitude class: build Ftilde from them with the polarization
 frame and report that FieldGrid (see the README).
 
-The Fourier bridge transforms one component at a time: per-axis phases are
-applied one slab at a time, in place, around an overwriting scipy FFT.
+Position synthesis of a sampled wavevector field (fourier_to_position)
+transforms one component at a time: per-axis phases are applied one slab
+at a time around an overwriting scipy FFT.
 
 Every streamed grid report has one reducer, _stream_stats, and one input,
 a slab stream: slabs(comps) gives a fresh iterator over the field's
@@ -124,7 +125,6 @@ __all__ = [
     "saturating_amplitudes",
     "synthesize_kspace",
     "fourier_to_position",
-    "fourier_to_kspace",
 ]
 
 AXIS_RTOL = 1e-12  # k_perp <= AXIS_RTOL * k counts as "on the kz-axis"
@@ -504,7 +504,7 @@ def saturating_amplitudes(c_plus, c_minus, a) -> HelicityAmplitudePair:
 
 
 # ---------------------------------------------------------------------------
-# synthesis and Fourier bridge
+# synthesis
 # ---------------------------------------------------------------------------
 
 def _time_tables(plus, minus, k, t, out, with_v=True):
@@ -926,42 +926,21 @@ def _fft(x, sign):
     return fft(x, workers=-1, overwrite_x=True)
 
 
-def _dft(vals, src: Grid3D, dst: Grid3D, sign, out=None):
-    """(2pi)^(-3/2) Int d3x vals(x) e^{sign i x.y} on the dst nodes, for one
-    scalar component sampled on src, written into out (default: a new
-    array); vals is left untouched."""
-    pins, pouts = _dft_phases(src, dst, sign)
-    pouts[2] = pouts[2] * _dft_scale(src, sign)
-    x = _fft(_phased(vals, pins), sign)
-    return _phased(x, pouts, out=x if out is None else out)
-
-
-def _bridge(field: FieldGrid, sign):
-    """Values and grid of the unitary transform of field to its dual grid,
-    one component at a time."""
-    src = field.grid
-    dst = src.fourier_dual()
-    vals = np.empty_like(field.values)
-    for comp in range(3):
-        _dft(field.values[..., comp], src, dst, sign, out=vals[..., comp])
-    return vals, dst
-
-
 def fourier_to_position(fieldK: FieldGrid) -> FieldGrid:
     """Unitary synthesis F(r) = (2pi)^(-3/2) Int d3k Ftilde(k) e^{+i k.r},
-    discretized exactly on the dual grid (round trip is the identity)."""
+    discretized exactly on the dual grid (round trip is the identity), one
+    component at a time."""
     if fieldK.space != "wavevector":
         raise GridMismatchError("fourier_to_position: field is not in k-space")
-    vals, rgrid = _bridge(fieldK, +1)
-    return FieldGrid(vals, rgrid, "position")
-
-
-def fourier_to_kspace(fieldR: FieldGrid) -> FieldGrid:
-    """Unitary analysis Ftilde(k) = (2pi)^(-3/2) Int d3r F(r) e^{-i k.r}."""
-    if fieldR.space != "position":
-        raise GridMismatchError("fourier_to_kspace: field is not in position space")
-    vals, kgrid = _bridge(fieldR, -1)
-    return FieldGrid(vals, kgrid, "wavevector")
+    src = fieldK.grid
+    dst = src.fourier_dual()
+    pins, pouts = _dft_phases(src, dst, +1)
+    pouts[2] = pouts[2] * _dft_scale(src, +1)
+    vals = np.empty_like(fieldK.values)
+    for comp in range(3):
+        x = _fft(_phased(fieldK.values[..., comp], pins), +1)
+        _phased(x, pouts, out=vals[..., comp])
+    return FieldGrid(vals, dst, "position")
 
 
 def _add_density(d, x):

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rsuncert.analytic_fields import _scalar_blocks
 from rsuncert.kspace import (
     FieldGrid,
     Grid3D,
@@ -18,6 +19,7 @@ from rsuncert.kspace import (
     _phased,
     polarization,
 )
+from rsuncert.specfun import dawson
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +510,102 @@ def _stream_densities(field: FieldGrid, source=True):
         _add_density(d_dual, _fft(_phased(comp, pins, out=comp), sign))
     d_dual *= _dft_scale(grid, sign) ** 2
     return d_src, d_dual, dual
+
+
+# ---------------------------------------------------------------------------
+# closed-form field references
+# ---------------------------------------------------------------------------
+
+def scalar_generator(r, t, spec, helicity=+1):
+    """Per-helicity closed-form scalar
+
+        Fgen_{+-}(r,t) = 1/(2ar) [D(l+) + D(l-) -+ i sqrt(pi)/2 (e^{-l+^2}-e^{-l-^2})]
+
+    with the upper sign for helicity=+1: the scalar G of
+    analytic_fields._scalar_blocks with A = sqrt(2 pi)/2 (so nu A = 1/(2a))
+    and B = -+ i sqrt(pi)/2 A."""
+    A = np.sqrt(2.0 * np.pi) / 2.0
+    G = _scalar_blocks(r, t, spec.a, A, -helicity * 1j * np.sqrt(np.pi) / 2.0 * A)[3]
+    return complex(G) if G.ndim == 0 else G
+
+
+def saturating_field_t0(points, a=1.0):
+    """Explicit t = 0 components of the minimal-uncertainty wave function
+    (normalization: saturating_rs_field with C+ = 0, C- = sqrt(2 pi)).
+
+    With l = r/(sqrt(2) a), s = x^2 + y^2 and the shared bracket
+    Q = sqrt(2) a r (3a^2 + r^2) - 2 (2a^4 + (a^2+r^2)^2) D(l):
+
+        Fx = [ sqrt(pi) y r^5 e^{-r^2/2a^2} - x z Q ] / (a^5 r^5)
+        Fy = [ -sqrt(pi) x r^5 e^{-r^2/2a^2} - y z Q ] / (a^5 r^5)
+        Fz = [ sqrt(2) a r (s (a^2+r^2) - 2 a^2 z^2)
+               - 2 ((a^4+r^4) s - 2 a^2 z^2 (a^2+r^2)) D(l) ] / (a^5 r^5)
+
+    Direct evaluation; cancellation degrades accuracy for r << 0.1 a (use
+    saturating_rs_field, which switches to a series branch, in that regime).
+    The 1/r^4 far tail of Fx, Fy, Fz reflects the conical k = 0 point of the
+    single-helicity spectrum; all second moments remain finite.
+    """
+    points = np.asarray(points, dtype=float)
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    s = x * x + y * y
+    r2 = s + z * z
+    r = np.sqrt(r2)
+    l = r / (np.sqrt(2.0) * a)
+    Dl = dawson(l)
+    gauss = np.exp(-r2 / (2.0 * a * a))
+    pref = 1.0 / (a ** 5 * r ** 5)
+    Q = np.sqrt(2.0) * a * r * (3.0 * a * a + r2) - 2.0 * (
+        2.0 * a ** 4 + (a * a + r2) ** 2
+    ) * Dl
+    sqpi = np.sqrt(np.pi)
+    out = np.empty(points.shape, dtype=np.complex128)
+    out[..., 0] = pref * (sqpi * y * r ** 5 * gauss - x * z * Q)
+    out[..., 1] = pref * (-sqpi * x * r ** 5 * gauss - y * z * Q)
+    out[..., 2] = pref * (
+        np.sqrt(2.0) * a * r * (s * (a * a + r2) - 2.0 * a * a * z * z)
+        - 2.0 * ((a ** 4 + r2 * r2) * s - 2.0 * a * a * z * z * (a * a + r2)) * Dl
+    )
+    return out
+
+
+def _check_unit_axis(n):
+    n = np.asarray(n, dtype=float)
+    if n.shape != (3,):
+        raise ValueError("axis must be a 3-vector")
+    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+        raise ValueError("axis must be a unit vector")
+    return n
+
+
+def rotate(F, n, phi):
+    """Rotate a (generally complex) 3-vector field about the unit axis n:
+    F' = F cos(phi) + n x F sin(phi) + n (n.F) (1 - cos(phi)).  A complex
+    angle phi = -i h psi is the Lorentz boost of a helicity-h
+    eigen-wavefunction along n with rapidity psi."""
+    n = _check_unit_axis(n)
+    F = np.asarray(F, dtype=np.complex128)
+    nxF = np.cross(np.broadcast_to(n, F.shape), F)
+    ndF = F @ n
+    return F * np.cos(phi) + nxF * np.sin(phi) + np.multiply.outer(ndF, n) * (1.0 - np.cos(phi))
+
+
+# ---------------------------------------------------------------------------
+# unitary analysis, the inverse of kspace.fourier_to_position
+# ---------------------------------------------------------------------------
+
+def fourier_to_kspace(fieldR: FieldGrid) -> FieldGrid:
+    """Unitary analysis Ftilde(k) = (2pi)^(-3/2) Int d3r F(r) e^{-i k.r} of a
+    position field, on the dual grid, one component at a time: the same
+    steps as kspace.fourier_to_position with the sign of the exponent
+    flipped."""
+    assert fieldR.space == "position", fieldR.space
+    src = fieldR.grid
+    dst = src.fourier_dual()
+    pins, pouts = _dft_phases(src, dst, -1)
+    pouts[2] = pouts[2] * _dft_scale(src, -1)
+    vals = np.empty_like(fieldR.values)
+    for comp in range(3):
+        x = _fft(_phased(fieldR.values[..., comp], pins), -1)
+        _phased(x, pouts, out=vals[..., comp])
+    return FieldGrid(vals, dst, "wavevector")

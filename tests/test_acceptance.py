@@ -33,11 +33,9 @@ from rsuncert import (
     SaturatingFieldSpec,
     Trajectory,
     dawson,
-    fourier_to_kspace,
     laguerre_general,
     massless_bound,
     rayleigh_quotient,
-    saturating_field_t0,
     saturating_rs_field,
     simplest_field,
     solve_radial,
@@ -47,7 +45,14 @@ from rsuncert import (
 )
 from rsuncert.kspace import _RadialParts, _density_stats, _synthesis_parts
 from rsuncert.moments import TRUNCATION_RATIO
-from conftest import dawson_erfi_oracle, dawson_series_oracle, random_pair, unfold_octant
+from conftest import (
+    dawson_erfi_oracle,
+    dawson_series_oracle,
+    fourier_to_kspace,
+    random_pair,
+    saturating_field_t0,
+    unfold_octant,
+)
 
 SQ2PI = np.sqrt(2.0 * np.pi)
 

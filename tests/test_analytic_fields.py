@@ -1,5 +1,5 @@
 """Closed-form fields: scalar generator, derivative-built RS vector,
-photon wave functions, rotations and boosts."""
+photon wave functions, rotations."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,19 @@ from rsuncert import (
     FieldGrid,
     Grid3D,
     SaturatingFieldSpec,
-    boost,
-    fourier_to_kspace,
-    light_cone_vars,
     photon_wavefunctions,
-    rotate,
-    saturating_field_t0,
     saturating_rs_field,
-    scalar_generator,
     simplest_field,
 )
 from rsuncert.specfun import dawson
-from conftest import mixed_partial_4th, second_partial_4th
+from conftest import (
+    fourier_to_kspace,
+    mixed_partial_4th,
+    rotate,
+    saturating_field_t0,
+    scalar_generator,
+    second_partial_4th,
+)
 
 # frozen from the Dawson series oracle: D(1/sqrt(2))
 D_INV_SQRT2 = 0.51249576322183982848
@@ -90,7 +91,8 @@ class TestScalarGenerator:
         # Fgen_+ carries -i sqrt(pi)/2 (e^{-l+^2}-e^{-l-^2}); check both signs
         spec = SaturatingFieldSpec(a=1.0)
         r, t = 1.1, 0.6
-        lp, lm = light_cone_vars(r, t, spec.a)
+        b = 1.0 / (np.sqrt(2.0) * spec.a)
+        lp, lm = (r + t) * b, (r - t) * b
         G = dawson(lp) + dawson(lm)
         H = np.exp(-lp ** 2) - np.exp(-lm ** 2)
         want_p = (G - 1j * np.sqrt(np.pi) / 2 * H) / (2 * spec.a * r)
@@ -128,10 +130,6 @@ class TestScalarGenerator:
             monkeypatch.setattr(af, "R_SWITCH", 1e-9)
             closed = scalar_generator(r, t, spec, helicity)
             assert np.max(np.abs(series - closed) / np.abs(closed)) < 1e-11
-
-    def test_bad_helicity(self):
-        with pytest.raises(ValueError):
-            scalar_generator(1.0, 0.0, SaturatingFieldSpec(a=1.0), helicity=0)
 
 
 class TestSaturatingRsField:
@@ -375,6 +373,9 @@ class TestPhotonWavefunctions:
 
 
 class TestRotateBoost:
+    """rotate of tests/conftest.py; a boost of a helicity-h field is the
+    rotation by the imaginary angle -i h psi."""
+
     def test_identity_rotation(self, rng):
         F = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
         out = rotate(F, np.array([0.0, 0.0, 1.0]), 0.0)
@@ -406,40 +407,9 @@ class TestRotateBoost:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError):
             rotate(np.ones(3), np.array([0.0, 0.0, 2.0]), 0.3)
-        with pytest.raises(ValueError):
-            boost(np.ones(3), +1, np.array([1.0, 1.0, 0.0]), 0.3)
-
-    def test_identity_boost(self, rng):
-        F = rng.normal(size=3) + 1j * rng.normal(size=3)
-        out = boost(F, +1, np.array([1.0, 0.0, 0.0]), 0.0)
-        assert np.allclose(out, F, atol=1e-15)
-
-    def test_boost_inverse(self, rng):
-        F = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        for hel in (+1, -1):
-            out = boost(boost(F, hel, n, 0.8), hel, n, -0.8)
-            assert np.max(np.abs(out - F)) < 1e-12
-
-    def test_boost_does_not_preserve_density(self, rng):
-        F = np.array([0.3 + 0.1j, -0.7, 0.2j])
-        n = np.array([0.0, 0.0, 1.0])
-        out = boost(F, +1, n, 0.9)
-        before = np.vdot(F, F).real
-        after = np.vdot(out, out).real
-        assert abs(after - before) > 1e-3 * before
-
-    def test_bad_helicity(self):
-        with pytest.raises(ValueError):
-            boost(np.ones(3), 0, np.array([0.0, 0.0, 1.0]), 0.1)
 
 
 class TestSpecValidation:
-    def test_light_cone_vars_t0(self):
-        lp, lm = light_cone_vars(1.0, 0.0, 2.0)
-        assert lp == lm == 1.0 / (np.sqrt(2.0) * 2.0)
-
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             SaturatingFieldSpec(a=-1.0)

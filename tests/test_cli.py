@@ -19,7 +19,6 @@ from rsuncert import (
     read_rsf,
     synthesize_kspace,
     uncertainty_product,
-    fourier_to_kspace,
     fourier_to_position,
     write_rsf,
 )
@@ -27,7 +26,7 @@ from rsuncert import analytic_fields, cli, kspace, rsfio
 from rsuncert.analytic_fields import saturating_rs_field
 from rsuncert.cli import main
 from rsuncert.eigensolver import N_POINTS_MAX
-from conftest import random_pair
+from conftest import fourier_to_kspace, random_pair
 
 
 def run(args):
@@ -224,12 +223,17 @@ class TestVerifyBound:
     @pytest.mark.parametrize("source", [
         ["--saturating"], ["--method", "grid"],
         {"saturating": True}, {"method": "grid"},
-    ], ids=["saturating", "method-grid", "config-saturating", "config-method-grid"])
+        ["--a", 3], ["--c-plus", 2], ["--c-minus", "1j"], ["--grid", 32], ["--extent", 5],
+        {"c-plus": "2"},
+    ], ids=["saturating", "method-grid", "config-saturating", "config-method-grid",
+            "a", "c-plus", "c-minus", "grid", "extent", "config-c-plus"])
     def test_input_with_builtin_source_exit2(self, tmp_path, capsys, source):
-        # each selects the built-in field, which --input replaces: an input
-        # error before the file is read, from a flag or from --config
+        # each selects the built-in field, or sets one of its options away
+        # from its default, and --input replaces that field: an input error
+        # before the file is read, from a flag or from --config
         path = tmp_path / "f.rsf"
         assert run(["field", "--grid", 16, "--out-field", path]) == 0
+        flag = "--" + next(iter(source)) if isinstance(source, dict) else source[0]
         if isinstance(source, dict):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(source))
@@ -238,7 +242,18 @@ class TestVerifyBound:
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert err.startswith("error: --") and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {flag} ") and len(err.strip().splitlines()) == 1
+
+    def test_input_with_builtin_defaults(self, tmp_path, capsys):
+        # the built-in field's options at their defaults change nothing
+        path = tmp_path / "f.rsf"
+        assert run(["field", "--grid", 16, "--out-field", path]) == 0
+        capsys.readouterr()
+        base = ["verify-bound", "--input", path, "--tolerance", 1e9]
+        assert run(base) == 0
+        plain = capsys.readouterr().out
+        assert run(base + ["--a", 1, "--grid", 64, "--extent", 16, "--method", "analytic"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_out_file_and_csv(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -600,9 +615,12 @@ class TestConfigPrecedence:
     def test_abbreviated_flag_wins(self, tmp_path, capsys, base, short, full):
         # argparse accepts an unambiguous prefix of a flag: it wins over
         # --config as the full flag does, where the config alone would
-        # give another verdict or output
+        # give another verdict or output; each config holds only keys of
+        # its own command
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerance": 0.25, "format": "json"}))
+        keys = {"spectrum": {"tolerance": 0.25},
+                "verify-bound": {"tolerance": 0.25, "format": "json"}}
+        cfg.write_text(json.dumps(keys[base[0]]))
         results = []
         for flags in (short, full, []):
             code = run(base + flags + ["--config", cfg])
@@ -629,6 +647,27 @@ class TestConfigPrecedence:
         assert out == ""
         assert err.startswith("error: config") and len(err.strip().splitlines()) == 1
         assert repr(key) in err
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    @pytest.mark.parametrize("base, key", [
+        (["verify-bound"], "tolerence"),
+        (["spectrum"], "tolerence"),
+        (["spectrum"], "format"),
+        (["field", "--grid", 16, "--out-field", "f.rsf"], "times"),
+        (["spread", "--grid", 16], "photon"),
+    ])
+    def test_unknown_config_key_exit2(self, tmp_path, monkeypatch, capsys, base, key):
+        # a key that names no option of the command (a misspelt one, or an
+        # option of another command) is an input error in one line naming
+        # the key, before any work, also after a valid key
+        monkeypatch.chdir(tmp_path)
+        valid = {"field": {"time": 0.5}}.get(base[0], {"tolerance": 1e-12})
+        (tmp_path / "c.json").write_text(json.dumps({**valid, key: 1}))
+        code = run(base + ["--config", "c.json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: config {key!r}:") and len(err.strip().splitlines()) == 1
         assert os.listdir(tmp_path) == ["c.json"]
 
     @pytest.mark.parametrize("cfg", [{"grid": 100}, {"a": "x"}, {"method": "fft"}, [1, 2]])
@@ -805,6 +844,20 @@ def test_cli_imports_no_private_name():
                and (node.level or (node.module or "").startswith("rsuncert"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("module, name", [
+    (analytic_fields, "light_cone_vars"), (analytic_fields, "scalar_generator"),
+    (analytic_fields, "saturating_field_t0"), (analytic_fields, "rotate"),
+    (analytic_fields, "boost"), (kspace, "fourier_to_kspace"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_reference_names_not_in_package(module, name):
+    # references that only the tests use live in tests/conftest.py
+    import rsuncert
+
+    for owner in (rsuncert, module):
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
 
 
 @pytest.mark.parametrize("args, spec, extent", [

@@ -3,7 +3,8 @@
 Whatever a --config file or an .rsf file holds, main returns an exit code
 in 0..5 and lets no exception escape.  Its stderr is one line starting
 `error:` for codes 2..5 and empty for 0 and 1 (the verdicts), and it
-raises no warning, which would print lines of its own.  Examples are
+raises no warning, which would print lines of its own.  A config key
+that names no option of the command exits 2.  Examples are
 derandomized, and no example database is kept (database=None).
 """
 
@@ -26,11 +27,13 @@ SETTINGS = settings(database=None, deadline=None, derandomize=True, max_examples
 # magnitudes whose squares or fifth powers leave the float range
 extremes = st.sampled_from([1e300, -1e300, 1e150, 1e-150, 1e-300, 5e-324])
 numbers = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(width=64), extremes)
+# keys spelled from these letters name no option: a config that holds one
+# exits 2, with its one error: line
+STRAY = "xyz_"
 scalars = st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=6))
 json_values = st.one_of(scalars, st.lists(scalars, max_size=3),
-                        st.dictionaries(st.text(alphabet="xyz_", max_size=3), scalars, max_size=2))
-# keys spelled from these letters name no option, so they must be ignored
-stray_keys = st.text(alphabet="xyz_", min_size=1, max_size=4)
+                        st.dictionaries(st.text(alphabet=STRAY, max_size=3), scalars, max_size=2))
+stray_keys = st.text(alphabet=STRAY, min_size=1, max_size=4)
 # each option's values: mostly usable ones, to get past the other options'
 # checks, then extremes, then anything
 positives = st.one_of(st.floats(0.2, 5.0), extremes, numbers)
@@ -42,15 +45,15 @@ complex_literals = st.one_of(st.complex_numbers(max_magnitude=10.0), extremes,
 
 def configs(options):
     """--config payloads: mostly objects that give some of the options a
-    value of their own kind, with stray keys; some also give one option
-    any JSON value; a few are not objects."""
+    value of their own kind, with or without stray keys; some also give one
+    option any JSON value; a few are not objects."""
     def merged(*parts):
         return st.tuples(*parts).map(lambda ds: {k: v for d in ds for k, v in d.items()})
 
     own = st.fixed_dictionaries({}, optional=options)
     stray = st.dictionaries(stray_keys, json_values, max_size=2)
     wild = st.dictionaries(st.sampled_from(sorted(options)), json_values, min_size=1, max_size=1)
-    return st.one_of(merged(stray, own), merged(stray, own), merged(own, wild), json_values)
+    return st.one_of(own, merged(stray, own), merged(own, wild), json_values)
 
 
 def run_checked(argv):
@@ -76,7 +79,10 @@ def run_with_config(argv, cfg):
         path = Path(tmp) / "cfg.json"
         # json writes NaN and Infinity, and json.load reads them back
         path.write_text(json.dumps(cfg))
-        return run_checked(argv + ["--config", path])
+        code, lines = run_checked(argv + ["--config", path])
+    if isinstance(cfg, dict) and any(set(key) <= set(STRAY) for key in cfg):
+        assert code == 2, (cfg, code)
+    return code, lines
 
 
 @settings(SETTINGS, max_examples=80)

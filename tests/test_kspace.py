@@ -15,7 +15,6 @@ from rsuncert import (
     PolynomialGaussianAmplitude,
     RadialProfileAmplitude,
     SaturatingFieldSpec,
-    fourier_to_kspace,
     fourier_to_position,
     polarization,
     saturating_amplitudes,
@@ -32,12 +31,20 @@ from rsuncert.kspace import (
     _boundary_ratio,
     _density_stats,
     _dft_phases,
+    _dft_scale,
+    _fft,
     _nonzero_planes,
     _phased,
     _synthesis_parts,
 )
 from rsuncert.moments import TRUNCATION_RATIO, _SphericalRule
-from conftest import _stream_densities, node_route_pair, second_moment_oracle, unfold_octant
+from conftest import (
+    _stream_densities,
+    fourier_to_kspace,
+    node_route_pair,
+    second_moment_oracle,
+    unfold_octant,
+)
 
 
 def random_offaxis_k(rng, n):
@@ -642,6 +649,25 @@ class TestFourierBridge:
         b = a.copy()
         assert _phased(b, p, out=b) is b
         np.testing.assert_array_equal(b, got)
+
+    def test_position_synthesis_bits(self, rng):
+        # fourier_to_position against the per-component transform it
+        # replaced, which formed the phases and the scale once per
+        # component: the same bits, on a grid with unequal counts, spacings
+        # and origins
+        grid = Grid3D((16, 20, 24), (0.3, 0.5, 0.4), (-2.1, -4.7, -5.3))
+        shape = grid.counts + (3,)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        dual = grid.fourier_dual()
+        want = np.empty_like(vals)
+        for comp in range(3):
+            pins, pouts = _dft_phases(grid, dual, +1)
+            pouts[2] = pouts[2] * _dft_scale(grid, +1)
+            x = _fft(_phased(vals[..., comp], pins), +1)
+            _phased(x, pouts, out=want[..., comp])
+        got = fourier_to_position(FieldGrid(vals, grid, "wavevector"))
+        assert got.grid == dual and got.space == "position"
+        np.testing.assert_array_equal(got.values, want)
 
     def test_round_trip_identity(self, rng):
         grid = Grid3D.centered(32, 11.0)

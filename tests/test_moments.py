@@ -22,7 +22,6 @@ from rsuncert import (
     RadialProfileAmplitude,
     SaturatingFieldSpec,
     SingularAmplitudeError,
-    fourier_to_kspace,
     fourier_to_position,
     massless_bound,
     saturating_amplitudes,
@@ -41,6 +40,7 @@ from rsuncert.moments import (
 from rsuncert.specfun import laguerre_general
 from conftest import (
     closed_form_reference,
+    fourier_to_kspace,
     node_route_pair,
     phase_evolved_pair,
     polynomial_gaussian_moments,

@@ -9,7 +9,6 @@ from rsuncert import (
     Grid3D,
     SaturatingFieldSpec,
     Trajectory,
-    fourier_to_kspace,
     fourier_to_position,
     saturating_amplitudes,
     saturating_rs_field,
