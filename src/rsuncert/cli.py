@@ -30,9 +30,9 @@ Flag-syntax errors keep argparse's usage output (exit 2).
 Units: c = 1; times are given in units of a/c.
 Option precedence: command-line flags > --config JSON file > defaults; a
 flag counts however it is spelt (--flag=value, or an abbreviation), every
-config key must name an option of the command, and every config value is
-checked like its flag, a path flag's as a JSON string, also where a flag
-overrides it (exit 2).
+config key must name an option of the command (not --help or --config),
+and every config value is checked like its flag, a path flag's as a JSON
+string, also where a flag overrides it (exit 2).
 """
 
 from __future__ import annotations
@@ -137,11 +137,11 @@ def _apply_config(args, parser, argv):
     """Merge --config JSON under explicitly given flags (flags win).
 
     The file must hold a JSON object whose every key names an option of
-    the command.  Each value goes through its flag's own type and choices,
-    as if it had been given on the command line, also where a flag
-    overrides it; a bad file, key or value raises ValueError.  A flag
-    counts as given however it is spelt (--flag=value, or an abbreviation
-    argparse accepts).
+    the command other than --help and --config.  Each value goes through
+    its flag's own type and choices, as if it had been given on the
+    command line, also where a flag overrides it; a bad file, key or value
+    raises ValueError.  A flag counts as given however it is spelt
+    (--flag=value, or an abbreviation argparse accepts).
     """
     if not getattr(args, "config", None):
         return
@@ -154,7 +154,8 @@ def _apply_config(args, parser, argv):
         raise ValueError(f"config file must hold a JSON object, got {type(cfg).__name__}")
     # argparse has no public list of a parser's actions
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {act.dest: act for act in sub.choices[args.command]._actions}
+    actions = {act.dest: act for act in sub.choices[args.command]._actions
+               if act.dest not in ("help", "config")}
     # parsed again with no defaults, argv sets exactly the options it gives
     for act in actions.values():
         act.default = argparse.SUPPRESS

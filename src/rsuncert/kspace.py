@@ -38,6 +38,11 @@ two properties of its input:
   the kz-axis.  It keeps only the grid and the amplitudes, builds no
   polarization frame, and its slabs() form P, M, W and V one x-slab at a
   time and write that slab's per-node components, only those asked for.
+  The package's amplitude classes give g = f / k_perp on the slab from
+  per-axis factors (_slab_g): for a PolynomialGaussianAmplitude one
+  (ny, L) (L, nz) product of per-axis powers and Gaussians, L the number
+  of distinct kz powers, so no exponential, power or k_perp is formed per
+  node; any other amplitude is evaluated by value() and divided by k_perp.
   synthesize_kspace always takes this route, each x-slab written straight
   into its field.
 * Radial route (_RadialParts), taken for the densities when every
@@ -343,6 +348,10 @@ class RadialProfileAmplitude:
         q = kx * kx + ky * ky + kz * kz
         return np.sqrt(kx * kx + ky * ky) * self.h(q)
 
+    def _slab_g(self, kx, ky, kz):
+        """g = f / k_perp = h(k^2) on an x-slab (_NodeParts.slabs)."""
+        return self.h(kx * kx + ky * ky + kz * kz)
+
     def grad(self, kx, ky, kz):
         q = kx * kx + ky * ky + kz * kz
         kp = np.sqrt(kx * kx + ky * ky)
@@ -394,6 +403,27 @@ class PolynomialGaussianAmplitude:
         kp2 = kx * kx + ky * ky
         kpE = np.sqrt(kp2) * np.exp(-self.alpha * (kp2 + kz * kz))
         return np.asarray(kpE * self._poly(kx, ky, kz), dtype=np.complex128)
+
+    def _slab_g(self, kx, ky, kz):
+        """g = f / k_perp = P(k) e^{-alpha k^2} on an x-slab (_NodeParts.slabs):
+        the scalar kx, the column ky (ny, 1) and the row kz (1, nz).
+
+        Both factors are separable, so g is one (ny, L) (L, nz) product, L
+        the number of distinct kz powers l: column l of A holds the
+        monomials of that power, sum c kx^i ky^j e^{-alpha (kx^2 + ky^2)},
+        and row l of B is kz^l e^{-alpha kz^2}.  No exponential, power or
+        k_perp is formed per node."""
+        a = self.alpha
+        x, y, z = float(np.ravel(kx)[0]), np.ravel(ky), np.ravel(kz)
+        ey = np.exp(-a * y * y) * math.exp(-a * x * x)
+        ez = np.exp(-a * z * z)
+        powers = sorted({e[2] for e, c in self.terms.items() if c})
+        A = np.zeros((y.size, len(powers)), dtype=np.complex128)
+        for (i, j, l), c in self.terms.items():
+            if c:
+                A[:, powers.index(l)] += (c * x ** i) * (y ** j * ey)
+        B = np.array([z ** l * ez for l in powers]).reshape(len(powers), z.size)
+        return A @ B
 
     def grad(self, kx, ky, kz):
         # d/dk_a (k_perp e^{-alpha k^2}) is k_a w_a k_perp e^{-alpha k^2},
@@ -539,13 +569,16 @@ class _NodeParts:
 
     With f = k_perp g the frame's 1/k_perp cancels (see the module
     docstring), so Ftilde is the polynomial of _polynomial with per-node
-    tables plus = f+(k) / (sqrt2 k k_perp) and minus = conj(f-)(-k) /
-    (sqrt2 k k_perp) (None for a zero amplitude) and k = |k|.  Only the
-    grid and the amplitudes are kept: slabs() forms the tables of each
-    x-slab from the sparse meshes, then W and V at self.amps.t
-    (_time_tables), and writes the slab's components, so no table of the
-    whole grid and no polarization frame is ever held.  A sweep evaluates
-    the amplitudes once.
+    tables plus = g+(k) / (sqrt2 k) and minus = conj(g-)(-k) / (sqrt2 k)
+    (None for a zero amplitude) and k = |k|.  Only the grid and the
+    amplitudes are kept: slabs() forms the tables of each x-slab, then W
+    and V at self.amps.t (_time_tables), and writes the slab's
+    components, so no table of the whole grid and no polarization frame is
+    ever held.  An amplitude with a _slab_g method (both amplitude
+    classes) gives g on the slab from the scalar kx, the column ky and the
+    row kz, from per-axis factors; any other gives f by value() on the
+    sparse meshes, divided by sqrt2 k k_perp.  A sweep evaluates the
+    amplitudes once per slab.
     """
 
     grid: Grid3D
@@ -571,19 +604,24 @@ class _NodeParts:
         tables = np.empty((4,) + kyz.shape, dtype=np.complex128)
         tmp = np.empty(kyz.shape, dtype=np.complex128)
 
-        def table(amp, kx, den, k, negk):
+        def table(amp, kx, k, rk, negk):
             if amp is None:
                 return None
+            slab_g = getattr(amp, "_slab_g", None)
+            if slab_g is not None:  # g = f / k_perp from per-axis factors
+                g = np.conj(slab_g(-kx, -ky, -kz)) if negk else slab_g(kx, ky, kz)
+                return g * rk
             f = np.conj(amp.value(-kx, -ky, -kz)) if negk else amp.value(kx, ky, kz)
-            return f / den / k  # k_perp(-k) = k_perp(k)
+            # sqrt2 k_perp, constant along z; k_perp(-k) = k_perp(k)
+            return f / np.sqrt(2.0 * (kx * kx + ky * ky)) / k
 
         for i, kx in enumerate(KX):
             # the slab's tables, W and V: nothing full-size
             kp2 = kx * kx + ky * ky
             k = np.sqrt(kp2 + kz * kz)
-            den = np.sqrt(2.0 * kp2)  # sqrt2 k_perp, constant along z
-            w, v = _time_tables(table(self.amps.f_plus, kx, den, k, False),
-                                table(self.amps.f_minus, kx, den, k, True),
+            rk = 1.0 / (math.sqrt(2.0) * k)
+            w, v = _time_tables(table(self.amps.f_plus, kx, k, rk, False),
+                                table(self.amps.f_minus, kx, k, rk, True),
                                 k, self.amps.t, tables, with_v=comps != (2,))
             terms = (kx * kz, ky, kyz, kx, -kp2)
             slab = buf if out is None else out[i]

@@ -670,6 +670,25 @@ class TestConfigPrecedence:
         assert err.startswith(f"error: config {key!r}:") and len(err.strip().splitlines()) == 1
         assert os.listdir(tmp_path) == ["c.json"]
 
+    @pytest.mark.parametrize("base", [
+        ["verify-bound"],
+        ["spectrum"],
+        ["field", "--grid", 16, "--out-field", "f.rsf"],
+        ["spread", "--grid", 16],
+    ], ids=["verify-bound", "spectrum", "field", "spread"])
+    @pytest.mark.parametrize("key, value", [("help", True), ("config", "other.json")])
+    def test_help_and_config_keys_exit2(self, tmp_path, monkeypatch, capsys, base, key, value):
+        # no config can set --help or --config, so each key is an unknown
+        # key: exit 2 in one line naming it, before any work
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({key: value}))
+        code = run(base + ["--config", "c.json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config {key!r}: not an option of {base[0]}\n"
+        assert os.listdir(tmp_path) == ["c.json"]
+
     @pytest.mark.parametrize("cfg", [{"grid": 100}, {"a": "x"}, {"method": "fft"}, [1, 2]])
     def test_bad_config_value_exit2(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"

@@ -344,6 +344,64 @@ class TestNodeRoute:
             self.assert_matches(synthesize_kspace(single.evolved(0.3), grid),
                                 polarization_reference(single, grid, 0.3))
 
+    @staticmethod
+    def slab_pair():
+        # degree <= 5, with kz powers that repeat (2) and skip (1, 3, 4)
+        return HelicityAmplitudePair(
+            PolynomialGaussianAmplitude({(0, 0, 0): 0.3 - 0.2j, (1, 0, 2): 1.1, (0, 3, 2): -0.4j,
+                                         (2, 1, 2): 0.25 + 0.5j, (0, 0, 5): 0.05,
+                                         (5, 0, 0): -0.02j}, 0.6),
+            PolynomialGaussianAmplitude({(0, 1, 0): 0.7j, (1, 1, 2): -0.6, (3, 0, 2): 0.2 + 0.1j,
+                                         (0, 2, 0): 0.0, (2, 0, 3): 0.3j}, 0.9))
+
+    @pytest.mark.parametrize("name", ["centred", "offset"])
+    @pytest.mark.parametrize("dilated", [False, True])
+    def test_slab_factors(self, name, dilated):
+        # g = f / k_perp from per-axis factors (_slab_g) on every x-slab, and
+        # its reflection conj g(-k), against value() / k_perp at 1e-14 of the
+        # slab's peak
+        grid = self.grids[name]
+        pair = self.slab_pair().dilated(0.8) if dilated else self.slab_pair()
+        KX, KY, KZ = grid.meshes()
+        ky, kz = KY[0], KZ[0]
+        for amp in (pair.f_plus, pair.f_minus):
+            for kx in KX:
+                kp = np.sqrt(kx * kx + ky * ky)
+                for s, form in ((1.0, lambda g: g), (-1.0, np.conj)):
+                    got = form(amp._slab_g(s * kx, s * ky, s * kz))
+                    want = form(amp.value(s * kx, s * ky, s * kz)) / kp
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["centred", "offset"])
+    @pytest.mark.parametrize("helicity", ["plus", "minus", "both"])
+    def test_slab_pair_field(self, name, helicity):
+        grid = self.grids[name]
+        pair = self.slab_pair()
+        pair = HelicityAmplitudePair(pair.f_plus if helicity != "minus" else None,
+                                     pair.f_minus if helicity != "plus" else None)
+        self.assert_matches(synthesize_kspace(pair.evolved(0.3), grid),
+                            polarization_reference(pair, grid, 0.3))
+
+    def test_gaussian_underflow(self):
+        # alpha k^2 reaches 778 at the box's corner: e^{-alpha k^2} and its
+        # per-axis factors underflow there, and the field stays finite
+        grid = Grid3D.centered(24, 6.0).fourier_dual()
+        pair = self.slab_pair()
+        pair = HelicityAmplitudePair(PolynomialGaussianAmplitude(pair.f_plus.terms, 1.8),
+                                     pair.f_minus)
+        KX, KY, KZ = grid.meshes()
+        assert 1.8 * (KX * KX + KY * KY + KZ * KZ).max() > 745.0
+        got = synthesize_kspace(pair, grid)
+        assert np.isfinite(got.values).all()
+        self.assert_matches(got, polarization_reference(pair, grid, 0.0))
+
+    def test_synthesis_repeats_to_the_bit(self):
+        grid = self.grids["offset"]
+        pair = self.slab_pair().evolved(0.3)
+        first = synthesize_kspace(pair, grid).values
+        assert np.array_equal(first, synthesize_kspace(pair, grid).values)
+
     @pytest.mark.parametrize("grid", [
         Grid3D.centered(32, 16.0).fourier_dual(),
         Grid3D((24, 20, 16), (0.7, 0.75, 0.8), (-8.3, -7.2, -6.1)),
@@ -379,23 +437,33 @@ class TestNodeRoute:
     def test_sweeps_per_report(self, monkeypatch, c_minus, t, probe):
         # each sweep evaluates each amplitude once per x-slab: the position
         # pass one sweep per transformed component or plane pair, after the
-        # probe's slabs, and the k-space density one sweep of all three
-        calls = []
-        real = PolynomialGaussianAmplitude.value
-        monkeypatch.setattr(PolynomialGaussianAmplitude, "value",
-                            lambda self, *k: calls.append(1) or real(self, *k))
+        # probe's slabs, and the k-space density one sweep of all three.  A
+        # package amplitude is evaluated from its per-axis factors (_slab_g)
+        # and never through value(); an amplitude with only value() and
+        # grad() (_Dilated) goes through value() as many times
+        calls = {"_slab_g": [], "value": []}
+        for name, seen in calls.items():
+            real = getattr(PolynomialGaussianAmplitude, name)
+            monkeypatch.setattr(PolynomialGaussianAmplitude, name,
+                                lambda self, *k, real=real, seen=seen:
+                                seen.append(1) or real(self, *k))
         grid = Grid3D.centered(16, 16.0).fourier_dual()
         if c_minus == "default":
             s = 1.0 / math.sqrt(2.0)
             pair, sweeps = node_route_pair(-s, s, 1.0), 1
         else:
             pair, sweeps = node_route_pair(1.0, c_minus, 1.0), 3
-        parts = _synthesis_parts(pair.evolved(t), grid)
+        wrapped = HelicityAmplitudePair(*(None if a is None else _Dilated(a, 1.0)
+                                          for a in (pair.f_plus, pair.f_minus)))
         amps = sum(a is not None for a in (pair.f_plus, pair.f_minus))
-        for source, own in ((True, 1), (False, 0)):
-            calls.clear()
-            parts.densities(source=source)
-            assert len(calls) == amps * (probe + 16 * (sweeps + own)), source
+        for route, amps_pair in (("_slab_g", pair), ("value", wrapped)):
+            parts = _synthesis_parts(amps_pair.evolved(t), grid)
+            for source, own in ((True, 1), (False, 0)):
+                for seen in calls.values():
+                    seen.clear()
+                parts.densities(source=source)
+                assert len(calls[route]) == amps * (probe + 16 * (sweeps + own)), source
+                assert sum(map(len, calls.values())) == len(calls[route]), route
 
 
 @pytest.mark.parametrize("n, extent, cut", [
