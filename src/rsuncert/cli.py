@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("spectrum", help="radial eigenvalues 5/2 + 2n")
     ps.add_argument("--kappa-max", type=float, default=10.0)
     ps.add_argument("--n-points", type=int, default=2000,
-                    help="radial grid points (200..1000000)")
+                    help="points of the grid the eigenfunctions are sampled on (200..1000000)")
     ps.add_argument("--n-states", type=int, default=3)
     ps.add_argument("--tolerance", type=float, default=1e-3)
     ps.add_argument("--dump-eigenfunctions", default=None,

@@ -2,7 +2,8 @@
 pass/fail line each (run with -s to see them).
 
  1. saturation of Dr*Dk = 5/2 (analytic 1e-6, 64^3 grid 1e-3), a in {0.5,1,2}
- 2. radial spectrum (2.5, 4.5, 6.5) +- 1e-3; Richardson gamma_0 to 1e-6
+ 2. radial spectrum: the five lowest states 5/2 + 2n to 1e-12, each error
+    estimate at least the measured error
  3. 200 random admissible amplitude pairs: product >= 2.5 - 1e-6
  4. spreading law d2<r^2>/dt2 = 2c^2 +- 1% on a 128^3 grid; analytic-path
     quadratic fit residual <= 1e-6
@@ -92,18 +93,15 @@ def test_criterion_1_saturation():
 
 def test_criterion_2_spectrum():
     t0 = time.perf_counter()
-    spec1 = solve_radial(RadialProblem(10.0, 2000), 3)
-    targets = np.array([2.5, 4.5, 6.5])
-    errs = np.abs(spec1.eigenvalues - targets)
-    spec2 = solve_radial(RadialProblem(10.0, 4000), 1)
-    richardson = (4.0 * spec2.eigenvalues[0] - spec1.eigenvalues[0]) / 3.0
+    spec = solve_radial(RadialProblem(10.0, 2000), 5)
+    errs = np.abs(spec.eigenvalues - (2.5 + 2.0 * np.arange(5)))
     dt = time.perf_counter() - t0
-    ok = np.all(errs < 1e-3) and abs(richardson - 2.5) < 1e-6 and dt < 5.0
+    ok = np.all(errs <= 1e-12) and np.all(spec.error_estimates >= errs) and dt < 5.0
     report(
         "criterion 2 (spectrum)",
         ok,
-        f"gammas={spec1.eigenvalues.round(6)}, richardson gamma0 err="
-        f"{abs(richardson - 2.5):.2e}, runtime {dt:.2f}s",
+        f"gammas={spec.eigenvalues.round(6)}, max err={errs.max():.1e}, "
+        f"max estimate={spec.error_estimates.max():.1e}, runtime {dt:.2f}s",
     )
 
 

@@ -22,7 +22,7 @@ from rsuncert import (
     fourier_to_position,
     write_rsf,
 )
-from rsuncert import analytic_fields, cli, kspace, rsfio
+from rsuncert import analytic_fields, cli, eigensolver, kspace, rsfio
 from rsuncert.analytic_fields import saturating_rs_field
 from rsuncert.cli import main
 from rsuncert.eigensolver import N_POINTS_MAX
@@ -346,8 +346,8 @@ class TestSpectrum:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_states_times_points_cap_exit2(self, capsys, monkeypatch):
-        # the eigenvectors and eigenfunctions take 16 n_states n_points
-        # bytes; past 10 N_POINTS_MAX the solver must never be reached, so a
+        # the sampled eigenfunctions take 8 n_states n_points bytes; past
+        # 10 N_POINTS_MAX the collocation solve must never be reached, so a
         # stand-in that raises keeps any oversized case from allocating
         class Reached(Exception):
             pass
@@ -355,7 +355,7 @@ class TestSpectrum:
         def no_solve(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", no_solve)
+        monkeypatch.setattr(eigensolver, "_collocate", no_solve)
         assert run(["spectrum", "--n-points", N_POINTS_MAX, "--n-states", 50000,
                     "--kappa-max", 500]) == 2
         err = capsys.readouterr().err
@@ -366,6 +366,20 @@ class TestSpectrum:
         # at the cap itself the solve is reached
         with pytest.raises(Reached):
             run(["spectrum", "--n-points", 200000, "--n-states", 50, "--kappa-max", 500])
+
+    @pytest.mark.parametrize("args", [
+        [],
+        ["--n-states", 100, "--kappa-max", 25],
+        ["--n-points", 200000, "--n-states", 50, "--kappa-max", 500],
+    ], ids=["defaults", "100-states", "far-wall"])
+    def test_solver_error_is_no_verdict(self, capsys, args):
+        # the second-order solve missed 5/2 + 2n by 4.8e-5 at the defaults,
+        # 0.389 for the top of 100 states and 3.9e-3 with the far wall, and
+        # so exited 1 (off target): each state is now within 1e-9
+        assert run(["spectrum", "--tolerance", 1e-9] + args) == 0
+        rep = json.loads(capsys.readouterr().out)
+        n = len(rep["eigenvalues"])
+        assert np.all(np.abs(np.array(rep["eigenvalues"]) - (2.5 + 2.0 * np.arange(n))) <= 1e-9)
 
     def test_no_states_exit2(self, capsys):
         assert run(["spectrum", "--n-states", 0]) == 2
@@ -606,8 +620,8 @@ class TestConfigPrecedence:
         assert from_config == capsys.readouterr().out
 
     @pytest.mark.parametrize("base, short, full", [
-        (["spectrum"], ["--tol", "1e-12"], ["--tolerance", "1e-12"]),
-        (["spectrum"], ["--tol=1e-12"], ["--tolerance=1e-12"]),
+        (["spectrum"], ["--tol", "0"], ["--tolerance", "0"]),
+        (["spectrum"], ["--tol=0"], ["--tolerance=0"]),
         (["verify-bound", "--method", "grid", "--grid", "32"], ["--tol", "0"],
          ["--tolerance", "0"]),
         (["verify-bound"], ["--form", "csv"], ["--format", "csv"]),

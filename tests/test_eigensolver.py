@@ -1,6 +1,7 @@
 """Radial eigenproblem: spectrum 5/2 + 2n, eigenfunctions, Rayleigh quotient."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,17 +40,50 @@ class TestSpectrum:
     def test_eigenvalues_increasing(self, spectrum):
         assert np.all(np.diff(spectrum.eigenvalues) > 0)
 
-    def test_richardson_extrapolation(self):
-        v1 = solve_radial(RadialProblem(10.0, 2000), 1).eigenvalues[0]
-        v2 = solve_radial(RadialProblem(10.0, 4000), 1).eigenvalues[0]
-        rich = (4.0 * v2 - v1) / 3.0
-        assert abs(rich - 2.5) < 1e-6
+    def test_five_lowest_on_the_ladder(self):
+        # spectral convergence: the five lowest states to 1e-12 of 5/2 + 2n
+        got = solve_radial(RadialProblem(10.0, 2000), 5).eigenvalues
+        assert np.all(np.abs(got - (2.5 + 2.0 * np.arange(5))) <= 1e-12)
 
-    def test_quadratic_convergence(self):
-        # halving the spacing shrinks the gamma_0 error by ~4x
-        e1 = abs(solve_radial(RadialProblem(10.0, 1000), 1).eigenvalues[0] - 2.5)
-        e2 = abs(solve_radial(RadialProblem(10.0, 2000), 1).eigenvalues[0] - 2.5)
-        assert 3.0 < e1 / e2 < 5.0
+    @pytest.mark.parametrize("kappa_max, n_states", [
+        (10.0, 5), (8.0, 1), (12.0, 8), (25.0, 100), (500.0, 50)])
+    def test_error_estimates_bound_the_error(self, kappa_max, n_states):
+        # each estimate is at least the measured error, and neither span
+        # reaches past the wall
+        spec = solve_radial(RadialProblem(kappa_max, 20 * n_states + 2000), n_states)
+        err = np.abs(spec.eigenvalues - (2.5 + 2.0 * np.arange(n_states)))
+        assert spec.spans[0] < spec.spans[1] <= kappa_max
+        assert np.all(spec.error_estimates >= err)
+        assert np.all(spec.error_estimates <= 1e-9)
+
+    def test_far_wall_costs_nothing(self):
+        # past the tails the wall changes neither the solve nor its numbers
+        near = solve_radial(RadialProblem(10.0, 2000), 3)
+        far = solve_radial(RadialProblem(1e6, 2000), 3)
+        assert far.orders == near.orders and far.spans == near.spans
+        assert np.array_equal(far.eigenvalues, near.eigenvalues)
+        assert np.array_equal(far.error_estimates, near.error_estimates)
+
+    def test_eigenfunctions_match_normalized_analytic(self, spectrum):
+        # g_0..g_2 against kappa e^{-kappa^2/2} L_n^{3/2}(kappa^2) over its
+        # norm sqrt(Gamma(n + 5/2) / (2 n!)), to 1e-10 of the peak
+        kap = spectrum.kappa
+        for n, g in enumerate(spectrum.eigenfunctions):
+            ref = analytic_eigenfunction(n, kap) / np.sqrt(
+                math.gamma(n + 2.5) / (2.0 * math.factorial(n)))
+            ref *= np.sign(np.dot(ref, g))
+            assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_interpolation_at_nodes_and_between(self):
+        # a sample that falls on a collocation node takes its value; one
+        # between nodes takes the polynomial's
+        nodes = 0.5 * 3.0 * (1.0 - np.cos(np.pi * np.arange(9) / 8))
+        values = np.stack([nodes ** 3 - 3.0 * nodes, np.sin(nodes)], axis=1)
+        points = np.concatenate([nodes, np.linspace(0.01, 2.99, 7)])
+        out = np.empty((2, points.size))
+        eigensolver._interpolate(nodes, values, points, out)
+        assert np.array_equal(out[:, :9], values.T)
+        assert np.allclose(out[0, 9:], points[9:] ** 3 - 3.0 * points[9:], rtol=0, atol=1e-13)
 
     def test_ground_eigenfunction_matches_analytic(self, spectrum):
         kap = spectrum.kappa
@@ -87,9 +121,6 @@ class TestSpectrum:
             n = np.trapezoid(kap ** 2 * g ** 2, kap)
             assert abs(n - 1.0) < 1e-6
 
-    def test_residuals_small(self, spectrum):
-        assert np.all(spectrum.residuals < 1e-10)
-
     def test_resolution_guards(self):
         with pytest.raises(ResolutionError):
             RadialProblem(kappa_max=10.0, n_points=8)
@@ -113,9 +144,10 @@ class TestSpectrum:
 
     def test_serialization(self, spectrum):
         d = json.loads(spectrum.to_json())
-        assert d["grid"] == {"kappa_max": 10.0, "n_points": 2000}
+        assert d["grid"] == {"kappa_max": 10.0, "n_points": 2000,
+                             "orders": list(spectrum.orders), "spans": list(spectrum.spans)}
         assert len(d["eigenvalues"]) == 3
-        assert len(d["residuals"]) == 3
+        assert len(d["error_estimates"]) == 3
         csv = "".join(spectrum.eigenfunctions_csv_blocks())
         head, first = csv.splitlines()[:2]
         assert head == "kappa,g0,g1,g2"
@@ -241,16 +273,20 @@ class TestSimpson:
 
 def test_spectrum_leaves_scipy_integrate_unimported(tmp_path):
     # scipy.integrate pulls in scipy.optimize, sparse and spatial: spectrum
-    # and rayleigh_quotient use _simpson, and only scipy.linalg is imported
+    # and rayleigh_quotient use _simpson and the collocation's own rule.
+    # The solve runs on numpy.linalg, so no scipy.linalg module is loaded
+    # either, with the eigenfunction dump or without
     code = """if True:
         import sys
         import numpy as np
         from rsuncert import cli
         from rsuncert.eigensolver import analytic_eigenfunction, rayleigh_quotient
         assert cli.main(["spectrum", "--out", "sp.json"]) == 0
+        assert cli.main(["spectrum", "--out", "sp.json", "--dump-eigenfunctions", "g.csv"]) == 0
         kappa = np.linspace(0.0025, 10.0, 4000)
         rayleigh_quotient(analytic_eigenfunction(0, kappa), kappa)
-        sys.exit(sorted(m for m in sys.modules if m.startswith("scipy.integrate")) or 0)
+        sys.exit(sorted(m for m in sys.modules
+                        if m.startswith(("scipy.integrate", "scipy.linalg"))) or 0)
     """
     src = os.path.dirname(os.path.dirname(eigensolver.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

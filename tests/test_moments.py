@@ -662,10 +662,14 @@ def test_amplitude_path_matches_closed_form(engine, pair):
     # conftest.polynomial_gaussian_moments: every integral in closed form,
     # against the default engine (moments' own closed form) and against the
     # spherical-rule pair, whose one explicit rule must reach past the
-    # slower-decaying amplitude (the larger k_scale)
+    # slower-decaying amplitude (the larger k_scale) and resolve the faster
+    # one: its 32 radial nodes grow by the ratio of the scales (at 32, the
+    # pair of k_scales 1.195 and 0.577 misses delta_r2 by 1.0e-12, at 48 by
+    # 1.3e-15)
     n, dk2, dr2 = polynomial_gaussian_moments(pair)
-    k_scale = max(a.k_scale for a in (pair.f_plus, pair.f_minus) if a is not None)
-    rule = None if engine == "default" else _SphericalRule(9.0 * k_scale)
+    scales = [a.k_scale for a in (pair.f_plus, pair.f_minus) if a is not None]
+    n_k = int(np.ceil(32 * max(scales) / min(scales)))
+    rule = None if engine == "default" else _SphericalRule(9.0 * max(scales), n_k)
     rep = uncertainty_product(pair, rule=rule)
     for got, want in ((rep.norm_k, n), (rep.delta_k2, dk2), (rep.delta_r2, dr2),
                       (rep.product, np.sqrt(dr2 * dk2))):
