@@ -348,11 +348,15 @@ def _gathered_zslabs(grid, q, tables):
     gathered = np.empty((3,) + key.shape, dtype=np.complex128)
     out = np.empty(s.shape + (3,), dtype="<c16")
     tmp = np.empty(s.shape, dtype=np.complex128)
+    # _polynomial's factors, complex: a real factor of a complex product
+    # would be cast through numpy's iterator buffer on every call
+    cx, cy, cs = (a.astype(np.complex128) for a in (x, y, s))
+    cxz, cyz = np.empty(x.shape, np.complex128), np.empty(y.shape, np.complex128)
     for l, zl in enumerate(z):
         # shifting a table by q[l] adds the z part of every key
         w, v, g = (np.take(tab[q[l]:], key, out=buf, mode="clip")
                    for tab, buf in zip(tables, gathered))
-        terms = (x * zl, y, y * zl, x, s)
+        terms = (np.multiply(x, zl, out=cxz), cy, np.multiply(y, zl, out=cyz), cx, cs)
         for comp in range(3):
             _polynomial(comp, terms, w, v, g, out[..., comp], tmp)
         yield out

@@ -271,10 +271,12 @@ def cmd_spectrum(args) -> int:
     """Radial eigenvalues against 5/2 + 2n."""
     problem = RadialProblem(kappa_max=args.kappa_max, n_points=args.n_points)
     spectrum = solve_radial(problem, n_states=args.n_states)
+    # the dump's sampling is checked before anything is written
+    blocks = spectrum.eigenfunctions_csv_blocks() if args.dump_eigenfunctions else None
 
     _emit(spectrum.to_json() + "\n", args.out)
-    if args.dump_eigenfunctions:
-        _emit(spectrum.eigenfunctions_csv_blocks(), args.dump_eigenfunctions)
+    if blocks is not None:
+        _emit(blocks, args.dump_eigenfunctions)
     targets = 2.5 + 2.0 * np.arange(args.n_states)
     ok = np.all(np.abs(spectrum.eigenvalues - targets) <= args.tolerance)
     return EXIT_OK if ok else 1

@@ -120,7 +120,23 @@ class RadialSpectrum:
         the header kappa,g0,g1,..., then one row per kappa node, each value
         its repr.  A block holds about CSV_BLOCK_VALUES values, so writing
         the blocks in turn holds one block's text at a time, whatever the
-        grid and state count."""
+        grid and state count.
+
+        The eigenfunctions are solved on the span (0, spans[1]) and sampled
+        as 0 past it, so this call raises ResolutionError, before any block
+        is made, unless at least 20 sampling nodes per state lie inside
+        the span: a far kappa_max on few n_points would dump zeros."""
+        inside = int(np.searchsorted(self.kappa, self.spans[1]))
+        need = 20 * len(self.eigenvalues)
+        if inside < need:
+            raise ResolutionError(
+                f"eigenfunction samples: {inside} nodes of spacing "
+                f"{self.problem.kappa_max / self.problem.n_points:.6g} lie inside the "
+                f"solve's span (0, {self.spans[1]:.6g}), fewer than 20 per state "
+                f"({need}): lower kappa_max (--kappa-max) or raise n_points (--n-points)")
+        return self._csv_blocks()
+
+    def _csv_blocks(self):
         cols = ["kappa"] + [f"g{n}" for n in range(len(self.eigenvalues))]
         yield ",".join(cols) + "\n"
         rows = max(1, CSV_BLOCK_VALUES // len(cols))

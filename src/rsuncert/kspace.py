@@ -81,27 +81,33 @@ payload's z-slabs (rsfio._zslabs, in the file's order, x fastest), and the
 node route the x-slabs it forms (_NodeParts.slabs).  The reducer takes the
 three numbers a report takes of a density (_DensityStats: its boundary
 ratio, second moment and norm) in one pass per space, position space
-first, holding one buffer and one density (the output-side DFT phases are
-unimodular and drop out).  The own-space pass adds each slab's
-re^2 + im^2 of its components (_add_node_density, as FieldGrid.density
-does).  The transform pass takes the field's six real planes, not its
-three components (_transform_plan): a zero component is neither read nor
-transformed, and the planes of components with one nonzero plane (a real
-or an imaginary one) are transformed two to an FFT, as Z = p + i q, whose
-density on the symmetric dual grid gives both, (|Z(k)|^2 + |Z(-k)|^2) / 2
-(_add_pair_density).  Every other component, so every component of a
-complex field, is transformed whole.  Which planes are zero is an exact
-property of the input: a position field's own-space pass notes it, and a
-wavevector field is probed slab by slab until no further nonzero plane
-can change the plan (_nonzero_planes).  Each component or pair is phased
-slab by slab into the buffer as it is read, so the default packet at t = 0
-(Fz = 0, Fx and Fy real) takes one FFT instead of three, and the node
-route forms only the components a sweep reads: four sweeps and the probe's
-slabs per report, three without the k-space density.  Buffers follow the
-stream's memory order, to the same bits in either.  Both routes' parts
-have densities(source=...), which give those numbers per space, and the
-spreading trajectory and uncertainty_product(pair, grid) take them from
-there.
+first, holding at most one buffer and one density (the output-side DFT
+phases are unimodular and drop out).  Every density is reduced by one
+definition (_SlabSums): its peak, face maxima and marginals, each marginal
+a sequential sum in node order with a fixed nesting, so x-slabs and
+z-slabs, and C- and F-ordered arrays, give the same bits.  The own-space
+pass makes each slab's re^2 + im^2 of its components in one slab buffer
+(_node_density, as FieldGrid.density does) and reduces it as it streams,
+so it holds no density of the grid (_own_stats); a FieldGrid, held whole,
+reduces its density().  The transform pass takes the field's six real
+planes, not its three components (_transform_plan): a zero component is
+neither read nor transformed, and the planes of components with one
+nonzero plane (a real or an imaginary one) are transformed two to an FFT,
+as Z = p + i q, whose density on the symmetric dual grid gives both,
+(|Z(k)|^2 + |Z(-k)|^2) / 2 (_add_pair_density).  Every other component, so
+every component of a complex field, is transformed whole.  Which planes
+are zero is an exact property of the input: a position field's own-space
+pass notes it, and a wavevector field is probed slab by slab until no
+further nonzero plane can change the plan (_nonzero_planes).  Each
+component or pair is phased slab by slab into the buffer as it is read, so
+the default packet at t = 0 (Fz = 0, Fx and Fy real) takes one FFT instead
+of three, and the node route forms only the components a sweep reads: four
+sweeps and the probe's slabs per report, three without the k-space
+density.  The buffer and the transform's density follow the stream's
+memory order, and the density is reduced where it lies, with no copy, to
+the same bits in either.  Both routes' parts have densities(source=...),
+which give those numbers per space, and the spreading trajectory and
+uncertainty_product(pair, grid) take them from there.
 """
 
 from __future__ import annotations
@@ -215,10 +221,11 @@ class FieldGrid:
 
     def density(self) -> np.ndarray:
         """Energy-like density F*.F at every node (real array), one x-slab
-        at a time (_add_node_density): the density a report takes."""
-        d = np.zeros(self.grid.counts)
+        at a time (_node_density): the density a report takes."""
+        d = np.empty(self.grid.counts)
+        tmp = np.empty(d.shape[1:])
         for di, fi in zip(d, self.values):
-            _add_node_density(di, fi)
+            _node_density(di, fi, tmp)
         return d
 
     def boundary_density_ratio(self) -> float:
@@ -235,19 +242,18 @@ def _boundary_ratio(d) -> float:
     return max(f.max() for f in faces) / peak
 
 
-def _grid_moment(d, axes, cell_volume):
-    """(second moment about the origin, norm) of the density array d on the
-    nodes of axes (x, y, z), by Riemann sums over its marginals."""
-    x, y, z = axes
-    dxy = d.sum(axis=2)
-    n = dxy.sum() * cell_volume
+def _grid_moment(marginals, axes, cell_volume):
+    """(second moment about the origin, norm) of a density on the nodes of
+    axes (x, y, z), by Riemann sums over its marginals (m_x, m_y, m_z)
+    (_SlabSums.marginals); the norm is m_z's sum."""
+    (x, y, z), (mx, my, mz) = axes, marginals
+    n = mz.sum() * cell_volume
     if not np.isfinite(n):
         # a NaN or inf sample is bad input, not a field of zero norm
         raise ValueError(f"variance: the field norm is not finite (N = {n})")
     if n <= 0.0:
         raise DegenerateFieldError("variance: zero field norm")
-    m = (x ** 2 @ dxy.sum(axis=1) + y ** 2 @ dxy.sum(axis=0)
-         + z ** 2 @ d.sum(axis=(0, 1))) * cell_volume
+    m = (x ** 2 @ mx + y ** 2 @ my + z ** 2 @ mz) * cell_volume
     return m / n, float(n)
 
 
@@ -260,11 +266,96 @@ class _DensityStats(NamedTuple):
     norm: float
 
 
+def _row_sums(a):
+    """a[0] + a[1] + ... in that order, as a new contiguous array: numpy
+    adds the rows of a C-contiguous array one after the other, so each
+    column's sum is sequential and does not depend on how a was laid out."""
+    return np.add.reduce(np.ascontiguousarray(a), axis=0)
+
+
+class _SlabSums:
+    """What a report takes of a density on (nx, ny, nz) nodes, added one
+    slab at a time along the outer memory axis of the array in `order`:
+    x-slabs d[i] (ny, nz) for "C", z-slabs d[:, :, l] as (ny, nx) for "F"
+    (the slabs of _stream_stats).
+
+    The marginals have one definition, each a sequential sum in node
+    order with a fixed nesting,
+
+        m_x[i] = sum_l (sum_j d),  m_y[j] = sum_l (sum_i d),
+        m_z[l] = sum_i (sum_j d),
+
+    so every slab order and memory layout gives them to the same bits.
+    Per slab, sum_j is a sum over its rows (add), and its peak and the
+    maxima of its first and last rows and columns are kept; sum_i is a
+    sum over x-slabs, or, within a z-slab, over a transposed copy's rows.
+    The outer sums are taken once all slabs are in (marginals)."""
+
+    def __init__(self, counts, order):
+        nx, ny, nz = counts
+        self.c = order == "C"
+        outer, inner = (nx, nz) if self.c else (nz, nx)
+        self.xz = np.empty((outer, inner))  # sum_j d, a row per slab
+        self.peaks = np.empty(outer)
+        self.rows = np.empty((outer, 2))  # maxima of the first and last rows
+        self.cols = np.empty((outer, 2))  # and columns
+        # sum_i d: added up over x-slabs, or a row per z-slab
+        self.yz = np.zeros((ny, nz)) if self.c else np.empty((nz, ny))
+        self.t = None if self.c else np.empty((nx, ny))
+        self.n = 0
+
+    def add(self, d):
+        """Add the next slab d of the density."""
+        k, self.n = self.n, self.n + 1
+        np.add.reduce(d, axis=0, out=self.xz[k])
+        self.peaks[k] = d.max()
+        self.rows[k] = d[0].max(), d[-1].max()
+        self.cols[k] = d[:, 0].max(), d[:, -1].max()
+        if self.c:
+            self.yz += d
+        else:
+            np.copyto(self.t, d.T)
+            np.add.reduce(self.t, axis=0, out=self.yz[k])
+
+    def add_array(self, d):
+        """Add every slab of the whole density d, laid out in this order:
+        a C-ordered one's slabs are added at once, the same sums."""
+        if not self.c:
+            for dk in d.T:
+                self.add(dk)
+            return
+        np.add.reduce(d, axis=1, out=self.xz)
+        np.maximum.reduce(d.reshape(d.shape[0], -1), axis=1, out=self.peaks)
+        for j, end in enumerate((0, -1)):
+            np.maximum.reduce(d[:, end], axis=1, out=self.rows[:, j])
+            np.maximum.reduce(d[:, :, end], axis=1, out=self.cols[:, j])
+        np.add.reduce(d, axis=0, out=self.yz)
+
+    def marginals(self):
+        """(m_x, m_y, m_z), each a contiguous array."""
+        xz = self.xz if self.c else self.xz.T  # (nx, nz)
+        return _row_sums(xz.T), _row_sums(self.yz.T if self.c else self.yz), _row_sums(xz)
+
+    def stats(self, axes, cell_volume, lower=True) -> _DensityStats:
+        """The stats of the density on the nodes of axes (x, y, z); the
+        boundary ratio takes the lower faces too if lower, else only the
+        upper ones.  The norm is checked (_grid_moment) before the ratio
+        divides by the peak."""
+        moment, norm = _grid_moment(self.marginals(), axes, cell_volume)
+        ends = [0, -1] if lower else [-1]
+        peak = self.peaks.max()
+        face = max(self.peaks[ends].max(), self.rows[:, ends].max(), self.cols[:, ends].max())
+        return _DensityStats(0.0 if peak == 0.0 else face / peak, moment, norm)
+
+
 def _density_stats(d, grid) -> _DensityStats:
-    """The stats of the density array d on grid; the norm is checked
-    (_grid_moment) before the boundary ratio divides by the peak."""
-    moment, norm = _grid_moment(d, grid.axes(), grid.cell_volume)
-    return _DensityStats(_boundary_ratio(d), moment, norm)
+    """The stats of the density array d on grid (_SlabSums): a C- or
+    F-ordered d is reduced where it lies, with no copy."""
+    if not d.flags.f_contiguous:
+        d = np.ascontiguousarray(d)
+    sums = _SlabSums(d.shape, "C" if d.flags.c_contiguous else "F")
+    sums.add_array(d)
+    return sums.stats(grid.axes(), grid.cell_volume)
 
 
 def _octant_stats(dp, grid) -> _DensityStats:
@@ -277,9 +368,10 @@ def _octant_stats(dp, grid) -> _DensityStats:
     D+^T fill four octants, and r^2 is x <-> y symmetric, so the moment is
     D+'s and the norm eight times D+'s."""
     h = dp.shape[0]
-    peak = dp.max()
-    ratio = 0.0 if peak == 0.0 else max(dp[-1].max(), dp[:, -1].max(), dp[:, :, -1].max()) / peak
-    moment, norm = _grid_moment(dp, [ax[h:] for ax in grid.axes()], grid.cell_volume)
+    sums = _SlabSums(dp.shape, "C")
+    sums.add_array(dp)
+    ratio, moment, norm = sums.stats([ax[h:] for ax in grid.axes()], grid.cell_volume,
+                                     lower=False)
     return _DensityStats(ratio, moment, 8.0 * norm)
 
 
@@ -598,11 +690,16 @@ class _NodeParts:
         Each slab's tables are formed once, and V only if comps take it."""
         KX, KY, KZ = self.grid.meshes(sparse=True)
         ky, kz = KY[0], KZ[0]  # an x-slab is (ny, nz)
-        kyz = ky * kz
+        # _polynomial's factors, complex: a real factor of a complex product
+        # would be cast through numpy's iterator buffer on every call
+        cky = ky.astype(np.complex128)
+        ckyz = np.multiply(ky, kz, out=np.empty(np.broadcast_shapes(ky.shape, kz.shape),
+                                                dtype=np.complex128))
+        ckxz, ckp2 = np.empty(kz.shape, np.complex128), np.empty(ky.shape, np.complex128)
         if out is None:
-            buf = np.empty((3,) + kyz.shape, dtype=np.complex128).transpose(1, 2, 0)
-        tables = np.empty((4,) + kyz.shape, dtype=np.complex128)
-        tmp = np.empty(kyz.shape, dtype=np.complex128)
+            buf = np.empty((3,) + ckyz.shape, dtype=np.complex128).transpose(1, 2, 0)
+        tables = np.empty((4,) + ckyz.shape, dtype=np.complex128)
+        tmp = np.empty(ckyz.shape, dtype=np.complex128)
 
         def table(amp, kx, k, rk, negk):
             if amp is None:
@@ -623,7 +720,8 @@ class _NodeParts:
             w, v = _time_tables(table(self.amps.f_plus, kx, k, rk, False),
                                 table(self.amps.f_minus, kx, k, rk, True),
                                 k, self.amps.t, tables, with_v=comps != (2,))
-            terms = (kx * kz, ky, kyz, kx, -kp2)
+            terms = (np.multiply(kx, kz, out=ckxz), cky, ckyz, kx.astype(np.complex128),
+                     np.negative(kp2, out=ckp2))
             slab = buf if out is None else out[i]
             for comp in comps:
                 _polynomial(comp, terms, w, v, None, slab[..., comp], tmp)
@@ -1017,15 +1115,16 @@ def _add_pair_density(d, z):
             di += u
 
 
-def _add_node_density(d, f):
-    """d += the density of f, a slab of per-node components (..., 3): each
-    component's re^2, then im^2, in component order, so the per-node sums
-    are those of _add_density over the three components, to the bit.  The
-    own-space density of every stream (_stream_stats) and FieldGrid.density
-    are added here, one slab at a time."""
-    for c in range(3):
-        d += f[..., c].real ** 2
-        d += f[..., c].imag ** 2
+def _node_density(out, f, tmp):
+    """out = the density of f, a slab of per-node components (..., 3):
+    each component's re^2, then im^2, added in component order (tmp:
+    scratch of out's shape), so the per-node sums are those of
+    _add_density over the three components, to the bit.  The own-space
+    density of every stream (_stream_stats) and FieldGrid.density are
+    made here, one slab at a time."""
+    np.square(f[..., 0].real, out=out)
+    for p in range(1, 6):
+        out += np.square(_plane(f, p), out=tmp)
 
 
 # A field's six real planes: plane 2c + p is the real (p = 0) or imaginary
@@ -1038,13 +1137,24 @@ def _plane(f, p):
     return f[..., p // 2].imag if p % 2 else f[..., p // 2].real
 
 
+# every bit of a float64 but its sign
+_MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+
+
 def _note_planes(nonzero, f):
-    """Set nonzero[p] (six bools, one per plane) for each plane p that
-    holds a nonzero value in f, a slab of per-node components (..., 3).  A
-    plane already marked is not looked at again, and NaN counts as
-    nonzero."""
-    for p in np.flatnonzero(~nonzero):
-        nonzero[p] = np.count_nonzero(_plane(f, p)) > 0
+    """Set nonzero[p] (six bools, one per plane) for each plane p of f, a
+    slab of per-node components (..., 3), that holds a value other than
+    +-0: by one bitwise or of each plane's values, whose sign bit is then
+    dropped, so NaN and a value whose square underflows count as
+    nonzero.  An interleaved (C-contiguous) slab is or-ed in two
+    reductions for all six planes, any other plane by plane."""
+    if f.flags.c_contiguous:
+        bits = np.bitwise_or.reduce(f.view(np.uint64).reshape(f.shape[0], -1), axis=0)
+        bits = np.bitwise_or.reduce(bits.reshape(-1, 6), axis=0)
+    else:
+        bits = np.array([np.bitwise_or.reduce(_plane(f, p).view(np.uint64), axis=None)
+                         for p in range(6)])
+    nonzero |= (bits & _MAGNITUDE) != 0
 
 
 def _nonzero_planes(slabs):
@@ -1082,7 +1192,25 @@ def _transform_plan(nonzero):
     return tuple(whole), tuple(zip(single[::2], single[1::2]))
 
 
-def _stream_stats(slabs, grid: Grid3D, space, source=True, order="C"):
+def _own_stats(slabs, grid: Grid3D, order, nonzero=None) -> _DensityStats:
+    """The own-space stats of a field on grid given as the slabs (..., 3)
+    of its per-node components in `order` (_stream_stats), reduced as they
+    stream: each slab's density is made in one slab buffer
+    (_node_density) and added to the sums (_SlabSums), so no array of the
+    grid's size is made.  If nonzero (six bools) is given, each plane
+    holding a nonzero value is marked in it (_note_planes)."""
+    nx, ny, nz = grid.counts
+    d, tmp = np.empty((2, ny, nz if order == "C" else nx))
+    sums = _SlabSums(grid.counts, order)
+    for f in slabs:
+        _node_density(d, f, tmp)
+        sums.add(d)
+        if nonzero is not None and not nonzero.all():
+            _note_planes(nonzero, f)
+    return sums.stats(grid.axes(), grid.cell_volume)
+
+
+def _stream_stats(slabs, grid: Grid3D, space, source=True, order="C", density=None):
     """(k-space stats, position stats) (_DensityStats) of a field on grid in
     `space` ("wavevector" or "position"), given as its slab stream:
     slabs(comps) returns a fresh iterator over the field's per-node
@@ -1091,44 +1219,46 @@ def _stream_stats(slabs, grid: Grid3D, space, source=True, order="C"):
     z-slabs (ny, nx, 3) for "F", the .rsf payload's order -- of which only
     the components comps are read, so a source may write no other.  A slab
     is read before the next is taken.  The k-space stats are None if not
-    source (a wavevector field only).
+    source (a wavevector field only).  density, for a field held whole (a
+    FieldGrid), gives its own-space density whole (FieldGrid.density).
 
     One pass per space, position space first, so its checks raise first;
-    each adds up one real density in `order`:
-    * the own-space pass, one iteration of the stream: each slab's density
-      is added (_add_node_density), and, when the transform pass comes next
-      (a position field), its nonzero planes are noted (_note_planes);
+    each reduces one real density into its stats (_SlabSums):
+    * the own-space pass, one iteration of the stream (_own_stats): each
+      slab's density is made in one slab buffer and added to the sums as
+      it streams, so no density of the grid is held, and, when the
+      transform pass comes next (a position field), its nonzero planes are
+      noted.  A field held whole reduces density() instead, its planes
+      noted as a wavevector field's are;
     * a wavevector field's probe, before its transform pass: slabs until
       the plan can no longer change (_nonzero_planes), one for a complex
       field;
     * the transform pass, one iteration per item of _transform_plan: each
       slab's component, or its plane pair as p + i q, is multiplied by the
       slab's input-side phase plane (_phase_planes) straight into that slab
-      of one buffer, which is transformed in place and its density added,
-      a component's as re^2 + im^2 and a pair's mirrored
+      of one buffer, which is transformed in place and its density added
+      in `order`, a component's as re^2 + im^2 and a pair's mirrored
       (_add_pair_density).  A zero component costs nothing, two real or
       imaginary components one FFT, and a complex field's report is that of
       a transform per component.  The output-side DFT phases are unimodular
       and never applied.
 
     A field with no nonzero plane still has its zero density formed and
-    reduced.  The buffer is freed before the density is made C-contiguous
-    (a copy for order "F") and reduced, and each density before the next
-    pass, so one buffer and one density are held.  Either order gives the
-    same bits: the phases and densities are the same products node by
-    node, and fftn applies the same 1-D transforms in the same axis order.
+    reduced.  The buffer is freed before the density is reduced where it
+    lies, in `order`, with no copy, so one buffer and one density are held.
+    Either order gives the same bits: the phases and densities are the
+    same products node by node, fftn applies the same 1-D transforms in the
+    same axis order, and _SlabSums sums in node order, whatever the layout.
     """
     sign = +1 if space == "wavevector" else -1
     outer = (lambda a: a) if order == "C" else np.transpose
 
     def own_pass(nonzero=None):
-        d = np.zeros(grid.counts, order=order)
-        for dl, f in zip(outer(d), slabs((0, 1, 2))):
-            _add_node_density(dl, f)
-            if nonzero is not None:
-                _note_planes(nonzero, f)
-        f = None  # the last slab's buffer is freed before the copy below
-        return _density_stats(np.ascontiguousarray(d), grid)
+        if density is None:
+            return _own_stats(slabs((0, 1, 2)), grid, order, nonzero)
+        if nonzero is not None:
+            nonzero |= _nonzero_planes(slabs((0, 1, 2)))
+        return _density_stats(density(), grid)
 
     def transformed(pins, nonzero):
         # the buffer and its slab views die with this frame
@@ -1156,7 +1286,7 @@ def _stream_stats(slabs, grid: Grid3D, space, source=True, order="C"):
         with np.errstate(invalid="ignore"):
             d = transformed(_dft_phases(grid, dual, sign)[0], nonzero)
         d *= _dft_scale(grid, sign) ** 2
-        return _density_stats(np.ascontiguousarray(d), dual)
+        return _density_stats(d, dual)
 
     if sign < 0:
         nonzero = np.zeros(6, dtype=bool)

@@ -57,8 +57,11 @@ amplitude, by one of two means, each with an error estimate.
   2.8e-15, 1.4e-13, 3.7e-12 and 2.7e-10 for the radial modes
   k_perp L_n^{3/2}(k^2) e^{-k^2/2}, n = 0..3.
 A pair that mixes the two reports the larger of the two estimates.
-Grid-path reductions are plain Riemann sums, with no error estimate; numpy's
-pairwise summation keeps them reproducible at the stated tolerances.
+Grid-path reductions are plain Riemann sums over a density's marginals,
+with no error estimate.  Each marginal is a sequential sum in node order
+with a fixed nesting (kspace._SlabSums), so a report's bits depend on the
+field alone, not on whether it streams as x-slabs or z-slabs or on the
+memory layout of the density it reduces.
 
 Dr^2, Dk^2 and the norms of both spaces are public only as fields of the
 report that uncertainty_product returns.
@@ -72,8 +75,9 @@ z-slabs (rsfio._file_stats), and, for an amplitude pair on a wavevector
 grid, the node route's x-slabs (the radial route reduces its own
 octants; kspace._synthesis_parts and its module docstring give both
 routes).  The reducer makes one pass per space, position space first,
-holding one buffer and one density, and transforms only the field's
-nonzero planes, two real ones to an FFT.  No partner FieldGrid is built,
+holding at most one buffer and one density, reduces the own space's
+density slab by slab as it streams (a FieldGrid's whole), and transforms
+only the field's nonzero planes, two real ones to an FFT.  No partner FieldGrid is built,
 and no field at all for a path or a pair.  The report's truncations()
 decide `verify-bound`'s exit 5.
 """
@@ -535,8 +539,11 @@ def uncertainty_product(source, rule=None) -> VarianceReport:
     elif rule is not None:
         raise TypeError("uncertainty_product: a rule applies to a HelicityAmplitudePair only")
     elif isinstance(source, FieldGrid):
-        # the slabs are views of the caller's field, left untouched
-        k, r = _stream_stats(lambda comps: iter(source.values), source.grid, source.space)
+        # the slabs are views of the caller's field, left untouched; a field
+        # held whole has its own-space density reduced whole, the one that
+        # FieldGrid.density and boundary_density_ratio take
+        k, r = _stream_stats(lambda comps: iter(source.values), source.grid, source.space,
+                             density=source.density)
     elif isinstance(source, (str, os.PathLike)):
         k, r = _file_stats(source)
     else:

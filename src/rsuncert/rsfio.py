@@ -13,10 +13,12 @@ its last slab is written, so a failed write leaves no partial file.
 read_rsf builds the whole FieldGrid; the report of the file,
 moments.uncertainty_product(path), instead streams it (_file_stats): the
 payload's z-slabs, read again for each pass, are the slab stream of the
-one reducer, kspace._stream_stats, which takes the file's own-space
-density and its nonzero planes from one read and each component or pair
-of real planes it transforms from one more, phased into a buffer in the
-file's order as it is read, so the field is never held.  Either way the
+one reducer, kspace._stream_stats, which reduces the file's own-space
+density z-slab by z-slab and notes its nonzero planes in one read, and
+takes each component or pair of real planes it transforms from one more,
+phased into a buffer in the file's order as it is read, whose density is
+reduced where it lies, in that order: neither the field nor a copy of a
+density is ever made.  Either way the
 header, the payload size (from the file size) and the Grid3D are checked
 before anything the size of the payload is allocated (_read_header), and
 every slab read is checked for a short read (_zslabs).
@@ -125,7 +127,8 @@ def _file_stats(path):
     """(k-space stats, position stats) (kspace._DensityStats) of the .rsf
     file at path, those of read_rsf(path) to the bit: its payload's
     z-slabs are the slab stream of kspace._stream_stats in order "F", each
-    pass one read of the payload (_zslabs).  The default packet at t = 0
+    pass one read of the payload (_zslabs), and the own-space pass holds
+    no density of the grid.  The default packet at t = 0
     (Fz = 0, Fx and Fy real) takes two reads and one FFT, a complex field
     four reads and three FFTs, and a wavevector file's probe one read more,
     cut short at the first slab of a complex field."""

@@ -400,6 +400,25 @@ class TestSpectrum:
         assert l2 < 1e-3
 
 
+    def test_dump_needs_samples_inside_the_span_exit4(self, tmp_path, capsys):
+        # the eigenfunctions are solved on a span of about 8.6 and sampled
+        # as 0 past it: at --kappa-max 1e6 the 2000 nodes are 500 apart and
+        # none lies inside, so the dump is refused before any file is
+        # written; 0.05 apart, 172 lie inside (20 per state are needed)
+        csv_path, out = tmp_path / "eig.csv", tmp_path / "sp.json"
+        code = run(["spectrum", "--kappa-max", 1e6, "--out", out,
+                    "--dump-eigenfunctions", csv_path])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error: resolution: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not csv_path.exists() and not out.exists()
+        assert run(["spectrum", "--kappa-max", 1e6]) == 0  # the eigenvalues stand
+        assert run(["spectrum", "--kappa-max", 100, "--dump-eigenfunctions", csv_path]) == 0
+        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        assert np.count_nonzero(rows[:, 1:].any(axis=1)) == 172
+
+
 class TestField:
     def test_axis_profile_transverse_zero(self, tmp_path):
         rsf = tmp_path / "field.rsf"

@@ -2,6 +2,7 @@
 the norms of its reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,16 +29,21 @@ from rsuncert.kspace import (
     _Dilated,
     _NodeParts,
     _RadialParts,
+    _SlabSums,
     _boundary_ratio,
     _density_stats,
     _dft_phases,
     _dft_scale,
     _fft,
     _nonzero_planes,
+    _note_planes,
+    _own_stats,
     _phased,
+    _stream_stats,
     _synthesis_parts,
 )
 from rsuncert.moments import TRUNCATION_RATIO, _SphericalRule
+from rsuncert.rsfio import _zslabs, write_rsf
 from conftest import (
     _stream_densities,
     fourier_to_kspace,
@@ -808,6 +814,123 @@ class TestFourierBridge:
 
         with pytest.raises(GridMismatchError):
             fourier_to_position(field)  # wrong space tag
+
+
+class TestDensityReduction:
+    """Every stat a report takes of a density comes from one definition
+    (kspace._SlabSums): sequential sums in node order, which no slab order
+    or memory layout can change."""
+
+    # non-cubic and off-centre, or small and odd, or cubic
+    cases = [((32, 48, 40), 0), ((32, 48, 40), 1), ((7, 2, 5), 2), ((24, 24, 24), 3)]
+
+    @staticmethod
+    def grid(counts):
+        return Grid3D(counts, (0.31, 0.23, 0.37), (-4.1, -7.3, -2.2))
+
+    @staticmethod
+    def random_field(rng, counts):
+        shape = counts + (3,)
+        scale = rng.uniform(0.1, 10.0, size=counts)[..., None]  # no symmetry to hide behind
+        return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    @pytest.mark.parametrize("counts, seed", cases)
+    def test_layout_and_slab_order_give_the_same_bits(self, counts, seed):
+        rng = np.random.default_rng(seed)
+        grid = self.grid(counts)
+        d = rng.uniform(0.0, 1.0, size=counts) ** 3
+        want = _density_stats(d, grid)
+        assert _density_stats(np.asfortranarray(d), grid) == want
+        # a field streamed as its x-slabs and as its z-slabs: the own pass
+        # (position stats) and the transform pass's density, C- or F-ordered
+        # (k-space stats), to the bit
+        vals = self.random_field(rng, counts)
+        by_x = _stream_stats(lambda comps: iter(vals), grid, "position")
+        zslabs = np.ascontiguousarray(vals.transpose(2, 1, 0, 3))
+        by_z = _stream_stats(lambda comps: iter(zslabs), grid, "position", order="F")
+        assert by_x == by_z
+        # and a field held whole reduces its density to the streamed bits
+        field = FieldGrid(vals, grid, "position")
+        assert _density_stats(field.density(), grid) == by_x[1]
+
+    @pytest.mark.parametrize("counts, seed", cases)
+    def test_marginals_are_sequential_sums_in_node_order(self, counts, seed):
+        # m_x[i] = sum_l (sum_j d), m_y[j] = sum_l (sum_i d),
+        # m_z[l] = sum_i (sum_j d), each inner and outer sum added one node
+        # after the other
+        d = np.random.default_rng(seed).uniform(0.0, 1.0, size=counts) ** 3
+        nx, ny, nz = counts
+        sum_j = [[sum_in_order(d[i, :, l]) for l in range(nz)] for i in range(nx)]
+        sum_i = [[sum_in_order(d[:, j, l]) for l in range(nz)] for j in range(ny)]
+        want = ([sum_in_order(row) for row in sum_j],
+                [sum_in_order(row) for row in sum_i],
+                [sum_in_order(col) for col in zip(*sum_j)])
+        for layout in (d, np.asfortranarray(d)):
+            sums = _SlabSums(counts, "C" if layout.flags.c_contiguous else "F")
+            sums.add_array(layout)
+            for got, w in zip(sums.marginals(), want):
+                assert got.tolist() == w
+
+    @pytest.mark.parametrize("source", ["file", "node route"])
+    def test_own_pass_holds_no_array_of_the_grid(self, tmp_path, rng, source):
+        # the own-space pass makes each slab's density in one slab buffer
+        # and reduces it as it streams: above what its stream holds (the
+        # file's slab buffer, or the node route's slab and tables), it adds
+        # two density slabs, 16 n^2 bytes, and the sums' planes, 40 n^2 at
+        # most, an eighth of one real array of the grid's size, 8 n^3, at
+        # n = 64
+        n = 64
+
+        def extra(slabs, grid, order, nonzero=None):
+            stream = traced_peak(lambda: [None for _ in slabs()])
+            return traced_peak(lambda: _own_stats(slabs(), grid, order, nonzero)) - stream
+
+        if source == "file":
+            grid = Grid3D.centered(n, 16.0)
+            path = tmp_path / "f.rsf"
+            write_rsf(path, FieldGrid(self.random_field(rng, grid.counts), grid, "position"))
+            with open(path, "rb") as fh:
+                start = len(fh.readline())
+                got = extra(lambda: _zslabs(fh, start, grid.counts), grid, "F",
+                            np.zeros(6, dtype=bool))
+        else:
+            grid = Grid3D.centered(n, 16.0).fourier_dual()
+            parts = _synthesis_parts(node_route_pair(1.0, -1.0, 1.0), grid)
+            assert isinstance(parts, _NodeParts)
+            got = extra(parts.slabs, grid, "C")
+        assert got < 64 * n ** 2 == 8 * n ** 3 / 8
+
+    def test_zero_planes_are_exact(self):
+        # a plane is zero only when every value is +-0: a value whose square
+        # underflows, NaN and an infinity count, -0.0 does not
+        f = np.zeros((3, 4, 3), dtype=complex)
+        f[1, 2, 0] = 1e-300          # plane 0: its square underflows to 0
+        f[0, 3, 1] = complex(0.0, np.nan)  # plane 3
+        f[2, 0, 2] = -np.inf         # plane 4
+        f[2, 1, 2] = complex(-0.0, -0.0)
+        f[0, 0, 0] = complex(0.0, -0.0)
+        for slab in (f, np.moveaxis(np.ascontiguousarray(np.moveaxis(f, -1, 0)), 0, -1)):
+            nonzero = np.zeros(6, dtype=bool)
+            _note_planes(nonzero, slab)
+            assert nonzero.tolist() == [True, False, False, True, True, False]
+
+
+def sum_in_order(values):
+    """The sum of values added one after the other, in float64."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
+def traced_peak(fn):
+    """The peak of the memory traced while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestNorm:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from rsuncert import FieldGrid, Grid3D, RsfFormatError, read_rsf, uncertainty_product, write_rsf
+from rsuncert import kspace, rsfio
 from rsuncert.cli import main
 from rsuncert.kspace import _add_density
-from conftest import spy_densities
 
 
 def sample_field(rng, n=8):
@@ -165,9 +165,10 @@ def test_slab_payload_is_the_transposed_field(tmp_path, rng):
 
 def test_one_read_density_is_the_component_sum(tmp_path, rng, monkeypatch):
     # the own-space density a file report takes from one read of the
-    # payload is the three components' densities added in order, node by
-    # node to the bit (a report's sums can hide a reordered add), on
-    # non-cubic counts
+    # payload, z-slab by z-slab as it streams (kspace._SlabSums.add: no
+    # density of the grid is held), is the three components' densities
+    # added in order, node by node to the bit (a report's sums can hide a
+    # reordered add), on non-cubic counts
     grid = Grid3D((6, 7, 5), (0.5, 0.25, 0.2), (-1.0, 0.0, 2.0))
     vals = rng.normal(size=(6, 7, 5, 3)) + 1j * rng.normal(size=(6, 7, 5, 3))
     path = tmp_path / "f.rsf"
@@ -175,10 +176,17 @@ def test_one_read_density_is_the_component_sum(tmp_path, rng, monkeypatch):
     want = np.zeros(grid.counts)
     for c in range(3):
         _add_density(want, vals[..., c])
-    got = spy_densities(monkeypatch)
+    events = []
+    real_read, real_add = rsfio._zslabs, kspace._SlabSums.add
+    monkeypatch.setattr(rsfio, "_zslabs", lambda *a: events.append("read") or real_read(*a))
+    monkeypatch.setattr(kspace._SlabSums, "add",
+                        lambda self, d: events.append(d.copy()) or real_add(self, d))
     uncertainty_product(path)
-    assert len(got) == 2  # position space first: the file's own density
-    assert got[0].flags.c_contiguous and np.array_equal(got[0], want)
+    # position space first: one read, whose z-slabs are added as they come
+    nz = grid.counts[2]
+    assert events[0] == "read" and events[nz + 1] == "read"
+    own = np.stack(events[1:nz + 1], axis=-1).transpose(1, 0, 2)
+    assert np.array_equal(own, want)
 
 
 @pytest.mark.parametrize("delta", [-16, 16])
